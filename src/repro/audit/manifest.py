@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.audit.invariants import audit_enabled
+from repro.core import clock
 from repro.sim import memo
 from repro.trace.record import Trace
 
@@ -88,9 +89,9 @@ class RunManifest:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._started_unix = time.time()
-        self._started = time.perf_counter()
-        self._finished: Optional[float] = None
+        self._started_unix = clock.wall_unix()
+        self._wall = clock.Stopwatch()
+        self._wall_seconds: Optional[float] = None
         self.sweeps: List[SweepNote] = []
         self.phases: List[Dict[str, Any]] = []
         self.traces: List[Dict[str, Any]] = []
@@ -125,13 +126,11 @@ class RunManifest:
     @contextmanager
     def phase(self, name: str):
         """Time a named phase of the run."""
-        start = time.perf_counter()
+        watch = clock.Stopwatch()
         try:
             yield
         finally:
-            self.phases.append(
-                {"name": name, "seconds": time.perf_counter() - start}
-            )
+            self.phases.append({"name": name, "seconds": watch.elapsed_s()})
 
     def annotate(self, **fields: Any) -> None:
         """Attach experiment-specific fields (grid axes, scale knobs...)."""
@@ -141,8 +140,8 @@ class RunManifest:
 
     def finish(self) -> None:
         """Freeze the wall clock (idempotent; implied by :meth:`as_dict`)."""
-        if self._finished is None:
-            self._finished = time.perf_counter()
+        if self._wall_seconds is None:
+            self._wall_seconds = self._wall.elapsed_s()
 
     def as_dict(self) -> Dict[str, Any]:
         # Imported lazily to stay out of the repro.core package-init
@@ -165,7 +164,7 @@ class RunManifest:
             ),
             "audit_enabled": audit_enabled(),
             "workers_env": envcfg.raw("REPRO_SWEEP_WORKERS"),
-            "wall_seconds": self._finished - self._started,
+            "wall_seconds": self._wall_seconds,
             "traces": list(self.traces),
             "sweeps": [
                 {**asdict(note), "memoised": note.memoised}

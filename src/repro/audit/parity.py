@@ -1,11 +1,12 @@
 """Differential parity checks between the repository's redundant engines.
 
 The repository deliberately computes the same counts several ways -- a
-vectorised fast path against a reference event-driven simulator, a
-memoisation cache against direct runs, a process pool against the serial
-loop.  That redundancy is only a safety net if someone compares the
-answers; these helpers are that comparison, reusable from tests and from
-the ``repro.audit.selfcheck`` CLI.
+vectorised fast path against a reference event-driven simulator, an
+event-sparse timing engine against the per-record one, a memoisation
+cache against direct runs, a process pool against the serial loop.  That
+redundancy is only a safety net if someone compares the answers; these
+helpers are that comparison, reusable from tests and from the
+``repro.audit.selfcheck`` CLI.
 
 Each check raises :class:`ParityError` (an :class:`AuditError`) with the
 first diverging counter, or returns quietly.
@@ -20,6 +21,12 @@ from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import FastFunctionalSimulator, fast_eligible
 from repro.sim.functional import FunctionalResult, FunctionalSimulator
+from repro.sim.timing import (
+    TimingResult,
+    _EventEngine,
+    _TimingEngine,
+    event_eligible,
+)
 from repro.trace.record import Trace
 
 
@@ -35,13 +42,18 @@ _LEVEL_FIELDS = (
     "useful_prefetches",
 )
 
+#: Scalar and per-buffer fields compared between timing results.
+_TIMING_FIELDS = (
+    "instructions", "cpu_reads", "cpu_writes", "total_ns", "base_ns",
+    "read_stall_ns", "write_stall_ns", "memory_reads", "memory_writes",
+    "buffer_full_stalls", "buffer_read_matches",
+)
 
-def assert_counts_equal(
-    a: FunctionalResult, b: FunctionalResult, context: str = "parity"
-) -> None:
-    """Raise :class:`ParityError` on the first diverging counter."""
+
+def _diff(a, b, names: Sequence[str]) -> List[str]:
+    """The diverging scalar fields and per-level counters of two results."""
     diffs: List[str] = []
-    for name in ("cpu_reads", "cpu_writes", "memory_reads", "memory_writes"):
+    for name in names:
         left, right = getattr(a, name), getattr(b, name)
         if left != right:
             diffs.append(f"{name}: {left} != {right}")
@@ -55,11 +67,33 @@ def assert_counts_equal(
                 left, right = getattr(sa, name), getattr(sb, name)
                 if left != right:
                     diffs.append(f"L{level}.{name}: {left} != {right}")
+    return diffs
+
+
+def _raise_on(diffs: List[str], context: str, trace_name: str) -> None:
     if diffs:
         listed = "\n".join(f"  - {diff}" for diff in diffs)
         raise ParityError(
-            f"{context}: counts diverge on trace {a.trace_name!r}:\n{listed}"
+            f"{context}: counts diverge on trace {trace_name!r}:\n{listed}"
         )
+
+
+def assert_counts_equal(
+    a: FunctionalResult, b: FunctionalResult, context: str = "parity"
+) -> None:
+    """Raise :class:`ParityError` on the first diverging counter."""
+    diffs = _diff(
+        a, b, ("cpu_reads", "cpu_writes", "memory_reads", "memory_writes")
+    )
+    _raise_on(diffs, context, a.trace_name)
+
+
+def assert_timing_equal(
+    a: TimingResult, b: TimingResult, context: str = "timing parity"
+) -> None:
+    """Raise :class:`ParityError` unless two timing results agree exactly:
+    every nanosecond total, count, per-level counter and buffer statistic."""
+    _raise_on(_diff(a, b, _TIMING_FIELDS), context, a.trace_name)
 
 
 def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
@@ -70,6 +104,16 @@ def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
     fast = FastFunctionalSimulator(config).run(trace)
     reference = FunctionalSimulator(config).run(trace)
     assert_counts_equal(fast, reference, context="fast-vs-reference")
+
+
+def check_timing_vs_reference(trace: Trace, config: SystemConfig) -> None:
+    """The event-sparse timing engine must reproduce the per-record
+    reference exactly on every run it accepts (no-op otherwise)."""
+    if not event_eligible(config, trace):
+        return
+    event = _EventEngine(config).run(trace)
+    reference = _TimingEngine(config).run(trace)
+    assert_timing_equal(event, reference, context="timing-vs-reference")
 
 
 def check_memo_vs_direct(trace: Trace, config: SystemConfig) -> None:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
+from repro.core.clock import Stopwatch
 from repro.experiments.registry import experiment_ids, make_experiment
 from repro.experiments.workloads import paper_trace_suite
 
@@ -142,14 +142,14 @@ def _run_one(
     experiment_id: str, traces, output: Optional[Path], resume: bool = False
 ) -> bool:
     experiment = make_experiment(experiment_id)
-    started = time.time()
+    watch = Stopwatch()
     journal = (
         output / f"{experiment_id}.journal.jsonl" if output is not None else None
     )
     report, recorder = experiment.run_recorded(
         traces, journal=journal, resume=resume
     )
-    elapsed = time.time() - started
+    elapsed = watch.elapsed_s()
     text = report.render() + f"\n({elapsed:.1f}s)\n"
     print(text)
     if output is not None:

@@ -67,6 +67,13 @@ class LevelConfig:
     prefetch_distance: int = 1
 
     def __post_init__(self) -> None:
+        # Accept the policies' string values ("write-back", "none") too,
+        # but store the enums: eligibility checks, memo keys and timing
+        # projections compare by identity and equality.
+        object.__setattr__(
+            self, "write_policy", WritePolicy.parse(self.write_policy)
+        )
+        object.__setattr__(self, "prefetch", PrefetchKind.parse(self.prefetch))
         check_power_of_two(self.size_bytes, "size_bytes")
         check_power_of_two(self.block_bytes, "block_bytes")
         if self.cycle_cpu_cycles <= 0:

@@ -322,7 +322,10 @@ def _level_zero_streams(
 
 
 def _simulate_front(
-    trace: Trace, config: SystemConfig, levels: int
+    trace: Trace,
+    config: SystemConfig,
+    levels: int,
+    trail: Optional[List[Tuple]] = None,
 ) -> Tuple[List[CacheStats], Tuple, int]:
     """Simulate the first ``levels`` cache levels (``1 <= levels <= depth``).
 
@@ -332,6 +335,13 @@ def _simulate_front(
     ``4**levels``) and that level's block-offset bit count.  The stream
     is what enters level ``levels`` -- or memory, when ``levels`` is the
     full depth.
+
+    ``trail``, when given, receives one ``(keys, miss, victims,
+    victim_keys)`` tuple per simulated level: the order keys of the
+    level's input events, their miss mask, and the level's dirty victims
+    (blocks at its granularity) stamped with the evicting access's key.
+    A split first level contributes its two halves concatenated.  The
+    timing simulator's event engine replays these outcomes.
     """
     warmup = trace.warmup
     first = config.levels[0]
@@ -339,11 +349,14 @@ def _simulate_front(
     level_stats: List[CacheStats] = []
     stats = CacheStats()
     parts = []
+    sides = []
     for s_blocks, s_write, s_bucket, s_keys in _level_zero_streams(trace, config):
         miss, victims, victim_keys = _simulate_level(
             s_blocks, s_write, s_keys,
             first_geometry.sets, first.associativity,
         )
+        if trail is not None:
+            sides.append((s_keys, miss, victims, victim_keys))
         _accumulate_level(
             stats, s_write, s_bucket, miss, s_keys, victim_keys, warmup
         )
@@ -365,6 +378,10 @@ def _simulate_front(
         )
     level_stats.append(stats)
     stream = _merge_parts(parts)
+    if trail is not None:
+        trail.append(
+            tuple(np.concatenate([side[i] for side in sides]) for i in range(4))
+        )
 
     prev_offset = log2_int(first.block_bytes)
     for depth_index in range(1, levels):
@@ -388,6 +405,8 @@ def _simulate_front(
             victim_keys, warmup_key,
         )
         level_stats.append(stats)
+        if trail is not None:
+            trail.append((stream_keys, miss, victims, victim_keys))
         # Demand fetches always enter the next level as *reads*: the
         # fetched block arrives clean (write-allocate dirties it in the
         # receiving cache, not downstream), so the fetch never carries
@@ -412,6 +431,17 @@ def _simulate_front(
         stream = _merge_parts(parts)
         prev_offset = offset_bits
     return level_stats, stream, prev_offset
+
+
+def memory_traffic(stream: Tuple, warmup_key: int) -> Tuple[int, int]:
+    """Post-warmup ``(reads, writes)`` reaching memory in a deepest-level
+    output stream: writes are the deepest victims, reads the demand
+    fetches.  ``warmup_key`` is the warmup boundary in the stream's key
+    scale (``warmup * 4**depth``)."""
+    _, stream_write, _, stream_keys = stream
+    counted = stream_keys >= warmup_key
+    writes = int(np.count_nonzero(counted & stream_write))
+    return int(np.count_nonzero(counted)) - writes, writes
 
 
 def _new_level_state(
@@ -583,10 +613,9 @@ def run_functional_chunked(
     memory_writes = 0
     with telemetry.span("fast.run", records=len(trace), chunked=True):
         for stream in front.streams():
-            _, stream_write, _, stream_keys = stream
-            counted = stream_keys >= threshold
-            memory_writes += int(np.count_nonzero(counted & stream_write))
-            memory_reads += int(np.count_nonzero(counted & ~stream_write))
+            reads, writes = memory_traffic(stream, threshold)
+            memory_reads += reads
+            memory_writes += writes
 
     measured_kinds = trace.kinds[trace.warmup:]
     cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
@@ -630,13 +659,9 @@ class FastFunctionalSimulator:
         kinds = trace.kinds
         with telemetry.span("fast.run", records=len(trace)):
             level_stats, stream, _ = _simulate_front(trace, config, config.depth)
-
-        # Memory traffic: whatever leaves the deepest level, post-warmup.
-        # Writes are the deepest victims; reads are the demand fetches.
-        stream_blocks, stream_write, stream_bucket, stream_keys = stream
-        counted = stream_keys >= warmup * 4**config.depth
-        memory_writes = int(np.count_nonzero(counted & stream_write))
-        memory_reads = int(np.count_nonzero(counted & ~stream_write))
+        memory_reads, memory_writes = memory_traffic(
+            stream, warmup * 4**config.depth
+        )
 
         measured_kinds = kinds[warmup:]
         cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))

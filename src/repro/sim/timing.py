@@ -36,7 +36,7 @@ re-entering the DRAM state machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -47,8 +47,15 @@ from repro.cache.write_buffer import WriteBuffer
 from repro.memory.bus import Bus
 from repro.memory.main_memory import MainMemory
 from repro.sim.config import SystemConfig
+from repro.sim.fast import (
+    _simulate_front,
+    fast_eligible,
+    memory_traffic,
+    trace_eligible,
+)
 from repro.sim.hierarchy import CacheHierarchy
-from repro.trace.record import IFETCH, WRITE, Trace
+from repro.trace.record import IFETCH, READ, WRITE, Trace
+from repro.units import log2_int
 
 
 @dataclass
@@ -110,14 +117,21 @@ class TimingResult:
 
 
 class TimingSimulator:
-    """Trace-driven timing simulation of a configured machine."""
+    """Trace-driven timing simulation of a configured machine.
+
+    Dispatches to the event-sparse engine when :func:`event_eligible`
+    holds and to the per-record reference engine otherwise; the two
+    produce identical results on every eligible run
+    (``tests/sim/test_timing_events.py``).
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
 
     def run(self, trace: Trace) -> TimingResult:
-        engine = _TimingEngine(self.config)
-        return engine.run(trace)
+        if event_eligible(self.config, trace):
+            return _EventEngine(self.config).run(trace)
+        return _TimingEngine(self.config).run(trace)
 
 
 def simulate_execution_time(trace: Trace, config: SystemConfig) -> TimingResult:
@@ -125,21 +139,55 @@ def simulate_execution_time(trace: Trace, config: SystemConfig) -> TimingResult:
     return TimingSimulator(config).run(trace)
 
 
-class _TimingEngine:
-    """Mutable state of one timing run (one engine per run)."""
+def _integral_ns(config: SystemConfig) -> bool:
+    """True when every time the engines charge is a whole number of ns.
+
+    Every charge is a sum or integer multiple of these base times, so
+    integer arithmetic then reproduces the reference's float64 sums
+    exactly.
+    """
+    times = [
+        config.cpu.cycle_ns,
+        config.effective_backplane_ns,
+        config.memory.read_ns,
+        config.memory.write_ns,
+        config.memory.recovery_ns,
+    ]
+    times.extend(config.level_cycle_ns(i) for i in range(config.depth))
+    return all(float(t).is_integer() for t in times)
+
+
+def event_eligible(config: SystemConfig, trace: Trace) -> bool:
+    """True when the event-sparse engine reproduces the reference exactly.
+
+    The configuration must be on the vectorised functional path (its
+    cache outcomes then come from :func:`repro.sim.fast._simulate_front`),
+    the trace must fit its signed 64-bit arithmetic, and every charge
+    must be a whole number of nanoseconds (docs/timing-model.md).
+    """
+    return (
+        fast_eligible(config) and _integral_ns(config) and trace_eligible(trace)
+    )
+
+
+class _TimingState:
+    """The time side of one run: buffers, busses, DRAM and the clocks.
+
+    Both engines drive the same :class:`WriteBuffer`, :class:`Bus` and
+    :class:`MainMemory` objects through the same calls; they differ only
+    in where cache outcomes come from.
+    """
 
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
-        self.hierarchy = CacheHierarchy(config)
         self.cpu_cycle = config.cpu.cycle_ns
-        self.lower: List[Cache] = self.hierarchy.lower
         depth = config.depth
         #: Cycle time (ns) per configured level.
         self.level_cycle = [config.level_cycle_ns(i) for i in range(depth)]
         #: Block size per configured level.
         self.level_block = [config.levels[i].block_bytes for i in range(depth)]
         #: Busy-until time for each lower level (demand service occupancy).
-        self.level_busy = [0.0] * len(self.lower)
+        self.level_busy = [0.0] * (depth - 1)
         # The backplane runs at the deepest cache's cycle time unless the
         # configuration pins it (the paper's sweeps hold the memory access
         # portion of the miss penalty constant).
@@ -191,6 +239,71 @@ class _TimingEngine:
         self.read_stall = 0.0
         self.write_stall = 0.0
 
+    def _drain_buffers(self) -> None:
+        """Charge the end-of-trace drain of the write buffers.
+
+        Writes already pushed are committed work, and the trace's
+        execution is not complete until they have retired downstream.
+        The buffers drain concurrently (each feeds a different level), so
+        the cost is the latest completion, folded into the write-stall
+        component.
+        """
+        drained = self.now
+        for buffer in self.buffers:
+            drained = max(drained, buffer.flush(self.now))
+        if drained > self.now:
+            self.write_stall += drained - self.now
+            self.now = drained
+
+    def _result(
+        self,
+        trace: Trace,
+        instructions: int,
+        level_stats: List[CacheStats],
+        memory_reads: int,
+        memory_writes: int,
+    ) -> TimingResult:
+        measured_kinds = trace.kinds[trace.warmup:]
+        cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
+        cpu_reads = int(measured_kinds.size) - cpu_writes
+        result = TimingResult(
+            trace_name=trace.name,
+            config=self.config,
+            instructions=instructions,
+            cpu_reads=cpu_reads,
+            cpu_writes=cpu_writes,
+            total_ns=self.now,
+            read_stall_ns=self.read_stall,
+            write_stall_ns=self.write_stall,
+            level_stats=level_stats,
+            memory_reads=memory_reads,
+            memory_writes=memory_writes,
+            buffer_full_stalls=[b.full_stalls for b in self.buffers],
+            buffer_read_matches=[b.read_matches for b in self.buffers],
+            base_ns=self.base,
+        )
+        return maybe_audit_timing(trace, result)
+
+    def _memory_read(self, now: float, block_bytes: int) -> float:
+        """Address cycle, DRAM read, data transfer back."""
+        address_done = self.memory_bus.acquire(now, self.memory_bus.address_time())
+        data_at_pins = self.memory.read(address_done)
+        done = data_at_pins + self.memory_bus.data_time(block_bytes)
+        self.memory_bus.busy_until = done
+        return done
+
+
+class _TimingEngine(_TimingState):
+    """The reference engine: every record steps through ``Cache`` objects.
+
+    Covers every configuration; the event engine is checked against it.
+    """
+
+    def __init__(self, config: SystemConfig) -> None:
+        super().__init__(config)
+        self.hierarchy = CacheHierarchy(config)
+        self.lower: List[Cache] = self.hierarchy.lower
+
     # -- top level -----------------------------------------------------------
 
     def run(self, trace: Trace) -> TimingResult:
@@ -225,45 +338,21 @@ class _TimingEngine:
                 self._do_write(address)
             else:
                 self._do_read(address)
+        self._drain_buffers()
 
-        # Drain the write buffers: writes already pushed are committed
-        # work, and the trace's execution is not complete until they have
-        # retired downstream.  The buffers drain concurrently (each feeds
-        # a different level), so the cost is the latest completion, folded
-        # into the write-stall component.
-        drained = self.now
-        for buffer in self.buffers:
-            drained = max(drained, buffer.flush(self.now))
-        if drained > self.now:
-            self.write_stall += drained - self.now
-            self.now = drained
-
-        measured_kinds = trace.kinds[warmup:]
-        cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-        cpu_reads = int(measured_kinds.size) - cpu_writes
         level_stats = []
         for group in hierarchy.level_caches:
             merged = CacheStats()
             for cache in group:
                 merged = merged.merge(cache.stats)
             level_stats.append(merged)
-        result = TimingResult(
-            trace_name=trace.name,
-            config=self.config,
-            instructions=instructions,
-            cpu_reads=cpu_reads,
-            cpu_writes=cpu_writes,
-            total_ns=self.now,
-            read_stall_ns=self.read_stall,
-            write_stall_ns=self.write_stall,
-            level_stats=level_stats,
-            memory_reads=hierarchy.memory_traffic.reads,
-            memory_writes=hierarchy.memory_traffic.writes,
-            buffer_full_stalls=[b.full_stalls for b in self.buffers],
-            buffer_read_matches=[b.read_matches for b in self.buffers],
-            base_ns=self.base,
+        return self._result(
+            trace,
+            instructions,
+            level_stats,
+            hierarchy.memory_traffic.reads,
+            hierarchy.memory_traffic.writes,
         )
-        return maybe_audit_timing(trace, result)
 
     # -- CPU-side data accesses ------------------------------------------------
 
@@ -447,10 +536,199 @@ class _TimingEngine:
         self._apply_write_functionally(level_index, address)
         return done
 
-    def _memory_read(self, now: float, block_bytes: int) -> float:
-        """Address cycle, DRAM read, data transfer back."""
-        address_done = self.memory_bus.acquire(now, self.memory_bus.address_time())
-        data_at_pins = self.memory.read(address_done)
-        done = data_at_pins + self.memory_bus.data_time(block_bytes)
-        self.memory_bus.busy_until = done
+
+class _EventEngine(_TimingState):
+    """The event-sparse engine for :func:`event_eligible` runs.
+
+    Cache outcomes are independent of time (buffered writes are applied
+    functionally at push time), so one whole-array functional replay
+    (:func:`repro.sim.fast._simulate_front`) decides every hit, miss and
+    dirty victim up front.  The write-buffer, bus and DRAM objects then
+    run over the post-warmup L1 misses only, through the same calls the
+    reference engine makes.  Between two misses the CPU pays only base
+    costs and write-hit occupancy waits, which come from integer prefix
+    sums; a wait whose window holds a miss is settled in the event loop.
+    """
+
+    def run(self, trace: Trace) -> TimingResult:
+        config = self.config
+        depth = config.depth
+        n = len(trace)
+        warmup = trace.warmup
+        kinds = trace.kinds
+        trail: List[Tuple] = []
+        level_stats, stream, _ = _simulate_front(trace, config, depth, trail)
+        memory_reads, memory_writes = memory_traffic(stream, warmup * 4**depth)
+        keys, miss, _, _ = trail[0]
+        misses = np.sort(keys[miss])
+        misses = misses[np.searchsorted(misses, warmup):]
+        self._load_chains(trace, trail, misses)
+        # The front's full-length arrays go before the prefix sums below.
+        del stream, trail, keys, miss
+
+        # base[i]: non-stall time of the measured records before record i.
+        base = np.zeros(n + 1, dtype=np.int64)
+        cost = base[1:]
+        cost[kinds == IFETCH] = int(self.ifetch_cost)
+        cost[kinds == READ] = int(self.data_hit_cost)
+        cost[misses[kinds[misses] == READ]] = 0  # a read miss pays its stall
+        cost[:warmup] = 0
+        np.cumsum(base, out=base)
+
+        # Write-hit occupancy: a data access waits out the rest of the
+        # previous data access's occupancy window if that was a measured
+        # write.  The gap is the time of the fetches between the two.
+        data = np.flatnonzero(kinds != IFETCH)
+        writer = np.empty_like(data)
+        writer[:1] = -1
+        writer[1:] = data[:-1]
+        after_write = writer >= warmup
+        after_write[after_write] = kinds[writer[after_write]] == WRITE
+        data, writer = data[after_write], writer[after_write]
+        occupancy = int(config.levels[0].write_hit_cycles * self.cpu_cycle)
+        nominal = occupancy - (base[data] - base[writer + 1])
+        waiting = nominal > 0
+        data, writer, nominal = data[waiting], writer[waiting], nominal[waiting]
+        # A fetch miss in between stretches the gap by its stall, which is
+        # known only once the event loop reaches it: such waits are
+        # deferred to the loop, as are waits of data accesses that miss.
+        fetch_misses = misses[kinds[misses] == IFETCH]
+        deferred = np.searchsorted(fetch_misses, data) > np.searchsorted(
+            fetch_misses, writer, side="right"
+        )
+        in_loop = deferred | np.isin(data, misses)
+        # The loop visits these points: every miss and every deferred wait.
+        points = np.union1d(misses, data[deferred])
+        own_wait = np.zeros(len(points), dtype=np.int64)
+        own_wait[np.searchsorted(points, data[in_loop])] = nominal[in_loop]
+        # A deferred wait's window opens at the first point after its write.
+        anchor = np.full(len(points), -1, dtype=np.int64)
+        anchor[np.searchsorted(points, data[deferred])] = np.searchsorted(
+            points, writer[deferred], side="right"
+        )
+        # The remaining waits, summed between consecutive points.
+        loose_at = data[~in_loop]
+        loose = np.zeros(len(loose_at) + 1, dtype=np.int64)
+        np.cumsum(nominal[~in_loop], out=loose[1:])
+        loose_before = loose[np.searchsorted(loose_at, points)]
+
+        buffer = self.buffers[0]
+        first_victims = self._victims[0]
+        x = 0  # time beyond the base cost, up to the current point
+        x_before: List[int] = []
+        read_stall = 0
+        write_stall = 0
+        event = 0
+        for gap, wait, opened, is_event, kind, now_base in zip(
+            np.diff(loose_before, prepend=0).tolist(),
+            own_wait.tolist(),
+            anchor.tolist(),
+            np.isin(points, misses).tolist(),
+            kinds[points].tolist(),
+            base[points + 1].tolist(),
+        ):
+            x += gap
+            x_before.append(x)
+            if wait:
+                if opened >= 0:
+                    wait = max(0, wait - (x - x_before[opened]))
+                x += wait
+                write_stall += wait
+            if not is_event:
+                continue
+            now = now_base + x
+            done = now
+            victim = first_victims[event]
+            if victim >= 0:
+                done = max(done, buffer.push(victim, now))
+            done = max(done, self._fetch(1, event, now))
+            event += 1
+            stall = done - now
+            x += stall
+            if kind == WRITE:
+                write_stall += stall
+            else:
+                read_stall += stall
+        x += int(loose[-1] - (loose_before[-1] if len(points) else 0))
+
+        self.base = float(base[n])
+        self.now = float(base[n] + x)
+        self.read_stall = float(read_stall)
+        self.write_stall = float(write_stall + loose[-1])
+        self._drain_buffers()
+        instructions = int(np.count_nonzero(kinds[warmup:] == IFETCH))
+        return self._result(
+            trace, instructions, level_stats, memory_reads, memory_writes
+        )
+
+    def _load_chains(
+        self, trace: Trace, trail: List[Tuple], misses: np.ndarray
+    ) -> None:
+        """Index the demand chain of each measured L1 miss.
+
+        Per miss (``misses`` holds their sorted record indices): the level
+        its fetch hits at (depth means memory), the address each boundary's
+        fence compares, and the dirty victim each missing level pushes
+        into the buffer below it.  Level-d demand events carry order keys
+        ``r * 4**d + 2 * (4**d - 1) / 3``; the victims of a buffered
+        write's allocation below L1 have other keys and stay state-only.
+        """
+        depth = len(self.buffers)
+        reach = np.full(len(misses), depth, dtype=np.int64)
+        addresses = trace.addresses[misses].astype(np.int64)
+        self._victims: List[List[int]] = []
+        self._fences: List[List[int]] = []
+        for level, (keys, miss, victims, victim_keys) in enumerate(trail):
+            scale = 4**level
+            chain = 2 * (scale - 1) // 3
+            align = ~np.int64(self.buffers[level].downstream_block - 1)
+            if level:
+                hits = keys[(keys % scale == chain) & ~miss] // scale
+                _scatter(reach, misses, hits, level)
+            pushed = victim_keys % scale == chain
+            offset = log2_int(self.level_block[level])
+            pushes = np.full(len(misses), -1, dtype=np.int64)
+            _scatter(
+                pushes,
+                misses,
+                victim_keys[pushed] // scale,
+                (victims[pushed] << offset) & align,
+            )
+            self._victims.append(pushes.tolist())
+            self._fences.append((addresses & align).tolist())
+        self._reach: List[int] = reach.tolist()
+
+    def _fetch(self, level: int, event: int, now: float) -> float:
+        """Demand fetch of miss ``event`` through ``config.levels[level]``.
+
+        The counterpart of :meth:`_TimingEngine._read_block`, with the
+        cache outcome read from the precomputed demand chain.
+        """
+        buffer = self.buffers[level - 1]
+        fence = buffer.read_fence(self._fences[level - 1][event], now)
+        if level == len(self.buffers):
+            return self._memory_read(fence, self.level_block[level - 1])
+        start = max(fence, self.level_busy[level - 1])
+        if self._reach[event] == level:
+            done = start + self.level_cycle[level]
+        else:
+            done = start
+            victim = self._victims[level][event]
+            if victim >= 0:
+                done = max(done, self.buffers[level].push(victim, start))
+            done = max(done, self._fetch(level + 1, event, start))
+        self.level_busy[level - 1] = done
+        buffer.block_until(done)
         return done
+
+
+def _scatter(target: np.ndarray, positions: np.ndarray, records, values) -> None:
+    """``target[i] = value`` for each record equal to ``positions[i]``.
+
+    ``positions`` is sorted; records it does not hold (warmup misses) are
+    dropped.
+    """
+    index = np.searchsorted(positions, records)
+    found = index < len(positions)
+    found[found] = positions[index[found]] == records[found]
+    target[index[found]] = values if np.isscalar(values) else values[found]

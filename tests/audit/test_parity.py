@@ -7,13 +7,16 @@ import pytest
 from repro.audit.parity import (
     ParityError,
     assert_counts_equal,
+    assert_timing_equal,
     check_fast_vs_reference,
     check_memo_vs_direct,
     check_serial_vs_parallel,
+    check_timing_vs_reference,
 )
 from repro.sim import memo
 from repro.sim.fast import fast_eligible
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.timing import TimingSimulator, event_eligible
 
 from tests.audit.conftest import GRID
 
@@ -37,6 +40,19 @@ class TestChecksPass:
     def test_fast_vs_reference_is_noop_when_ineligible(self, audit_trace):
         ineligible = next(c for _, c in GRID if not fast_eligible(c))
         check_fast_vs_reference(audit_trace, ineligible)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, c in GRID if fast_eligible(c)]
+    )
+    def test_timing_vs_reference(self, audit_trace, name):
+        config = dict(GRID)[name]
+        short = audit_trace[-3_000:]
+        assert event_eligible(config, short)
+        check_timing_vs_reference(short, config)
+
+    def test_timing_vs_reference_is_noop_when_ineligible(self, audit_trace):
+        ineligible = next(c for _, c in GRID if not fast_eligible(c))
+        check_timing_vs_reference(audit_trace[-1_000:], ineligible)
 
     def test_memo_vs_direct(self, audit_trace):
         config = next(c for n, c in GRID if n == "split-write-back-2L-none")
@@ -63,6 +79,17 @@ class TestDivergenceIsReported:
         b.level_stats.pop()
         with pytest.raises(ParityError, match="depth"):
             assert_counts_equal(a, b)
+
+    def test_diverging_timing_field_is_named(self, audit_trace):
+        config = next(c for n, c in GRID if n == "split-write-back-2L-none")
+        a = TimingSimulator(config).run(audit_trace[-1_000:])
+        b = copy.deepcopy(a)
+        b.write_stall_ns += 10.0
+        b.buffer_read_matches[0] += 1
+        with pytest.raises(
+            ParityError, match=r"write_stall_ns(.|\n)*buffer_read_matches"
+        ):
+            assert_timing_equal(a, b)
 
     def test_parity_error_is_an_audit_error(self):
         from repro.audit import AuditError

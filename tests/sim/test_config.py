@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.policy import WritePolicy
+from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.memory.main_memory import MemoryTiming
 from repro.sim.config import (
     CpuConfig,
@@ -52,6 +52,36 @@ class TestLevelConfig:
     def test_invalid_levels_rejected(self, kwargs):
         with pytest.raises(ValueError):
             LevelConfig(**kwargs)
+
+    def test_policy_strings_normalise_to_enums(self):
+        """Regression: ``with_level(0, write_policy="write-back")`` (A-WPOL)
+        and ``with_level(1, prefetch="none")`` (A-PREF) used to store the
+        strings, so the configs failed ``fast_eligible`` and were keyed
+        apart from the base machine in the memo and the journal."""
+        from repro.experiments.baseline import base_machine
+        from repro.sim import memo
+        from repro.sim.fast import fast_eligible
+
+        base = base_machine()
+        for config in (
+            base.with_level(0, write_policy="write-back"),
+            base.with_level(1, prefetch="none"),
+        ):
+            assert config.levels[0].write_policy is WritePolicy.WRITE_BACK
+            assert config.levels[1].prefetch is PrefetchKind.NONE
+            assert config == base
+            assert fast_eligible(config)
+            assert memo.functional_projection(config) == (
+                memo.functional_projection(base)
+            )
+            assert memo.timing_projection(config) == memo.timing_projection(base)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"write_policy": "write-sometimes"}, {"prefetch": "never"}]
+    )
+    def test_unknown_policy_strings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="unknown"):
+            LevelConfig(size_bytes=4 * KB, block_bytes=16, **kwargs)
 
 
 class TestSystemConfig:
