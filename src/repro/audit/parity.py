@@ -1,12 +1,12 @@
 """Differential parity checks between the repository's redundant engines.
 
 The repository deliberately computes the same counts several ways -- a
-vectorised fast path against a reference event-driven simulator, an
-event-sparse timing engine against the per-record one, a memoisation
-cache against direct runs, a process pool against the serial loop.  That
-redundancy is only a safety net if someone compares the answers; these
-helpers are that comparison, reusable from tests and from the
-``repro.audit.selfcheck`` CLI.
+vectorised fast path and a stack-distance grid against a reference
+event-driven simulator, an event-sparse timing engine against the
+per-record one, a memoisation cache against direct runs, a process pool
+against the serial loop.  That redundancy is only a safety net if
+someone compares the answers; these helpers are that comparison,
+reusable from tests and from the ``repro.audit.selfcheck`` CLI.
 
 Each check raises :class:`ParityError` (an :class:`AuditError`) with the
 first diverging counter, or returns quietly.
@@ -21,6 +21,7 @@ from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import FastFunctionalSimulator, fast_eligible
 from repro.sim.functional import FunctionalResult, FunctionalSimulator
+from repro.sim.stackdist import member_config, run_stackdist_grid, stackdist_eligible
 from repro.sim.timing import (
     TimingResult,
     _EventEngine,
@@ -104,6 +105,19 @@ def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
     fast = FastFunctionalSimulator(config).run(trace)
     reference = FunctionalSimulator(config).run(trace)
     assert_counts_equal(fast, reference, context="fast-vs-reference")
+
+
+def check_stackdist_vs_reference(trace: Trace, config: SystemConfig) -> None:
+    """Every member of a stack-distance grid pass must be count-identical
+    to the reference on its member configuration (no-op when the config
+    is outside the stack-distance path)."""
+    if not stackdist_eligible(config):
+        return
+    for ways, derived in run_stackdist_grid(trace, config).results:
+        reference = FunctionalSimulator(member_config(config, ways)).run(trace)
+        assert_counts_equal(
+            derived, reference, context=f"stackdist-vs-reference[{ways}-way]"
+        )
 
 
 def check_timing_vs_reference(trace: Trace, config: SystemConfig) -> None:

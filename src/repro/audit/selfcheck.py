@@ -8,6 +8,7 @@ workload and reports PASS/FAIL per check:
   split/unified, write-back/write-through, 1-3 level and prefetching
   configurations;
 * fast-path vs reference parity;
+* stack-distance grid (every member associativity) vs reference parity;
 * event-sparse vs per-record timing parity;
 * memoised vs direct parity;
 * serial vs parallel sweep parity.
@@ -37,6 +38,7 @@ from repro.audit.parity import (
     check_fast_vs_reference,
     check_memo_vs_direct,
     check_serial_vs_parallel,
+    check_stackdist_vs_reference,
     check_timing_vs_reference,
 )
 from repro.cache.policy import PrefetchKind, WritePolicy
@@ -108,6 +110,12 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
             for trace in traces:
                 check_fast_vs_reference(trace, config)
     checks.append(("fast-vs-reference", fast_parity))
+
+    def stackdist_parity():
+        for _, config in grid:
+            for trace in traces:
+                check_stackdist_vs_reference(trace, config)
+    checks.append(("stackdist-vs-reference", stackdist_parity))
 
     def timing_parity():
         for _, config in grid:

@@ -337,9 +337,10 @@ TRACE_CHUNK = register(
     kind="int",
     default=0,
     doc=(
-        "Records per chunk for streaming trace replay in the fast and "
-        "stack-distance kernels (bounds peak residency, count-identical); "
-        "`0` replays whole-array."
+        "Records per chunk for streaming trace replay in the one replay "
+        "driver behind the fast path and the stack-distance grid (bounds "
+        "peak residency, count-identical); `0` replays the whole trace as "
+        "one chunk."
     ),
     parse=parse_int(minimum=0),
     section="sweep",

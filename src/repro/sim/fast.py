@@ -1,6 +1,6 @@
 """Vectorised functional simulation for write-back LRU hierarchies.
 
-Two NumPy kernels cover the paper's sweep axes:
+Two NumPy kernels replay one cache level each:
 
 * **Direct-mapped** (:func:`_simulate_dm_level`): a direct-mapped cache
   has a delightfully vectorisable property -- an access hits exactly when
@@ -8,26 +8,34 @@ Two NumPy kernels cover the paper's sweep axes:
   reference stream stably by set index turns hit detection, dirty tracking
   and eviction detection into array operations.
 
-* **Set-associative LRU** (:func:`_simulate_lru_level`): a Mattson-style
-  per-set stack kernel.  Accesses are bucketed by set and replayed in
-  per-set time order; every set's *t*-th access is processed in one
-  vectorised step over a ``(sets_touched, associativity)`` LRU state, so
-  the Python-level loop length is the deepest per-set access count rather
-  than the trace length.  This puts the Figure 5 / Equation 3 associativity
-  sweeps on the fast path.
+* **LRU stack** (:func:`_stack_pass`): a Mattson-style per-set stack
+  kernel of a given ``width``.  Accesses are bucketed by set and replayed
+  in per-set time order; every set's *t*-th access is processed in one
+  vectorised step over a ``(sets_touched, width)`` stack, so the
+  Python-level loop length is the deepest per-set access count rather
+  than the trace length.  At width ``A`` the stack *is* an A-way level
+  (a miss is stack distance ``A``), which puts the Figure 5 / Equation 3
+  associativity sweeps on the fast path; at width 16 it is the
+  single-pass grid of :mod:`repro.sim.stackdist`, every member
+  associativity at once.
 
-Together they make this simulator one to two orders of magnitude faster
-than the reference per-record loop -- fast enough for the paper's full
-4 KB - 4 MB axis at million-reference trace lengths.
+One driver, :class:`_Front`, replays the first levels of a hierarchy
+over a trace -- whole, or in chunks with every level's state carried
+between them -- and the fast path, the stack-distance grid and the
+event-sparse timing engine all run through it.  Together the kernels
+make this simulator one to two orders of magnitude faster than the
+reference per-record loop -- fast enough for the paper's full 4 KB -
+4 MB axis at million-reference trace lengths.
 
 Scope: write-back LRU levels of associativity 1-16 with write-allocate,
-single-block fetch, no prefetching, no enforced inclusion -- the base
-machine and every Figure 3/4/5 variation of it.  Anything else falls
-outside :func:`fast_eligible` and uses the reference
-:class:`~repro.sim.functional.FunctionalSimulator`; the two are validated
-to produce *identical* counts on eligible configurations
-(``tests/sim/test_fast.py``).  The eligibility matrix is documented in
-``docs/performance.md``.
+single-block fetch, no prefetching, no enforced inclusion and blocks that
+never shrink with depth -- the base machine and every Figure 3/4/5
+variation of it.  Anything else falls outside :func:`fast_eligible` and
+uses the reference :class:`~repro.sim.functional.FunctionalSimulator`;
+the two are validated to produce *identical* counts on eligible
+configurations (``tests/sim/test_fast.py``,
+``tests/sim/test_replay_oracle.py``).  The eligibility matrix is
+documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -55,10 +63,25 @@ _BUCKET_WRITE = 1
 #: matrices stop paying for themselves against the reference loop.
 MAX_FAST_ASSOCIATIVITY = 16
 
+#: ``reach`` sentinel for a stack entry with no write since it entered
+#: the stack (and for an empty way): no cache of any width holds a dirty
+#: copy of it.
+_CLEAN = MAX_FAST_ASSOCIATIVITY + 1
+
+#: One event stream: ``(blocks, is_write, bucket, keys)``.
+Stream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+#: A level's carried state: ``(tags, reach)``, see :func:`_new_state`.
+State = Tuple[np.ndarray, np.ndarray]
+
 
 def fast_eligible(config: SystemConfig) -> bool:
     """True when the vectorised path reproduces the reference simulator."""
     if config.enforce_inclusion:
+        return False
+    block_sizes = [level.block_bytes for level in config.levels]
+    if block_sizes != sorted(block_sizes):
+        # A deeper level must hold whole blocks of the level above it.
         return False
     for level in config.levels:
         if not 1 <= level.associativity <= MAX_FAST_ASSOCIATIVITY:
@@ -74,11 +97,25 @@ def fast_eligible(config: SystemConfig) -> bool:
     return True
 
 
+def _new_state(sets: int, width: int) -> State:
+    """A cold carried ``(tags, reach)`` state for one level's sets.
+
+    Row ``s`` is set ``s``'s stack, way 0 most recently used, ``-1`` an
+    empty way; an entry is dirty in the ``width``-way cache iff its reach
+    is at most ``width`` (:func:`_stack_pass`).
+    """
+    return (
+        np.full((sets, width), -1, dtype=np.int64),
+        np.full((sets, width), _CLEAN, dtype=np.int64),
+    )
+
+
 def _simulate_dm_level(
     blocks: np.ndarray,
     is_write: np.ndarray,
     order_keys: np.ndarray,
     sets: int,
+    state: Optional[State] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One direct-mapped write-back level, fully vectorised.
 
@@ -86,6 +123,12 @@ def _simulate_dm_level(
     ``is_write`` marks accesses that dirty the block; ``order_keys`` is a
     strictly increasing key per access (original record index scaled to
     make room for same-record ordering).
+
+    ``state`` carries the level between chunks of a streamed replay: a
+    width-1 :func:`_new_state` holding each set's resident block and
+    whether it is dirty.  Every touched set's resident block is replayed
+    as a pseudo-access ahead of the chunk, so its residency continues
+    into the chunk, and the touched sets' final blocks are stored back.
 
     Returns ``(miss_mask, victim_blocks, victim_keys)`` where the victims
     are dirty evictions, each stamped with the order key of the evicting
@@ -95,6 +138,18 @@ def _simulate_dm_level(
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return np.zeros(0, dtype=bool), empty, empty
+    carried = 0
+    if state is not None:
+        tags, reach = state
+        resident = np.unique(blocks & (sets - 1))
+        resident = resident[tags[resident, 0] >= 0]
+        carried = len(resident)
+        blocks = np.concatenate([tags[resident, 0], blocks])
+        is_write = np.concatenate([reach[resident, 0] <= 1, is_write])
+        order_keys = np.concatenate(
+            [np.full(carried, -1, dtype=np.int64), order_keys]
+        )
+        n += carried
     set_index = blocks & (sets - 1)
     # Stable sort by set: within a set, accesses stay in time order.
     order = np.argsort(set_index, kind="stable")
@@ -131,118 +186,158 @@ def _simulate_dm_level(
     evictor_positions = miss_positions[np.flatnonzero(victims) + 1]
     victim_keys = order_keys[order][evictor_positions]
 
+    if state is not None:
+        # Each touched set's last access leaves its final episode resident.
+        last = np.flatnonzero(np.append(~same_set[1:], True))
+        tags[sorted_sets[last], 0] = sorted_blocks[last]
+        reach[sorted_sets[last], 0] = np.where(dirty[episode[last]], 1, _CLEAN)
     miss_mask = np.zeros(n, dtype=bool)
     miss_mask[order] = miss_sorted
-    return miss_mask, victim_blocks.astype(np.int64), victim_keys
+    return miss_mask[carried:], victim_blocks.astype(np.int64), victim_keys
 
 
-def _simulate_lru_level(
+def _stack_pass(
     blocks: np.ndarray,
     is_write: np.ndarray,
     order_keys: np.ndarray,
     sets: int,
-    associativity: int,
-    state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One set-associative write-back LRU level, vectorised across sets.
+    width: int,
+    state: Optional[State] = None,
+    warmup_key: int = 0,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The LRU stack kernel: one width-``width`` replay of a reference stream.
 
-    A Mattson-style per-set stack kernel: accesses are bucketed by set and
-    replayed in per-set time order.  Step ``t`` processes the ``t``-th
-    access of *every* touched set in one vectorised operation over a
-    ``(sets_touched, associativity)`` LRU state (way 0 = most recently
-    used, ``-1`` = invalid), so the Python loop runs for the deepest
-    per-set access count, not the stream length.
+    Accesses are bucketed by set and replayed in per-set time order: step
+    ``t`` processes the ``t``-th access of *every* touched set in one
+    vectorised operation over a ``(sets_touched, width)`` stack (way 0 =
+    most recently used, ``-1`` = empty), so the Python loop runs for the
+    deepest per-set access count, not the stream length.  The top ``A``
+    ways are exactly the content of an A-way LRU cache, for every
+    ``A <= width`` at once.  Per entry the stack also tracks ``reach``:
+    the deepest position it has occupied since it was last written
+    (:data:`_CLEAN` when it has not been), so the A-way cache holds it
+    dirty iff ``reach <= A`` (:mod:`repro.sim.stackdist` explains the
+    invariant).
 
-    ``state`` supports chunked streaming replay: pass a persistent
-    ``(tags, dirty)`` pair of shape ``(sets, associativity)`` (see
-    :func:`_new_level_state`) and the kernel starts from it and updates
-    it in place, so feeding a stream in pieces produces the same counts
-    as feeding it whole.  Without ``state`` the level starts cold on a
-    compact touched-sets-only matrix.
+    ``state`` carries the stack between chunks of a streamed replay (see
+    :func:`_new_state`): the touched rows are gathered into the pass's
+    working arrays and scattered back afterwards, so replaying a stream
+    piecewise gives the same outputs as one call.  Without it the pass
+    starts cold on touched-set rows only.
 
-    Same contract as :func:`_simulate_dm_level`: returns
-    ``(miss_mask, victim_blocks, victim_keys)`` with dirty victims stamped
-    with the order key of the evicting miss.
+    Returns ``(dist, victims, victim_keys, writebacks)``:
+
+    * ``dist[i]`` is access ``i``'s stack distance minus one -- it hits
+      every cache of more than ``dist[i]`` ways -- and ``width`` when the
+      block is not on the stack (a miss at every width);
+    * ``victims`` / ``victim_keys``: the dirty entries pushed off way
+      ``width - 1`` -- the ``width``-way cache's writebacks -- stamped with
+      the order key of the access that evicted them;
+    * ``writebacks[A-1]`` counts the A-way cache's dirty evictions by
+      accesses keyed at or after ``warmup_key``.
     """
     n = len(blocks)
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return np.zeros(0, dtype=bool), empty, empty
     set_index = blocks & (sets - 1)
-    # Stable sort by set: within a set, accesses stay in time order.
-    set_order = np.argsort(set_index, kind="stable")
-    sorted_sets = set_index[set_order]
-    # Compact set ranks and each access's per-set sequence number.
-    new_set = np.empty(n, dtype=bool)
-    new_set[0] = True
-    np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=new_set[1:])
-    set_rank = np.cumsum(new_set) - 1
-    starts = np.flatnonzero(new_set)
-    seq = np.arange(n, dtype=np.int64)
-    seq -= np.repeat(starts, np.diff(np.append(starts, n)))
-    # Re-sort by (sequence number, set rank): step t's accesses form one
-    # contiguous slice, one access per set, ordered by set rank.
-    step_order = np.argsort(seq, kind="stable")
-    blocks_s = blocks[set_order][step_order]
-    write_s = is_write[set_order][step_order]
-    keys_s = order_keys[set_order][step_order]
+    # Rank the touched sets by descending access count (stable, so
+    # equal-count sets keep a deterministic order).  Step t touches
+    # exactly the sets with more than t accesses -- ranks [0, k) -- so
+    # the per-step state is a contiguous *prefix* of the rank-ordered
+    # arrays: plain views, updated in place, instead of per-step
+    # gather/scatter copies.
+    counts = np.bincount(set_index, minlength=sets)
+    touched_ids = np.flatnonzero(counts)
+    ids_by_rank = touched_ids[np.argsort(-counts[touched_ids], kind="stable")]
+    touched = len(ids_by_rank)
+    counts_by_rank = counts[ids_by_rank]
+    rank_of_set = np.empty(sets, dtype=np.int64)
+    rank_of_set[ids_by_rank] = np.arange(touched)
+    # Stable sort by rank keeps each set's accesses in time order; then
+    # the per-set sequence number re-sorts them so that step t's accesses
+    # form one contiguous slice, one access per set, rank order == row
+    # order.
+    set_order = np.argsort(rank_of_set[set_index], kind="stable")
+    starts = np.cumsum(counts_by_rank) - counts_by_rank
+    seq = np.arange(n, dtype=np.int64) - np.repeat(starts, counts_by_rank)
+    order = set_order[np.argsort(seq, kind="stable")]
+    blocks_s = blocks[order]
+    write_s = is_write[order]
+    keys_s = order_keys[order]
     step_starts = np.append(0, np.cumsum(np.bincount(seq)))
 
-    ways = np.arange(associativity)
+    # ``reach`` has one extra, always-clean column so that reading it at
+    # the miss position yields the reach of a freshly fetched block.
+    reach = np.full((touched, width + 1), _CLEAN, dtype=np.int64)
     if state is None:
-        # Compact state: rows are touched-set ranks.
-        touched = int(set_rank[-1]) + 1
-        tags = np.full((touched, associativity), -1, dtype=np.int64)
-        dirty = np.zeros((touched, associativity), dtype=bool)
-        rank_s = set_rank[step_order]
+        tags = np.full((touched, width), -1, dtype=np.int64)
     else:
-        # Persistent state: rows are actual set indices, carried between
-        # calls.
-        tags, dirty = state
-        rank_s = sorted_sets[step_order]
-    miss_s = np.empty(n, dtype=bool)
-    victim_parts: List[np.ndarray] = []
-    victim_key_parts: List[np.ndarray] = []
+        tags = state[0][ids_by_rank]
+        reach[:, :width] = state[1][ids_by_rank]
+    ways = np.arange(width)
+    depths = ways + 1  # way w holds stack depth w + 1
+    dist_s = np.empty(n, dtype=np.int8)
+    last_tags_s = np.empty(n, dtype=np.int64)
+    evicted_s = np.empty(n, dtype=bool)
+    counted_s = keys_s >= warmup_key
+    all_counted = bool(counted_s.all())
+    # Preallocated per-step scratch (the loop body runs tens of
+    # thousands of times; allocation is pure dispatch overhead at this
+    # size).  ``match``'s extra always-true column turns argmax into a
+    # combined hit test + hit way + evict position: first True index is
+    # the hit way, or ``width`` on a miss.
+    row_idx = np.arange(touched)
+    match = np.empty((touched, width + 1), dtype=bool)
+    match[:, width] = True
+    pushed_buf = np.empty((touched, width), dtype=bool)
+    cross_buf = np.empty((touched, width), dtype=bool)
+    tmp_tags = np.empty((touched, width - 1), dtype=np.int64)
+    tmp_reach = np.empty((touched, width - 1), dtype=np.int64)
+    # Writebacks accumulate per row; one reduction at the end replaces a
+    # per-step axis-0 sum.
+    wb_rows = np.zeros((touched, width), dtype=np.int64)
     for t in range(len(step_starts) - 1):
         lo, hi = int(step_starts[t]), int(step_starts[t + 1])
-        rows = rank_s[lo:hi]
-        block = blocks_s[lo:hi]
-        write = write_s[lo:hi]
-        row_tags = tags[rows]
-        row_dirty = dirty[rows]
-        match = row_tags == block[:, None]
-        hit = match.any(axis=1)
-        hit_way = np.argmax(match, axis=1)
-        miss_s[lo:hi] = ~hit
-        # A miss evicts the LRU way; a dirty valid victim is written back,
-        # stamped with the evicting access's key.
-        victim_tag = row_tags[:, -1]
-        writeback = ~hit & (victim_tag >= 0) & row_dirty[:, -1]
-        if writeback.any():
-            victim_parts.append(victim_tag[writeback])
-            victim_key_parts.append(keys_s[lo:hi][writeback])
-        # Promote the block to way 0, shifting ways [0, pos) right by one
-        # (pos = hit way, or the LRU way on a miss).  Fetches enter clean
-        # and are dirtied in place by a store (write-allocate).
-        pos = np.where(hit, hit_way, associativity - 1)
-        head_dirty = write | (hit & row_dirty[np.arange(len(rows)), hit_way])
-        rolled_tags = np.concatenate([block[:, None], row_tags[:, :-1]], axis=1)
-        rolled_dirty = np.concatenate(
-            [head_dirty[:, None], row_dirty[:, :-1]], axis=1
-        )
-        shifted = ways[None, :] <= pos[:, None]
-        tags[rows] = np.where(shifted, rolled_tags, row_tags)
-        dirty[rows] = np.where(shifted, rolled_dirty, row_dirty)
+        k = hi - lo
+        row_tags = tags[:k]
+        row_reach = reach[:k]
+        m = match[:k]
+        np.equal(row_tags, blocks_s[lo:hi, None], out=m[:, :width])
+        pos = m.argmax(axis=1)
+        dist_s[lo:hi] = pos
+        # Entries at ways [0, pos) get pushed one position deeper; each
+        # crossing from depth w+1 to w+2 evicts the entry from the
+        # (w+1)-way cache, writing it back if dirty there.  An entry
+        # with ``reach <= w + 1`` is necessarily valid and dirty there
+        # (an empty or clean slot's reach is :data:`_CLEAN`).
+        pushed = np.less(ways, pos[:, None], out=pushed_buf[:k])
+        cross = np.less_equal(row_reach[:, :width], depths, out=cross_buf[:k])
+        cross &= pushed
+        # Crossings off the bottom way are the width-way cache's victims.
+        evicted_s[lo:hi] = cross[:, -1]
+        last_tags_s[lo:hi] = row_tags[:, -1]
+        if not all_counted:
+            cross &= counted_s[lo:hi, None]
+        wb_rows[:k] += cross
+        # Promote the accessed block to way 0.  A write resets its reach
+        # to depth 1 (dirty in every cache); a read hit preserves it; a
+        # fetch enters with no dirty copy anywhere.  Shifted entries'
+        # reach grows to their new depth.  The shifted columns are
+        # staged through scratch copies, so reading ``[:, :-1]`` while
+        # writing ``[:, 1:]`` is safe.
+        head_reach = np.where(write_s[lo:hi], 1, row_reach[row_idx[:k], pos])
+        shifted = pushed[:, :-1]
+        np.copyto(tmp_tags[:k], row_tags[:, :-1])
+        np.maximum(row_reach[:, : width - 1], depths[1:], out=tmp_reach[:k])
+        np.copyto(row_tags[:, 1:], tmp_tags[:k], where=shifted)
+        np.copyto(row_reach[:, 1:width], tmp_reach[:k], where=shifted)
+        row_tags[:, 0] = blocks_s[lo:hi]
+        row_reach[:, 0] = head_reach
 
-    miss_mask = np.empty(n, dtype=bool)
-    miss_mask[set_order[step_order]] = miss_s
-    if victim_parts:
-        victim_blocks = np.concatenate(victim_parts)
-        victim_keys = np.concatenate(victim_key_parts)
-    else:
-        victim_blocks = np.empty(0, dtype=np.int64)
-        victim_keys = np.empty(0, dtype=np.int64)
-    return miss_mask, victim_blocks.astype(np.int64), victim_keys
+    if state is not None:
+        state[0][ids_by_rank] = tags
+        state[1][ids_by_rank] = reach[:, :width]
+    dist = np.empty(n, dtype=np.int8)
+    dist[order] = dist_s
+    return dist, last_tags_s[evicted_s], keys_s[evicted_s], wb_rows.sum(axis=0)
 
 
 def _simulate_level(
@@ -251,14 +346,22 @@ def _simulate_level(
     order_keys: np.ndarray,
     sets: int,
     associativity: int,
+    state: Optional[State] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch one level to the cheapest exact kernel."""
+    """One level on its kernel, chosen by associativity alone.
+
+    Returns ``(miss_mask, victim_blocks, victim_keys)``, see
+    :func:`_simulate_dm_level`.
+    """
     if associativity == 1:
-        return _simulate_dm_level(blocks, is_write, order_keys, sets)
-    return _simulate_lru_level(blocks, is_write, order_keys, sets, associativity)
+        return _simulate_dm_level(blocks, is_write, order_keys, sets, state)
+    dist, victims, victim_keys, _ = _stack_pass(
+        blocks, is_write, order_keys, sets, associativity, state
+    )
+    return dist == associativity, victims, victim_keys
 
 
-def _merge_parts(parts) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _merge_parts(parts: List[Stream]) -> Stream:
     """Concatenate event fragments and sort them into time order."""
     blocks = np.concatenate([p[0] for p in parts])
     writes = np.concatenate([p[1] for p in parts])
@@ -288,152 +391,36 @@ def _accumulate_level(
     stats.writebacks += int(np.count_nonzero(victim_keys >= warmup_key))
 
 
-def _level_zero_streams(
-    trace: Trace, config: SystemConfig, key_offset: int = 0
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Bucket the CPU reference stream into the first level's inputs.
+def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
+    """The CPU reference stream, as the first level's input.
 
-    Each stream is ``(blocks, is_write, bucket, keys)`` with blocks at
-    the first level's granularity; a split level gets its I-side and
-    D-side streams separately.  Order keys: level-0 events carry the
-    record index; each level's outputs use ``key*4 + {1: victim
-    writeback, 2: demand fetch}``, so a stream entering level ``i`` has
-    keys scaled by ``4**i`` and the original record index is
-    ``key // 4**i``.  ``key_offset`` shifts the record indices -- chunked
-    replay passes each chunk's start so keys stay global (and strictly
-    increasing across chunks).
+    Blocks are byte addresses (zero offset bits); a split first level
+    gets its I-side and D-side streams separately.  Order keys: CPU
+    events carry the record index; each level's outputs use ``key*4 +
+    {1: victim writeback, 2: demand fetch}``, so a stream entering level
+    ``i`` has keys scaled by ``4**i`` and the original record index is
+    ``key // 4**i``.  ``key_offset`` is the index of the trace's first
+    record, so a chunk's keys stay global (and strictly increasing
+    across chunks).
     """
     kinds = trace.kinds
-    keys = np.arange(key_offset, key_offset + len(trace), dtype=np.int64)
-    addresses = trace.addresses.astype(np.int64)
     is_write = kinds == WRITE
-    bucket = np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8)
-    first = config.levels[0]
-    blocks = addresses >> log2_int(first.block_bytes)
-    if first.split:
-        is_ifetch = kinds == IFETCH
-        return [
-            (blocks[is_ifetch], is_write[is_ifetch], bucket[is_ifetch],
-             keys[is_ifetch]),
-            (blocks[~is_ifetch], is_write[~is_ifetch], bucket[~is_ifetch],
-             keys[~is_ifetch]),
-        ]
-    return [(blocks, is_write, bucket, keys)]
+    stream = (
+        trace.addresses.astype(np.int64),
+        is_write,
+        np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
+        np.arange(key_offset, key_offset + len(trace), dtype=np.int64),
+    )
+    if not split:
+        return [stream]
+    is_ifetch = kinds == IFETCH
+    return [
+        tuple(array[is_ifetch] for array in stream),
+        tuple(array[~is_ifetch] for array in stream),
+    ]
 
 
-def _simulate_front(
-    trace: Trace,
-    config: SystemConfig,
-    levels: int,
-    trail: Optional[List[Tuple]] = None,
-) -> Tuple[List[CacheStats], Tuple, int]:
-    """Simulate the first ``levels`` cache levels (``1 <= levels <= depth``).
-
-    Returns ``(level_stats, stream, offset_bits)``: the per-level
-    post-warmup counters, the merged event stream leaving level
-    ``levels - 1`` (blocks at that level's granularity, keys scaled by
-    ``4**levels``) and that level's block-offset bit count.  The stream
-    is what enters level ``levels`` -- or memory, when ``levels`` is the
-    full depth.
-
-    ``trail``, when given, receives one ``(keys, miss, victims,
-    victim_keys)`` tuple per simulated level: the order keys of the
-    level's input events, their miss mask, and the level's dirty victims
-    (blocks at its granularity) stamped with the evicting access's key.
-    A split first level contributes its two halves concatenated.  The
-    timing simulator's event engine replays these outcomes.
-    """
-    warmup = trace.warmup
-    first = config.levels[0]
-    first_geometry = first.geometry()
-    level_stats: List[CacheStats] = []
-    stats = CacheStats()
-    parts = []
-    sides = []
-    for s_blocks, s_write, s_bucket, s_keys in _level_zero_streams(trace, config):
-        miss, victims, victim_keys = _simulate_level(
-            s_blocks, s_write, s_keys,
-            first_geometry.sets, first.associativity,
-        )
-        if trail is not None:
-            sides.append((s_keys, miss, victims, victim_keys))
-        _accumulate_level(
-            stats, s_write, s_bucket, miss, s_keys, victim_keys, warmup
-        )
-        parts.append(
-            (
-                victims,
-                np.ones(len(victims), dtype=bool),
-                np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                victim_keys * 4 + 1,
-            )
-        )
-        parts.append(
-            (
-                s_blocks[miss],
-                np.zeros(int(miss.sum()), dtype=bool),
-                s_bucket[miss],
-                s_keys[miss] * 4 + 2,
-            )
-        )
-    level_stats.append(stats)
-    stream = _merge_parts(parts)
-    if trail is not None:
-        trail.append(
-            tuple(np.concatenate([side[i] for side in sides]) for i in range(4))
-        )
-
-    prev_offset = log2_int(first.block_bytes)
-    for depth_index in range(1, levels):
-        level = config.levels[depth_index]
-        offset_bits = log2_int(level.block_bytes)
-        if offset_bits < prev_offset:
-            raise ValueError(
-                "deeper levels must have blocks at least as large as "
-                "their predecessor's"
-            )
-        stream_blocks, stream_write, stream_bucket, stream_keys = stream
-        blocks_here = stream_blocks >> (offset_bits - prev_offset)
-        warmup_key = warmup * 4**depth_index
-        miss, victims, victim_keys = _simulate_level(
-            blocks_here, stream_write, stream_keys,
-            level.geometry().sets, level.associativity,
-        )
-        stats = CacheStats()
-        _accumulate_level(
-            stats, stream_write, stream_bucket, miss, stream_keys,
-            victim_keys, warmup_key,
-        )
-        level_stats.append(stats)
-        if trail is not None:
-            trail.append((stream_keys, miss, victims, victim_keys))
-        # Demand fetches always enter the next level as *reads*: the
-        # fetched block arrives clean (write-allocate dirties it in the
-        # receiving cache, not downstream), so the fetch never carries
-        # the missing access's write flag.  The statistics bucket still
-        # tracks the originating access so store-induced traffic stays
-        # out of the read miss ratios.
-        clean_fetch = np.zeros(int(miss.sum()), dtype=bool)
-        parts = [
-            (
-                victims,
-                np.ones(len(victims), dtype=bool),
-                np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                victim_keys * 4 + 1,
-            ),
-            (
-                blocks_here[miss],
-                clean_fetch,
-                stream_bucket[miss],
-                stream_keys[miss] * 4 + 2,
-            ),
-        ]
-        stream = _merge_parts(parts)
-        prev_offset = offset_bits
-    return level_stats, stream, prev_offset
-
-
-def memory_traffic(stream: Tuple, warmup_key: int) -> Tuple[int, int]:
+def memory_traffic(stream: Stream, warmup_key: int) -> Tuple[int, int]:
     """Post-warmup ``(reads, writes)`` reaching memory in a deepest-level
     output stream: writes are the deepest victims, reads the demand
     fetches.  ``warmup_key`` is the warmup boundary in the stream's key
@@ -444,28 +431,22 @@ def memory_traffic(stream: Tuple, warmup_key: int) -> Tuple[int, int]:
     return int(np.count_nonzero(counted)) - writes, writes
 
 
-def _new_level_state(
-    sets: int, associativity: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A cold persistent ``(tags, dirty)`` state for one cache level."""
-    return (
-        np.full((sets, associativity), -1, dtype=np.int64),
-        np.zeros((sets, associativity), dtype=bool),
-    )
+class _Front:
+    """The replay driver: the first ``levels`` cache levels over a trace.
 
+    Replays the trace ``chunk_records`` records at a time, every level
+    (each side of a split first level) carrying its state between chunks
+    so that counts are identical to replaying it whole.  Whole-trace
+    replay is the same driver with one chunk (``chunk_records`` ``None``
+    or at least the trace length); the kernels then start cold on
+    touched-set rows only and carry nothing.  Per-level post-warmup
+    counters accumulate into ``level_stats``.
 
-class _ChunkedFront:
-    """Stream a trace through the first ``levels`` cache levels in chunks.
-
-    The chunked counterpart of :func:`_simulate_front`: each level keeps a
-    persistent ``(sets, associativity)`` state between chunks (a
-    direct-mapped level runs as 1-way LRU, which is the same cache), so
-    counts are identical to whole-array replay while peak residency is
-    bounded by one chunk's event arrays plus the level states.  Iterating
-    :meth:`streams` drives the replay; per-level counters accumulate into
-    ``level_stats`` and each iteration yields the merged event stream
-    leaving the deepest simulated level for that chunk (keys global,
-    scaled by ``4**levels``).
+    :meth:`streams` drives the replay, yielding per chunk the event
+    streams that enter level ``levels`` (or memory, at full depth): one
+    merged stream, or the CPU streams of :func:`_cpu_streams` when
+    ``levels`` is 0.  Their blocks have ``bits`` offset bits; their keys
+    are global and scaled by ``4**levels``.
     """
 
     def __init__(
@@ -473,167 +454,128 @@ class _ChunkedFront:
         trace: Trace,
         config: SystemConfig,
         levels: int,
-        chunk_records: int,
+        chunk_records: Optional[int] = None,
     ) -> None:
-        if chunk_records <= 0:
-            raise ValueError(
-                f"chunk size must be positive, got {chunk_records}"
-            )
         self.trace = trace
         self.config = config
         self.levels = levels
-        self.chunk_records = chunk_records
-        first = config.levels[0]
-        first_geometry = first.geometry()
-        self._zero_states = [
-            _new_level_state(first_geometry.sets, first.associativity)
-            for _ in range(2 if first.split else 1)
-        ]
-        self._deep_states = [
-            _new_level_state(
-                config.levels[i].geometry().sets,
-                config.levels[i].associativity,
-            )
-            for i in range(1, levels)
-        ]
+        self.chunk_records = chunk_records or len(trace)
+        self.chunked = self.chunk_records < len(trace)
         self.level_stats = [CacheStats() for _ in range(levels)]
+        self.bits = log2_int(config.levels[levels - 1].block_bytes) if levels else 0
+        #: Streams yielded per chunk: two only for a split, unreplayed L1.
+        self.sides = 2 if levels == 0 and config.levels[0].split else 1
+        self._states = [
+            [
+                self.new_state(level.geometry().sets, level.associativity)
+                for _ in range(2 if level.split and index == 0 else 1)
+            ]
+            for index, level in enumerate(config.levels[:levels])
+        ]
 
-    def streams(self) -> Iterator[Tuple]:
-        config = self.config
-        warmup = self.trace.warmup
-        first = config.levels[0]
-        first_geometry = first.geometry()
+    def new_state(self, sets: int, width: int) -> Optional[State]:
+        """A cold carried level state, or ``None`` for a one-chunk replay."""
+        return _new_state(sets, width) if self.chunked else None
+
+    def streams(
+        self, trail: Optional[List[Tuple]] = None, span: str = "fast.chunk"
+    ) -> Iterator[List[Stream]]:
+        """Replay the trace, yielding each chunk's output streams.
+
+        ``trail``, when given, receives one ``(keys, miss, victims,
+        victim_keys)`` tuple per level and chunk: the order keys of the
+        level's input events, their miss mask, and the level's dirty
+        victims (blocks at its granularity) stamped with the evicting
+        access's key.  A split first level contributes its two halves
+        concatenated.  The timing simulator's event engine replays these
+        outcomes.  A chunked replay times each chunk as a ``span``.
+        """
+        if not self.chunked:
+            yield self._replay(self.trace, 0, trail)
+            return
         for index, chunk in enumerate(self.trace.chunks(self.chunk_records)):
             # The span closes before the yield: it times this chunk's
-            # level simulation, not whatever the consumer does with the
-            # stream (the deepest-level pass times itself).
-            with telemetry.span("fast.chunk", index=index, records=len(chunk)):
-                base = index * self.chunk_records
-                parts = []
-                zero_streams = _level_zero_streams(
-                    chunk, config, key_offset=base
+            # level simulation, not whatever the consumer does with it.
+            with telemetry.span(span, index=index, records=len(chunk)):
+                sides = self._replay(chunk, index * self.chunk_records, trail)
+            yield sides
+
+    def _replay(
+        self, chunk: Trace, key_offset: int, trail: Optional[List[Tuple]]
+    ) -> List[Stream]:
+        sides = _cpu_streams(chunk, self.config.levels[0].split, key_offset)
+        bits = 0
+        for index, states in enumerate(self._states):
+            level = self.config.levels[index]
+            here = log2_int(level.block_bytes)
+            parts: List[Stream] = []
+            outcomes = []
+            for (s_blocks, s_write, s_bucket, s_keys), state in zip(sides, states):
+                blocks = s_blocks >> (here - bits)
+                miss, victims, victim_keys = _simulate_level(
+                    blocks, s_write, s_keys,
+                    level.geometry().sets, level.associativity, state,
                 )
-                for side, (s_blocks, s_write, s_bucket, s_keys) in enumerate(
-                    zero_streams
-                ):
-                    miss, victims, victim_keys = _simulate_lru_level(
-                        s_blocks, s_write, s_keys,
-                        first_geometry.sets, first.associativity,
-                        state=self._zero_states[side],
+                _accumulate_level(
+                    self.level_stats[index], s_write, s_bucket, miss, s_keys,
+                    victim_keys, self.trace.warmup * 4**index,
+                )
+                outcomes.append((s_keys, miss, victims, victim_keys))
+                # Dirty victims go down as writes.  Demand fetches always
+                # enter the next level as *reads*: the fetched block
+                # arrives clean (write-allocate dirties it in the
+                # receiving cache, not downstream), so the fetch never
+                # carries the missing access's write flag.  The
+                # statistics bucket still tracks the originating access
+                # so store-induced traffic stays out of the read miss
+                # ratios.
+                parts.append(
+                    (
+                        victims,
+                        np.ones(len(victims), dtype=bool),
+                        np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
+                        victim_keys * 4 + 1,
                     )
-                    _accumulate_level(
-                        self.level_stats[0], s_write, s_bucket, miss, s_keys,
-                        victim_keys, warmup,
+                )
+                parts.append(
+                    (
+                        blocks[miss],
+                        np.zeros(int(miss.sum()), dtype=bool),
+                        s_bucket[miss],
+                        s_keys[miss] * 4 + 2,
                     )
-                    parts.append(
-                        (
-                            victims,
-                            np.ones(len(victims), dtype=bool),
-                            np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                            victim_keys * 4 + 1,
-                        )
-                    )
-                    parts.append(
-                        (
-                            s_blocks[miss],
-                            np.zeros(int(miss.sum()), dtype=bool),
-                            s_bucket[miss],
-                            s_keys[miss] * 4 + 2,
-                        )
-                    )
-                stream = _merge_parts(parts)
-
-                prev_offset = log2_int(first.block_bytes)
-                for depth_index in range(1, self.levels):
-                    level = config.levels[depth_index]
-                    offset_bits = log2_int(level.block_bytes)
-                    if offset_bits < prev_offset:
-                        raise ValueError(
-                            "deeper levels must have blocks at least as large "
-                            "as their predecessor's"
-                        )
-                    stream_blocks, stream_write, stream_bucket, stream_keys = (
-                        stream
-                    )
-                    blocks_here = stream_blocks >> (offset_bits - prev_offset)
-                    warmup_key = warmup * 4**depth_index
-                    miss, victims, victim_keys = _simulate_lru_level(
-                        blocks_here, stream_write, stream_keys,
-                        level.geometry().sets, level.associativity,
-                        state=self._deep_states[depth_index - 1],
-                    )
-                    _accumulate_level(
-                        self.level_stats[depth_index], stream_write,
-                        stream_bucket, miss, stream_keys, victim_keys,
-                        warmup_key,
-                    )
-                    # Demand fetches enter the next level as clean reads
-                    # (see _simulate_front).
-                    parts = [
-                        (
-                            victims,
-                            np.ones(len(victims), dtype=bool),
-                            np.full(len(victims), _BUCKET_WRITE, dtype=np.int8),
-                            victim_keys * 4 + 1,
-                        ),
-                        (
-                            blocks_here[miss],
-                            np.zeros(int(miss.sum()), dtype=bool),
-                            stream_bucket[miss],
-                            stream_keys[miss] * 4 + 2,
-                        ),
-                    ]
-                    stream = _merge_parts(parts)
-                    prev_offset = offset_bits
-            yield stream
+                )
+            if trail is not None:
+                trail.append(tuple(np.concatenate(c) for c in zip(*outcomes)))
+            sides = [_merge_parts(parts)]
+            bits = here
+        return sides
 
 
-def run_functional_chunked(
-    trace: Trace, config: SystemConfig, chunk_records: int
+def _functional_result(
+    trace: Trace,
+    config: SystemConfig,
+    level_stats: List[CacheStats],
+    memory_reads: int,
+    memory_writes: int,
+    source: str,
 ) -> FunctionalResult:
-    """Chunked streaming counterpart of :class:`FastFunctionalSimulator`.
-
-    Replays the trace ``chunk_records`` records at a time through
-    persistent per-level cache state.  Counts are identical to
-    whole-array replay (``tests/sim/test_chunked_replay.py`` holds the
-    differential contract); peak residency is bounded per chunk, which
-    is what lets memmap-backed store traces run without ever
-    materialising in full.
-    """
-    if not fast_eligible(config):
-        raise ValueError(
-            "configuration outside the vectorised path; chunked replay "
-            "requires fast eligibility"
-        )
-    if not trace_eligible(trace):
-        raise ValueError("trace outside the vectorised path (addresses >= 2**63)")
-    front = _ChunkedFront(trace, config, config.depth, chunk_records)
-    threshold = trace.warmup * 4**config.depth
-    memory_reads = 0
-    memory_writes = 0
-    with telemetry.span("fast.run", records=len(trace), chunked=True):
-        for stream in front.streams():
-            reads, writes = memory_traffic(stream, threshold)
-            memory_reads += reads
-            memory_writes += writes
-
+    """A vectorised engine's result, with the CPU counts of ``trace``."""
     measured_kinds = trace.kinds[trace.warmup:]
     cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-    cpu_reads = int(measured_kinds.size) - cpu_writes
-    cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
     result = FunctionalResult(
         trace_name=trace.name,
         config=config,
-        cpu_reads=cpu_reads,
+        cpu_reads=int(measured_kinds.size) - cpu_writes,
         cpu_writes=cpu_writes,
-        cpu_ifetches=cpu_ifetches,
-        level_stats=front.level_stats,
+        cpu_ifetches=int(np.count_nonzero(measured_kinds == IFETCH)),
+        level_stats=level_stats,
         memory_reads=memory_reads,
         memory_writes=memory_writes,
     )
     # Audit gates on an env flag but only validates-and-raises; it never
     # alters the result, so memo keys need not include it.
-    return maybe_audit_functional(trace, result, source="fast-chunked")  # repro: noqa RPR008
+    return maybe_audit_functional(trace, result, source=source)  # repro: noqa RPR008
 
 
 class FastFunctionalSimulator:
@@ -641,6 +583,10 @@ class FastFunctionalSimulator:
 
     Produces a :class:`~repro.sim.functional.FunctionalResult` with counts
     identical to the reference implementation on eligible configurations.
+    With ``REPRO_TRACE_CHUNK`` set (and smaller than the trace), the
+    trace streams through in chunks -- same counts, bounded residency,
+    which is what lets memmap-backed store traces run without ever
+    materialising in full.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -648,37 +594,28 @@ class FastFunctionalSimulator:
             raise ValueError(
                 "configuration outside the vectorised path "
                 "(write-back LRU, associativity <= "
-                f"{MAX_FAST_ASSOCIATIVITY}, no prefetch/inclusion); use "
-                "FunctionalSimulator"
+                f"{MAX_FAST_ASSOCIATIVITY}, no prefetch/inclusion, blocks "
+                "non-decreasing with depth); use FunctionalSimulator"
             )
         self.config = config
 
     def run(self, trace: Trace) -> FunctionalResult:
         config = self.config
-        warmup = trace.warmup
-        kinds = trace.kinds
-        with telemetry.span("fast.run", records=len(trace)):
-            level_stats, stream, _ = _simulate_front(trace, config, config.depth)
-        memory_reads, memory_writes = memory_traffic(
-            stream, warmup * 4**config.depth
+        # Chunked replay is count-identical to the one-chunk run (parity
+        # tests); REPRO_TRACE_CHUNK tunes residency, never the results.
+        front = _Front(trace, config, config.depth, replay_chunk_records())  # repro: noqa RPR008
+        threshold = trace.warmup * 4**config.depth
+        memory_reads = memory_writes = 0
+        chunked = {"chunked": True} if front.chunked else {}
+        with telemetry.span("fast.run", records=len(trace), **chunked):
+            for [stream] in front.streams():
+                reads, writes = memory_traffic(stream, threshold)
+                memory_reads += reads
+                memory_writes += writes
+        return _functional_result(
+            trace, config, front.level_stats, memory_reads, memory_writes,
+            source="fast-path",
         )
-
-        measured_kinds = kinds[warmup:]
-        cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-        cpu_reads = int(measured_kinds.size) - cpu_writes
-        cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
-        result = FunctionalResult(
-            trace_name=trace.name,
-            config=config,
-            cpu_reads=cpu_reads,
-            cpu_writes=cpu_writes,
-            cpu_ifetches=cpu_ifetches,
-            level_stats=level_stats,
-            memory_reads=memory_reads,
-            memory_writes=memory_writes,
-        )
-        # Validate-and-raise only; results are unchanged (see above).
-        return maybe_audit_functional(trace, result, source="fast-path")  # repro: noqa RPR008
 
 
 def trace_eligible(trace: Trace) -> bool:
@@ -691,17 +628,9 @@ def run_functional(trace: Trace, config: SystemConfig) -> FunctionalResult:
     """Run a functional simulation on the fastest correct engine.
 
     Dispatches to the vectorised simulator when the configuration and the
-    trace are eligible, otherwise to the reference implementation.  With
-    ``REPRO_TRACE_CHUNK`` set (and smaller than the trace), the eligible
-    path streams the trace in chunks instead -- same counts, bounded
-    residency.
+    trace are eligible, otherwise to the reference implementation.
     """
     if fast_eligible(config) and trace_eligible(trace):
-        # Chunked replay is count-identical to the one-shot run (parity
-        # tests); REPRO_TRACE_CHUNK tunes residency, never the results.
-        chunk = replay_chunk_records()  # repro: noqa RPR008
-        if chunk is not None and chunk < len(trace):
-            return run_functional_chunked(trace, config, chunk)
         return FastFunctionalSimulator(config).run(trace)
     from repro.sim.functional import FunctionalSimulator
 

@@ -14,7 +14,7 @@ histogram.
 
 Writebacks need one more invariant.  Per resident block the kernel
 tracks ``reach``: the deepest stack position the block has occupied
-since it was last written (:data:`_CLEAN` when it has not been written
+since it was last written (``_CLEAN`` when it has not been written
 since it entered the stack).  The A-way cache's copy is dirty iff
 ``reach <= A`` -- a deeper excursion means that cache already evicted
 (and wrote back) the block after that write and re-fetched it clean.
@@ -24,14 +24,18 @@ one writeback at associativity ``A``, stamped with the pushing access's
 order key (the fast path's victim-key rule, which decides whether the
 writeback lands before or after the warmup boundary).
 
-Scope: the deepest level of a :func:`repro.sim.fast.fast_eligible`
-configuration whose replacement is genuinely LRU (a direct-mapped
-deepest level qualifies under any stated policy -- one way leaves
-nothing to choose).  Upstream levels are replayed by the fast path's
-kernels and are identical across the derived grid; their input streams
-are cached so a sweep's groups replay them once, not once per group.
-Count-identity with :class:`~repro.sim.fast.FastFunctionalSimulator`
-and the reference simulator is enforced by ``tests/sim/test_stackdist.py``;
+The pass is the fast path's LRU stack kernel
+(:func:`repro.sim.fast._stack_pass`) at width 16 -- the same kernel runs
+every set-associative level of the fast path at its own width -- fed by
+the fast path's replay driver (:class:`repro.sim.fast._Front`), whole or
+chunked.  Scope: the deepest level of a
+:func:`repro.sim.fast.fast_eligible` configuration whose replacement is
+genuinely LRU (a direct-mapped deepest level qualifies under any stated
+policy -- one way leaves nothing to choose).  Upstream levels are
+identical across the derived grid; their output streams are cached so a
+sweep's groups replay them once, not once per group.  Count-identity
+with the reference simulator is enforced by
+``tests/sim/test_replay_oracle.py`` and ``tests/sim/test_stackdist.py``;
 the sweep planner that fans grid groups out over the worker pool lives
 in :mod:`repro.core.sweep`.
 """
@@ -40,25 +44,25 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro import telemetry
-from repro.audit import maybe_audit_functional
 from repro.cache.stats import CacheStats
 from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import (
     MAX_FAST_ASSOCIATIVITY,
     _BUCKET_WRITE,
-    _ChunkedFront,
-    _level_zero_streams,
-    _simulate_front,
+    Stream,
+    _Front,
+    _functional_result,
+    _stack_pass,
     fast_eligible,
 )
 from repro.sim.functional import FunctionalResult
-from repro.trace.record import IFETCH, WRITE, Trace
+from repro.trace.record import Trace
 from repro.trace.store import replay_chunk_records
 from repro.units import log2_int
 
@@ -69,10 +73,6 @@ STACK_ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
 #: Stack width -- one column per way of the widest derived cache.
 _WIDTH = MAX_FAST_ASSOCIATIVITY
-
-#: ``reach`` sentinel for a block with no write since it entered the
-#: stack: no cache of any width holds a dirty copy of it.
-_CLEAN = _WIDTH + 1
 
 #: Bound on cached deepest-level input streams (a few streams of the
 #: active trace suite; entries are a modest multiple of the post-L1
@@ -166,171 +166,6 @@ class StackdistGridResult:
         )
 
 
-def _new_stack_state(sets: int) -> Tuple[np.ndarray, np.ndarray]:
-    """A cold persistent ``(tags, reach)`` stack state for chunked replay."""
-    return (
-        np.full((sets, _WIDTH), -1, dtype=np.int64),
-        np.full((sets, _WIDTH), _CLEAN, dtype=np.int64),
-    )
-
-
-def _stack_pass(
-    blocks: np.ndarray,
-    is_write: np.ndarray,
-    bucket: np.ndarray,
-    order_keys: np.ndarray,
-    sets: int,
-    warmup_key: int,
-    state: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One width-16 LRU stack replay of a single reference stream.
-
-    Structured like :func:`repro.sim.fast._simulate_lru_level` -- bucket
-    by set, replay in per-set time order, one vectorised step across all
-    touched sets -- but over a fixed width-:data:`_WIDTH` stack whose
-    positions double as every member cache's LRU order.
-
-    ``state`` supports chunked streaming replay: pass a persistent
-    ``(tags, reach)`` pair of shape ``(sets, _WIDTH)`` (see
-    :func:`_new_stack_state`); the touched rows are gathered into the
-    pass's rank-ordered working arrays and scattered back afterwards, so
-    replaying a stream piecewise yields the same histograms as one call.
-
-    Returns ``(read_hist, write_hist, writebacks)``:
-
-    * ``read_hist[d-1]`` / ``write_hist[d-1]`` count post-warmup
-      accesses of each statistics bucket with stack distance ``d``
-      (1..16); index 16 counts distances beyond the stack, a miss at
-      every member associativity.
-    * ``writebacks[A-1]`` counts post-warmup dirty evictions from the
-      A-way member cache (see the module docstring for the ``reach``
-      invariant that makes all sixteen exact in one pass).
-    """
-    n = len(blocks)
-    read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    writebacks = np.zeros(_WIDTH, dtype=np.int64)
-    if n == 0:
-        return read_hist, write_hist, writebacks
-    set_index = (blocks & (sets - 1)).astype(np.int64)
-    # Rank sets by descending access count (stable, so equal-count sets
-    # keep a deterministic order).  Step t touches exactly the sets with
-    # more than t accesses -- ranks [0, k) -- so the per-step state is a
-    # contiguous *prefix* of the rank-ordered arrays: plain views,
-    # updated in place, instead of per-step gather/scatter copies.
-    counts = np.bincount(set_index, minlength=sets)
-    ids_by_rank = np.argsort(-counts, kind="stable")
-    rank_of_set = np.empty(sets, dtype=np.int64)
-    rank_of_set[ids_by_rank] = np.arange(sets)
-    rank = rank_of_set[set_index]
-    # Stable sort by rank: within a set, accesses stay in time order.
-    set_order = np.argsort(rank, kind="stable")
-    sorted_ranks = rank[set_order]
-    new_set = np.empty(n, dtype=bool)
-    new_set[0] = True
-    np.not_equal(sorted_ranks[1:], sorted_ranks[:-1], out=new_set[1:])
-    starts = np.flatnonzero(new_set)
-    seq = np.arange(n, dtype=np.int64)
-    seq -= np.repeat(starts, np.diff(np.append(starts, n)))
-    # Re-sort by (sequence number, rank): step t's accesses form one
-    # contiguous slice, one access per set, rank order == row order.
-    step_order = np.argsort(seq, kind="stable")
-    blocks_s = blocks[set_order][step_order].astype(np.int64)
-    write_s = is_write[set_order][step_order]
-    keys_s = order_keys[set_order][step_order]
-    step_starts = np.append(0, np.cumsum(np.bincount(seq)))
-
-    touched = int(sorted_ranks[-1]) + 1
-    ways = np.arange(_WIDTH)
-    depths = ways[None, :] + 1  # way w holds stack depth w + 1
-    if state is None:
-        tags = np.full((touched, _WIDTH), -1, dtype=np.int64)
-        reach = np.full((touched, _WIDTH), _CLEAN, dtype=np.int64)
-        touched_ids = None
-    else:
-        # Ranks order sets by descending count, so the touched sets are
-        # exactly the first ``touched`` ranks: gather their persistent
-        # rows into rank order, scatter the final state back at the end.
-        touched_ids = ids_by_rank[:touched]
-        tags = state[0][touched_ids]
-        reach = state[1][touched_ids]
-    dist_s = np.empty(n, dtype=np.int64)
-    counted_s = keys_s >= warmup_key
-    all_counted = bool(counted_s.all())
-    # Preallocated per-step scratch (the loop body runs tens of
-    # thousands of times; allocation is pure dispatch overhead at this
-    # size).  ``match``'s extra always-true column turns argmax into a
-    # combined hit test + hit way + evict position: first True index is
-    # the hit way, or _WIDTH on a miss.
-    row_idx = np.arange(touched)
-    match = np.empty((touched, _WIDTH + 1), dtype=bool)
-    match[:, _WIDTH] = True
-    cross_buf = np.empty((touched, _WIDTH), dtype=bool)
-    dirty_buf = np.empty((touched, _WIDTH), dtype=bool)
-    shift_buf = np.empty((touched, _WIDTH - 1), dtype=bool)
-    tmp_tags = np.empty((touched, _WIDTH - 1), dtype=np.int64)
-    tmp_reach = np.empty((touched, _WIDTH - 1), dtype=np.int64)
-    # Writebacks accumulate per row; one reduction at the end replaces a
-    # per-step axis-0 sum.
-    wb_rows = np.zeros((touched, _WIDTH), dtype=np.int64)
-    for t in range(len(step_starts) - 1):
-        lo, hi = int(step_starts[t]), int(step_starts[t + 1])
-        k = hi - lo
-        block = blocks_s[lo:hi, None]
-        row_tags = tags[:k]
-        row_reach = reach[:k]
-        m = match[:k]
-        np.equal(row_tags, block, out=m[:, :_WIDTH])
-        # A hit evicts nothing below its own way; a miss (evict_pos ==
-        # _WIDTH) pushes every entry down, the deepest off the stack.
-        evict_pos = m.argmax(axis=1)
-        # ``evict_pos`` is already the 0-based histogram bucket: stack
-        # distance d lands at index d - 1, off-stack at index _WIDTH.
-        dist_s[lo:hi] = evict_pos
-        # Entries at ways [0, evict_pos) get pushed one position deeper;
-        # each crossing from depth w+1 to w+2 evicts the block from the
-        # (w+1)-way member cache, writing it back if dirty there.  An
-        # entry with ``reach <= w + 1`` is necessarily valid and dirty
-        # there (an empty or clean slot's reach is :data:`_CLEAN`).
-        cross = np.less(ways, evict_pos[:, None], out=cross_buf[:k])
-        cross &= np.less_equal(row_reach, depths, out=dirty_buf[:k])
-        if not all_counted:
-            cross &= counted_s[lo:hi, None]
-        wb_rows[:k] += cross
-        # Promote the accessed block to way 0.  A write resets its reach
-        # to depth 1 (dirty in every member); a read hit preserves it; a
-        # fetch enters with no dirty copy anywhere.  Shifted entries'
-        # reach grows to their new depth.  The shifted columns are
-        # staged through scratch copies, so reading ``[:, :-1]`` while
-        # writing ``[:, 1:]`` is safe.
-        hit = evict_pos != _WIDTH
-        pos = np.minimum(evict_pos, _WIDTH - 1)
-        head_reach = np.where(
-            write_s[lo:hi], 1, np.where(hit, row_reach[row_idx[:k], pos], _CLEAN)
-        )
-        shifted = np.less_equal(ways[1:], pos[:, None], out=shift_buf[:k])
-        np.copyto(tmp_tags[:k], row_tags[:, :-1])
-        np.maximum(row_reach[:, :-1], depths[:, 1:], out=tmp_reach[:k])
-        np.copyto(row_tags[:, 1:], tmp_tags[:k], where=shifted)
-        np.copyto(row_reach[:, 1:], tmp_reach[:k], where=shifted)
-        row_tags[:, 0] = blocks_s[lo:hi]
-        row_reach[:, 0] = head_reach
-
-    if touched_ids is not None and state is not None:
-        state[0][touched_ids] = tags
-        state[1][touched_ids] = reach
-    writebacks += wb_rows.sum(axis=0)
-    counted_dist = dist_s[counted_s]
-    counted_write = (bucket[set_order][step_order])[counted_s] == _BUCKET_WRITE
-    read_hist += np.bincount(
-        counted_dist[~counted_write], minlength=_WIDTH + 1
-    ).astype(np.int64)
-    write_hist += np.bincount(
-        counted_dist[counted_write], minlength=_WIDTH + 1
-    ).astype(np.int64)
-    return read_hist, write_hist, writebacks
-
-
 def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
     return (
         memo.trace_fingerprint(trace),
@@ -339,29 +174,30 @@ def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
     )
 
 
-def _front(trace: Trace, config: SystemConfig) -> Tuple[List[CacheStats], Tuple, int]:
-    """Upstream statistics and the deepest level's input stream, cached.
+def _cached_front(
+    trace: Trace, front: _Front
+) -> Tuple[List[CacheStats], List[List[Stream]]]:
+    """The upstream statistics and the one chunk of a whole-trace
+    ``front``, cached.
 
     The returned statistics are fresh copies (callers own them); the
     stream arrays are shared and treated as read-only by the kernel.
     """
-    key = _front_key(trace, config)
+    key = _front_key(trace, front.config)
     hit = _front_cache.get(key)
     if hit is None:
         with telemetry.span(
-            "stackdist.front", records=len(trace), depth=config.depth - 1
+            "stackdist.front", records=len(trace), depth=front.levels
         ):
-            upstream, stream, prev_offset = _simulate_front(
-                trace, config, config.depth - 1
-            )
-        hit = (tuple(upstream), stream, prev_offset)
+            sides = next(front.streams())
+        hit = (tuple(front.level_stats), sides)
         _front_cache[key] = hit
         while len(_front_cache) > _FRONT_CACHE_ENTRIES:
             _front_cache.popitem(last=False)
     else:
         _front_cache.move_to_end(key)
-    upstream, stream, prev_offset = hit
-    return [replace(stats) for stats in upstream], stream, prev_offset
+    upstream, sides = hit
+    return [replace(stats) for stats in upstream], [sides]
 
 
 def clear_front_cache() -> None:
@@ -370,109 +206,50 @@ def clear_front_cache() -> None:
 
 
 def _grid_histograms(
-    trace: Trace, config: SystemConfig
+    trace: Trace, front: _Front
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
-    """Whole-array stack replay: histograms plus upstream statistics."""
-    warmup = trace.warmup
-    depth = config.depth
-    deepest = config.levels[-1]
-    sets = deepest.geometry().sets
-    if depth == 1:
-        upstream: List[CacheStats] = []
-        streams = _level_zero_streams(trace, config)
-        warmup_key = warmup
-    else:
-        upstream, stream, prev_offset = _front(trace, config)
-        offset_bits = log2_int(deepest.block_bytes)
-        if offset_bits < prev_offset:
-            raise ValueError(
-                "deeper levels must have blocks at least as large as "
-                "their predecessor's"
-            )
-        s_blocks, s_write, s_bucket, s_keys = stream
-        streams = [
-            (s_blocks >> (offset_bits - prev_offset), s_write, s_bucket, s_keys)
-        ]
-        warmup_key = warmup * 4 ** (depth - 1)
+    """The width-16 stack pass over the streams ``front`` feeds the
+    deepest level.
 
-    read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    writebacks = np.zeros(_WIDTH, dtype=np.int64)
-    for s_blocks, s_write, s_bucket, s_keys in streams:
-        part_read, part_write, part_wb = _stack_pass(
-            s_blocks, s_write, s_bucket, s_keys, sets, warmup_key
-        )
-        read_hist += part_read
-        write_hist += part_write
-        writebacks += part_wb
-    return read_hist, write_hist, writebacks, upstream
+    Returns ``(read_hist, write_hist, writebacks, upstream)``:
 
+    * ``read_hist[d-1]`` / ``write_hist[d-1]`` count post-warmup
+      accesses of each statistics bucket with stack distance ``d``
+      (1..16); index 16 counts distances beyond the stack, a miss at
+      every member associativity.
+    * ``writebacks[A-1]`` counts post-warmup dirty evictions from the
+      A-way member cache.
+    * ``upstream`` holds the statistics of the levels above.
 
-def _grid_histograms_chunked(
-    trace: Trace, config: SystemConfig, chunk_records: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
-    """Chunked stack replay; count-identical to :func:`_grid_histograms`.
-
-    Each chunk runs through persistent per-level front state
-    (:class:`repro.sim.fast._ChunkedFront`) and a persistent stack state
-    at the deepest level, so peak residency is bounded per chunk.  The
-    upstream front cache is bypassed -- its entries hold whole-trace
-    streams, exactly what chunked replay exists to avoid.
+    A whole-trace pass takes its upstream streams from the front cache;
+    a chunked pass bypasses it -- entries hold whole-trace streams,
+    exactly what chunked replay exists to avoid.
     """
-    warmup = trace.warmup
-    depth = config.depth
-    deepest = config.levels[-1]
+    deepest = front.config.levels[-1]
     sets = deepest.geometry().sets
+    shift = log2_int(deepest.block_bytes) - front.bits
+    warmup_key = trace.warmup * 4**front.levels
+    if front.chunked or front.levels == 0:
+        upstream = front.level_stats
+        chunks = front.streams(span="stackdist.chunk")
+    else:
+        upstream, chunks = _cached_front(trace, front)
+    # A split first level is two member caches: one stack per side.
+    states = [front.new_state(sets, _WIDTH) for _ in range(front.sides)]
     read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
     write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
     writebacks = np.zeros(_WIDTH, dtype=np.int64)
-    if depth == 1:
-        # A split first level is two member caches: one stack per side.
-        states = [
-            _new_stack_state(sets)
-            for _ in range(2 if deepest.split else 1)
-        ]
-        for index, chunk in enumerate(trace.chunks(chunk_records)):
-            with telemetry.span(
-                "stackdist.chunk", index=index, records=len(chunk)
-            ):
-                base = index * chunk_records
-                zero_streams = _level_zero_streams(
-                    chunk, config, key_offset=base
-                )
-                for side, (s_blocks, s_write, s_bucket, s_keys) in enumerate(
-                    zero_streams
-                ):
-                    part_read, part_write, part_wb = _stack_pass(
-                        s_blocks, s_write, s_bucket, s_keys, sets, warmup,
-                        state=states[side],
-                    )
-                    read_hist += part_read
-                    write_hist += part_write
-                    writebacks += part_wb
-        return read_hist, write_hist, writebacks, []
-
-    front = _ChunkedFront(trace, config, depth - 1, chunk_records)
-    prev_offset = log2_int(config.levels[depth - 2].block_bytes)
-    offset_bits = log2_int(deepest.block_bytes)
-    if offset_bits < prev_offset:
-        raise ValueError(
-            "deeper levels must have blocks at least as large as "
-            "their predecessor's"
-        )
-    warmup_key = warmup * 4 ** (depth - 1)
-    state = _new_stack_state(sets)
-    for index, stream in enumerate(front.streams()):
-        with telemetry.span("stackdist.chunk", index=index):
-            s_blocks, s_write, s_bucket, s_keys = stream
-            part_read, part_write, part_wb = _stack_pass(
-                s_blocks >> (offset_bits - prev_offset), s_write, s_bucket,
-                s_keys, sets, warmup_key, state=state,
+    for sides in chunks:
+        for (blocks, is_write, bucket, keys), state in zip(sides, states):
+            dist, _, _, part_wb = _stack_pass(
+                blocks >> shift, is_write, keys, sets, _WIDTH, state, warmup_key
             )
-            read_hist += part_read
-            write_hist += part_write
+            counted = keys >= warmup_key
+            stores = bucket == _BUCKET_WRITE
+            read_hist += np.bincount(dist[counted & ~stores], minlength=_WIDTH + 1)
+            write_hist += np.bincount(dist[counted & stores], minlength=_WIDTH + 1)
             writebacks += part_wb
-    return read_hist, write_hist, writebacks, front.level_stats
+    return read_hist, write_hist, writebacks, upstream
 
 
 def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResult:
@@ -482,40 +259,26 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
     (counts identical to :func:`repro.sim.fast.run_functional` on each
     member configuration).  With ``REPRO_TRACE_CHUNK`` set (and smaller
     than the trace), the replay streams in chunks through persistent
-    stack state -- same histograms, bounded residency.
+    state -- same histograms, bounded residency.
     """
     if not stackdist_eligible(config):
         raise ValueError(
             "configuration outside the stack-distance path (the deepest "
             "level must be fast-eligible LRU); use run_functional"
         )
-    warmup = trace.warmup
-    # Chunked histogram accumulation is count-identical to the one-shot
+    # Chunked histogram accumulation is count-identical to the one-chunk
     # pass (parity tests); REPRO_TRACE_CHUNK tunes residency only.
-    chunk = replay_chunk_records()  # repro: noqa RPR008
-    chunked = chunk is not None and chunk < len(trace)
+    front = _Front(trace, config, config.depth - 1, replay_chunk_records())  # repro: noqa RPR008
     with telemetry.span(
         "stackdist.pass",
         sets=config.levels[-1].geometry().sets,
         records=len(trace),
-        chunked=chunked,
+        chunked=front.chunked,
     ):
-        if chunked:
-            read_hist, write_hist, writebacks, upstream = (
-                _grid_histograms_chunked(trace, config, chunk)
-            )
-        else:
-            read_hist, write_hist, writebacks, upstream = _grid_histograms(
-                trace, config
-            )
+        read_hist, write_hist, writebacks, upstream = _grid_histograms(trace, front)
 
-    measured_kinds = trace.kinds[warmup:]
-    cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-    cpu_reads = int(measured_kinds.size) - cpu_writes
-    cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
     reads = int(read_hist.sum())
     writes = int(write_hist.sum())
-
     members = []
     for ways in STACK_ASSOCIATIVITIES:
         read_misses = int(read_hist[ways:].sum())
@@ -533,18 +296,13 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
         # algebra makes the post-warmup cuts coincide (an event with
         # level key k is counted iff k >= warmup_key, and its memory
         # key 4k+1 or 4k+2 is counted iff it exceeds 4*warmup_key).
-        result = FunctionalResult(
-            trace_name=trace.name,
-            config=member_config(config, ways),
-            cpu_reads=cpu_reads,
-            cpu_writes=cpu_writes,
-            cpu_ifetches=cpu_ifetches,
-            level_stats=[replace(stats) for stats in upstream] + [stats],
+        result = _functional_result(
+            trace,
+            member_config(config, ways),
+            [replace(stats) for stats in upstream] + [stats],
             memory_reads=stats.blocks_fetched,
             memory_writes=stats.writebacks,
+            source="stackdist",
         )
-        members.append(
-            # Validate-and-raise only; the result itself is untouched.
-            (ways, maybe_audit_functional(trace, result, source="stackdist"))  # repro: noqa RPR008
-        )
+        members.append((ways, result))
     return StackdistGridResult(results=tuple(members))

@@ -47,12 +47,7 @@ from repro.cache.write_buffer import WriteBuffer
 from repro.memory.bus import Bus
 from repro.memory.main_memory import MainMemory
 from repro.sim.config import SystemConfig
-from repro.sim.fast import (
-    _simulate_front,
-    fast_eligible,
-    memory_traffic,
-    trace_eligible,
-)
+from repro.sim.fast import _Front, fast_eligible, memory_traffic, trace_eligible
 from repro.sim.hierarchy import CacheHierarchy
 from repro.trace.record import IFETCH, READ, WRITE, Trace
 from repro.units import log2_int
@@ -161,7 +156,7 @@ def event_eligible(config: SystemConfig, trace: Trace) -> bool:
     """True when the event-sparse engine reproduces the reference exactly.
 
     The configuration must be on the vectorised functional path (its
-    cache outcomes then come from :func:`repro.sim.fast._simulate_front`),
+    cache outcomes then come from :class:`repro.sim.fast._Front`),
     the trace must fit its signed 64-bit arithmetic, and every charge
     must be a whole number of nanoseconds (docs/timing-model.md).
     """
@@ -542,7 +537,7 @@ class _EventEngine(_TimingState):
 
     Cache outcomes are independent of time (buffered writes are applied
     functionally at push time), so one whole-array functional replay
-    (:func:`repro.sim.fast._simulate_front`) decides every hit, miss and
+    (:class:`repro.sim.fast._Front`) decides every hit, miss and
     dirty victim up front.  The write-buffer, bus and DRAM objects then
     run over the post-warmup L1 misses only, through the same calls the
     reference engine makes.  Between two misses the CPU pays only base
@@ -557,7 +552,9 @@ class _EventEngine(_TimingState):
         warmup = trace.warmup
         kinds = trace.kinds
         trail: List[Tuple] = []
-        level_stats, stream, _ = _simulate_front(trace, config, depth, trail)
+        front = _Front(trace, config, depth)
+        [stream] = next(front.streams(trail))
+        level_stats = front.level_stats
         memory_reads, memory_writes = memory_traffic(stream, warmup * 4**depth)
         keys, miss, _, _ = trail[0]
         misses = np.sort(keys[miss])

@@ -11,6 +11,7 @@ from repro.audit.parity import (
     check_fast_vs_reference,
     check_memo_vs_direct,
     check_serial_vs_parallel,
+    check_stackdist_vs_reference,
     check_timing_vs_reference,
 )
 from repro.sim import memo
@@ -49,6 +50,12 @@ class TestChecksPass:
         short = audit_trace[-3_000:]
         assert event_eligible(config, short)
         check_timing_vs_reference(short, config)
+
+    @pytest.mark.parametrize(
+        "name", [n for n, c in GRID if fast_eligible(c) and c.depth > 1]
+    )
+    def test_stackdist_vs_reference(self, audit_trace, name):
+        check_stackdist_vs_reference(audit_trace[-3_000:], dict(GRID)[name])
 
     def test_timing_vs_reference_is_noop_when_ineligible(self, audit_trace):
         ineligible = next(c for _, c in GRID if not fast_eligible(c))

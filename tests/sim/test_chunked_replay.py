@@ -3,19 +3,16 @@
 The contract: with ``REPRO_TRACE_CHUNK`` set, the fast path and the
 stack-distance grid stream the trace through persistent cache state in
 fixed-size chunks -- and every count comes out *identical* to whole-array
-replay (and therefore to the reference simulator, whose equivalence is
-pinned by ``test_fast.py`` / ``test_stackdist.py``).  These tests are
-what lets memmap-backed store traces run without materialising in full.
+replay.  ``test_replay_oracle.py`` holds both to the reference simulator
+on short adversarial traces; these cases replay synthetic workloads long
+enough to touch many sets, and memmap-backed store traces, which is
+what lets those run without materialising in full.
 """
 
 import pytest
 
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import (
-    FastFunctionalSimulator,
-    run_functional,
-    run_functional_chunked,
-)
+from repro.sim.fast import FastFunctionalSimulator, run_functional
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
     STACK_ASSOCIATIVITIES,
@@ -64,6 +61,13 @@ def three_level():
     )
 
 
+def run_chunked(trace, config, chunk):
+    """:func:`run_functional` streaming ``chunk`` records at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TRACE_CHUNK", str(chunk))
+        return run_functional(trace, config)
+
+
 def assert_counts_equal(got, want, context=""):
     assert got.cpu_reads == want.cpu_reads, context
     assert got.cpu_writes == want.cpu_writes, context
@@ -85,7 +89,7 @@ class TestFastChunkedParity:
     def test_split_two_level(self, chunk):
         trace = SyntheticWorkload(seed=41).trace(25_000, warmup=5_000)
         whole = FastFunctionalSimulator(two_level()).run(trace)
-        chunked = run_functional_chunked(trace, two_level(), chunk)
+        chunked = run_chunked(trace, two_level(), chunk)
         assert_counts_equal(chunked, whole, f"chunk={chunk}")
 
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
@@ -93,14 +97,14 @@ class TestFastChunkedParity:
         trace = SyntheticWorkload(seed=42).trace(25_000)
         config = two_level(split=False, l1_ways=4, l2_ways=8)
         whole = FastFunctionalSimulator(config).run(trace)
-        chunked = run_functional_chunked(trace, config, chunk)
+        chunked = run_chunked(trace, config, chunk)
         assert_counts_equal(chunked, whole, f"chunk={chunk}")
 
     def test_three_levels(self):
         trace = SyntheticWorkload(seed=43).trace(25_000, warmup=4_000)
         whole = FastFunctionalSimulator(three_level()).run(trace)
         for chunk in CHUNK_SIZES:
-            chunked = run_functional_chunked(trace, three_level(), chunk)
+            chunked = run_chunked(trace, three_level(), chunk)
             assert_counts_equal(chunked, whole, f"chunk={chunk}")
 
     def test_single_level(self):
@@ -109,19 +113,19 @@ class TestFastChunkedParity:
             levels=(LevelConfig(size_bytes=2 * KB, block_bytes=16),)
         )
         whole = FastFunctionalSimulator(config).run(trace)
-        chunked = run_functional_chunked(trace, config, 999)
+        chunked = run_chunked(trace, config, 999)
         assert_counts_equal(chunked, whole)
 
     def test_chunk_larger_than_trace(self):
         trace = SyntheticWorkload(seed=45).trace(5_000)
         whole = FastFunctionalSimulator(two_level()).run(trace)
-        chunked = run_functional_chunked(trace, two_level(), 1_000_000)
+        chunked = run_chunked(trace, two_level(), 1_000_000)
         assert_counts_equal(chunked, whole)
 
     def test_matches_reference_simulator(self):
         trace = SyntheticWorkload(seed=46).trace(12_000, warmup=2_000)
         reference = FunctionalSimulator(two_level()).run(trace)
-        chunked = run_functional_chunked(trace, two_level(), 999)
+        chunked = run_chunked(trace, two_level(), 999)
         assert_counts_equal(chunked, reference)
 
 

@@ -6,6 +6,7 @@ correctness contract that lets experiments dispatch to it blindly.
 
 import pytest
 
+from repro.audit.parity import assert_counts_equal, assert_timing_equal
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import FastFunctionalSimulator, fast_eligible, run_functional
 from repro.sim.functional import FunctionalSimulator
@@ -214,6 +215,38 @@ class TestEligibility:
     def test_constructor_rejects_ineligible(self):
         with pytest.raises(ValueError, match="vectorised"):
             FastFunctionalSimulator(two_level().with_level(1, associativity=32))
+
+
+class TestShrinkingBlocks:
+    """A deeper level with smaller blocks than the level above it is
+    outside the vectorised path: the dispatchers fall back to the
+    reference engines instead of raising."""
+
+    CONFIG = SystemConfig(
+        levels=(
+            LevelConfig(size_bytes=2 * KB, block_bytes=32),
+            LevelConfig(size_bytes=16 * KB, block_bytes=16, cycle_cpu_cycles=3),
+        )
+    )
+
+    def test_not_fast_eligible(self):
+        assert not fast_eligible(self.CONFIG)
+
+    def test_run_functional_equals_reference(self):
+        trace = SyntheticWorkload(seed=61).trace(6_000, warmup=1_000)
+        assert_counts_equal(
+            run_functional(trace, self.CONFIG),
+            FunctionalSimulator(self.CONFIG).run(trace),
+        )
+
+    def test_timing_simulator_equals_reference_engine(self):
+        from repro.sim.timing import TimingSimulator, _TimingEngine
+
+        trace = SyntheticWorkload(seed=62).trace(4_000, warmup=1_000)
+        assert_timing_equal(
+            TimingSimulator(self.CONFIG).run(trace),
+            _TimingEngine(self.CONFIG).run(trace),
+        )
 
 
 class TestDispatch:
