@@ -7,7 +7,9 @@ suite, cold memoisation cache each pass) three ways:
   the closest measurable stand-in for "the instrumentation was never
   written", since the call sites cannot be compiled away;
 * **disabled**: the real runtime with ``REPRO_TELEMETRY`` off -- every
-  ``span()`` call takes the one-branch no-op fast path;
+  ``span()`` call takes the one-branch no-op fast path, while counters
+  and gauges still validate and add (they are always on: run manifests
+  read them), so this leg prices the counters against stubbed;
 * **enabled**: ``REPRO_TELEMETRY=1`` with a JSONL sink, so every span
   is timed, buffered and written, and worker telemetry rides the
   result pipe back to the supervisor.

@@ -44,8 +44,11 @@ from repro.trace.record import Trace
 #: only, excluding grid-derived cells); 4 added the ``telemetry``
 #: section (the per-phase ``phase_ns`` span tree and counter deltas for
 #: this recording window; ``{"enabled": false}`` when REPRO_TELEMETRY
-#: is off).
-SCHEMA = 4
+#: is off); 5 made the ``memo`` section and each sweep note's
+#: ``retries``/``timeouts``/``pool_restarts`` views over the always-on
+#: ``memo.*``/``pool.*`` telemetry counters and dropped the memo
+#: section's worker-fold sub-object (worker counts arrive as counters).
+SCHEMA = 5
 
 
 @dataclass
@@ -64,11 +67,13 @@ class SweepNote:
     seconds: float
     #: Cells restored from a checkpoint journal instead of simulated.
     resumed: int = 0
-    #: Cell retry attempts the executor made (successful or not).
+    #: Cell retry attempts the executor made (``pool.retries`` delta).
     retries: int = 0
-    #: Workers killed for exceeding the per-cell wall-clock budget.
+    #: Workers killed for exceeding the per-cell wall-clock budget
+    #: (``pool.timeouts`` delta).
     timeouts: int = 0
-    #: Worker processes re-created after a death, hang or kill.
+    #: Worker processes re-created after a death, hang or kill
+    #: (``pool.restarts`` delta).
     pool_restarts: int = 0
     #: Cells that failed permanently (see the ``failures`` section).
     failed: int = 0
@@ -97,9 +102,6 @@ class RunManifest:
         self.traces: List[Dict[str, Any]] = []
         self.failures: List[Dict[str, Any]] = []
         self.extra: Dict[str, Any] = {}
-        stats = memo.memo_stats()
-        self._memo_before = (stats.hits, stats.misses, stats.evictions)
-        self._fold_before = memo.worker_fold_snapshot()
         self._telemetry_mark = telemetry.mark()
 
     # -- recording -----------------------------------------------------------
@@ -149,13 +151,10 @@ class RunManifest:
         from repro.core import envcfg
 
         self.finish()
-        hits_before, misses_before, evictions_before = self._memo_before
-        stats = memo.memo_stats()
-        hits = stats.hits - hits_before
-        misses = stats.misses - misses_before
+        counted = telemetry.counter_deltas(self._telemetry_mark)
+        hits = counted.get("memo.hits", 0)
+        misses = counted.get("memo.misses", 0)
         lookups = hits + misses
-        fold = memo.worker_fold_snapshot()
-        folded = tuple(now - then for now, then in zip(fold, self._fold_before))
         return {
             "schema": SCHEMA,
             "name": self.name,
@@ -189,16 +188,9 @@ class RunManifest:
             "memo": {
                 "hits": hits,
                 "misses": misses,
-                "evictions": stats.evictions - evictions_before,
+                "evictions": counted.get("memo.evictions", 0),
                 "hit_ratio": hits / lookups if lookups else 0.0,
                 "entries": memo.cache_size(),
-                # Of the lookups above, how many happened inside worker
-                # processes (folded back by the pooled executor).
-                "worker_folded": {
-                    "hits": folded[0],
-                    "misses": folded[1],
-                    "evictions": folded[2],
-                },
             },
             "failures": list(self.failures),
             "phases": list(self.phases),
@@ -242,18 +234,22 @@ def note_sweep(
     workers: int,
     pooled: bool,
     seconds: float,
+    since: Dict[str, Any],
     resumed: int = 0,
-    retries: int = 0,
-    timeouts: int = 0,
-    pool_restarts: int = 0,
     failed: int = 0,
     stackdist_groups: int = 0,
     cells_derived: int = 0,
 ) -> None:
     """Report one executor fan-out to every active recorder (no-op when
-    nothing is recording)."""
+    nothing is recording).
+
+    ``since`` is a :func:`repro.telemetry.mark` taken when the sweep
+    started; the note's retry, timeout and restart counts are the
+    ``pool.*`` counter deltas after it.
+    """
     if not _active:
         return
+    counted = telemetry.counter_deltas(since)
     note = SweepNote(
         kind=kind,
         configs=configs,
@@ -264,9 +260,9 @@ def note_sweep(
         pooled=pooled,
         seconds=seconds,
         resumed=resumed,
-        retries=retries,
-        timeouts=timeouts,
-        pool_restarts=pool_restarts,
+        retries=counted.get("pool.retries", 0),
+        timeouts=counted.get("pool.timeouts", 0),
+        pool_restarts=counted.get("pool.restarts", 0),
         failed=failed,
         stackdist_groups=stackdist_groups,
         cells_derived=cells_derived,

@@ -151,9 +151,9 @@ def check_serial_vs_parallel(
     """
     from repro.core.sweep import sweep_functional
 
-    memo.clear_memo_cache(reset_stats=False)
+    memo.clear_memo_cache()
     pooled = sweep_functional(traces, configs, workers=workers)
-    memo.clear_memo_cache(reset_stats=False)
+    memo.clear_memo_cache()
     serial = sweep_functional(traces, configs, workers=1)
     for row_serial, row_pooled in zip(serial, pooled):
         for a, b in zip(row_serial, row_pooled):

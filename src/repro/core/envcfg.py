@@ -421,10 +421,11 @@ TELEMETRY = register(
     kind="flag",
     default=False,
     doc=(
-        "Record sweep telemetry: timing spans and counters from the "
-        "planner, kernels, memo, journal, store and worker pool stream "
-        "to a JSONL sink (see REPRO_TELEMETRY_PATH). Off by default; "
-        "disabled spans are no-ops."
+        "Record sweep telemetry: timing spans from the planner, "
+        "kernels, memo, journal, store and worker pool, plus counter "
+        "totals, stream to a JSONL sink (see REPRO_TELEMETRY_PATH). Off "
+        "by default; disabled spans are no-ops and no sink is opened. "
+        "Counters count either way: run manifests read them."
     ),
     parse=parse_bool,
     section="telemetry",

@@ -373,6 +373,7 @@ def _sweep_functional_grid(
     failures: Optional[List[FailureReport]],
 ) -> List[List[Optional[FunctionalResult]]]:
     watch = clock.Stopwatch()
+    since = telemetry.mark()
     journal = current_journal()
     faults = FaultPlan.from_env()
     with telemetry.span("sweep.plan"):
@@ -440,8 +441,9 @@ def _sweep_functional_grid(
     group_outcome, outcome = ExecOutcome(), ExecOutcome()
     used_workers, pooled = sweep_workers(workers), False
     # The workers' only global mutation is the process-local memo/front
-    # caches: each spawn worker fills its own copy, and the stats are
-    # folded back through memo.fold_worker_stats -- sanctioned state.
+    # caches and telemetry counters: each spawn worker fills its own
+    # copy, and the counters ride back with every result -- sanctioned
+    # state.
     if groups:
         group_outcome, used_workers, pooled = _run_cells(
             "stackdist", _run_stackdist_cell, groups, traces, workers,  # repro: noqa RPR009
@@ -469,10 +471,8 @@ def _sweep_functional_grid(
         workers=used_workers,
         pooled=pooled,
         seconds=watch.elapsed_s(),
+        since=since,
         resumed=resumed,
-        retries=group_outcome.retries + outcome.retries,
-        timeouts=group_outcome.timeouts + outcome.timeouts,
-        pool_restarts=group_outcome.pool_restarts + outcome.pool_restarts,
         failed=len(group_outcome.failures) + len(outcome.failures),
         stackdist_groups=len(groups),
         cells_derived=len(pending) - len(singles),
@@ -522,6 +522,7 @@ def _sweep_timing_grid(
     failures: Optional[List[FailureReport]],
 ) -> List[List[Optional[TimingResult]]]:
     watch = clock.Stopwatch()
+    since = telemetry.mark()
     journal = current_journal()
     faults = FaultPlan.from_env()
     width = len(traces)
@@ -570,10 +571,8 @@ def _sweep_timing_grid(
         workers=used_workers,
         pooled=pooled,
         seconds=watch.elapsed_s(),
+        since=since,
         resumed=resumed,
-        retries=outcome.retries,
-        timeouts=outcome.timeouts,
-        pool_restarts=outcome.pool_restarts,
         failed=len(outcome.failures),
     )
     _settle_failures(outcome, on_failure, failures)

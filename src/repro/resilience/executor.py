@@ -44,7 +44,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from repro import telemetry
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import FailureReport, RetryPolicy
-from repro.sim import memo
 from repro.sim.config import SystemConfig, format_config
 from repro.trace.record import Trace
 from repro.trace.store import TraceHandle, export_traces, resolve_traces
@@ -74,17 +73,15 @@ class Cell(NamedTuple):
 
 @dataclass
 class ExecOutcome:
-    """What actually happened to a batch of cells."""
+    """What actually happened to a batch of cells.
+
+    Retries, timeouts and worker restarts are counted once, as the
+    ``pool.*`` telemetry counters; sweep notes read their deltas.
+    """
 
     #: cell_id -> result, for every cell that completed and validated.
     results: Dict[int, Any] = field(default_factory=dict)
     failures: List[FailureReport] = field(default_factory=list)
-    retries: int = 0
-    timeouts: int = 0
-    #: Worker processes re-created after a death, hang or kill.
-    pool_restarts: int = 0
-    #: (hits, misses, evictions) accumulated inside worker processes.
-    worker_memo: Tuple[int, int, int] = (0, 0, 0)
 
 
 @dataclass
@@ -152,7 +149,6 @@ def _worker_main(
         if message is None:
             break
         job_id, attempt, cells = message
-        before = memo.stats_snapshot()
         try:
             with telemetry.span(
                 f"worker.{kind or 'job'}", cells=len(cells), attempt=attempt
@@ -176,9 +172,7 @@ def _worker_main(
                     ("err", job_id, None, type(exc).__name__, str(exc), text, tele)
                 )
             continue
-        after = memo.stats_snapshot()
-        delta = tuple(now - then for now, then in zip(after, before))
-        conn.send(("ok", job_id, results, delta, telemetry.drain_worker()))
+        conn.send(("ok", job_id, results, telemetry.drain_worker()))
     conn.close()
 
 
@@ -261,7 +255,6 @@ class _Supervisor:
         handle.conn = replacement.conn
         handle.job = None
         handle.deadline = None
-        self.outcome.pool_restarts += 1
         telemetry.counter_add("pool.restarts")
 
     def start(self, job_count: int) -> None:
@@ -332,7 +325,6 @@ class _Supervisor:
         cell = job.cells[0]
         attempts_made = job.attempt + 1
         if attempts_made < self.policy.max_attempts:
-            self.outcome.retries += 1
             telemetry.counter_add("pool.retries")
             delay = self.policy.backoff_s(attempts_made, self.rng)
             self.delayed.append(
@@ -363,14 +355,8 @@ class _Supervisor:
         if job is None or job_id != job.job_id:  # pragma: no cover - stale
             return
         if tag == "ok":
-            _, _, results, delta, tele = message
+            _, _, results, tele = message
             telemetry.absorb_worker(tele)
-            hits, misses, evictions = delta
-            memo.fold_worker_stats(hits, misses, evictions)
-            folded = self.outcome.worker_memo
-            self.outcome.worker_memo = (
-                folded[0] + hits, folded[1] + misses, folded[2] + evictions
-            )
             for cell, result in zip(job.cells, results):
                 self._accept(job, cell, result)
         else:
@@ -401,7 +387,6 @@ class _Supervisor:
 
     def _handle_timeout(self, handle: _WorkerHandle) -> None:
         job = handle.job
-        self.outcome.timeouts += 1
         telemetry.counter_add("pool.timeouts")
         self._respawn(handle)
         if job is not None:
@@ -587,7 +572,6 @@ def _run_serial_cells(
             except Exception as exc:
                 attempts_made = attempt + 1
                 if attempts_made < policy.max_attempts:
-                    outcome.retries += 1
                     telemetry.counter_add("pool.retries")
                     time.sleep(policy.backoff_s(attempts_made, rng))
                     attempt += 1

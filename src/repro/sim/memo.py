@@ -20,14 +20,16 @@ Cached results are shared, not copied: treat a returned
 ``FunctionalResult``'s ``level_stats`` as read-only (every consumer in
 this repository does).  The cache is per-process; the sweep executor
 (:mod:`repro.core.sweep`) consults it before fanning work out and seeds
-it with results coming back from worker processes.
+it with results coming back from worker processes.  Hits, misses and
+evictions are the ``memo.*`` telemetry counters, which worker processes
+ship back with each job; run manifests read their deltas.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro import telemetry
@@ -46,36 +48,7 @@ _FINGERPRINT_SLOT = "_functional_fingerprint"
 #: irrelevant memory-wise.
 MAX_ENTRIES = 65536
 
-
-@dataclass
-class MemoStats:
-    """Observability counters for the memoisation cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
 _cache: "OrderedDict[Tuple, FunctionalResult]" = OrderedDict()
-_stats = MemoStats()
-
-#: Cumulative counters folded in from worker processes (a subset of
-#: ``_stats``): the sweep executor ships each worker's per-chunk memo
-#: delta back to the parent so pooled hit ratios stop under-reporting.
-_worker_fold = MemoStats()
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -180,14 +153,13 @@ def timing_key(trace: Trace, config: SystemConfig) -> Tuple:
 
 
 def lookup(key: Tuple) -> Optional[FunctionalResult]:
-    """Fetch a cached result (counts a hit/miss); ``None`` when absent."""
+    """Fetch a cached result (counts ``memo.hits``/``memo.misses``);
+    ``None`` when absent."""
     result = _cache.get(key)
     if result is None:
-        _stats.misses += 1
         telemetry.counter_add("memo.misses")
         return None
     _cache.move_to_end(key)
-    _stats.hits += 1
     telemetry.counter_add("memo.hits")
     return result
 
@@ -205,43 +177,12 @@ def peek(key: Tuple) -> Optional[FunctionalResult]:
     return result
 
 
-def stats_snapshot() -> Tuple[int, int, int]:
-    """``(hits, misses, evictions)`` right now (cheap, copy-safe)."""
-    return (_stats.hits, _stats.misses, _stats.evictions)
-
-
-def fold_worker_stats(hits: int, misses: int, evictions: int) -> None:
-    """Fold a worker process's memo counter delta into this process.
-
-    Worker processes run their own copy of this cache (inherited across
-    ``fork``); without folding, manifests recorded under a pooled sweep
-    under-report lookups that happened inside workers.
-
-    Deliberately *not* mirrored into telemetry counters: workers ship
-    their own ``memo.*`` totals over the telemetry channel
-    (:func:`repro.telemetry.drain_worker`), so folding here as well
-    would double-count every worker lookup.
-    """
-    _stats.hits += hits
-    _stats.misses += misses
-    _stats.evictions += evictions
-    _worker_fold.hits += hits
-    _worker_fold.misses += misses
-    _worker_fold.evictions += evictions
-
-
-def worker_fold_snapshot() -> Tuple[int, int, int]:
-    """Cumulative ``(hits, misses, evictions)`` folded in from workers."""
-    return (_worker_fold.hits, _worker_fold.misses, _worker_fold.evictions)
-
-
 def store(key: Tuple, result: FunctionalResult) -> None:
     """Insert a result, evicting least-recently-used entries past the cap."""
     _cache[key] = result
     _cache.move_to_end(key)
     while len(_cache) > MAX_ENTRIES:
         _cache.popitem(last=False)
-        _stats.evictions += 1
         telemetry.counter_add("memo.evictions")
     telemetry.gauge_set("memo.entries", len(_cache))
 
@@ -263,19 +204,11 @@ def run_functional_memo(trace: Trace, config: SystemConfig) -> FunctionalResult:
     return replace(cached, config=config)
 
 
-def memo_stats() -> MemoStats:
-    """The live hit/miss/eviction counters (shared object)."""
-    return _stats
-
-
 def cache_size() -> int:
     """Number of cached functional results."""
     return len(_cache)
 
 
-def clear_memo_cache(reset_stats: bool = True) -> None:
-    """Drop every cached result (and, by default, the counters)."""
+def clear_memo_cache() -> None:
+    """Drop every cached result (the ``memo.*`` counters keep counting)."""
     _cache.clear()
-    if reset_stats:
-        _stats.reset()
-        _worker_fold.reset()

@@ -8,9 +8,10 @@ The façade instrumented code imports::
         ...
     telemetry.counter_add("memo.hits")
 
-Default off (``REPRO_TELEMETRY``); disabled spans are a shared no-op
-object and counters return after one cached boolean test, so the
-instrumentation is effectively free unless asked for.  See
+Counters and gauges are always on -- run manifests and sweep notes
+read their deltas -- while spans and the JSONL sink are opt-in
+(``REPRO_TELEMETRY``); disabled spans are a shared no-op object, so
+span instrumentation is effectively free unless asked for.  See
 ``docs/observability.md`` for the span taxonomy and counter catalog,
 and :mod:`repro.telemetry.runtime` for the recorder semantics.
 """
@@ -20,6 +21,7 @@ from repro.telemetry.runtime import (
     absorb_worker,
     close_sink,
     counter_add,
+    counter_deltas,
     counters_snapshot,
     drain_worker,
     enabled,
@@ -41,6 +43,7 @@ __all__ = [
     "absorb_worker",
     "close_sink",
     "counter_add",
+    "counter_deltas",
     "counters_snapshot",
     "drain_worker",
     "enabled",

@@ -9,11 +9,14 @@ live sweep span (:func:`absorb_worker`).  Timestamps are
 system-wide on Linux, so worker and supervisor timestamps are directly
 comparable and re-parenting needs no epoch translation.
 
-Everything is default-off (``REPRO_TELEMETRY``).  When disabled,
-:func:`span` returns a shared no-op context manager and
-:func:`counter_add` returns after one cached boolean test: the
-instrumented hot paths pay an attribute load and a compare, nothing
-else, and simulation results are bit-identical either way.
+Counters and gauges are always on: they are the one bookkeeping channel
+that run manifests, sweep notes and memo statistics are views of, so
+:func:`counter_add` validates the name and adds in every mode (an
+integer add per event -- per cell or per job, never per record).  Spans
+and the sink are opt-in (``REPRO_TELEMETRY``): when disabled,
+:func:`span` returns a shared no-op context manager after one cached
+boolean test, no sink file is opened, and simulation results are
+bit-identical either way.
 
 The sink is line-oriented JSON, one event per line, flushed per line
 and never fsynced: a SIGKILL loses at most the page cache the kernel
@@ -70,6 +73,7 @@ __all__ = [
     "counter_add",
     "gauge_set",
     "mark",
+    "counter_deltas",
     "manifest_section",
     "enter_worker",
     "drain_worker",
@@ -227,11 +231,7 @@ def _span_line(event: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def counter_add(name: str, value: int = 1) -> None:
-    """Add ``value`` to a declared counter (no-op when disabled)."""
-    if _resolved is False:
-        return
-    if not enabled():
-        return
+    """Add ``value`` to a declared counter (always on)."""
     definition = CATALOG.get(name)
     if definition is None or definition.kind != "counter":
         raise KeyError(
@@ -242,11 +242,7 @@ def counter_add(name: str, value: int = 1) -> None:
 
 
 def gauge_set(name: str, value: int) -> None:
-    """Record a gauge observation (last value wins; no-op when disabled)."""
-    if _resolved is False:
-        return
-    if not enabled():
-        return
+    """Record a gauge observation (last value wins; always on)."""
     definition = CATALOG.get(name)
     if definition is None or definition.kind != "gauge":
         raise KeyError(
@@ -355,21 +351,19 @@ def enter_worker() -> None:
 
 
 def drain_worker() -> Optional[Dict[str, Any]]:
-    """The worker's buffered spans and counter deltas, then reset.
+    """The worker's counter deltas (and buffered spans), then reset.
 
-    Returns ``None`` when telemetry is disabled or nothing was recorded,
-    so the disabled path adds a ``None`` to each result message and
-    nothing more.
+    Counters ship in every mode; spans ride along only when telemetry is
+    enabled.  Returns ``None`` when nothing was recorded.
     """
-    if not enabled():
-        return None
     if not _events and not _counters and not _gauges:
         return None
-    payload = {
-        "events": list(_events),
+    payload: Dict[str, Any] = {
         "counters": dict(_counters),
         "gauges": dict(_gauges),
     }
+    if enabled():
+        payload["events"] = list(_events)
     _events.clear()
     _counters.clear()
     _gauges.clear()
@@ -379,36 +373,38 @@ def drain_worker() -> Optional[Dict[str, Any]]:
 def absorb_worker(payload: Optional[Dict[str, Any]]) -> None:
     """Merge a worker's drained telemetry into this (supervisor) process.
 
-    Worker root spans (``parent is None``) are re-parented under the
-    supervisor's innermost open span; counter deltas add, gauge
-    observations keep the max.  Worker timestamps are already on the
-    shared system-wide monotonic clock -- no translation.
+    Counter deltas add and gauge observations keep the max, in every
+    mode.  When telemetry is enabled, worker root spans (``parent is
+    None``) are re-parented under the supervisor's innermost open span;
+    worker timestamps are already on the shared system-wide monotonic
+    clock -- no translation.
     """
-    if payload is None or not enabled():
+    if payload is None:
         return
-    parent_id = _stack[-1][0] if _stack else None
-    parent_path = _stack[-1][1] if _stack else ""
-    for event in payload.get("events", ()):
-        if event.get("parent") is None:
-            event["parent"] = parent_id
-        if parent_path:
-            event["path"] = f"{parent_path}/{event['path']}"
-        _record(event)
+    if enabled():
+        parent_id = _stack[-1][0] if _stack else None
+        parent_path = _stack[-1][1] if _stack else ""
+        for event in payload.get("events", ()):
+            if event.get("parent") is None:
+                event["parent"] = parent_id
+            if parent_path:
+                event["path"] = f"{parent_path}/{event['path']}"
+            _record(event)
     for name, value in payload.get("counters", {}).items():
         _counters[name] = _counters.get(name, 0) + int(value)
     for name, value in payload.get("gauges", {}).items():
         _gauges[name] = max(_gauges.get(name, 0), int(value))
 
 
-# -- manifest aggregation (schema 4) --------------------------------------
+# -- manifest aggregation (schema 5) --------------------------------------
 
 
 def mark() -> Dict[str, Any]:
     """An opaque position: events/counters recorded so far.
 
-    :func:`manifest_section` aggregates everything *after* a mark, so a
-    manifest covers its own recording window even when several runs
-    share one process.
+    :func:`counter_deltas` and :func:`manifest_section` aggregate
+    everything *after* a mark, so a manifest or a sweep note covers its
+    own window even when several runs share one process.
     """
     return {
         "events": len(_events),
@@ -417,21 +413,25 @@ def mark() -> Dict[str, Any]:
     }
 
 
+def counter_deltas(since: Optional[Dict[str, Any]] = None) -> Dict[str, int]:
+    """Non-zero counter movement after ``since`` (totals when ``None``)."""
+    base: Dict[str, int] = since["counters"] if since else {}
+    return {
+        name: total - base.get(name, 0)
+        for name, total in _counters.items()
+        if total != base.get(name, 0)
+    }
+
+
 def manifest_section(since: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The manifest ``telemetry`` section: phase tree + counter deltas."""
     if not enabled():
         return {"enabled": False}
     start = int(since["events"]) if since else 0
-    base: Dict[str, int] = dict(since["counters"]) if since else {}
-    deltas = {
-        name: total - base.get(name, 0)
-        for name, total in _counters.items()
-        if total - base.get(name, 0)
-    }
     section: Dict[str, Any] = {
         "enabled": True,
         "phase_ns": phase_tree(_events[start:]),
-        "counters": deltas,
+        "counters": counter_deltas(since),
     }
     if _gauges:
         section["gauges"] = dict(_gauges)

@@ -11,6 +11,7 @@ import dataclasses
 
 import pytest
 
+from repro import telemetry
 from repro.core import sweep
 from repro.core.sweep import sweep_functional, sweep_timing, sweep_workers
 from repro.sim import memo
@@ -22,7 +23,7 @@ from repro.units import KB
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts from an empty cache and zeroed counters."""
+    """Each test starts from an empty cache."""
     memo.clear_memo_cache()
     yield
     memo.clear_memo_cache()
@@ -84,11 +85,12 @@ class TestMemoisation:
         self, small_traces, base_config
     ):
         configs = timing_variants(base_config)
+        since = telemetry.mark()
         grid = sweep_functional(small_traces, configs)
-        stats = memo.memo_stats()
+        counted = telemetry.counter_deltas(since)
         # One functional simulation per trace; every other cell is a hit.
         assert memo.cache_size() == len(small_traces)
-        assert stats.hits >= len(small_traces) * (len(configs) - 1)
+        assert counted["memo.hits"] >= len(small_traces) * (len(configs) - 1)
         # The issue's contract: identical objects-by-value across the
         # timing-only axis.
         for j in range(len(small_traces)):
@@ -107,9 +109,9 @@ class TestMemoisation:
 
     def test_cache_survives_across_sweeps(self, small_traces, base_config):
         sweep_functional(small_traces, [base_config])
-        misses_before = memo.memo_stats().misses
+        since = telemetry.mark()
         sweep_functional(small_traces, [base_config.with_level(1, cycle_cpu_cycles=7)])
-        assert memo.memo_stats().misses == misses_before
+        assert "memo.misses" not in telemetry.counter_deltas(since)
 
     def test_functional_change_misses(self, small_traces, base_config):
         sweep_functional(small_traces, [base_config])
@@ -121,12 +123,13 @@ class TestMemoisation:
 
     def test_eviction_respects_the_cap(self, small_traces, base_config, monkeypatch):
         monkeypatch.setattr(memo, "MAX_ENTRIES", 1)
+        since = telemetry.mark()
         sweep_functional(
             small_traces[:1],
             [base_config, base_config.with_level(1, size_bytes=16 * KB)],
         )
         assert memo.cache_size() == 1
-        assert memo.memo_stats().evictions >= 1
+        assert telemetry.counter_deltas(since)["memo.evictions"] >= 1
 
 
 class TestProjection:
@@ -228,9 +231,10 @@ class TestTiming:
                 assert result.total_ns == direct.total_ns
 
     def test_no_memoisation_for_timing(self, small_traces, base_config):
-        before = memo.memo_stats().lookups
+        since = telemetry.mark()
         sweep_timing(small_traces, timing_variants(base_config))
-        assert memo.memo_stats().lookups == before
+        counted = telemetry.counter_deltas(since)
+        assert "memo.hits" not in counted and "memo.misses" not in counted
 
 
 class TestWorkerErrors:

@@ -15,7 +15,7 @@ from repro.units import KB
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts from an empty cache and zeroed counters."""
+    """Each test starts from an empty cache."""
     memo.clear_memo_cache()
     yield
     memo.clear_memo_cache()

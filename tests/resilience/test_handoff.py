@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.resilience import executor
 from repro.resilience.executor import Cell, _pool_context
 from repro.resilience.faults import cell_signature
@@ -111,12 +112,13 @@ class TestPooledHandoff:
                 return run_functional(traces[cell.trace_index], cell.config)
             os.kill(os.getpid(), signal.SIGKILL)
 
+        since = telemetry.mark()
         outcome = executor.run_pooled(
             "functional", compute, [[cell] for cell in cells], tiny_traces,
             workers=1, policy=RetryPolicy(max_attempts=3),
         )
         assert outcome is not None
-        assert outcome.pool_restarts >= 1
+        assert telemetry.counter_deltas(since)["pool.restarts"] >= 1
         assert_counts_match(outcome, cells, tiny_traces)
 
     def test_spawn_context_smoke(self, tiny_traces, config_grid, monkeypatch):

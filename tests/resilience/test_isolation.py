@@ -15,7 +15,9 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.audit import manifest as run_manifest
+from repro.core import sweep
 from repro.core.sweep import sweep_functional
 from repro.resilience import executor
 from repro.resilience.executor import Cell
@@ -23,6 +25,7 @@ from repro.resilience.faults import _uniform_draw, cell_signature
 from repro.resilience.policy import FailureReport, RetryPolicy, SweepFailure
 from repro.sim import memo
 from repro.sim.fast import run_functional
+from repro.units import KB
 
 
 def make_cells(traces, configs):
@@ -65,9 +68,18 @@ def assert_complete(outcome, cells, traces):
         )
 
 
-def find_flaky_seed(signatures, rate=0.5, max_attempts=3):
+def find_flaky_seed(signatures, rate=0.5, max_attempts=3, chunks=()):
     """A seed where every cell succeeds within the attempt budget and at
-    least one cell fails its first attempt (pure draws: no trial runs)."""
+    least one cell fails its first attempt (pure draws: no trial runs).
+
+    With ``chunks`` (signature lists in dispatch order), one chunk must
+    also complete its first cell and then fail a later one on the first
+    attempt, so that job raises after doing real work.
+    """
+
+    def fails_first(seed, signature):
+        return _uniform_draw(seed, "worker_raise", signature, 0) < rate
+
     for seed in range(1000):
         first_failures = 0
         for signature in signatures:
@@ -80,7 +92,11 @@ def find_flaky_seed(signatures, rate=0.5, max_attempts=3):
             if attempts[0]:
                 first_failures += 1
         else:
-            if first_failures:
+            if first_failures and (not chunks or any(
+                not fails_first(seed, chunk[0])
+                and any(fails_first(seed, s) for s in chunk[1:])
+                for chunk in chunks
+            )):
                 return seed
     raise AssertionError("no suitable seed in range")
 
@@ -92,6 +108,7 @@ class TestRetryThenSucceed:
         def boom():
             raise RuntimeError("flaky once")
 
+        since = telemetry.mark()
         outcome = executor.run_serial(
             "functional",
             marker_compute(tmp_path, boom),
@@ -100,7 +117,7 @@ class TestRetryThenSucceed:
             RetryPolicy(max_attempts=3),
         )
         assert_complete(outcome, cells, tiny_traces)
-        assert outcome.retries == len(cells)
+        assert telemetry.counter_deltas(since)["pool.retries"] == len(cells)
 
     def test_pooled(self, tmp_path, tiny_traces, config_grid):
         cells = make_cells(tiny_traces, config_grid[:2])
@@ -108,6 +125,7 @@ class TestRetryThenSucceed:
         def boom():
             raise RuntimeError("flaky once")
 
+        since = telemetry.mark()
         outcome = executor.run_pooled(
             "functional",
             marker_compute(tmp_path, boom),
@@ -118,7 +136,7 @@ class TestRetryThenSucceed:
         )
         assert outcome is not None
         assert_complete(outcome, cells, tiny_traces)
-        assert outcome.retries == len(cells)
+        assert telemetry.counter_deltas(since)["pool.retries"] == len(cells)
 
     def test_seeded_faults_through_the_sweep(
         self, monkeypatch, tiny_traces, config_grid
@@ -222,6 +240,7 @@ class TestTimeoutThenRequeue:
         def hang():
             time.sleep(30.0)
 
+        since = telemetry.mark()
         outcome = executor.run_pooled(
             "functional",
             marker_compute(tmp_path, hang),
@@ -232,8 +251,9 @@ class TestTimeoutThenRequeue:
         )
         assert outcome is not None
         assert_complete(outcome, cells, tiny_traces)
-        assert outcome.timeouts >= 1
-        assert outcome.pool_restarts >= 1
+        counted = telemetry.counter_deltas(since)
+        assert counted["pool.timeouts"] >= 1
+        assert counted["pool.restarts"] >= 1
 
     def test_timeout_env_is_honoured(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "2.5")
@@ -275,6 +295,7 @@ class TestPoolDeathRestart:
         def die():
             os.kill(os.getpid(), signal.SIGKILL)
 
+        since = telemetry.mark()
         outcome = executor.run_pooled(
             "functional",
             marker_compute(tmp_path, die),
@@ -285,7 +306,7 @@ class TestPoolDeathRestart:
         )
         assert outcome is not None
         assert_complete(outcome, cells, tiny_traces)
-        assert outcome.pool_restarts >= 1
+        assert telemetry.counter_deltas(since)["pool.restarts"] >= 1
 
     def test_chunk_neighbours_keep_their_retry_budget(
         self, tmp_path, tiny_traces, config_grid
@@ -317,6 +338,7 @@ class TestPoolDeathRestart:
         def compute(traces, cell):
             os.kill(os.getpid(), signal.SIGKILL)
 
+        since = telemetry.mark()
         outcome = executor.run_pooled(
             "functional", compute, [[cell] for cell in cells], tiny_traces,
             workers=1, policy=RetryPolicy(max_attempts=2),
@@ -325,7 +347,7 @@ class TestPoolDeathRestart:
         (report,) = outcome.failures
         assert report.reason == "worker-death"
         assert report.exception_type == "WorkerDied"
-        assert outcome.pool_restarts >= 2
+        assert telemetry.counter_deltas(since)["pool.restarts"] >= 2
 
 
 class TestWorkerMemoFold:
@@ -333,8 +355,9 @@ class TestWorkerMemoFold:
         self, monkeypatch, tiny_traces, config_grid
     ):
         """Misses counted inside worker processes must surface in the
-        parent's MemoStats and in the manifest's hit ratio."""
+        manifest's hit ratio."""
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        since = telemetry.mark()
         with run_manifest.recording("pooled") as recorder:
             sweep_functional(tiny_traces, config_grid, workers=2)
         (note,) = recorder.sweeps
@@ -342,9 +365,7 @@ class TestWorkerMemoFold:
         distinct = 3 * len(tiny_traces)  # three sizes, timing variants dedup
         cells = len(config_grid) * len(tiny_traces)
         if note.pooled:
-            assert rendered["worker_folded"]["misses"] == distinct
-        else:  # pool could not be created on this host; serial fallback
-            assert rendered["worker_folded"]["misses"] == 0
+            assert telemetry.counter_deltas(since)["pool.jobs"] > 0
         # Either way the totals balance: every simulation was a miss,
         # every grid cell a hit.
         assert rendered["misses"] == distinct
@@ -352,3 +373,45 @@ class TestWorkerMemoFold:
         assert rendered["hit_ratio"] == pytest.approx(
             cells / (cells + distinct)
         )
+
+
+class TestOneChannel:
+    def test_raising_chunk_counts_its_completed_lookups(
+        self, monkeypatch, tmp_path, tiny_traces, tiny_config
+    ):
+        """Regression: a pooled job that completed a cell and then raised
+        shipped that cell's memo lookup as a telemetry counter but dropped
+        it from the manifest's ``memo`` section, so the two disagreed."""
+        configs = [
+            tiny_config.with_level(0, size_bytes=size * KB)
+            for size in (1, 2, 4, 8, 16, 32, 64, 128)
+        ]
+        # Config-major dispatch order, as the sweep plans it; 16 distinct
+        # cells over 2 workers x 4 chunks each is 8 chunks of 2.
+        signatures = [
+            cell_signature("functional", j, memo.functional_projection(config))
+            for config in configs
+            for j in range(len(tiny_traces))
+        ]
+        chunks = sweep._chunked(signatures, 2 * sweep._CHUNKS_PER_WORKER)
+        assert min(len(chunk) for chunk in chunks) >= 2
+        seed = find_flaky_seed(signatures, chunks=chunks)
+        monkeypatch.setenv("REPRO_TELEMETRY", "1")
+        monkeypatch.setenv("REPRO_TELEMETRY_PATH", str(tmp_path / "t.jsonl"))
+        monkeypatch.setenv("REPRO_FAULTS", "worker_raise:0.5")
+        monkeypatch.setenv("REPRO_FAULTS_SEED", str(seed))
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "2")
+        telemetry.reset()
+        try:
+            with run_manifest.recording("one-channel") as recorder:
+                sweep_functional(tiny_traces, configs, workers=2)
+            data = recorder.as_dict()
+        finally:
+            telemetry.reset()
+        (note,) = recorder.sweeps
+        if not note.pooled:
+            pytest.skip("worker processes cannot be created on this host")
+        assert note.retries > 0 and note.failed == 0
+        counters = data["telemetry"]["counters"]
+        assert data["memo"]["hits"] == counters["memo.hits"]
+        assert data["memo"]["misses"] == counters["memo.misses"]

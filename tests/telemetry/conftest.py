@@ -31,7 +31,7 @@ def fresh_telemetry(tmp_path, monkeypatch):
 
 @pytest.fixture(autouse=True)
 def fresh_memo():
-    """Each test starts from an empty cache and zeroed counters."""
+    """Each test starts from an empty cache."""
     memo.clear_memo_cache()
     yield
     memo.clear_memo_cache()

@@ -1,10 +1,11 @@
 """Recorder semantics: spans, counters, marks, worker merge, no-op mode.
 
 The runtime contract under test: enabled recording builds a faithful
-span tree and counter totals; disabled recording is a shared no-op that
-touches nothing; worker payloads merge losslessly (spans re-parented,
-counters added, gauges maxed); and the manifest aggregation covers
-exactly the window after its mark.
+span tree and counter totals; with recording disabled spans are a
+shared no-op and no sink is opened, while counters still validate and
+count; worker payloads merge losslessly (spans re-parented, counters
+added, gauges maxed); and the manifest aggregation covers exactly the
+window after its mark.
 """
 
 import json
@@ -90,21 +91,45 @@ class TestDisabled:
             pass
         assert list(telemetry.iter_events()) == []
 
-    def test_counters_skip_validation_entirely(self):
-        # The disabled fast path returns before the catalog lookup:
-        # no dict probe, no KeyError, no state.
-        telemetry.counter_add("not.even.declared")
-        telemetry.gauge_set("also.bogus", 9)
-        assert telemetry.counters_snapshot() == {}
+    def test_counters_still_validate_and_count(self):
+        telemetry.counter_add("pool.jobs", 2)
+        telemetry.gauge_set("memo.entries", 9)
+        assert telemetry.counters_snapshot() == {
+            "pool.jobs": 2, "memo.entries": 9,
+        }
+        # A typo fails in every mode, not only under REPRO_TELEMETRY=1.
+        with pytest.raises(KeyError, match="not a declared counter"):
+            telemetry.counter_add("not.even.declared")
+        with pytest.raises(KeyError, match="not a declared gauge"):
+            telemetry.gauge_set("also.bogus", 9)
 
     def test_manifest_section_reports_disabled(self):
         assert telemetry.manifest_section() == {"enabled": False}
 
     def test_no_sink_file_is_created(self, tmp_path):
         with telemetry.span("quiet"):
-            pass
+            telemetry.counter_add("pool.jobs")
+        telemetry.absorb_worker({"counters": {"memo.hits": 1}})
         telemetry.close_sink()
         assert not (tmp_path / "run.telemetry.jsonl").exists()
+
+    def test_drain_ships_counters_only(self):
+        runtime.enter_worker()
+        with telemetry.span("worker.functional", cells=3):
+            telemetry.counter_add("memo.hits", 2)
+        payload = telemetry.drain_worker()
+        assert payload == {"counters": {"memo.hits": 2}, "gauges": {}}
+        assert telemetry.drain_worker() is None
+
+    def test_absorb_adds_counters(self):
+        telemetry.counter_add("memo.misses")
+        telemetry.absorb_worker({
+            "counters": {"memo.misses": 4}, "gauges": {"memo.entries": 6},
+        })
+        assert telemetry.counters_snapshot() == {
+            "memo.misses": 5, "memo.entries": 6,
+        }
+        assert list(telemetry.iter_events()) == []
 
 
 class TestWorkerMerge:

@@ -53,7 +53,7 @@ class TestPooledTelemetry:
         snap = telemetry.counters_snapshot()
         assert snap["pool.jobs"] >= 1
         # Every cell's memo lookup happened inside a worker; the misses
-        # travelled back over the telemetry channel, not the fold.
+        # travelled back with each job result.
         cells = sum(1 for row in grid for cell in row if cell is not None)
         assert snap["memo.misses"] >= 1
         assert snap.get("memo.hits", 0) + snap["memo.misses"] >= 1
@@ -73,3 +73,15 @@ class TestPooledTelemetry:
         sweep_functional(tiny_traces, config_grid[:2], workers=2)
         second = telemetry.counters_snapshot().get("pool.jobs", 0)
         assert second > first
+
+    def test_counters_merge_with_telemetry_off(
+        self, tiny_traces, config_grid, monkeypatch, method
+    ):
+        """Counters are the manifests' only channel, so worker counts
+        come back even when spans are not being recorded."""
+        monkeypatch.setenv("REPRO_TELEMETRY", "0")
+        run_sweep(tiny_traces, config_grid, monkeypatch, method)
+        snap = telemetry.counters_snapshot()
+        assert snap["pool.jobs"] >= 1
+        assert snap["memo.misses"] >= 1
+        assert list(telemetry.iter_events()) == []
