@@ -3,8 +3,9 @@
 The repository deliberately computes the same counts several ways -- a
 vectorised fast path and a stack-distance grid against a reference
 event-driven simulator, an event-sparse timing engine against the
-per-record one, a memoisation cache against direct runs, a process pool
-against the serial loop.  That redundancy is only a safety net if
+per-record one, the per-record timing engine's counts against the
+functional simulator, a memoisation cache against direct runs, a process
+pool against the serial loop.  That redundancy is only a safety net if
 someone compares the answers; these helpers are that comparison,
 reusable from tests and from the ``repro.audit.selfcheck`` CLI.
 
@@ -14,7 +15,7 @@ first diverging counter, or returns quietly.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Union
 
 from repro.audit.invariants import AuditError
 from repro.sim import memo
@@ -80,9 +81,12 @@ def _raise_on(diffs: List[str], context: str, trace_name: str) -> None:
 
 
 def assert_counts_equal(
-    a: FunctionalResult, b: FunctionalResult, context: str = "parity"
+    a: Union[FunctionalResult, TimingResult],
+    b: Union[FunctionalResult, TimingResult],
+    context: str = "parity",
 ) -> None:
-    """Raise :class:`ParityError` on the first diverging counter."""
+    """Raise :class:`ParityError` on the first diverging counter (CPU
+    counts, memory traffic and every per-level counter)."""
     diffs = _diff(
         a, b, ("cpu_reads", "cpu_writes", "memory_reads", "memory_writes")
     )
@@ -128,6 +132,17 @@ def check_timing_vs_reference(trace: Trace, config: SystemConfig) -> None:
     event = _EventEngine(config).run(trace)
     reference = _TimingEngine(config).run(trace)
     assert_timing_equal(event, reference, context="timing-vs-reference")
+
+
+def check_timing_counts_vs_functional(trace: Trace, config: SystemConfig) -> None:
+    """The per-record timing engine applies every cache-state change
+    through the functional simulator's :class:`CacheHierarchy`, so its
+    counts must equal the functional simulator's on every configuration."""
+    timing = _TimingEngine(config).run(trace)
+    functional = FunctionalSimulator(config).run(trace)
+    assert_counts_equal(
+        timing, functional, context="timing-reference-vs-functional"
+    )
 
 
 def check_memo_vs_direct(trace: Trace, config: SystemConfig) -> None:

@@ -10,6 +10,7 @@ workload and reports PASS/FAIL per check:
 * fast-path vs reference parity;
 * stack-distance grid (every member associativity) vs reference parity;
 * event-sparse vs per-record timing parity;
+* per-record timing counts vs the reference functional simulator;
 * memoised vs direct parity;
 * serial vs parallel sweep parity.
 
@@ -39,6 +40,7 @@ from repro.audit.parity import (
     check_memo_vs_direct,
     check_serial_vs_parallel,
     check_stackdist_vs_reference,
+    check_timing_counts_vs_functional,
     check_timing_vs_reference,
 )
 from repro.cache.policy import PrefetchKind, WritePolicy
@@ -73,6 +75,10 @@ def _grid() -> List[Tuple[str, SystemConfig]]:
             l1.with_(split=False, prefetch=PrefetchKind.ON_MISS),
             l2,
         ))),
+        ("prefetch-tagged-l2", SystemConfig(levels=(
+            l1, l2.with_(size_bytes=8 * KB, prefetch=PrefetchKind.TAGGED),
+        ))),
+        ("inclusive-2-level", SystemConfig(levels=(l1, l2), enforce_inclusion=True)),
         ("fetch-two-blocks", SystemConfig(levels=(
             l1.with_(split=False, fetch_blocks=2),
             l2,
@@ -122,6 +128,12 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
             for trace in traces:
                 check_timing_vs_reference(trace[:timing_records], config)
     checks.append(("timing-vs-reference", timing_parity))
+
+    def timing_counts():
+        for _, config in grid:
+            for trace in traces:
+                check_timing_counts_vs_functional(trace[:timing_records], config)
+    checks.append(("timing-reference-vs-functional", timing_counts))
 
     def memo_parity():
         for _, config in grid:

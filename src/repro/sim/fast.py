@@ -45,11 +45,10 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.audit import maybe_audit_functional
 from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.cache.stats import CacheStats
 from repro.sim.config import SystemConfig
-from repro.sim.functional import FunctionalResult
+from repro.sim.functional import FunctionalResult, functional_result
 from repro.trace.record import IFETCH, WRITE, Trace
 from repro.trace.store import replay_chunk_records
 from repro.units import log2_int
@@ -552,32 +551,6 @@ class _Front:
         return sides
 
 
-def _functional_result(
-    trace: Trace,
-    config: SystemConfig,
-    level_stats: List[CacheStats],
-    memory_reads: int,
-    memory_writes: int,
-    source: str,
-) -> FunctionalResult:
-    """A vectorised engine's result, with the CPU counts of ``trace``."""
-    measured_kinds = trace.kinds[trace.warmup:]
-    cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-    result = FunctionalResult(
-        trace_name=trace.name,
-        config=config,
-        cpu_reads=int(measured_kinds.size) - cpu_writes,
-        cpu_writes=cpu_writes,
-        cpu_ifetches=int(np.count_nonzero(measured_kinds == IFETCH)),
-        level_stats=level_stats,
-        memory_reads=memory_reads,
-        memory_writes=memory_writes,
-    )
-    # Audit gates on an env flag but only validates-and-raises; it never
-    # alters the result, so memo keys need not include it.
-    return maybe_audit_functional(trace, result, source=source)  # repro: noqa RPR008
-
-
 class FastFunctionalSimulator:
     """Drop-in counterpart of the reference functional simulator.
 
@@ -612,7 +585,7 @@ class FastFunctionalSimulator:
                 reads, writes = memory_traffic(stream, threshold)
                 memory_reads += reads
                 memory_writes += writes
-        return _functional_result(
+        return functional_result(
             trace, config, front.level_stats, memory_reads, memory_writes,
             source="fast-path",
         )

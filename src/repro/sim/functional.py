@@ -15,7 +15,7 @@ reflect steady-state behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -79,6 +79,38 @@ class FunctionalResult:
         return self.level_stats[level - 1].reads / self.cpu_reads
 
 
+def measured_cpu_counts(trace: Trace) -> Tuple[int, int, int]:
+    """CPU reads, writes and instruction fetches after ``trace``'s warmup."""
+    kinds = trace.kinds[trace.warmup:]
+    writes = int(np.count_nonzero(kinds == WRITE))
+    return int(kinds.size) - writes, writes, int(np.count_nonzero(kinds == IFETCH))
+
+
+def functional_result(
+    trace: Trace,
+    config: SystemConfig,
+    level_stats: List[CacheStats],
+    memory_reads: int,
+    memory_writes: int,
+    source: str,
+) -> FunctionalResult:
+    """An engine's counts as a result, with the CPU counts of ``trace``."""
+    cpu_reads, cpu_writes, cpu_ifetches = measured_cpu_counts(trace)
+    result = FunctionalResult(
+        trace_name=trace.name,
+        config=config,
+        cpu_reads=cpu_reads,
+        cpu_writes=cpu_writes,
+        cpu_ifetches=cpu_ifetches,
+        level_stats=level_stats,
+        memory_reads=memory_reads,
+        memory_writes=memory_writes,
+    )
+    # Audit gates on an env flag but only validates-and-raises; it never
+    # alters the result, so memo keys need not include it.
+    return maybe_audit_functional(trace, result, source=source)  # repro: noqa RPR008
+
+
 class FunctionalSimulator:
     """Runs traces against a machine configuration, counting events."""
 
@@ -89,40 +121,16 @@ class FunctionalSimulator:
         """Simulate ``trace`` and return post-warmup counts."""
         hierarchy = CacheHierarchy(self.config)
         access = hierarchy.access
-        warmup = trace.warmup
-        records = trace.records()
-        if warmup:
-            hierarchy.set_counting(False)
-            for _ in range(warmup):
-                kind, address = next(records)
-                access(kind, address)
-            hierarchy.set_counting(True)
-        for kind, address in records:
+        for kind, address in hierarchy.warm(trace):
             access(kind, address)
-
-        measured_kinds = trace.kinds[warmup:]
-        cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-        cpu_reads = int(measured_kinds.size) - cpu_writes
-        cpu_ifetches = int(np.count_nonzero(measured_kinds == IFETCH))
-        level_stats = []
-        for group in hierarchy.level_caches:
-            merged = CacheStats()
-            for cache in group:
-                merged = merged.merge(cache.stats)
-            level_stats.append(merged)
-        result = FunctionalResult(
-            trace_name=trace.name,
-            config=self.config,
-            cpu_reads=cpu_reads,
-            cpu_writes=cpu_writes,
-            cpu_ifetches=cpu_ifetches,
-            level_stats=level_stats,
-            memory_reads=hierarchy.memory_traffic.reads,
-            memory_writes=hierarchy.memory_traffic.writes,
+        return functional_result(
+            trace,
+            self.config,
+            hierarchy.level_stats(),
+            hierarchy.memory_traffic.reads,
+            hierarchy.memory_traffic.writes,
+            source="reference",
         )
-        # Audit gates on an env flag but only validates-and-raises; it
-        # never alters the result, so memo keys need not include it.
-        return maybe_audit_functional(trace, result, source="reference")  # repro: noqa RPR008
 
 
 def simulate_miss_ratios(trace: Trace, config: SystemConfig) -> FunctionalResult:

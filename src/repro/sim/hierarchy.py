@@ -9,8 +9,17 @@
   32-byte L2 block fill is a single L2-level event even though L1 blocks
   are 16 bytes;
 * dirty victims propagate downstream as writes;
+* prefetch fills fetch from the level below, and enforced inclusion
+  back-invalidates upstream copies of blocks a lower level evicts;
 * accesses that reach below the deepest cache are counted against main
   memory.
+
+These rules live here and nowhere else.  The functional simulator walks
+every record through :meth:`CacheHierarchy.access`; the per-record timing
+engine (:mod:`repro.sim.timing`) charges time for an outcome's demand
+traffic and applies everything else through :meth:`CacheHierarchy.write`,
+:meth:`~CacheHierarchy.read`, :meth:`~CacheHierarchy.propagate` and
+:meth:`~CacheHierarchy.settle`.
 
 Fetches triggered by stores (write-allocate) are tagged so they never
 pollute the read miss ratios (see :meth:`repro.cache.cache.Cache.read`).
@@ -19,11 +28,13 @@ pollute the read miss ratios (see :meth:`repro.cache.cache.Cache.read`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
 
-from repro.cache.cache import Cache
+from repro.cache.cache import AccessOutcome, Cache
+from repro.cache.stats import CacheStats
 from repro.sim.config import SystemConfig
-from repro.trace.record import IFETCH, WRITE
+from repro.trace.record import IFETCH, WRITE, Trace
 
 
 @dataclass
@@ -105,67 +116,101 @@ class CacheHierarchy:
         self.memory_traffic.reset()
         self.inclusion.reset()
 
+    @property
+    def counting(self) -> bool:
+        """Whether statistics collection is currently enabled."""
+        return self.dcache.counting
+
+    def warm(self, trace: Trace) -> Iterator[Tuple[int, int]]:
+        """Walk ``trace``'s warmup prefix with statistics off, then turn
+        them on (the paper's cold-start method); returns an iterator over
+        the measured records."""
+        records = trace.records()
+        if trace.warmup:
+            self.set_counting(False)
+            access = self.access
+            for kind, address in islice(records, trace.warmup):
+                access(kind, address)
+            self.set_counting(True)
+        return records
+
+    def level_stats(self) -> List[CacheStats]:
+        """Counters per level (level 1 first), split halves merged."""
+        merged = []
+        for group in self.level_caches:
+            stats = CacheStats()
+            for cache in group:
+                stats = stats.merge(cache.stats)
+            merged.append(stats)
+        return merged
+
     # -- access propagation ----------------------------------------------------
 
     def access(self, kind: int, address: int) -> None:
         """Present one CPU reference to the hierarchy (functional)."""
         if kind == WRITE:
-            self._write_at(0, address, first_level=True)
+            self.write(0, address)
         elif kind == IFETCH and self.icache is not None:
-            self._read_into(self.icache, 0, address, bucket="read")
+            self.propagate(0, self.icache.read(address), "read")
         else:
-            self._read_into(self.dcache, 0, address, bucket="read")
+            self.propagate(0, self.dcache.read(address), "read")
 
-    def _cache_at(self, level_index: int) -> Optional[Cache]:
-        """The unified cache serving ``level_index`` (0-based), if any."""
+    def cache_at(self, level_index: int) -> Optional[Cache]:
+        """The cache a write or data read arriving at ``level_index``
+        (0-based) goes to; ``None`` below the deepest cache (main memory)."""
+        if level_index == 0:
+            return self.dcache
         position = level_index - 1
-        if 0 <= position < len(self.lower):
+        if position < len(self.lower):
             return self.lower[position]
         return None
 
-    def _read_into(
-        self, cache: Cache, level_index: int, address: int, bucket: str
-    ) -> None:
-        outcome = cache.read(address, bucket=bucket)
-        self._propagate(level_index, outcome, bucket)
-
-    def _write_at(self, level_index: int, address: int, first_level: bool) -> None:
-        if first_level:
-            cache = self.dcache
-        else:
-            cache = self._cache_at(level_index)
-            if cache is None:
-                if cache_counts(self):
-                    self.memory_traffic.writes += 1
-                return
+    def write(self, level_index: int, address: int) -> None:
+        """A write arriving at ``level_index``: a store at level 0, a dirty
+        victim or forwarded write below it, a memory write below the
+        deepest cache."""
+        cache = self.cache_at(level_index)
+        if cache is None:
+            if self.counting:
+                self.memory_traffic.writes += 1
+            return
         outcome = cache.write(address)
-        self._propagate(level_index, outcome, bucket="write")
+        self.propagate(level_index, outcome, "write")
         if outcome.forwarded_write is not None:
-            self._write_at(level_index + 1, outcome.forwarded_write, first_level=False)
+            self.write(level_index + 1, outcome.forwarded_write)
 
-    def _propagate(self, level_index: int, outcome, bucket: str) -> None:
-        """Send an outcome's downstream traffic to the next level."""
-        below = self._cache_at(level_index + 1)
+    def read(self, level_index: int, address: int, bucket: str) -> None:
+        """A read arriving at ``level_index`` in statistics ``bucket`` (see
+        :meth:`repro.cache.cache.Cache.read`); a memory read below the
+        deepest cache."""
+        cache = self.cache_at(level_index)
+        if cache is None:
+            if self.counting:
+                self.memory_traffic.reads += 1
+            return
+        self.propagate(level_index, cache.read(address, bucket), bucket)
+
+    def propagate(
+        self, level_index: int, outcome: AccessOutcome, bucket: str
+    ) -> None:
+        """Send all of an outcome's traffic below ``level_index``: dirty
+        victims, allocation fetches (in ``bucket``), then :meth:`settle`."""
         for victim in outcome.writebacks:
-            if below is None:
-                if cache_counts(self):
-                    self.memory_traffic.writes += 1
-            else:
-                self._write_at(level_index + 1, victim, first_level=False)
+            self.write(level_index + 1, victim)
         for fetched in outcome.fetched:
-            if below is None:
-                if cache_counts(self):
-                    self.memory_traffic.reads += 1
-            else:
-                self._read_into(below, level_index + 1, fetched, bucket)
-        # Speculative fills fetch from below too, but always in the
-        # prefetch bucket so demand miss ratios stay untouched.
+            self.read(level_index + 1, fetched, bucket)
+        self.settle(level_index, outcome)
+
+    def settle(self, level_index: int, outcome: AccessOutcome) -> None:
+        """Apply an outcome's speculative and inclusion traffic.
+
+        Prefetch fills fetch from the level below, always in the prefetch
+        bucket so demand miss ratios stay untouched.  Under enforced
+        inclusion, blocks evicted below level 1 are back-invalidated
+        upstream.  The timing engine charges no time for either.
+        """
         for speculative in outcome.prefetched:
-            if below is None:
-                if cache_counts(self):
-                    self.memory_traffic.reads += 1
-            else:
-                self._read_into(below, level_index + 1, speculative, "prefetch")
+            self.read(level_index + 1, speculative, "prefetch")
         if self.config.enforce_inclusion and level_index >= 1:
             for victim in outcome.evicted:
                 self.back_invalidate(level_index, victim)
@@ -187,14 +232,9 @@ class CacheHierarchy:
                     state = cache.invalidate(address)
                     if state == "absent":
                         continue
-                    if cache_counts(self):
+                    if self.counting:
                         self.inclusion.invalidations += 1
                     if state == "dirty":
-                        if cache_counts(self):
+                        if self.counting:
                             self.inclusion.dirty_invalidations += 1
-                        self._write_at(level_index + 1, address, first_level=False)
-
-
-def cache_counts(hierarchy: CacheHierarchy) -> bool:
-    """Whether statistics collection is currently enabled."""
-    return hierarchy.dcache.counting
+                        self.write(level_index + 1, address)

@@ -57,11 +57,10 @@ from repro.sim.fast import (
     _BUCKET_WRITE,
     Stream,
     _Front,
-    _functional_result,
     _stack_pass,
     fast_eligible,
 )
-from repro.sim.functional import FunctionalResult
+from repro.sim.functional import FunctionalResult, functional_result
 from repro.trace.record import Trace
 from repro.trace.store import replay_chunk_records
 from repro.units import log2_int
@@ -296,7 +295,7 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
         # algebra makes the post-warmup cuts coincide (an event with
         # level key k is counted iff k >= warmup_key, and its memory
         # key 4k+1 or 4k+2 is counted iff it exceeds 4*warmup_key).
-        result = _functional_result(
+        result = functional_result(
             trace,
             member_config(config, ways),
             [replace(stats) for stats in upstream] + [stats],

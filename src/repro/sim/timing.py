@@ -26,11 +26,19 @@ Machine model (paper, section 2)
   that caused the eviction; a read matching a buffered entry drains the
   buffer up to the match first.
 
-Modelling approximations (documented in DESIGN.md section 6): buffered
+Modelling approximations (documented in docs/timing-model.md): buffered
 writes are applied to the downstream cache *functionally* at push time
 (their timing cost is paid at drain time); the drain service time of the
 memory-side buffer folds in the DRAM write and recovery windows rather than
-re-entering the DRAM state machine.
+re-entering the DRAM state machine; prefetch fills, the dirty victims they
+evict on hits, and inclusion back-invalidations change state but cost no
+time.
+
+The cache-state rules live in :class:`~repro.sim.hierarchy.CacheHierarchy`
+alone.  The reference engine times the demand part of each outcome and
+applies every state-only change through the hierarchy, so its counts equal
+:class:`~repro.sim.functional.FunctionalSimulator`'s on every
+configuration.
 """
 
 from __future__ import annotations
@@ -41,13 +49,13 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.audit import maybe_audit_timing
-from repro.cache.cache import Cache
 from repro.cache.stats import CacheStats
 from repro.cache.write_buffer import WriteBuffer
 from repro.memory.bus import Bus
 from repro.memory.main_memory import MainMemory
 from repro.sim.config import SystemConfig
 from repro.sim.fast import _Front, fast_eligible, memory_traffic, trace_eligible
+from repro.sim.functional import measured_cpu_counts
 from repro.sim.hierarchy import CacheHierarchy
 from repro.trace.record import IFETCH, READ, WRITE, Trace
 from repro.units import log2_int
@@ -253,14 +261,11 @@ class _TimingState:
     def _result(
         self,
         trace: Trace,
-        instructions: int,
         level_stats: List[CacheStats],
         memory_reads: int,
         memory_writes: int,
     ) -> TimingResult:
-        measured_kinds = trace.kinds[trace.warmup:]
-        cpu_writes = int(np.count_nonzero(measured_kinds == WRITE))
-        cpu_reads = int(measured_kinds.size) - cpu_writes
+        cpu_reads, cpu_writes, instructions = measured_cpu_counts(trace)
         result = TimingResult(
             trace_name=trace.name,
             config=self.config,
@@ -292,33 +297,23 @@ class _TimingEngine(_TimingState):
     """The reference engine: every record steps through ``Cache`` objects.
 
     Covers every configuration; the event engine is checked against it.
+    It times the demand part of each outcome and applies every state-only
+    change through its :class:`CacheHierarchy`, so its counts are those of
+    :class:`~repro.sim.functional.FunctionalSimulator`.
     """
 
     def __init__(self, config: SystemConfig) -> None:
         super().__init__(config)
         self.hierarchy = CacheHierarchy(config)
-        self.lower: List[Cache] = self.hierarchy.lower
 
     # -- top level -----------------------------------------------------------
 
     def run(self, trace: Trace) -> TimingResult:
         hierarchy = self.hierarchy
-        warmup = trace.warmup
-        records = trace.records()
-        if warmup:
-            hierarchy.set_counting(False)
-            access = hierarchy.access
-            for _ in range(warmup):
-                kind, address = next(records)
-                access(kind, address)
-            hierarchy.set_counting(True)
-
         icache = hierarchy.icache
         dcache = hierarchy.dcache
-        instructions = 0
-        for kind, address in records:
+        for kind, address in hierarchy.warm(trace):
             if kind == IFETCH:
-                instructions += 1
                 self.now += self.ifetch_cost
                 self.base += self.ifetch_cost
                 cache = icache if icache is not None else dcache
@@ -328,23 +323,17 @@ class _TimingEngine(_TimingState):
                     self.read_stall += done - self.now
                     self.now = done
                 elif outcome.prefetched:
-                    self._apply_prefetches(0, outcome)
+                    # A hit's only traffic is prefetch fills and the dirty
+                    # victims they evict: state-only (approximation 3).
+                    hierarchy.propagate(0, outcome, "read")
             elif kind == WRITE:
                 self._do_write(address)
             else:
                 self._do_read(address)
         self._drain_buffers()
-
-        level_stats = []
-        for group in hierarchy.level_caches:
-            merged = CacheStats()
-            for cache in group:
-                merged = merged.merge(cache.stats)
-            level_stats.append(merged)
         return self._result(
             trace,
-            instructions,
-            level_stats,
+            hierarchy.level_stats(),
             hierarchy.memory_traffic.reads,
             hierarchy.memory_traffic.writes,
         )
@@ -371,7 +360,7 @@ class _TimingEngine(_TimingState):
             self.now += self.data_hit_cost
             self.base += self.data_hit_cost
             if outcome.prefetched:
-                self._apply_prefetches(0, outcome)
+                self.hierarchy.propagate(0, outcome, "read")
         else:
             done = self._service_miss(outcome, self.now, for_write=False)
             self.read_stall += done - self.now
@@ -409,9 +398,9 @@ class _TimingEngine(_TimingState):
         done = max(done, self._push_writebacks(0, outcome.writebacks, now))
         for fetched in outcome.fetched:
             done = max(done, self._read_block(1, fetched, now, for_write))
+        self.hierarchy.settle(0, outcome)
         if outcome.forwarded_write is not None:
             done = max(done, self._write_block(1, outcome.forwarded_write, now))
-        self._apply_prefetches(0, outcome)
         return done
 
     def _push_writebacks(self, boundary: int, victims, now: float) -> float:
@@ -426,98 +415,38 @@ class _TimingEngine(_TimingState):
         align = buffer.downstream_block - 1
         for victim in victims:
             done = max(done, buffer.push(victim & ~align, now))
-            self._apply_write_functionally(boundary + 1, victim)
+            self.hierarchy.write(boundary + 1, victim)
         return done
-
-    def _apply_write_functionally(self, level_index: int, address: int) -> None:
-        """Apply a drained write's state change without timing."""
-        position = level_index - 1
-        if position >= len(self.lower):
-            if self.hierarchy.dcache.counting:
-                self.hierarchy.memory_traffic.writes += 1
-            return
-        cache = self.lower[position]
-        outcome = cache.write(address)
-        self._enforce_inclusion(level_index, outcome)
-        # Downstream consequences of the write (allocation fills, deeper
-        # victims) are functional too; their timing is folded into the
-        # buffer service-time approximation.
-        for victim in outcome.writebacks:
-            self._apply_write_functionally(level_index + 1, victim)
-        for fetched in outcome.fetched:
-            self._apply_read_functionally(level_index + 1, fetched)
-        if outcome.forwarded_write is not None:
-            self._apply_write_functionally(level_index + 1, outcome.forwarded_write)
-
-    def _apply_read_functionally(
-        self, level_index: int, address: int, bucket: str = "write"
-    ) -> None:
-        position = level_index - 1
-        if position >= len(self.lower):
-            if self.hierarchy.dcache.counting:
-                self.hierarchy.memory_traffic.reads += 1
-            return
-        cache = self.lower[position]
-        outcome = cache.read(address, bucket=bucket)
-        self._enforce_inclusion(level_index, outcome)
-        for victim in outcome.writebacks:
-            self._apply_write_functionally(level_index + 1, victim)
-        for fetched in outcome.fetched:
-            self._apply_read_functionally(level_index + 1, fetched, bucket)
-
-    def _enforce_inclusion(self, level_index: int, outcome) -> None:
-        """Back-invalidate upstream copies of blocks evicted below.
-
-        State-only, like buffered writes: the (rare) back-invalidation
-        traffic is outside the timing envelope.
-        """
-        if self.config.enforce_inclusion and outcome.evicted:
-            for victim in outcome.evicted:
-                self.hierarchy.back_invalidate(level_index, victim)
-
-    def _apply_prefetches(self, level_index: int, outcome) -> None:
-        """Fill an outcome's speculative fetches from below, functionally.
-
-        Prefetch traffic never stalls the processor in this model; its
-        bandwidth cost is outside the timing envelope (the paper's
-        simulator overlaps prefetches with demand activity too).
-        """
-        for speculative in outcome.prefetched:
-            self._apply_read_functionally(level_index + 1, speculative, "prefetch")
 
     def _read_block(
         self, level_index: int, address: int, now: float, for_write: bool
     ) -> float:
         """Fetch one upstream block through level ``level_index`` (0-based
         into ``config.levels``); returns the completion time."""
-        position = level_index - 1
+        bucket = "write" if for_write else "read"
         boundary = level_index - 1  # buffer feeding this level
         buffer = self.buffers[boundary]
-        if position >= len(self.lower):
-            # Straight to main memory.
-            if self.hierarchy.dcache.counting:
-                self.hierarchy.memory_traffic.reads += 1
-            fence = buffer.read_fence(
-                address & ~(buffer.downstream_block - 1), now
-            )
-            return self._memory_read(fence, self.level_block[level_index - 1])
-        cache = self.lower[position]
         fence = buffer.read_fence(address & ~(buffer.downstream_block - 1), now)
-        start = max(fence, self.level_busy[position])
-        outcome = cache.read(address, bucket="write" if for_write else "read")
-        self._enforce_inclusion(level_index, outcome)
-        self._apply_prefetches(level_index, outcome)
+        cache = self.hierarchy.cache_at(level_index)
+        if cache is None:
+            # Straight to main memory.
+            self.hierarchy.read(level_index, address, bucket)
+            return self._memory_read(fence, self.level_block[boundary])
+        start = max(fence, self.level_busy[boundary])
+        outcome = cache.read(address, bucket)
         if outcome.hit:
             done = start + self.level_cycle[level_index]
+            self.hierarchy.propagate(level_index, outcome, bucket)
         else:
             done = max(
-                start, self._push_writebacks(boundary + 1, outcome.writebacks, start)
+                start, self._push_writebacks(level_index, outcome.writebacks, start)
             )
             for fetched in outcome.fetched:
                 done = max(
                     done, self._read_block(level_index + 1, fetched, start, for_write)
                 )
-        self.level_busy[position] = done
+            self.hierarchy.settle(level_index, outcome)
+        self.level_busy[boundary] = done
         buffer.block_until(done)
         return done
 
@@ -528,7 +457,7 @@ class _TimingEngine(_TimingState):
         boundary = level_index - 1
         buffer = self.buffers[boundary]
         done = buffer.push(address & ~(buffer.downstream_block - 1), now)
-        self._apply_write_functionally(level_index, address)
+        self.hierarchy.write(level_index, address)
         return done
 
 
@@ -653,10 +582,7 @@ class _EventEngine(_TimingState):
         self.read_stall = float(read_stall)
         self.write_stall = float(write_stall + loose[-1])
         self._drain_buffers()
-        instructions = int(np.count_nonzero(kinds[warmup:] == IFETCH))
-        return self._result(
-            trace, instructions, level_stats, memory_reads, memory_writes
-        )
+        return self._result(trace, level_stats, memory_reads, memory_writes)
 
     def _load_chains(
         self, trace: Trace, trail: List[Tuple], misses: np.ndarray

@@ -191,7 +191,7 @@ class TestEngineMutationsAreCaught:
                     self.now += self.data_hit_cost
                     self.base += self.data_hit_cost
                     if outcome.prefetched:
-                        self._apply_prefetches(0, outcome)
+                        self.hierarchy.propagate(0, outcome, "read")
                 else:
                     done = self._service_miss(
                         outcome, self.now, for_write=False

@@ -6,13 +6,23 @@ The scenarios encode the paper's base-machine latencies (section 2):
 backplane data cycles), with the DRAM recovery window adding up to 120 ns.
 """
 
+from dataclasses import astuple, fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache.policy import PrefetchKind, WritePolicy
+from repro.experiments.baseline import base_machine as paper_base_machine
+from repro.experiments.extensions import three_level_machine
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.timing import TimingSimulator, simulate_execution_time
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.timing import (
+    TimingSimulator,
+    _TimingEngine,
+    simulate_execution_time,
+)
 from repro.trace.record import IFETCH, READ, WRITE, Trace
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -36,6 +46,49 @@ def run(records, config=None, warmup=0):
 
 # L1I halves are 2 KB: addresses 2 KB apart conflict in L1 but not in L2.
 L1_CONFLICT = 2 * KB
+
+
+def _count_cases():
+    """Machines whose timing counts must equal the functional simulator's.
+
+    The 8 KB L2 keeps it under pressure, so prefetch fills and inclusion
+    evict dirty blocks often on a 20k-record trace.
+    """
+    small = base_machine(l2_kb=8)
+    three = SystemConfig(
+        levels=small.levels[:1] + (
+            LevelConfig(size_bytes=8 * KB, block_bytes=32,
+                        cycle_cpu_cycles=3, write_hit_cycles=2),
+            LevelConfig(size_bytes=32 * KB, block_bytes=32,
+                        cycle_cpu_cycles=6, write_hit_cycles=2),
+        ),
+        backplane_cycle_ns=30.0,
+    )
+    return {
+        "base-64k": base_machine(l2_kb=64),
+        "l2-prefetch-on-miss": small.with_level(1, prefetch=PrefetchKind.ON_MISS),
+        "l2-prefetch-tagged": small.with_level(1, prefetch=PrefetchKind.TAGGED),
+        "l2-prefetch-always": small.with_level(1, prefetch=PrefetchKind.ALWAYS),
+        "l1-prefetch-always": small.with_level(0, prefetch=PrefetchKind.ALWAYS),
+        "inclusion": replace(small, enforce_inclusion=True),
+        "write-through-l1": small.with_level(
+            0, write_policy=WritePolicy.WRITE_THROUGH
+        ),
+        "three-level": three,
+        "three-level-inclusion": replace(three, enforce_inclusion=True),
+        "three-level-l2-prefetch-on-miss": three.with_level(
+            1, prefetch=PrefetchKind.ON_MISS
+        ),
+        "unified-l1": small.with_level(0, split=False),
+    }
+
+
+COUNT_CASES = _count_cases()
+
+
+@pytest.fixture(scope="module")
+def seed9_trace():
+    return SyntheticWorkload(seed=9).trace(20_000, warmup=2_000)
 
 
 class TestHitTiming:
@@ -194,23 +247,25 @@ class TestResultDerivations:
         result = run([(IFETCH, 0x0)])
         assert result.total_cycles == pytest.approx(result.total_ns / 10.0)
 
-    def test_miss_ratios_match_functional_simulation(self):
-        """Buffered writes are applied functionally at push time, so cache
-        outcomes never depend on time: every count equals the fast path's.
-        The event-sparse engine relies on exactly this."""
-        from repro.sim.fast import FastFunctionalSimulator
-        from repro.sim.timing import _TimingEngine
-
-        trace = SyntheticWorkload(seed=9).trace(20_000, warmup=2_000)
-        config = base_machine(l2_kb=64)
-        functional = FastFunctionalSimulator(config).run(trace)
+    @pytest.mark.parametrize(
+        "config", list(COUNT_CASES.values()), ids=list(COUNT_CASES)
+    )
+    def test_miss_ratios_match_functional_simulation(self, config, seed9_trace):
+        """Buffered writes are applied functionally at push time and every
+        state-only change goes through the cache hierarchy, so cache
+        outcomes never depend on time: every count equals the functional
+        simulator's, on every configuration.  The event-sparse engine
+        relies on exactly this."""
+        functional = FunctionalSimulator(config).run(seed9_trace)
         for timing in (
-            TimingSimulator(config).run(trace),
-            _TimingEngine(config).run(trace),
+            TimingSimulator(config).run(seed9_trace),
+            _TimingEngine(config).run(seed9_trace),
         ):
             assert timing.level_stats == functional.level_stats
             assert timing.memory_reads == functional.memory_reads
             assert timing.memory_writes == functional.memory_writes
+            assert timing.cpu_reads == functional.cpu_reads
+            assert timing.cpu_writes == functional.cpu_writes
             assert timing.global_read_miss_ratio(2) == (
                 functional.global_read_miss_ratio(2)
             )
@@ -355,3 +410,74 @@ class TestLevelBounds:
         result = run([(IFETCH, 0x0)])
         assert result.global_read_miss_ratio(1) == 1.0
         assert result.global_read_miss_ratio(2) == 1.0
+
+
+#: Every field of the reference engine's result on the seed-9 trace, for
+#: the machines the experiments still time on the reference engine: the
+#: A-WPOL write-through L1, E-3L's three-level machine and a fractional
+#: L2 cycle (12.5 ns) that the event engine rejects.  ``level_stats``
+#: rows are ``dataclasses.astuple(CacheStats)``.
+REFERENCE_PINS = {
+    "write-through-l1": (
+        paper_base_machine(l2_size=64 * KB).with_level(
+            0, write_policy=WritePolicy.WRITE_THROUGH
+        ),
+        dict(
+            instructions=11963, cpu_reads=15879, cpu_writes=2121,
+            total_ns=651390.0, base_ns=119630.0,
+            read_stall_ns=426050.0, write_stall_ns=105710.0,
+            memory_reads=992, memory_writes=69,
+            buffer_full_stalls=[1664, 0], buffer_read_matches=[55, 0],
+            level_stats=[
+                (15879, 3166, 2121, 195, 0, 3361, 0, 2121, 0, 0, 0, 0),
+                (3166, 922, 2316, 70, 69, 992, 0, 0, 0, 0, 0, 0),
+            ],
+        ),
+    ),
+    "three-level": (
+        three_level_machine(),
+        dict(
+            instructions=11963, cpu_reads=15879, cpu_writes=2121,
+            total_ns=617670.0, base_ns=119630.0,
+            read_stall_ns=461030.0, write_stall_ns=37010.0,
+            memory_reads=924, memory_writes=21,
+            buffer_full_stalls=[44, 0, 0], buffer_read_matches=[41, 1, 0],
+            level_stats=[
+                (15879, 3166, 2121, 195, 443, 3361, 0, 0, 0, 0, 0, 0),
+                (3166, 1270, 638, 193, 142, 1463, 0, 0, 0, 0, 0, 0),
+                (1270, 864, 335, 60, 21, 924, 0, 0, 0, 0, 0, 0),
+            ],
+        ),
+    ),
+    "fractional-cycle": (
+        paper_base_machine(l2_size=64 * KB, l2_cycle_cpu_cycles=1.25),
+        dict(
+            instructions=11963, cpu_reads=15879, cpu_writes=2121,
+            total_ns=427137.5, base_ns=119630.0,
+            read_stall_ns=281430.0, write_stall_ns=26077.5,
+            memory_reads=1009, memory_writes=44,
+            buffer_full_stalls=[0, 0], buffer_read_matches=[8, 0],
+            level_stats=[
+                (15879, 3166, 2121, 195, 443, 3361, 0, 0, 0, 0, 0, 0),
+                (3166, 919, 638, 90, 44, 1009, 0, 0, 0, 0, 0, 0),
+            ],
+        ),
+    ),
+}
+
+
+class TestReferencePins:
+    @pytest.mark.parametrize("name", list(REFERENCE_PINS))
+    def test_reference_engine_result_is_pinned(self, name, seed9_trace):
+        """No nanosecond of the reference engine moves on the machines the
+        experiments run on it."""
+        config, expected = REFERENCE_PINS[name]
+        result = _TimingEngine(config).run(seed9_trace)
+        assert set(expected) == {f.name for f in fields(result)} - {
+            "config", "trace_name",
+        }
+        for field, value in expected.items():
+            if field == "level_stats":
+                assert [astuple(stats) for stats in result.level_stats] == value
+            else:
+                assert getattr(result, field) == value, field
