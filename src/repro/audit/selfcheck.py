@@ -7,7 +7,8 @@ workload and reports PASS/FAIL per check:
   vectorised fast path and the timing simulator, over a grid of
   split/unified, write-back/write-through, 1-3 level and prefetching
   configurations;
-* fast-path vs reference parity;
+* fast-path vs reference parity, including the per-event tail below a
+  vectorised prefix (the L2- and L3-prefetching rows);
 * stack-distance grid (every member associativity) vs reference parity;
 * event-sparse vs per-record timing parity;
 * per-record timing counts vs the reference functional simulator;
@@ -87,6 +88,12 @@ def _grid() -> List[Tuple[str, SystemConfig]]:
             l1,
             LevelConfig(size_bytes=16 * KB, block_bytes=32, cycle_cpu_cycles=3),
             LevelConfig(size_bytes=128 * KB, block_bytes=32, cycle_cpu_cycles=6),
+        ), backplane_cycle_ns=30.0)),
+        ("prefetch-always-l3", SystemConfig(levels=(
+            l1,
+            LevelConfig(size_bytes=8 * KB, block_bytes=32, cycle_cpu_cycles=3),
+            LevelConfig(size_bytes=32 * KB, block_bytes=32, cycle_cpu_cycles=6,
+                        prefetch=PrefetchKind.ALWAYS),
         ), backplane_cycle_ns=30.0)),
     ]
 

@@ -19,7 +19,12 @@ from repro.sim.config import (
     format_config,
     parse_config,
 )
-from repro.sim.fast import FastFunctionalSimulator, fast_eligible, run_functional
+from repro.sim.fast import (
+    FastFunctionalSimulator,
+    fast_eligible,
+    front_depth,
+    run_functional,
+)
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.functional import FunctionalResult, FunctionalSimulator, simulate_miss_ratios
 from repro.sim.timing import TimingResult, TimingSimulator, simulate_execution_time
@@ -33,6 +38,7 @@ __all__ = [
     "CacheHierarchy",
     "FastFunctionalSimulator",
     "fast_eligible",
+    "front_depth",
     "run_functional",
     "FunctionalSimulator",
     "FunctionalResult",

@@ -27,15 +27,24 @@ make this simulator one to two orders of magnitude faster than the
 reference per-record loop -- fast enough for the paper's full 4 KB -
 4 MB axis at million-reference trace lengths.
 
-Scope: write-back LRU levels of associativity 1-16 with write-allocate,
-single-block fetch, no prefetching, no enforced inclusion and blocks that
-never shrink with depth -- the base machine and every Figure 3/4/5
-variation of it.  Anything else falls outside :func:`fast_eligible` and
-uses the reference :class:`~repro.sim.functional.FunctionalSimulator`;
-the two are validated to produce *identical* counts on eligible
-configurations (``tests/sim/test_fast.py``,
-``tests/sim/test_replay_oracle.py``).  The eligibility matrix is
-documented in ``docs/performance.md``.
+Scope: the vectorised front reproduces write-back LRU levels of
+associativity 1-16 with write-allocate, single-block fetch and no
+prefetching, whose blocks never shrink with depth -- the base machine
+and every Figure 3/4/5 variation of it.  :func:`front_depth` counts the
+leading levels of a configuration that qualify.  In a hierarchy without
+enforced inclusion nothing below a level changes what it sends down, so
+when only deeper levels fall outside that scope (L2 prefetching,
+write-through, no-allocate, multi-block fetch, FIFO/random, wider sets,
+smaller blocks) the front still replays the leading levels, and the
+stream they send down walks the rest event by event through
+:meth:`~repro.sim.hierarchy.CacheHierarchy.replay_stream` -- the
+reference's own cache rules, over a small share of the records.
+:func:`fast_eligible` means the front covers every level.  Enforced
+inclusion, or an ineligible first level, uses the reference
+:class:`~repro.sim.functional.FunctionalSimulator`; the two are validated
+to produce *identical* counts wherever the fast path runs
+(``tests/sim/test_fast.py``, ``tests/sim/test_replay_oracle.py``).  The
+eligibility matrix is documented in ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -49,13 +58,15 @@ from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.cache.stats import CacheStats
 from repro.sim.config import SystemConfig
 from repro.sim.functional import FunctionalResult, functional_result
+from repro.sim.hierarchy import BUCKET_NAMES, CacheHierarchy
 from repro.trace.record import IFETCH, WRITE, Trace
 from repro.trace.store import replay_chunk_records
 from repro.units import log2_int
 
-#: Event-bucket codes inside the vectorised pipeline.
-_BUCKET_READ = 0
-_BUCKET_WRITE = 1
+#: Event-bucket codes inside the vectorised pipeline, indexing the
+#: statistics bucket names a per-event tail maps them back to.
+_BUCKET_READ = BUCKET_NAMES.index("read")
+_BUCKET_WRITE = BUCKET_NAMES.index("write")
 
 #: Largest set size the vectorised LRU kernel accepts.  The kernel is
 #: exact for any associativity, but beyond this the per-step state
@@ -74,26 +85,36 @@ Stream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 State = Tuple[np.ndarray, np.ndarray]
 
 
-def fast_eligible(config: SystemConfig) -> bool:
-    """True when the vectorised path reproduces the reference simulator."""
+def front_depth(config: SystemConfig) -> int:
+    """How many leading levels the vectorised front reproduces exactly.
+
+    A level qualifies when it is write-back LRU of associativity 1-16
+    with write-allocate, single-block fetch and no prefetching, and its
+    blocks are no smaller than the level above's (a deeper level must
+    hold whole blocks of the level above it).  Enforced inclusion feeds
+    lower evictions back into the first level, so it allows none.
+    """
     if config.enforce_inclusion:
-        return False
-    block_sizes = [level.block_bytes for level in config.levels]
-    if block_sizes != sorted(block_sizes):
-        # A deeper level must hold whole blocks of the level above it.
-        return False
-    for level in config.levels:
-        if not 1 <= level.associativity <= MAX_FAST_ASSOCIATIVITY:
-            return False
-        if level.associativity > 1 and level.replacement != "lru":
-            return False
-        if level.write_policy is not WritePolicy.WRITE_BACK:
-            return False
-        if not level.write_allocate or level.fetch_blocks != 1:
-            return False
-        if level.prefetch is not PrefetchKind.NONE:
-            return False
-    return True
+        return 0
+    block_bytes = 0
+    for depth, level in enumerate(config.levels):
+        if (
+            level.block_bytes < block_bytes
+            or not 1 <= level.associativity <= MAX_FAST_ASSOCIATIVITY
+            or (level.associativity > 1 and level.replacement != "lru")
+            or level.write_policy is not WritePolicy.WRITE_BACK
+            or not level.write_allocate
+            or level.fetch_blocks != 1
+            or level.prefetch is not PrefetchKind.NONE
+        ):
+            return depth
+        block_bytes = level.block_bytes
+    return config.depth
+
+
+def fast_eligible(config: SystemConfig) -> bool:
+    """True when the vectorised front reproduces every level."""
+    return front_depth(config) == config.depth
 
 
 def _new_state(sets: int, width: int) -> State:
@@ -555,38 +576,57 @@ class FastFunctionalSimulator:
     """Drop-in counterpart of the reference functional simulator.
 
     Produces a :class:`~repro.sim.functional.FunctionalResult` with counts
-    identical to the reference implementation on eligible configurations.
-    With ``REPRO_TRACE_CHUNK`` set (and smaller than the trace), the
-    trace streams through in chunks -- same counts, bounded residency,
-    which is what lets memmap-backed store traces run without ever
-    materialising in full.
+    identical to the reference implementation on every configuration with
+    a :func:`front_depth` of at least one.  The first ``front_depth``
+    levels replay on the vectorised front; any deeper levels walk the
+    stream the front sends down through one
+    :class:`~repro.sim.hierarchy.CacheHierarchy`, which then also counts
+    memory traffic.  With ``REPRO_TRACE_CHUNK`` set (and smaller than the
+    trace), the trace streams through in chunks -- same counts, bounded
+    residency, which is what lets memmap-backed store traces run without
+    ever materialising in full.
     """
 
     def __init__(self, config: SystemConfig) -> None:
-        if not fast_eligible(config):
+        self.front_depth = front_depth(config)
+        if self.front_depth == 0:
             raise ValueError(
-                "configuration outside the vectorised path "
-                "(write-back LRU, associativity <= "
-                f"{MAX_FAST_ASSOCIATIVITY}, no prefetch/inclusion, blocks "
-                "non-decreasing with depth); use FunctionalSimulator"
+                "first level outside the vectorised path (write-back LRU, "
+                f"associativity <= {MAX_FAST_ASSOCIATIVITY}, no prefetch, "
+                "single-block write-allocate fetch) or enforced inclusion; "
+                "use FunctionalSimulator"
             )
         self.config = config
 
     def run(self, trace: Trace) -> FunctionalResult:
-        config = self.config
+        config, depth = self.config, self.front_depth
         # Chunked replay is count-identical to the one-chunk run (parity
         # tests); REPRO_TRACE_CHUNK tunes residency, never the results.
-        front = _Front(trace, config, config.depth, replay_chunk_records())  # repro: noqa RPR008
-        threshold = trace.warmup * 4**config.depth
+        front = _Front(trace, config, depth, replay_chunk_records())  # repro: noqa RPR008
+        threshold = trace.warmup * 4**depth
+        # Levels below the front: one hierarchy, carried across chunks.
+        tail = CacheHierarchy(config) if depth < config.depth else None
         memory_reads = memory_writes = 0
         chunked = {"chunked": True} if front.chunked else {}
         with telemetry.span("fast.run", records=len(trace), **chunked):
             for [stream] in front.streams():
-                reads, writes = memory_traffic(stream, threshold)
-                memory_reads += reads
-                memory_writes += writes
+                if tail is None:
+                    reads, writes = memory_traffic(stream, threshold)
+                    memory_reads += reads
+                    memory_writes += writes
+                else:
+                    blocks, is_write, buckets, keys = stream
+                    tail.replay_stream(
+                        depth, blocks << front.bits, is_write, buckets, keys,
+                        threshold,
+                    )
+        level_stats = front.level_stats
+        if tail is not None:
+            level_stats = level_stats + tail.level_stats()[depth:]
+            memory_reads = tail.memory_traffic.reads
+            memory_writes = tail.memory_traffic.writes
         return functional_result(
-            trace, config, front.level_stats, memory_reads, memory_writes,
+            trace, config, level_stats, memory_reads, memory_writes,
             source="fast-path",
         )
 
@@ -600,10 +640,11 @@ def trace_eligible(trace: Trace) -> bool:
 def run_functional(trace: Trace, config: SystemConfig) -> FunctionalResult:
     """Run a functional simulation on the fastest correct engine.
 
-    Dispatches to the vectorised simulator when the configuration and the
-    trace are eligible, otherwise to the reference implementation.
+    Dispatches to the vectorised simulator when the front reproduces at
+    least the first level (:func:`front_depth`) and the trace is
+    eligible, otherwise to the reference implementation.
     """
-    if fast_eligible(config) and trace_eligible(trace):
+    if front_depth(config) >= 1 and trace_eligible(trace):
         return FastFunctionalSimulator(config).run(trace)
     from repro.sim.functional import FunctionalSimulator
 

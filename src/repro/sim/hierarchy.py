@@ -19,7 +19,9 @@ every record through :meth:`CacheHierarchy.access`; the per-record timing
 engine (:mod:`repro.sim.timing`) charges time for an outcome's demand
 traffic and applies everything else through :meth:`CacheHierarchy.write`,
 :meth:`~CacheHierarchy.read`, :meth:`~CacheHierarchy.propagate` and
-:meth:`~CacheHierarchy.settle`.
+:meth:`~CacheHierarchy.settle`; the vectorised fast path
+(:mod:`repro.sim.fast`) walks the stream leaving its vectorised levels
+through :meth:`~CacheHierarchy.replay_stream`.
 
 Fetches triggered by stores (write-allocate) are tagged so they never
 pollute the read miss ratios (see :meth:`repro.cache.cache.Cache.read`).
@@ -31,10 +33,16 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cache.cache import AccessOutcome, Cache
 from repro.cache.stats import CacheStats
 from repro.sim.config import SystemConfig
 from repro.trace.record import IFETCH, WRITE, Trace
+
+#: Statistics buckets of a vectorised event stream, indexed by the
+#: stream's bucket codes (:mod:`repro.sim.fast`).
+BUCKET_NAMES = ("read", "write")
 
 
 @dataclass
@@ -133,6 +141,40 @@ class CacheHierarchy:
                 access(kind, address)
             self.set_counting(True)
         return records
+
+    def replay_stream(
+        self,
+        level_index: int,
+        addresses: np.ndarray,
+        is_write: np.ndarray,
+        buckets: np.ndarray,
+        keys: np.ndarray,
+        warmup_key: int,
+    ) -> None:
+        """Walk an event stream arriving at ``level_index``, in order.
+
+        The stream is what the vectorised fast path's levels send down
+        (:class:`repro.sim.fast._Front`): block-aligned byte addresses,
+        write flags, bucket codes indexing :data:`BUCKET_NAMES`, and
+        increasing order keys.  Writes arrive as :meth:`write`, reads as
+        :meth:`read` in their bucket.  Statistics are off for events keyed
+        below ``warmup_key`` and on from the first at or above it, so a
+        stream walked chunk by chunk counts as one walked whole.
+        """
+        start = int(np.searchsorted(keys, warmup_key))
+        for lo, hi, counting in ((0, start, False), (start, len(keys), True)):
+            if lo == hi:
+                continue
+            self.set_counting(counting)
+            for address, write, bucket in zip(
+                addresses[lo:hi].tolist(),
+                is_write[lo:hi].tolist(),
+                buckets[lo:hi].tolist(),
+            ):
+                if write:
+                    self.write(level_index, address)
+                else:
+                    self.read(level_index, address, BUCKET_NAMES[bucket])
 
     def level_stats(self) -> List[CacheStats]:
         """Counters per level (level 1 first), split halves merged."""

@@ -18,7 +18,7 @@ from repro.audit.invariants import (
     audit_functional_result,
     audit_timing_result,
 )
-from repro.sim.fast import fast_eligible, run_functional
+from repro.sim.fast import front_depth, run_functional
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim import timing as timing_module
@@ -59,8 +59,8 @@ class TestLawsHoldAcrossTheGrid:
 
     @pytest.mark.parametrize(
         "config",
-        [c for _, c in GRID if fast_eligible(c)],
-        ids=[n for n, c in GRID if fast_eligible(c)],
+        [c for _, c in GRID if front_depth(c)],
+        ids=[n for n, c in GRID if front_depth(c)],
     )
     def test_fast_functional(self, audit_trace, config):
         result = run_functional(audit_trace, config)

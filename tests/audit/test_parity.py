@@ -15,7 +15,7 @@ from repro.audit.parity import (
     check_timing_vs_reference,
 )
 from repro.sim import memo
-from repro.sim.fast import fast_eligible
+from repro.sim.fast import fast_eligible, front_depth
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.timing import TimingSimulator, event_eligible
 
@@ -32,14 +32,22 @@ def fresh_memo():
 class TestChecksPass:
     @pytest.mark.parametrize(
         "config",
-        [c for _, c in GRID if fast_eligible(c)][:4],
-        ids=[n for n, c in GRID if fast_eligible(c)][:4],
+        [c for _, c in GRID if front_depth(c)][:4],
+        ids=[n for n, c in GRID if front_depth(c)][:4],
     )
     def test_fast_vs_reference(self, audit_trace, config):
         check_fast_vs_reference(audit_trace, config)
 
+    @pytest.mark.parametrize("name", ["prefetch-tagged-l2", "prefetch-always-l3"])
+    def test_fast_vs_reference_covers_the_event_tail(self, audit_trace, name):
+        from repro.audit.selfcheck import _grid
+
+        config = dict(_grid())[name]
+        assert 0 < front_depth(config) < config.depth
+        check_fast_vs_reference(audit_trace, config)
+
     def test_fast_vs_reference_is_noop_when_ineligible(self, audit_trace):
-        ineligible = next(c for _, c in GRID if not fast_eligible(c))
+        ineligible = next(c for _, c in GRID if front_depth(c) == 0)
         check_fast_vs_reference(audit_trace, ineligible)
 
     @pytest.mark.parametrize(

@@ -4,11 +4,18 @@ The fast path must produce *identical* counts -- these tests are the
 correctness contract that lets experiments dispatch to it blindly.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.audit.parity import assert_counts_equal, assert_timing_equal
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import FastFunctionalSimulator, fast_eligible, run_functional
+from repro.sim.fast import (
+    FastFunctionalSimulator,
+    fast_eligible,
+    front_depth,
+    run_functional,
+)
 from repro.sim.functional import FunctionalSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -205,22 +212,42 @@ class TestEligibility:
     def test_variations_fall_back(self, changes):
         config = two_level().with_level(1, **changes)
         assert not fast_eligible(config)
+        # The L1 in front of the variation stays vectorised.
+        assert front_depth(config) == 1
 
     def test_inclusion_falls_back(self):
-        import dataclasses
-
         config = dataclasses.replace(two_level(), enforce_inclusion=True)
         assert not fast_eligible(config)
+        assert front_depth(config) == 0
 
     def test_constructor_rejects_ineligible(self):
-        with pytest.raises(ValueError, match="vectorised"):
-            FastFunctionalSimulator(two_level().with_level(1, associativity=32))
+        # Only a configuration with no vectorised level is refused:
+        # inclusion, a write-through L1 and an L1 prefetcher.
+        for config in (
+            dataclasses.replace(two_level(), enforce_inclusion=True),
+            two_level().with_level(
+                0, write_policy="write-through", write_allocate=False
+            ),
+            two_level().with_level(0, prefetch="on-miss"),
+        ):
+            assert front_depth(config) == 0
+            with pytest.raises(ValueError, match="vectorised path"):
+                FastFunctionalSimulator(config)
+
+    def test_wide_l2_runs_behind_the_vectorised_l1(self):
+        config = two_level().with_level(1, associativity=32)
+        trace = SyntheticWorkload(seed=46).trace(12_000, warmup=2_000)
+        assert_counts_equal(
+            FastFunctionalSimulator(config).run(trace),
+            FunctionalSimulator(config).run(trace),
+        )
 
 
 class TestShrinkingBlocks:
-    """A deeper level with smaller blocks than the level above it is
-    outside the vectorised path: the dispatchers fall back to the
-    reference engines instead of raising."""
+    """A deeper level with smaller blocks than the level above it ends
+    the vectorised front: functional runs walk it as a per-event tail
+    behind the vectorised L1, timing runs fall back to the reference
+    engine, and neither raises."""
 
     CONFIG = SystemConfig(
         levels=(
@@ -231,6 +258,7 @@ class TestShrinkingBlocks:
 
     def test_not_fast_eligible(self):
         assert not fast_eligible(self.CONFIG)
+        assert front_depth(self.CONFIG) == 1
 
     def test_run_functional_equals_reference(self):
         trace = SyntheticWorkload(seed=61).trace(6_000, warmup=1_000)

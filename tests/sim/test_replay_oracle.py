@@ -13,6 +13,18 @@ sets), short adversarial traces (set-conflict storms deeper than the
 widest stack, write bursts), a warmup boundary anywhere -- on a chunk
 edge included -- and chunk sizes of 1, awkward sizes, and at least the
 trace length.
+
+A second family puts one level the front cannot replay (prefetching,
+write-through, no-allocate, two-block fetch, FIFO, random, 32 ways,
+smaller blocks) below a vectorised prefix of one or two levels, so the
+fast path hands the prefix's output stream to the per-event tail; the
+same traces hold it to the reference.  :func:`~repro.sim.fast.front_depth`
+is checked against the draws that built each configuration.
+
+Two metamorphic properties need no oracle at all: L2 misses never rise
+with L2 associativity at a fixed set count (8 and 16 ways on the
+vectorised front, 32 on the tail), and a write-back L2 never writes
+memory more often than a write-allocate write-through one.
 """
 
 import os
@@ -24,7 +36,7 @@ from hypothesis import strategies as st
 
 from repro.audit.parity import assert_counts_equal
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import fast_eligible, run_functional
+from repro.sim.fast import fast_eligible, front_depth, run_functional
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
     clear_front_cache,
@@ -79,6 +91,70 @@ def configs(draw):
     return config
 
 
+#: Level changes the front cannot replay, each a full level below a
+#: vectorised prefix (sizes are filled in by :func:`tail_configs`).
+TAIL_VARIATIONS = (
+    {"prefetch": "on-miss"},
+    {"prefetch": "tagged"},
+    {"prefetch": "always"},
+    {"write_policy": "write-through"},
+    {"write_policy": "write-through", "write_allocate": False},
+    {"write_allocate": False},
+    {"fetch_blocks": 2},
+    {"associativity": 2, "replacement": "fifo"},
+    {"associativity": 4, "replacement": "random"},
+    {"associativity": 32},
+    {"block_bytes": "smaller"},
+)
+
+
+def _plain_level(draw, block, split=False):
+    """A fast-eligible level with ``block``-byte blocks and few sets."""
+    ways = draw(st.sampled_from(WAYS))
+    sides = 2 if split else 1
+    return LevelConfig(
+        size_bytes=block * ways * sides * draw(st.sampled_from((1, 2, 4, 8))),
+        block_bytes=block,
+        associativity=ways,
+        split=split,
+    )
+
+
+def _tail_level(draw, above_block, variations=TAIL_VARIATIONS):
+    """One level the front cannot replay, below ``above_block``-byte blocks."""
+    changes = dict(draw(st.sampled_from(variations)))
+    if changes.get("block_bytes") == "smaller":
+        changes["block_bytes"] = above_block // 2
+    if "prefetch" in changes:
+        changes["prefetch_distance"] = draw(st.integers(1, 2))
+    block = changes.pop("block_bytes", above_block * draw(st.sampled_from((1, 2))))
+    ways = changes.pop("associativity", draw(st.sampled_from((1, 2, 4))))
+    sets = draw(st.sampled_from((2, 4, 8)))
+    return LevelConfig(
+        size_bytes=block * ways * sets, block_bytes=block, associativity=ways,
+        **changes,
+    )
+
+
+@st.composite
+def tail_configs(draw):
+    """A vectorised prefix of one or two levels, one level only the
+    per-event tail can walk, and sometimes a plain level below it."""
+    split = draw(st.booleans())
+    block = draw(st.sampled_from((16, 32)))
+    levels = [_plain_level(draw, block, split)]
+    if draw(st.booleans()):
+        block *= draw(st.sampled_from((1, 2)))
+        levels.append(_plain_level(draw, block))
+    prefix = len(levels)
+    levels.append(_tail_level(draw, block))
+    if prefix == 1 and draw(st.booleans()):
+        levels.append(_plain_level(draw, max(block, levels[-1].block_bytes)))
+    config = SystemConfig(levels=tuple(levels))
+    assert front_depth(config) == prefix
+    return config
+
+
 @st.composite
 def replays(draw):
     """A short adversarial trace and a chunk size (``None``: whole)."""
@@ -127,3 +203,92 @@ def test_every_grid_member_equals_reference(config, replay):
         assert derived.config == member
         reference = FunctionalSimulator(member).run(trace)
         assert_counts_equal(derived, reference, f"{ways}-way grid member")
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=tail_configs(), replay=replays())
+def test_vectorised_prefix_with_event_tail_equals_reference(config, replay):
+    trace, chunk = replay
+    with chunked(chunk):
+        fast = run_functional(trace, config)
+    reference = FunctionalSimulator(config).run(trace)
+    assert_counts_equal(fast, reference, f"front depth {front_depth(config)}")
+
+
+@st.composite
+def drawn_depths(draw):
+    """A configuration and the front depth its construction implies:
+    the number of leading levels drawn plain, or 0 under inclusion."""
+    split = draw(st.booleans())
+    block = 16
+    levels = []
+    expected = None
+    for index in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            block *= draw(st.sampled_from((1, 2)))
+            levels.append(_plain_level(draw, block, split and index == 0))
+            continue
+        if index == 0:
+            # Smaller blocks need a level above them to be smaller than.
+            level = _tail_level(draw, block, TAIL_VARIATIONS[:-1])
+            level = level.with_(split=split, size_bytes=level.size_bytes * 2)
+        else:
+            level = _tail_level(draw, block)
+        levels.append(level)
+        block = max(block, level.block_bytes)
+        if expected is None:
+            expected = index
+    inclusive = draw(st.booleans())
+    config = SystemConfig(levels=tuple(levels), enforce_inclusion=inclusive)
+    if expected is None:
+        expected = len(levels)
+    return config, 0 if inclusive else expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=drawn_depths())
+def test_front_depth_counts_the_leading_vectorisable_levels(drawn):
+    config, expected = drawn
+    assert front_depth(config) == expected
+    assert fast_eligible(config) == (expected == config.depth)
+
+
+def _l2_at_ways(ways, sets=8):
+    return SystemConfig(
+        levels=(
+            LevelConfig(size_bytes=64, block_bytes=16, split=True),
+            LevelConfig(size_bytes=32 * ways * sets, block_bytes=32,
+                        associativity=ways),
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(replay=replays())
+def test_l2_misses_never_rise_with_associativity(replay):
+    """LRU inclusion: at a fixed set count an A-way set holds a subset of
+    a 2A-way one's blocks, and the L1 in front sends both the same
+    stream.  8 and 16 ways replay on the front, 32 on the event tail."""
+    trace, chunk = replay
+    misses = []
+    with chunked(chunk):
+        for ways in (8, 16, 32):
+            l2 = run_functional(trace, _l2_at_ways(ways)).level_stats[1]
+            misses.append(l2.read_misses + l2.write_misses)
+    assert misses == sorted(misses, reverse=True), misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(replay=replays())
+def test_write_back_l2_writes_memory_no_more_than_write_through(replay):
+    """Every memory write of a write-back L2 evicts a block some counted
+    L2 write dirtied, and a write-through L2 forwards every L2 write:
+    from a cold start, write-back never writes memory more often."""
+    trace, chunk = replay
+    cold = Trace(trace.kinds, trace.addresses, warmup=0)
+    back = _l2_at_ways(2)
+    through = back.with_level(1, write_policy="write-through")
+    with chunked(chunk):
+        written_back = run_functional(cold, back).memory_writes
+        written_through = run_functional(cold, through).memory_writes
+    assert written_back <= written_through
