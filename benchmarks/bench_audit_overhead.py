@@ -5,12 +5,16 @@ over the standard trace suite -- with ``REPRO_AUDIT=0`` and again with
 ``REPRO_AUDIT=1`` from a cold memoisation cache, plus a small timing-
 simulator leg.  The audited runs must produce identical counts and cost
 no more than 10% extra (the audits are O(depth) numpy reductions per
-run).  The audited sweep is recorded into a run manifest written to
+run).  Measurement is paired, as in ``bench_telemetry_overhead``: each
+round runs both legs back-to-back in alternating order, and an overhead
+is the median of the per-round audited/plain ratios.  One more audited
+sweep and timing pass are recorded into a run manifest written to
 ``results/BENCH-AUDIT.manifest.json`` -- the committed example of what
 the observability layer captures (docs/observability.md).
 """
 
 import json
+import statistics
 import sys
 
 import benchjson
@@ -48,46 +52,47 @@ def _counts(result):
     )
 
 
-def _functional_leg(traces, configs):
-    """Best-of-N cold-cache sweep time plus the final grid's counts."""
-    seconds = []
-    grid = None
-    for _ in range(ROUNDS):
-        memo.clear_memo_cache()
-        watch = clock.Stopwatch()
-        grid = sweep_functional(traces, configs)
-        seconds.append(watch.elapsed_s())
-    return min(seconds), grid
+def _paired_legs(one, monkeypatch):
+    """Plain and audited runs of ``one()``, paired round by round.
 
-
-def _timing_legs(trace, configs, monkeypatch):
-    """Best-of-N plain and audited timing runs, interleaved.
-
-    The timing runs are short (~0.2 s), so two fixed-order best-of-N
-    blocks would book machine drift between the blocks as audit
-    overhead; alternating which leg goes first each round cancels that
-    bias.  Leaves the audit knob on.
+    Returns ``(plain_best_s, plain, audited_best_s, audited, overhead)``:
+    each leg's best round and last results, and the median of the
+    per-round audited/plain ratios minus one.  Independent best-of-N
+    blocks book machine drift between the blocks, or one leg's lucky
+    quiet round, as audit overhead; a paired ratio sees both legs under
+    the same load, and alternating which goes first cancels the bias of
+    going second.  Leaves the audit knob on.
     """
 
-    def one(audit):
+    def leg(audit):
         monkeypatch.setenv(ENV_KNOB, "1" if audit else "0")
         watch = clock.Stopwatch()
-        results = [TimingSimulator(config).run(trace) for config in configs]
+        results = one()
         return watch.elapsed_s(), results
 
     plain_s, audited_s = [], []
     plain = audited = None
     for rnd in range(ROUNDS):
         if rnd % 2:
-            a, audited = one(True)
-            p, plain = one(False)
+            a, audited = leg(True)
+            p, plain = leg(False)
         else:
-            p, plain = one(False)
-            a, audited = one(True)
+            p, plain = leg(False)
+            a, audited = leg(True)
         plain_s.append(p)
         audited_s.append(a)
     monkeypatch.setenv(ENV_KNOB, "1")
-    return min(plain_s), plain, min(audited_s), audited
+    overhead = statistics.median(a / p for a, p in zip(audited_s, plain_s)) - 1.0
+    return min(plain_s), plain, min(audited_s), audited, overhead
+
+
+def _cold_sweep(traces, configs):
+    memo.clear_memo_cache()
+    return sweep_functional(traces, configs)
+
+
+def _timing_runs(trace, configs):
+    return [TimingSimulator(config).run(trace) for config in configs]
 
 
 def test_audit_overhead(traces, emit, monkeypatch):
@@ -96,21 +101,25 @@ def test_audit_overhead(traces, emit, monkeypatch):
     timing_configs = configs[:2]
     records = sum(len(t) for t in traces)
 
-    monkeypatch.setenv(ENV_KNOB, "0")
-    plain_seconds, plain_grid = _functional_leg(traces, configs)
+    (
+        plain_seconds, plain_grid, audited_seconds, audited_grid, overhead,
+    ) = _paired_legs(lambda: _cold_sweep(traces, configs), monkeypatch)
+    (
+        plain_timing_seconds,
+        plain_timing,
+        audited_timing_seconds,
+        audited_timing,
+        timing_overhead,
+    ) = _paired_legs(
+        lambda: _timing_runs(timing_trace, timing_configs), monkeypatch
+    )
 
-    monkeypatch.setenv(ENV_KNOB, "1")
     with run_manifest.recording("BENCH-AUDIT") as recorder:
         recorder.add_traces(traces)
         with recorder.phase("functional-sweep"):
-            audited_seconds, audited_grid = _functional_leg(traces, configs)
+            _cold_sweep(traces, configs)
         with recorder.phase("timing"):
-            (
-                plain_timing_seconds,
-                plain_timing,
-                audited_timing_seconds,
-                audited_timing,
-            ) = _timing_legs(timing_trace, timing_configs, monkeypatch)
+            _timing_runs(timing_trace, timing_configs)
         # One warm re-sweep so the manifest shows the memoisation layer
         # absorbing a repeat grid (simulated=0, hit ratio > 0).
         with recorder.phase("memo-warm-resweep"):
@@ -123,11 +132,6 @@ def test_audit_overhead(traces, emit, monkeypatch):
     ) and all(
         _counts(a) == _counts(b) and a.total_ns == b.total_ns
         for a, b in zip(plain_timing, audited_timing)
-    )
-
-    overhead = (audited_seconds - plain_seconds) / plain_seconds
-    timing_overhead = (
-        (audited_timing_seconds - plain_timing_seconds) / plain_timing_seconds
     )
 
     recorder.annotate(
@@ -166,7 +170,7 @@ def test_audit_overhead(traces, emit, monkeypatch):
         f"timing {timing_overhead:+.1%} "
         f"({len(configs)} configs x {len(traces)} traces x "
         f"{records // len(traces)} records/trace, workers="
-        f"{sweep_workers()}, best of {ROUNDS})"
+        f"{sweep_workers()}, median of {ROUNDS} paired rounds)"
     )
     print(bench_line, file=sys.__stdout__, flush=True)
     benchjson.note(

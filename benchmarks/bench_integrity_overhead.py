@@ -15,11 +15,14 @@ Both passes must produce identical counts, and the verified pass must
 cost at most 5% more wall clock at the full 250k-record scale: one
 chunked SHA-256 over ~9 MB of segments per trace open is milliseconds
 against seconds of simulation, and the locks are uncontended flock
-calls.  The legs run interleaved, best of :data:`ROUNDS`, alternating
-order so machine drift cannot masquerade as overhead.  A ``BENCH``
-summary line goes to stdout for CI job summaries.
+calls.  Measurement is paired, as in ``bench_telemetry_overhead``: the
+two legs run back-to-back inside each of :data:`ROUNDS` rounds,
+alternating order so machine drift cannot masquerade as overhead, and
+the overhead is the median of the per-round verified/bare ratios.  A
+``BENCH`` summary line goes to stdout for CI job summaries.
 """
 
+import statistics
 import sys
 
 import numpy as np
@@ -42,7 +45,8 @@ L2_SIZES = [16 * KB, 32 * KB, 64 * KB, 128 * KB,
 #: Overhead budget for the fully verified pass.
 OVERHEAD_BUDGET = 0.05
 
-#: Interleaved repetitions per leg; each leg reports its best round.
+#: Interleaved repetitions per leg; the overhead is the median of the
+#: per-round paired ratios, walls report each leg's best round.
 ROUNDS = 5
 
 
@@ -98,7 +102,9 @@ def test_integrity_overhead(emit, tmp_path, monkeypatch):
         for row_a, row_b in zip(bare_grid, verified_grid)
         for a, b in zip(row_a, row_b)
     )
-    overhead = (verified_s - bare_s) / bare_s if bare_s else 0.0
+    overhead = statistics.median(
+        verified / bare for verified, bare in zip(verified_times, bare_times)
+    ) - 1.0
     full_scale = records >= trace_count * 200_000
 
     headers = ["pass", "wall (s)", "per store open"]
@@ -123,7 +129,7 @@ def test_integrity_overhead(emit, tmp_path, monkeypatch):
         f"{verified_s:.2f}s overhead {overhead * 100:+.1f}% "
         f"({len(configs)} configs x {trace_count} traces x "
         f"{records // trace_count} records/trace, segment digests + "
-        f"advisory locks per open, best of {ROUNDS})"
+        f"advisory locks per open, median of {ROUNDS} paired rounds)"
     )
     print(bench_line, file=sys.__stdout__, flush=True)
     benchjson.note(

@@ -8,9 +8,10 @@ workload and reports PASS/FAIL per check:
   split/unified, write-back/write-through, 1-3 level and prefetching
   configurations;
 * fast-path vs reference parity, including the per-event tail below a
-  vectorised prefix (the L2- and L3-prefetching rows);
+  vectorised prefix (the L2- and L3-prefetching rows) and a vectorised
+  write-allocate write-through L1;
 * stack-distance grid (every member associativity) vs reference parity;
-* event-sparse vs per-record timing parity;
+* event-sparse vs per-record timing parity, a write-through L1 included;
 * per-record timing counts vs the reference functional simulator;
 * memoised vs direct parity;
 * serial vs parallel sweep parity.
@@ -71,6 +72,9 @@ def _grid() -> List[Tuple[str, SystemConfig]]:
             l1.with_(split=False, write_policy=WritePolicy.WRITE_THROUGH,
                      write_allocate=False),
             l2,
+        ))),
+        ("write-through-alloc-l1", SystemConfig(levels=(
+            l1.with_(write_policy=WritePolicy.WRITE_THROUGH), l2,
         ))),
         ("prefetch-on-miss", SystemConfig(levels=(
             l1.with_(split=False, prefetch=PrefetchKind.ON_MISS),

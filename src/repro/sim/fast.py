@@ -1,4 +1,4 @@
-"""Vectorised functional simulation for write-back LRU hierarchies.
+"""Vectorised functional simulation for LRU cache hierarchies.
 
 Two NumPy kernels replay one cache level each:
 
@@ -27,14 +27,19 @@ make this simulator one to two orders of magnitude faster than the
 reference per-record loop -- fast enough for the paper's full 4 KB -
 4 MB axis at million-reference trace lengths.
 
-Scope: the vectorised front reproduces write-back LRU levels of
-associativity 1-16 with write-allocate, single-block fetch and no
-prefetching, whose blocks never shrink with depth -- the base machine
-and every Figure 3/4/5 variation of it.  :func:`front_depth` counts the
-leading levels of a configuration that qualify.  In a hierarchy without
-enforced inclusion nothing below a level changes what it sends down, so
-when only deeper levels fall outside that scope (L2 prefetching,
-write-through, no-allocate, multi-block fetch, FIFO/random, wider sets,
+Scope: the vectorised front reproduces LRU levels of associativity
+1-16 with write-allocate, single-block fetch and no prefetching, whose
+blocks never shrink with depth -- the base machine and every Figure
+3/4/5 variation of it.  A level may be write-back or write-through: a
+write-allocate write-through level's tags evolve exactly as a write-back
+level's do, so the same kernels replay it with its writes masked off,
+and only its output stream changes -- demand fetches plus every write
+it receives, forwarded, and no dirty victims (the filtered-stream
+decomposition of Hardy & Puaut, arXiv 0807.0993).  :func:`front_depth`
+counts the leading levels of a configuration that qualify.  In a
+hierarchy without enforced inclusion nothing below a level changes what
+it sends down, so when only deeper levels fall outside that scope (L2
+prefetching, no-allocate, multi-block fetch, FIFO/random, wider sets,
 smaller blocks) the front still replays the leading levels, and the
 stream they send down walks the rest event by event through
 :meth:`~repro.sim.hierarchy.CacheHierarchy.replay_stream` -- the
@@ -88,11 +93,12 @@ State = Tuple[np.ndarray, np.ndarray]
 def front_depth(config: SystemConfig) -> int:
     """How many leading levels the vectorised front reproduces exactly.
 
-    A level qualifies when it is write-back LRU of associativity 1-16
-    with write-allocate, single-block fetch and no prefetching, and its
-    blocks are no smaller than the level above's (a deeper level must
-    hold whole blocks of the level above it).  Enforced inclusion feeds
-    lower evictions back into the first level, so it allows none.
+    A level qualifies when it is LRU of associativity 1-16, write-back
+    or write-through, with write-allocate, single-block fetch and no
+    prefetching, and its blocks are no smaller than the level above's (a
+    deeper level must hold whole blocks of the level above it).  Enforced
+    inclusion feeds lower evictions back into the first level, so it
+    allows none.
     """
     if config.enforce_inclusion:
         return 0
@@ -102,7 +108,6 @@ def front_depth(config: SystemConfig) -> int:
             level.block_bytes < block_bytes
             or not 1 <= level.associativity <= MAX_FAST_ASSOCIATIVITY
             or (level.associativity > 1 and level.replacement != "lru")
-            or level.write_policy is not WritePolicy.WRITE_BACK
             or not level.write_allocate
             or level.fetch_blocks != 1
             or level.prefetch is not PrefetchKind.NONE
@@ -399,8 +404,11 @@ def _accumulate_level(
     keys: np.ndarray,
     victim_keys: np.ndarray,
     warmup_key: int,
+    through: bool,
 ) -> None:
-    """Fold one level's kernel outputs into its post-warmup counters."""
+    """Fold one level's kernel outputs into its post-warmup counters;
+    ``through`` marks a write-through level, which forwards every write
+    ``is_write`` brings in."""
     counted = keys >= warmup_key
     read_bucket = bucket == _BUCKET_READ
     stats.reads += int(np.count_nonzero(counted & read_bucket))
@@ -409,6 +417,8 @@ def _accumulate_level(
     stats.write_misses += int(np.count_nonzero(counted & ~read_bucket & miss))
     stats.blocks_fetched += int(np.count_nonzero(counted & miss))
     stats.writebacks += int(np.count_nonzero(victim_keys >= warmup_key))
+    if through:
+        stats.writes_forwarded += int(np.count_nonzero(counted & is_write))
 
 
 def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
@@ -417,7 +427,9 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
     Blocks are byte addresses (zero offset bits); a split first level
     gets its I-side and D-side streams separately.  Order keys: CPU
     events carry the record index; each level's outputs use ``key*4 +
-    {1: victim writeback, 2: demand fetch}``, so a stream entering level
+    {1: victim writeback, 2: demand fetch, 3: forwarded write}`` -- the
+    order in which :meth:`~repro.sim.hierarchy.CacheHierarchy.write`
+    sends one access's traffic down -- so a stream entering level
     ``i`` has keys scaled by ``4**i`` and the original record index is
     ``key // 4**i``.  ``key_offset`` is the index of the trace's first
     record, so a chunk's keys stay global (and strictly increasing
@@ -442,9 +454,9 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
 
 def memory_traffic(stream: Stream, warmup_key: int) -> Tuple[int, int]:
     """Post-warmup ``(reads, writes)`` reaching memory in a deepest-level
-    output stream: writes are the deepest victims, reads the demand
-    fetches.  ``warmup_key`` is the warmup boundary in the stream's key
-    scale (``warmup * 4**depth``)."""
+    output stream: writes are the deepest victims or forwarded writes,
+    reads the demand fetches.  ``warmup_key`` is the warmup boundary in
+    the stream's key scale (``warmup * 4**depth``)."""
     _, stream_write, _, stream_keys = stream
     counted = stream_keys >= warmup_key
     writes = int(np.count_nonzero(counted & stream_write))
@@ -528,17 +540,22 @@ class _Front:
         for index, states in enumerate(self._states):
             level = self.config.levels[index]
             here = log2_int(level.block_bytes)
+            # A write-through level never holds a dirty block: its tags
+            # evolve as a write-back level's do, but its kernel sees no
+            # writes, and every write entering it goes down as a
+            # forwarded write instead of a later victim.
+            through = level.write_policy is WritePolicy.WRITE_THROUGH
             parts: List[Stream] = []
             outcomes = []
             for (s_blocks, s_write, s_bucket, s_keys), state in zip(sides, states):
                 blocks = s_blocks >> (here - bits)
                 miss, victims, victim_keys = _simulate_level(
-                    blocks, s_write, s_keys,
-                    level.geometry().sets, level.associativity, state,
+                    blocks, np.zeros_like(s_write) if through else s_write,
+                    s_keys, level.geometry().sets, level.associativity, state,
                 )
                 _accumulate_level(
                     self.level_stats[index], s_write, s_bucket, miss, s_keys,
-                    victim_keys, self.trace.warmup * 4**index,
+                    victim_keys, self.trace.warmup * 4**index, through,
                 )
                 outcomes.append((s_keys, miss, victims, victim_keys))
                 # Dirty victims go down as writes.  Demand fetches always
@@ -565,6 +582,16 @@ class _Front:
                         s_keys[miss] * 4 + 2,
                     )
                 )
+                if through:
+                    forwarded = int(s_write.sum())
+                    parts.append(
+                        (
+                            blocks[s_write],
+                            np.ones(forwarded, dtype=bool),
+                            np.full(forwarded, _BUCKET_WRITE, dtype=np.int8),
+                            s_keys[s_write] * 4 + 3,
+                        )
+                    )
             if trail is not None:
                 trail.append(tuple(np.concatenate(c) for c in zip(*outcomes)))
             sides = [_merge_parts(parts)]
@@ -591,10 +618,10 @@ class FastFunctionalSimulator:
         self.front_depth = front_depth(config)
         if self.front_depth == 0:
             raise ValueError(
-                "first level outside the vectorised path (write-back LRU, "
-                f"associativity <= {MAX_FAST_ASSOCIATIVITY}, no prefetch, "
-                "single-block write-allocate fetch) or enforced inclusion; "
-                "use FunctionalSimulator"
+                "first level outside the vectorised path (LRU, associativity "
+                f"<= {MAX_FAST_ASSOCIATIVITY}, write-back or write-through, "
+                "no prefetch, single-block write-allocate fetch) or enforced "
+                "inclusion; use FunctionalSimulator"
             )
         self.config = config
 

@@ -29,12 +29,13 @@ The pass is the fast path's LRU stack kernel
 every set-associative level of the fast path at its own width -- fed by
 the fast path's replay driver (:class:`repro.sim.fast._Front`), whole or
 chunked.  Scope: the deepest level of a
-:func:`repro.sim.fast.fast_eligible` configuration whose replacement is
-genuinely LRU (a direct-mapped deepest level qualifies under any stated
-policy -- one way leaves nothing to choose).  Upstream levels are
-identical across the derived grid; their output streams are cached so a
-sweep's groups replay them once, not once per group.  Count-identity
-with the reference simulator is enforced by
+:func:`repro.sim.fast.fast_eligible` configuration when it is write-back
+and its replacement is genuinely LRU (a direct-mapped deepest level
+qualifies under any stated policy -- one way leaves nothing to choose);
+write-through levels above it only change the stream it is fed.
+Upstream levels are identical across the derived grid; their output
+streams are cached so a sweep's groups replay them once, not once per
+group.  Count-identity with the reference simulator is enforced by
 ``tests/sim/test_replay_oracle.py`` and ``tests/sim/test_stackdist.py``;
 the sweep planner that fans grid groups out over the worker pool lives
 in :mod:`repro.core.sweep`.
@@ -49,6 +50,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro import telemetry
+from repro.cache.policy import WritePolicy
 from repro.cache.stats import CacheStats
 from repro.sim import memo
 from repro.sim.config import SystemConfig
@@ -91,13 +93,18 @@ def stackdist_eligible(config: SystemConfig) -> bool:
     """True when one stack pass reproduces the fast path for every
     member associativity.
 
-    Requires a fast-eligible configuration whose deepest level really
-    replaces LRU; a direct-mapped deepest level is eligible under any
-    stated replacement policy, replacement being irrelevant at one way.
+    Requires a fast-eligible configuration whose deepest level is
+    write-back -- the writeback invariant above assumes dirty blocks --
+    and really replaces LRU; a direct-mapped deepest level is eligible
+    under any stated replacement policy, replacement being irrelevant at
+    one way.  Write-through levels above it change only the stream the
+    pass replays.
     """
     if not fast_eligible(config):
         return False
     deepest = config.levels[-1]
+    if deepest.write_policy is not WritePolicy.WRITE_BACK:
+        return False
     return deepest.replacement == "lru" or deepest.associativity == 1
 
 

@@ -38,7 +38,10 @@ The cache-state rules live in :class:`~repro.sim.hierarchy.CacheHierarchy`
 alone.  The reference engine times the demand part of each outcome and
 applies every state-only change through the hierarchy, so its counts equal
 :class:`~repro.sim.functional.FunctionalSimulator`'s on every
-configuration.
+configuration.  Runs the vectorised front replays in full -- write-back
+or write-allocate write-through levels -- take the event-sparse engine
+instead, which times only L1 misses and a write-through L1's stores and
+reproduces the reference field for field.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.audit import maybe_audit_timing
+from repro.cache.policy import WritePolicy
 from repro.cache.stats import CacheStats
 from repro.cache.write_buffer import WriteBuffer
 from repro.memory.bus import Bus
@@ -163,8 +167,9 @@ def _integral_ns(config: SystemConfig) -> bool:
 def event_eligible(config: SystemConfig, trace: Trace) -> bool:
     """True when the event-sparse engine reproduces the reference exactly.
 
-    The configuration must be on the vectorised functional path (its
-    cache outcomes then come from :class:`repro.sim.fast._Front`),
+    The configuration must be on the vectorised functional path, a
+    write-allocate write-through level included (its cache outcomes then
+    come from :class:`repro.sim.fast._Front`),
     the trace must fit its signed 64-bit arithmetic, and every charge
     must be a whole number of nanoseconds (docs/timing-model.md).
     """
@@ -468,10 +473,13 @@ class _EventEngine(_TimingState):
     functionally at push time), so one whole-array functional replay
     (:class:`repro.sim.fast._Front`) decides every hit, miss and
     dirty victim up front.  The write-buffer, bus and DRAM objects then
-    run over the post-warmup L1 misses only, through the same calls the
-    reference engine makes.  Between two misses the CPU pays only base
-    costs and write-hit occupancy waits, which come from integer prefix
-    sums; a wait whose window holds a miss is settled in the event loop.
+    run over the events only, through the same calls the reference
+    engine makes: the post-warmup L1 misses and, behind a write-through
+    L1, every measured store, which after its own miss chain pushes its
+    address into the L1->L2 buffer.  Between two events the CPU pays
+    only base costs and a write-back L1's write-hit occupancy waits,
+    which come from integer prefix sums; a wait whose window holds a
+    miss is settled in the event loop.
     """
 
     def run(self, trace: Trace) -> TimingResult:
@@ -511,7 +519,12 @@ class _EventEngine(_TimingState):
         after_write = writer >= warmup
         after_write[after_write] = kinds[writer[after_write]] == WRITE
         data, writer = data[after_write], writer[after_write]
-        occupancy = int(config.levels[0].write_hit_cycles * self.cpu_cycle)
+        # Only a write-back L1 is occupied by a write hit; a write-through
+        # L1 forwards each store into the L1->L2 buffer instead.
+        through = config.levels[0].write_policy is WritePolicy.WRITE_THROUGH
+        occupancy = 0 if through else int(
+            config.levels[0].write_hit_cycles * self.cpu_cycle
+        )
         nominal = occupancy - (base[data] - base[writer + 1])
         waiting = nominal > 0
         data, writer, nominal = data[waiting], writer[waiting], nominal[waiting]
@@ -523,8 +536,21 @@ class _EventEngine(_TimingState):
             fetch_misses, writer, side="right"
         )
         in_loop = deferred | np.isin(data, misses)
-        # The loop visits these points: every miss and every deferred wait.
+        # The loop visits these points: every miss, every deferred wait
+        # and, behind a write-through L1, every measured store.
         points = np.union1d(misses, data[deferred])
+        buffer = self.buffers[0]
+        forward = np.full(len(points), -1, dtype=np.int64)
+        if through:
+            stores = np.flatnonzero(kinds[warmup:] == WRITE) + warmup
+            points = np.union1d(points, stores)
+            # Each store goes into the buffer aligned to the block below.
+            forward = np.where(
+                kinds[points] == WRITE,
+                trace.addresses[points].astype(np.int64)
+                & ~np.int64(buffer.downstream_block - 1),
+                -1,
+            )
         own_wait = np.zeros(len(points), dtype=np.int64)
         own_wait[np.searchsorted(points, data[in_loop])] = nominal[in_loop]
         # A deferred wait's window opens at the first point after its write.
@@ -538,20 +564,20 @@ class _EventEngine(_TimingState):
         np.cumsum(nominal[~in_loop], out=loose[1:])
         loose_before = loose[np.searchsorted(loose_at, points)]
 
-        buffer = self.buffers[0]
         first_victims = self._victims[0]
         x = 0  # time beyond the base cost, up to the current point
         x_before: List[int] = []
         read_stall = 0
         write_stall = 0
         event = 0
-        for gap, wait, opened, is_event, kind, now_base in zip(
+        for gap, wait, opened, missed, kind, now_base, forwarded in zip(
             np.diff(loose_before, prepend=0).tolist(),
             own_wait.tolist(),
             anchor.tolist(),
             np.isin(points, misses).tolist(),
             kinds[points].tolist(),
             base[points + 1].tolist(),
+            forward.tolist(),
         ):
             x += gap
             x_before.append(x)
@@ -560,15 +586,20 @@ class _EventEngine(_TimingState):
                     wait = max(0, wait - (x - x_before[opened]))
                 x += wait
                 write_stall += wait
-            if not is_event:
+            if not missed and forwarded < 0:
                 continue
             now = now_base + x
             done = now
-            victim = first_victims[event]
-            if victim >= 0:
-                done = max(done, buffer.push(victim, now))
-            done = max(done, self._fetch(1, event, now))
-            event += 1
+            if missed:
+                victim = first_victims[event]
+                if victim >= 0:
+                    done = max(done, buffer.push(victim, now))
+                done = max(done, self._fetch(1, event, now))
+                event += 1
+            if forwarded >= 0:
+                # After the store's own fetch, as in the reference's
+                # _service_miss -> _write_block.
+                done = max(done, buffer.push(forwarded, now))
             stall = done - now
             x += stall
             if kind == WRITE:

@@ -11,6 +11,7 @@ from repro.experiments.extensions import (
     three_level_machine,
 )
 from repro.experiments.workloads import paper_trace_suite
+from repro.sim.timing import _TimingEngine
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +74,12 @@ class TestWritePolicyAblation:
         assert float(by_policy["write-through"][3]) == pytest.approx(1.0, abs=0.01)
         assert float(by_policy["write-back"][3]) < 0.9
         assert report.all_checks_pass
+
+    def test_times_every_cell_on_the_event_engine(self, tiny_suite, monkeypatch):
+        # The write-through L1 allocates on a store miss, so it replays
+        # on the vectorised front: no cell steps the per-record engine.
+        def refuse(engine, trace):
+            raise AssertionError("the per-record timing engine ran")
+
+        monkeypatch.setattr(_TimingEngine, "run", refuse)
+        assert WritePolicyAblation().run(tiny_suite).all_checks_pass

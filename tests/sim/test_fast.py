@@ -203,7 +203,7 @@ class TestEligibility:
             {"associativity": 32},
             {"associativity": 2, "replacement": "fifo"},
             {"associativity": 4, "replacement": "random"},
-            {"write_policy": "write-through"},
+            {"write_policy": "write-through", "write_allocate": False},
             {"write_allocate": False},
             {"fetch_blocks": 2},
             {"prefetch": "on-miss"},
@@ -215,6 +215,21 @@ class TestEligibility:
         # The L1 in front of the variation stays vectorised.
         assert front_depth(config) == 1
 
+    @pytest.mark.parametrize(
+        "levels", [(0,), (1,), (0, 1)], ids=["l1", "l2", "both"]
+    )
+    def test_write_allocate_write_through_is_eligible(self, levels):
+        # A write-allocate write-through level's tags evolve as a
+        # write-back level's do; only what it sends down differs.
+        config = two_level(l2_kb=8)
+        for index in levels:
+            config = config.with_level(index, write_policy="write-through")
+        assert fast_eligible(config)
+        trace = SyntheticWorkload(seed=45).trace(12_000, warmup=2_000)
+        fast = FastFunctionalSimulator(config).run(trace)
+        assert_counts_equal(fast, FunctionalSimulator(config).run(trace))
+        assert fast.level_stats[levels[-1]].writes_forwarded > 0
+
     def test_inclusion_falls_back(self):
         config = dataclasses.replace(two_level(), enforce_inclusion=True)
         assert not fast_eligible(config)
@@ -222,7 +237,8 @@ class TestEligibility:
 
     def test_constructor_rejects_ineligible(self):
         # Only a configuration with no vectorised level is refused:
-        # inclusion, a write-through L1 and an L1 prefetcher.
+        # inclusion, a non-allocating write-through L1 and an L1
+        # prefetcher.
         for config in (
             dataclasses.replace(two_level(), enforce_inclusion=True),
             two_level().with_level(

@@ -8,17 +8,18 @@ is held to :class:`~repro.sim.functional.FunctionalSimulator` on the
 same (member) configuration, replaying whole and in chunks.
 
 Hypothesis draws fast-eligible configurations (1-3 levels, split or
-unified first level, 1-16 ways, equal or growing blocks, one to eight
-sets), short adversarial traces (set-conflict storms deeper than the
-widest stack, write bursts), a warmup boundary anywhere -- on a chunk
-edge included -- and chunk sizes of 1, awkward sizes, and at least the
-trace length.
+unified first level, 1-16 ways, write-back or write-allocate
+write-through at any level, equal or growing blocks, one to eight sets;
+the grid's deepest level stays write-back), short adversarial traces
+(set-conflict storms deeper than the widest stack, write bursts), a
+warmup boundary anywhere -- on a chunk edge included -- and chunk sizes
+of 1, awkward sizes, and at least the trace length.
 
 A second family puts one level the front cannot replay (prefetching,
-write-through, no-allocate, two-block fetch, FIFO, random, 32 ways,
-smaller blocks) below a vectorised prefix of one or two levels, so the
-fast path hands the prefix's output stream to the per-event tail; the
-same traces hold it to the reference.  :func:`~repro.sim.fast.front_depth`
+no-allocate, two-block fetch, FIFO, random, 32 ways, smaller blocks)
+below a vectorised prefix of one or two levels, so the fast path hands
+the prefix's output stream to the per-event tail; the same traces hold
+it to the reference.  :func:`~repro.sim.fast.front_depth`
 is checked against the draws that built each configuration.
 
 Two metamorphic properties need no oracle at all: L2 misses never rise
@@ -35,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit.parity import assert_counts_equal
+from repro.cache.policy import WritePolicy
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import fast_eligible, front_depth, run_functional
 from repro.sim.functional import FunctionalSimulator
@@ -67,27 +69,45 @@ def chunked(records):
             os.environ["REPRO_TRACE_CHUNK"] = saved
 
 
+#: Write policies the front replays, both with write-allocate.
+POLICIES = (WritePolicy.WRITE_BACK, WritePolicy.WRITE_THROUGH)
+
+
+def _plain_level(draw, block, split=False, policies=POLICIES):
+    """A fast-eligible level with ``block``-byte blocks and few sets."""
+    ways = draw(st.sampled_from(WAYS))
+    sides = 2 if split else 1
+    return LevelConfig(
+        size_bytes=block * ways * sides * draw(st.sampled_from((1, 2, 4, 8))),
+        block_bytes=block,
+        associativity=ways,
+        split=split,
+        write_policy=draw(st.sampled_from(policies)),
+    )
+
+
 @st.composite
-def configs(draw):
-    """Fast-eligible hierarchies with so few sets that every set conflicts."""
+def configs(draw, deepest_write_back=False):
+    """Fast-eligible hierarchies with so few sets that every set
+    conflicts; any level may be write-through, the deepest only when
+    ``deepest_write_back`` is false."""
     split = draw(st.booleans())
     block = draw(st.sampled_from((16, 32)))
+    depth = draw(st.integers(1, 3))
     levels = []
-    for index in range(draw(st.integers(1, 3))):
+    for index in range(depth):
         if index:
             block *= draw(st.sampled_from((1, 2)))
-        ways = draw(st.sampled_from(WAYS))
-        sides = 2 if split and index == 0 else 1
-        levels.append(
-            LevelConfig(
-                size_bytes=block * ways * sides * draw(st.sampled_from((1, 2, 4, 8))),
-                block_bytes=block,
-                associativity=ways,
-                split=sides == 2,
-            )
-        )
+        policies = POLICIES
+        if deepest_write_back and index == depth - 1:
+            policies = (WritePolicy.WRITE_BACK,)
+        levels.append(_plain_level(draw, block, split and index == 0, policies))
     config = SystemConfig(levels=tuple(levels))
-    assert fast_eligible(config) and stackdist_eligible(config)
+    assert fast_eligible(config)
+    # The grid's writeback invariant needs a write-back deepest level.
+    assert stackdist_eligible(config) == (
+        levels[-1].write_policy is WritePolicy.WRITE_BACK
+    )
     return config
 
 
@@ -97,7 +117,6 @@ TAIL_VARIATIONS = (
     {"prefetch": "on-miss"},
     {"prefetch": "tagged"},
     {"prefetch": "always"},
-    {"write_policy": "write-through"},
     {"write_policy": "write-through", "write_allocate": False},
     {"write_allocate": False},
     {"fetch_blocks": 2},
@@ -106,18 +125,6 @@ TAIL_VARIATIONS = (
     {"associativity": 32},
     {"block_bytes": "smaller"},
 )
-
-
-def _plain_level(draw, block, split=False):
-    """A fast-eligible level with ``block``-byte blocks and few sets."""
-    ways = draw(st.sampled_from(WAYS))
-    sides = 2 if split else 1
-    return LevelConfig(
-        size_bytes=block * ways * sides * draw(st.sampled_from((1, 2, 4, 8))),
-        block_bytes=block,
-        associativity=ways,
-        split=split,
-    )
 
 
 def _tail_level(draw, above_block, variations=TAIL_VARIATIONS):
@@ -192,7 +199,7 @@ def test_fast_path_equals_reference(config, replay):
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=configs(), replay=replays())
+@given(config=configs(deepest_write_back=True), replay=replays())
 def test_every_grid_member_equals_reference(config, replay):
     trace, chunk = replay
     clear_front_cache()
@@ -218,7 +225,8 @@ def test_vectorised_prefix_with_event_tail_equals_reference(config, replay):
 @st.composite
 def drawn_depths(draw):
     """A configuration and the front depth its construction implies:
-    the number of leading levels drawn plain, or 0 under inclusion."""
+    the number of leading levels drawn plain -- write-back or
+    write-allocate write-through -- or 0 under inclusion."""
     split = draw(st.booleans())
     block = 16
     levels = []

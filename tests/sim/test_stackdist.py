@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim import memo
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import FastFunctionalSimulator
+from repro.sim.fast import FastFunctionalSimulator, fast_eligible
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
     STACK_ASSOCIATIVITIES,
@@ -190,6 +190,16 @@ class TestEligibility:
     )
     def test_fast_ineligible_implies_stackdist_ineligible(self, changes):
         assert not stackdist_eligible(two_level().with_level(1, **changes))
+
+    def test_write_through_deepest_is_fast_but_not_grid_eligible(self):
+        # The grid's writeback invariant assumes a write-back deepest
+        # level; a write-through one still replays on the fast path.
+        config = two_level().with_level(1, write_policy="write-through")
+        assert fast_eligible(config)
+        assert not stackdist_eligible(config)
+        assert stackdist_eligible(
+            two_level().with_level(0, write_policy="write-through")
+        )
 
     def test_ineligible_config_raises(self):
         trace = SyntheticWorkload(seed=330).trace(1_000)

@@ -21,6 +21,7 @@ from repro.sim.functional import FunctionalSimulator
 from repro.sim.timing import (
     TimingSimulator,
     _TimingEngine,
+    event_eligible,
     simulate_execution_time,
 )
 from repro.trace.record import IFETCH, READ, WRITE, Trace
@@ -413,10 +414,9 @@ class TestLevelBounds:
 
 
 #: Every field of the reference engine's result on the seed-9 trace, for
-#: the machines the experiments still time on the reference engine: the
-#: A-WPOL write-through L1, E-3L's three-level machine and a fractional
-#: L2 cycle (12.5 ns) that the event engine rejects.  ``level_stats``
-#: rows are ``dataclasses.astuple(CacheStats)``.
+#: the A-WPOL write-through L1, E-3L's three-level machine and a
+#: fractional L2 cycle (12.5 ns) that the event engine rejects.
+#: ``level_stats`` rows are ``dataclasses.astuple(CacheStats)``.
 REFERENCE_PINS = {
     "write-through-l1": (
         paper_base_machine(l2_size=64 * KB).with_level(
@@ -472,12 +472,22 @@ class TestReferencePins:
         """No nanosecond of the reference engine moves on the machines the
         experiments run on it."""
         config, expected = REFERENCE_PINS[name]
-        result = _TimingEngine(config).run(seed9_trace)
-        assert set(expected) == {f.name for f in fields(result)} - {
-            "config", "trace_name",
-        }
-        for field, value in expected.items():
-            if field == "level_stats":
-                assert [astuple(stats) for stats in result.level_stats] == value
-            else:
-                assert getattr(result, field) == value, field
+        assert_pinned(_TimingEngine(config).run(seed9_trace), expected)
+
+    def test_write_through_pin_holds_on_the_event_engine(self, seed9_trace):
+        """A write-allocate write-through L1 is timed on the event engine,
+        which must reproduce the reference engine's pinned result."""
+        config, expected = REFERENCE_PINS["write-through-l1"]
+        assert event_eligible(config, seed9_trace)
+        assert_pinned(TimingSimulator(config).run(seed9_trace), expected)
+
+
+def assert_pinned(result, expected):
+    assert set(expected) == {f.name for f in fields(result)} - {
+        "config", "trace_name",
+    }
+    for field, value in expected.items():
+        if field == "level_stats":
+            assert [astuple(stats) for stats in result.level_stats] == value
+        else:
+            assert getattr(result, field) == value, field

@@ -2,10 +2,11 @@
 
 ``TimingSimulator.run`` replays eligible runs on the event-sparse engine
 (cache outcomes from the vectorised functional front, the write-buffer,
-bus and DRAM objects driven over L1 misses only).  Every field of its
-``TimingResult`` -- nanosecond totals, stall split, counts, per-level
-statistics and buffer statistics -- must equal the reference engine's
-exactly, not approximately.
+bus and DRAM objects driven over L1 misses only, plus the stores a
+write-through L1 forwards).  Every field of its ``TimingResult`` --
+nanosecond totals, stall split, counts, per-level statistics and buffer
+statistics -- must equal the reference engine's exactly, not
+approximately.
 """
 
 import dataclasses
@@ -66,12 +67,14 @@ def tiny_two_level(**system):
 # -- hypothesis strategies ---------------------------------------------------
 
 WAYS = (1, 2, 4, 8, 16)
+POLICIES = (WritePolicy.WRITE_BACK, WritePolicy.WRITE_THROUGH)
 
 
 @st.composite
 def machines(draw):
-    """Event-eligible machines: 1-3 write-back LRU levels, split or
-    unified L1 (possibly slower than the CPU), buffer depths 1-8."""
+    """Event-eligible machines: 1-3 LRU levels, each write-back or
+    write-allocate write-through, split or unified L1 (possibly slower
+    than the CPU), buffer depths 1-8."""
     depth = draw(st.integers(1, 3))
     split = draw(st.booleans())
     block = draw(st.sampled_from((16, 32)))
@@ -85,6 +88,7 @@ def machines(draw):
             split=split,
             cycle_cpu_cycles=draw(st.sampled_from((1.0, 2.0, 3.0))),
             write_hit_cycles=draw(st.integers(1, 3)),
+            write_policy=draw(st.sampled_from(POLICIES)),
         )
     ]
     for _ in range(1, depth):
@@ -97,6 +101,7 @@ def machines(draw):
                 associativity=ways,
                 cycle_cpu_cycles=float(draw(st.integers(1, 8))),
                 write_hit_cycles=draw(st.integers(1, 3)),
+                write_policy=draw(st.sampled_from(POLICIES)),
             )
         )
     return machine(
@@ -190,6 +195,30 @@ class TestScenarios:
         )
         assert result.buffer_full_stalls[0] > 0
 
+    def test_write_through_store_burst_fills_the_buffer(self):
+        # Behind a write-through L1 every store, hit or miss, goes into
+        # the L1->L2 buffer; stores back to back outrun its drain.
+        config = tiny_two_level(write_buffer_entries=2).with_level(
+            0, write_policy=WritePolicy.WRITE_THROUGH
+        )
+        records = [(READ, 0x0)] + [(WRITE, 0x0)] * 8
+        result, _, _ = both(Trace.from_records(records), config)
+        assert result.buffer_full_stalls[0] > 0
+        assert result.level_stats[0].writes_forwarded == 8
+        assert result.write_stall_ns > 0
+
+    def test_read_miss_fenced_by_a_forwarded_store(self):
+        # The store to 0x0 hits and is forwarded into the buffer; 0x10 is
+        # a different L1 block in the same 32-byte L2 block, so its fetch
+        # must wait for the buffered store to drain.
+        config = tiny_two_level().with_level(
+            0, write_policy=WritePolicy.WRITE_THROUGH
+        )
+        records = [(READ, 0x0), (WRITE, 0x0), (READ, 0x10)]
+        result, _, _ = both(Trace.from_records(records), config)
+        assert result.buffer_read_matches == [1, 0]
+        assert result.level_stats[0].writebacks == 0
+
     def test_reread_of_evicted_dirty_block_matches_downstream_block(self):
         # 0x0 is evicted dirty into the L1->L2 buffer; 0x10 is a different
         # L1 block but the same 32-byte L2 block, so its fetch must fence.
@@ -251,7 +280,7 @@ class TestFallback:
         "config",
         [
             known.base_machine().with_level(
-                0, write_policy=WritePolicy.WRITE_THROUGH
+                0, write_policy=WritePolicy.WRITE_THROUGH, write_allocate=False
             ),
             known.base_machine().with_level(0, prefetch=PrefetchKind.ON_MISS),
             dataclasses.replace(known.base_machine(), enforce_inclusion=True),
