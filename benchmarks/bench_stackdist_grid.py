@@ -32,7 +32,7 @@ from repro.experiments.base import ExperimentReport
 from repro.experiments.baseline import base_machine
 from repro.experiments.render import format_size
 from repro.sim import memo, stackdist
-from repro.sim.fast import FastFunctionalSimulator
+from repro.sim.fast import FastFunctionalSimulator, clear_front_cache
 from repro.sim.functional import FunctionalSimulator
 from repro.trace.record import Trace
 from repro.units import KB
@@ -97,6 +97,7 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
     fast_results = {}
 
     def fast_leg():
+        clear_front_cache()
         watch = clock.Stopwatch()
         for size, ways, config in grid:
             fast_results[(size, ways)] = [
@@ -106,7 +107,7 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
 
     def stack_leg():
         memo.clear_memo_cache()
-        stackdist.clear_front_cache()
+        clear_front_cache()
         watch = clock.Stopwatch()
         rows = sweep_functional(
             traces, [config for _, _, config in grid], workers=1

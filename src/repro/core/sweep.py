@@ -97,12 +97,13 @@ MIN_CELLS_FOR_POOL = 4
 _CHUNKS_PER_WORKER = 4
 
 #: A stack-distance group must cover at least this many outstanding
-#: cells; a lone cell is cheaper on the plain fast path than a pass that
-#: also derives four associativities nobody asked for.  Exception: a
-#: singleton whose *upstream* levels are shared with other planned
-#: passes rides solo anyway -- the cached upstream replay
-#: (:mod:`repro.sim.stackdist`) makes the pass cheaper than a full
-#: per-cell simulation.
+#: cells, or its lone member must be set-associative at the deepest
+#: level.  The rule is kernel cost: a lone direct-mapped cell runs the
+#: fast path's sort kernel on the cached upstream stream
+#: (:func:`repro.sim.fast._cached_front`), about a fifth of a width-16
+#: pass, while a lone A-way cell pays a stack pass at width A anyway
+#: (70-98% of width 16), so it rides the width-16 pass and its four
+#: sibling associativities land in the memo for free.
 _MIN_GROUP_MEMBERS = 2
 
 
@@ -181,10 +182,11 @@ def _plan_stackdist(
     Cells whose configurations are :func:`stackdist_eligible` and share a
     :func:`grid_projection` (same trace, same deepest-level set count and
     policies -- they differ only in deepest associativity) are covered by
-    **one** stack pass.  Returns ``(groups, group_member_keys, singles,
-    single_keys)``; both cell lists are renumbered from zero because each
-    becomes its own executor batch (failure reports carry batch-local
-    cell ids).  Group order follows the first member's position and
+    **one** stack pass, unless the group is a lone direct-mapped cell,
+    which stays a single (:data:`_MIN_GROUP_MEMBERS`).  Returns
+    ``(groups, group_member_keys, singles, single_keys)``; both cell
+    lists are renumbered from zero because each becomes its own executor
+    batch (failure reports carry batch-local cell ids).  Group order follows the first member's position and
     singles keep their original relative order, so scheduling stays
     deterministic.
     """
@@ -195,22 +197,14 @@ def _plan_stackdist(
         if stackdist_eligible(cell.config):
             bucket = (cell.trace_index, grid_projection(cell.config))
             buckets.setdefault(bucket, []).append(index)
-    # How many eligible cells share each (trace, upstream-levels) front:
-    # projection[1] is the upstream slice (empty at depth 1), so a
-    # count >= 2 means a solo pass reuses a replay paid for anyway.
-    front_share: dict = {}
-    for (trace_index, projection), members in buckets.items():
-        if projection[1]:
-            front = (trace_index, projection[0], projection[1])
-            front_share[front] = front_share.get(front, 0) + len(members)
     groups: List[Cell] = []
     group_member_keys: List[List[Tuple]] = []
     grouped = set()
     for (trace_index, projection), members in buckets.items():
-        shared_front = bool(projection[1]) and (
-            front_share[(trace_index, projection[0], projection[1])] >= 2
-        )
-        if len(members) < _MIN_GROUP_MEMBERS and not shared_front:
+        if (
+            len(members) < _MIN_GROUP_MEMBERS
+            and pending[members[0]].config.levels[-1].associativity == 1
+        ):
             continue
         grouped.update(members)
         groups.append(

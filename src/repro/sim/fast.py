@@ -19,13 +19,22 @@ Two NumPy kernels replay one cache level each:
   single-pass grid of :mod:`repro.sim.stackdist`, every member
   associativity at once.
 
+Both kernels, and the driver's merge of each level's output, order
+their events with :func:`_stable_argsort`, a radix sort on 16-bit
+digits: NumPy sorts a ``uint16`` digit in linear time but wider keys by
+merge sort, and a stable sort is one permutation either way.
+
 One driver, :class:`_Front`, replays the first levels of a hierarchy
 over a trace -- whole, or in chunks with every level's state carried
 between them -- and the fast path, the stack-distance grid and the
-event-sparse timing engine all run through it.  Together the kernels
-make this simulator one to two orders of magnitude faster than the
-reference per-record loop -- fast enough for the paper's full 4 KB -
-4 MB axis at million-reference trace lengths.
+event-sparse timing engine all run through it.  The streams a
+hierarchy's upstream levels send its deepest level over a whole trace
+are kept in a small cache (:func:`_cached_front`), so the grid's passes
+and the fast path's runs of configurations that share those levels
+replay them once per trace and only the deepest level per cell.
+Together the kernels make this simulator one to two orders of magnitude
+faster than the reference per-record loop -- fast enough for the
+paper's full 4 KB - 4 MB axis at million-reference trace lengths.
 
 Scope: the vectorised front reproduces LRU levels of associativity
 1-16 with write-allocate, single-block fetch and no prefetching, whose
@@ -54,6 +63,8 @@ eligibility matrix is documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from dataclasses import replace
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -89,6 +100,24 @@ Stream = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: A level's carried state: ``(tags, reach)``, see :func:`_new_state`.
 State = Tuple[np.ndarray, np.ndarray]
 
+#: Bits per radix digit of :func:`_stable_argsort`: NumPy's stable sort
+#: is a radix sort on 16-bit keys and a merge sort on wider ones.
+_DIGIT_BITS = 16
+
+#: Bound on cached upstream streams (a few streams of the active trace
+#: suite; entries are a modest multiple of the post-L1 miss stream, far
+#: smaller than the traces themselves).
+_FRONT_CACHE_ENTRIES = 8
+
+#: Cache of ``(upstream stats, deepest-level input streams)`` keyed by
+#: (trace fingerprint, inclusion, upstream projection).  Every group of
+#: a size x associativity sweep, and every fast-path run of its
+#: direct-mapped leftovers, shares its upstream levels; replaying them
+#: once per *cell* rather than once per trace would cost more than the
+#: deepest level itself.  Entries are pure functions of their key, so
+#: reuse can never change a result.
+_front_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
+
 
 def front_depth(config: SystemConfig) -> int:
     """How many leading levels the vectorised front reproduces exactly.
@@ -120,6 +149,28 @@ def front_depth(config: SystemConfig) -> int:
 def fast_eligible(config: SystemConfig) -> bool:
     """True when the vectorised front reproduces every level."""
     return front_depth(config) == config.depth
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    A least-significant-digit radix sort: one stable sort per 16-bit
+    digit, lowest first, each on a ``uint16`` array NumPy radix-sorts in
+    linear time (one pass when ``bound <= 2**16``).  A stable sort is a
+    unique permutation, so the result is identical to the comparison
+    sort's.  Precondition: every key is non-negative and below
+    ``bound``; a key outside that range raises ``ValueError`` rather
+    than sorting by its truncated digits.
+    """
+    if len(keys) and (int(keys.min()) < 0 or int(keys.max()) >= bound):
+        raise ValueError(f"sort keys must lie in [0, {bound})")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = _DIGIT_BITS
+    while bound > 1 << shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += _DIGIT_BITS
+    return order
 
 
 def _new_state(sets: int, width: int) -> State:
@@ -177,7 +228,7 @@ def _simulate_dm_level(
         n += carried
     set_index = blocks & (sets - 1)
     # Stable sort by set: within a set, accesses stay in time order.
-    order = np.argsort(set_index, kind="stable")
+    order = _stable_argsort(set_index, sets)
     sorted_sets = set_index[order]
     sorted_blocks = blocks[order]
     same_set = np.empty(n, dtype=bool)
@@ -271,7 +322,8 @@ def _stack_pass(
     # gather/scatter copies.
     counts = np.bincount(set_index, minlength=sets)
     touched_ids = np.flatnonzero(counts)
-    ids_by_rank = touched_ids[np.argsort(-counts[touched_ids], kind="stable")]
+    peak = int(counts.max())
+    ids_by_rank = touched_ids[_stable_argsort(peak - counts[touched_ids], peak)]
     touched = len(ids_by_rank)
     counts_by_rank = counts[ids_by_rank]
     rank_of_set = np.empty(sets, dtype=np.int64)
@@ -280,10 +332,10 @@ def _stack_pass(
     # the per-set sequence number re-sorts them so that step t's accesses
     # form one contiguous slice, one access per set, rank order == row
     # order.
-    set_order = np.argsort(rank_of_set[set_index], kind="stable")
+    set_order = _stable_argsort(rank_of_set[set_index], touched)
     starts = np.cumsum(counts_by_rank) - counts_by_rank
     seq = np.arange(n, dtype=np.int64) - np.repeat(starts, counts_by_rank)
-    order = set_order[np.argsort(seq, kind="stable")]
+    order = set_order[_stable_argsort(seq, peak)]
     blocks_s = blocks[order]
     write_s = is_write[order]
     keys_s = order_keys[order]
@@ -386,13 +438,14 @@ def _simulate_level(
     return dist == associativity, victims, victim_keys
 
 
-def _merge_parts(parts: List[Stream]) -> Stream:
-    """Concatenate event fragments and sort them into time order."""
+def _merge_parts(parts: List[Stream], bound: int) -> Stream:
+    """Concatenate event fragments and sort them into time order;
+    every order key is below ``bound``."""
     blocks = np.concatenate([p[0] for p in parts])
     writes = np.concatenate([p[1] for p in parts])
     buckets = np.concatenate([p[2] for p in parts])
     keys = np.concatenate([p[3] for p in parts])
-    order = np.argsort(keys, kind="stable")
+    order = _stable_argsort(keys, bound)
     return blocks[order], writes[order], buckets[order], keys[order]
 
 
@@ -533,11 +586,25 @@ class _Front:
             yield sides
 
     def _replay(
-        self, chunk: Trace, key_offset: int, trail: Optional[List[Tuple]]
+        self,
+        chunk: Trace,
+        key_offset: int,
+        trail: Optional[List[Tuple]],
+        start: int = 0,
+        sides: Optional[List[Stream]] = None,
     ) -> List[Stream]:
-        sides = _cpu_streams(chunk, self.config.levels[0].split, key_offset)
-        bits = 0
-        for index, states in enumerate(self._states):
+        """Replay levels ``start`` onwards over one chunk.
+
+        ``sides`` are the streams entering level ``start``: the chunk's
+        CPU streams when it is 0 (the default), otherwise the output of
+        level ``start - 1`` -- a cached upstream replay, say
+        (:func:`_cached_front`).
+        """
+        if sides is None:
+            sides = _cpu_streams(chunk, self.config.levels[0].split, key_offset)
+        bits = log2_int(self.config.levels[start - 1].block_bytes) if start else 0
+        for index in range(start, self.levels):
+            states = self._states[index]
             level = self.config.levels[index]
             here = log2_int(level.block_bytes)
             # A write-through level never holds a dirty block: its tags
@@ -594,9 +661,54 @@ class _Front:
                     )
             if trail is not None:
                 trail.append(tuple(np.concatenate(c) for c in zip(*outcomes)))
-            sides = [_merge_parts(parts)]
+            # Keys entering level ``index`` are below ``len * 4**index``,
+            # so this level's outputs are below four times that.
+            sides = [_merge_parts(parts, len(self.trace) * 4 ** (index + 1))]
             bits = here
         return sides
+
+
+def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
+    from repro.sim import memo  # memo dispatches through this module
+
+    return (
+        memo.trace_fingerprint(trace),
+        config.enforce_inclusion,
+        tuple(memo.level_projection(level) for level in config.levels[:-1]),
+    )
+
+
+def _cached_front(
+    trace: Trace, config: SystemConfig
+) -> Tuple[List[CacheStats], List[Stream]]:
+    """The statistics of ``config``'s upstream levels (all but the
+    deepest) over the whole ``trace``, and the streams they send the
+    deepest level, cached.
+
+    The returned statistics are fresh copies (callers own them); the
+    stream arrays are shared and treated as read-only by the kernels.
+    """
+    key = _front_key(trace, config)
+    hit = _front_cache.get(key)
+    if hit is None:
+        telemetry.counter_add("front.misses")
+        front = _Front(trace, config, config.depth - 1)
+        with telemetry.span("fast.front", records=len(trace), depth=front.levels):
+            sides = next(front.streams())
+        hit = (tuple(front.level_stats), sides)
+        _front_cache[key] = hit
+        while len(_front_cache) > _FRONT_CACHE_ENTRIES:
+            _front_cache.popitem(last=False)
+    else:
+        telemetry.counter_add("front.hits")
+        _front_cache.move_to_end(key)
+    upstream, sides = hit
+    return [replace(stats) for stats in upstream], sides
+
+
+def clear_front_cache() -> None:
+    """Drop the cached upstream streams (tests and benchmarks)."""
+    _front_cache.clear()
 
 
 class FastFunctionalSimulator:
@@ -636,7 +748,16 @@ class FastFunctionalSimulator:
         memory_reads = memory_writes = 0
         chunked = {"chunked": True} if front.chunked else {}
         with telemetry.span("fast.run", records=len(trace), **chunked):
-            for [stream] in front.streams():
+            if tail is None and depth >= 2 and not front.chunked:
+                # A whole-trace replay of a fully vectorised hierarchy
+                # takes its upstream levels from the front cache and
+                # replays only the deepest level.
+                upstream, sides = _cached_front(trace, config)
+                front.level_stats[: depth - 1] = upstream
+                chunks = [front._replay(trace, 0, None, depth - 1, sides)]
+            else:
+                chunks = front.streams()
+            for [stream] in chunks:
                 if tail is None:
                     reads, writes = memory_traffic(stream, threshold)
                     memory_reads += reads

@@ -33,17 +33,19 @@ chunked.  Scope: the deepest level of a
 and its replacement is genuinely LRU (a direct-mapped deepest level
 qualifies under any stated policy -- one way leaves nothing to choose);
 write-through levels above it only change the stream it is fed.
-Upstream levels are identical across the derived grid; their output
-streams are cached so a sweep's groups replay them once, not once per
-group.  Count-identity with the reference simulator is enforced by
-``tests/sim/test_replay_oracle.py`` and ``tests/sim/test_stackdist.py``;
-the sweep planner that fans grid groups out over the worker pool lives
-in :mod:`repro.core.sweep`.
+Upstream levels are identical across the derived grid.  A whole-trace
+pass takes their output streams from the fast path's front cache
+(:func:`repro.sim.fast._cached_front`), the same cache the fast path's
+whole-trace runs of deeper hierarchies read, so a sweep's groups and the
+lone direct-mapped cells it runs per cell replay them once per trace,
+not once per cell.  Count-identity with the reference simulator is
+enforced by ``tests/sim/test_replay_oracle.py`` and
+``tests/sim/test_stackdist.py``; the sweep planner that fans grid groups
+out over the worker pool lives in :mod:`repro.core.sweep`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Tuple
 
@@ -57,7 +59,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.fast import (
     MAX_FAST_ASSOCIATIVITY,
     _BUCKET_WRITE,
-    Stream,
+    _cached_front,
     _Front,
     _stack_pass,
     fast_eligible,
@@ -74,19 +76,6 @@ STACK_ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
 #: Stack width -- one column per way of the widest derived cache.
 _WIDTH = MAX_FAST_ASSOCIATIVITY
-
-#: Bound on cached deepest-level input streams (a few streams of the
-#: active trace suite; entries are a modest multiple of the post-L1
-#: miss stream, far smaller than the traces themselves).
-_FRONT_CACHE_ENTRIES = 8
-
-#: Cache of ``(upstream stats, deepest-level input stream)`` keyed by
-#: (trace fingerprint, upstream projection).  Every group of a size x
-#: associativity sweep shares its upstream levels, and replaying them
-#: once per *group* -- rather than once per trace -- would forfeit most
-#: of the single-pass win.  Entries are pure functions of their key, so
-#: reuse can never change a result.
-_front_cache: "OrderedDict[Tuple, Tuple]" = OrderedDict()
 
 
 def stackdist_eligible(config: SystemConfig) -> bool:
@@ -172,45 +161,6 @@ class StackdistGridResult:
         )
 
 
-def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
-    return (
-        memo.trace_fingerprint(trace),
-        config.enforce_inclusion,
-        tuple(memo.level_projection(level) for level in config.levels[:-1]),
-    )
-
-
-def _cached_front(
-    trace: Trace, front: _Front
-) -> Tuple[List[CacheStats], List[List[Stream]]]:
-    """The upstream statistics and the one chunk of a whole-trace
-    ``front``, cached.
-
-    The returned statistics are fresh copies (callers own them); the
-    stream arrays are shared and treated as read-only by the kernel.
-    """
-    key = _front_key(trace, front.config)
-    hit = _front_cache.get(key)
-    if hit is None:
-        with telemetry.span(
-            "stackdist.front", records=len(trace), depth=front.levels
-        ):
-            sides = next(front.streams())
-        hit = (tuple(front.level_stats), sides)
-        _front_cache[key] = hit
-        while len(_front_cache) > _FRONT_CACHE_ENTRIES:
-            _front_cache.popitem(last=False)
-    else:
-        _front_cache.move_to_end(key)
-    upstream, sides = hit
-    return [replace(stats) for stats in upstream], [sides]
-
-
-def clear_front_cache() -> None:
-    """Drop the cached upstream streams (tests and benchmarks)."""
-    _front_cache.clear()
-
-
 def _grid_histograms(
     trace: Trace, front: _Front
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
@@ -227,9 +177,10 @@ def _grid_histograms(
       A-way member cache.
     * ``upstream`` holds the statistics of the levels above.
 
-    A whole-trace pass takes its upstream streams from the front cache;
-    a chunked pass bypasses it -- entries hold whole-trace streams,
-    exactly what chunked replay exists to avoid.
+    A whole-trace pass takes its upstream streams from the fast path's
+    front cache (:func:`repro.sim.fast._cached_front`); a chunked pass
+    bypasses it -- entries hold whole-trace streams, exactly what chunked
+    replay exists to avoid.
     """
     deepest = front.config.levels[-1]
     sets = deepest.geometry().sets
@@ -239,7 +190,8 @@ def _grid_histograms(
         upstream = front.level_stats
         chunks = front.streams(span="stackdist.chunk")
     else:
-        upstream, chunks = _cached_front(trace, front)
+        upstream, sides = _cached_front(trace, front.config)
+        chunks = [sides]
     # A split first level is two member caches: one stack per side.
     states = [front.new_state(sets, _WIDTH) for _ in range(front.sides)]
     read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)

@@ -70,6 +70,14 @@ CATALOG: Dict[str, InstrumentDef] = _declare([
         "processes).",
     ),
     InstrumentDef(
+        "front.hits", "counter", "lookups",
+        "Whole-trace upstream replays served from the front cache.",
+    ),
+    InstrumentDef(
+        "front.misses", "counter", "lookups",
+        "Front-cache lookups that replayed the upstream levels.",
+    ),
+    InstrumentDef(
         "journal.records", "counter", "records",
         "Cell records appended to the checkpoint journal.",
     ),

@@ -100,11 +100,13 @@ class TestBreakevenMap:
         with manifest.recording("breakeven-warm") as run:
             breakeven_map(small_traces, base_config, SIZES, CYCLES, set_size=4)
         warm = run.sweeps[0]
-        assert warm.simulated == 0
         # Four requested cells per trace over three set counts: the
-        # diagonal pair rides one pass, the leftovers ride solo passes.
-        assert warm.stackdist_groups == 3 * len(small_traces)
-        assert warm.cells_derived == 4 * len(small_traces)
+        # diagonal pair rides one pass, the lone 8 KB 4-way cell rides
+        # its own, and the lone 32 KB direct-mapped cell is simulated
+        # per cell.
+        assert warm.stackdist_groups == 2 * len(small_traces)
+        assert warm.cells_derived == 3 * len(small_traces)
+        assert warm.simulated == len(small_traces)
         # The per-associativity grids after the warm-up re-simulate
         # nothing.
         assert all(note.simulated == 0 for note in run.sweeps[1:])

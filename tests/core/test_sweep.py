@@ -15,7 +15,7 @@ from repro import telemetry
 from repro.core import sweep
 from repro.core.sweep import sweep_functional, sweep_timing, sweep_workers
 from repro.sim import memo
-from repro.sim.fast import run_functional
+from repro.sim.fast import clear_front_cache, run_functional
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -311,13 +311,12 @@ class TestStackdistPlanner:
         self, small_traces, base_config, monkeypatch
     ):
         from repro.audit import manifest
-        from repro.sim import stackdist
 
         configs = self.grid_configs(base_config)
         monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
         baseline = sweep_functional(small_traces, configs, workers=1)
         memo.clear_memo_cache()
-        stackdist.clear_front_cache()
+        clear_front_cache()
         monkeypatch.setenv(sweep.STACKDIST_ENV, "1")
         with manifest.recording("planner-on") as run:
             derived = sweep_functional(small_traces, configs, workers=1)
@@ -362,18 +361,61 @@ class TestStackdistPlanner:
             base_config.with_level(
                 1, associativity=2, size_bytes=128 * KB, replacement="fifo"
             ),
-            # Eligible but alone at its set count: it still rides a solo
-            # stack pass because its upstream L1 replay is shared with
-            # the group above.
+            # Eligible but alone at its set count, and direct-mapped:
+            # the sort kernel on the cached L1 stream is cheaper than a
+            # stack pass, so it is simulated per cell too.
             base_config.with_level(1, size_bytes=32 * KB),
         ]
         with manifest.recording("planner-mixed") as run:
             grid = sweep_functional(small_traces, configs, workers=1)
         note = run.sweeps[0]
-        assert note.stackdist_groups == 2 * len(small_traces)
-        assert note.cells_derived == 5 * len(small_traces)
-        assert note.simulated == len(small_traces)
+        assert note.stackdist_groups == len(small_traces)
+        assert note.cells_derived == 4 * len(small_traces)
+        assert note.simulated == 2 * len(small_traces)
         for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
+
+    def test_lone_direct_mapped_cell_plans_no_pass(
+        self, small_traces, base_config
+    ):
+        from repro.audit import manifest
+
+        lone = base_config.with_level(1, associativity=1, size_bytes=32 * KB)
+        with manifest.recording("planner-lone-dm") as run:
+            grid = sweep_functional(small_traces, [lone], workers=1)
+        note = run.sweeps[0]
+        assert note.stackdist_groups == 0
+        assert note.cells_derived == 0
+        assert note.simulated == len(small_traces)
+        for trace, result in zip(small_traces, grid[0]):
+            assert_counts_equal(result, run_functional(trace, lone))
+
+    def test_lone_associative_cell_rides_a_pass(
+        self, small_traces, base_config
+    ):
+        from repro.audit import manifest
+
+        # Alone in its sweep, so no other pass shares its L1 replay: it
+        # still pays a stack pass on the fast path, and the width-16
+        # pass derives its four siblings for the memo.
+        lone = base_config.with_level(1, associativity=4, size_bytes=128 * KB)
+        with manifest.recording("planner-lone-assoc") as run:
+            grid = sweep_functional(small_traces, [lone], workers=1)
+        note = run.sweeps[0]
+        assert note.stackdist_groups == len(small_traces)
+        assert note.cells_derived == len(small_traces)
+        assert note.simulated == 0
+        for trace, result in zip(small_traces, grid[0]):
+            assert_counts_equal(result, run_functional(trace, lone))
+        siblings = self.grid_configs(base_config, l2_kb=32, ways=(1, 2, 8, 16))
+        with manifest.recording("planner-lone-extras") as run:
+            rows = sweep_functional(small_traces, siblings, workers=1)
+        note = run.sweeps[0]
+        assert note.simulated == 0
+        assert note.stackdist_groups == 0
+        assert note.memoised == len(siblings) * len(small_traces)
+        for config, row in zip(siblings, rows):
             for trace, result in zip(small_traces, row):
                 assert_counts_equal(result, run_functional(trace, config))
 
@@ -400,8 +442,6 @@ class TestStackdistPlanner:
     def test_pool_matches_serial_for_groups(
         self, small_traces, base_config, monkeypatch
     ):
-        from repro.sim import stackdist
-
         # Two set counts x two traces = four groups, enough to engage
         # the pool for the stackdist batch itself.
         configs = self.grid_configs(base_config, l2_kb=64) + (
@@ -409,7 +449,7 @@ class TestStackdistPlanner:
         )
         serial = sweep_functional(small_traces, configs, workers=1)
         memo.clear_memo_cache()
-        stackdist.clear_front_cache()
+        clear_front_cache()
         pooled = sweep_functional(small_traces, configs, workers=2)
         for row_a, row_b in zip(serial, pooled):
             for a, b in zip(row_a, row_b):

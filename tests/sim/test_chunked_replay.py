@@ -12,13 +12,13 @@ what lets those run without materialising in full.
 import pytest
 
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import FastFunctionalSimulator, run_functional
-from repro.sim.functional import FunctionalSimulator
-from repro.sim.stackdist import (
-    STACK_ASSOCIATIVITIES,
+from repro.sim.fast import (
+    FastFunctionalSimulator,
     clear_front_cache,
-    run_stackdist_grid,
+    run_functional,
 )
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.stackdist import STACK_ASSOCIATIVITIES, run_stackdist_grid
 from repro.trace.store import TraceStore
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB

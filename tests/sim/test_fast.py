@@ -6,12 +6,18 @@ correctness contract that lets experiments dispatch to it blindly.
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.audit.parity import assert_counts_equal, assert_timing_equal
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import (
     FastFunctionalSimulator,
+    _stable_argsort,
+    clear_front_cache,
     fast_eligible,
     front_depth,
     run_functional,
@@ -368,3 +374,82 @@ class TestTraceEligibility:
         result = FastFunctionalSimulator(two_level()).run(empty)
         assert result.cpu_reads == 0
         assert result.memory_reads == 0
+
+
+#: Key bounds around the radix sort's 16-bit digit edges: one digit, the
+#: largest one-digit bound, the smallest two-digit one, three digits.
+SORT_BOUNDS = (1, 2**16, 2**16 + 1, 2**32 + 1)
+
+
+@st.composite
+def sort_keys(draw):
+    """A bound and keys below it: spread over every digit, or a few
+    distinct values repeated, so stability is exercised too."""
+    bound = draw(st.sampled_from(SORT_BOUNDS))
+    values = st.integers(0, bound - 1)
+    if draw(st.booleans()):
+        keys = draw(st.lists(values, max_size=300))
+    else:
+        pool = draw(st.lists(values, min_size=1, max_size=6))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+        keys = [pool[pick] for pick in picks]
+    return np.array(keys, dtype=np.int64), bound
+
+
+class TestStableArgsort:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=sort_keys())
+    def test_equals_numpy_stable_argsort(self, drawn):
+        keys, bound = drawn
+        np.testing.assert_array_equal(
+            _stable_argsort(keys, bound), np.argsort(keys, kind="stable")
+        )
+
+    @pytest.mark.parametrize("bound", SORT_BOUNDS)
+    def test_empty_and_all_equal(self, bound):
+        empty = np.empty(0, dtype=np.int64)
+        assert len(_stable_argsort(empty, bound)) == 0
+        same = np.full(50, bound - 1, dtype=np.int64)
+        np.testing.assert_array_equal(_stable_argsort(same, bound), np.arange(50))
+
+    @pytest.mark.parametrize("bad", (-1, 2**16, 2**40))
+    def test_keys_outside_the_bound_raise(self, bad):
+        with pytest.raises(ValueError):
+            _stable_argsort(np.array([0, bad, 3], dtype=np.int64), 2**16)
+
+
+class TestFrontCache:
+    """Whole-trace fast runs of depth >= 2 take their upstream levels
+    from the front cache shared with the stack-distance grid."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_front_cache(self):
+        clear_front_cache()
+        yield
+        clear_front_cache()
+
+    @staticmethod
+    def front_counts(since):
+        moved = telemetry.counter_deltas(since)
+        return moved.get("front.misses", 0), moved.get("front.hits", 0)
+
+    def test_sibling_runs_share_one_upstream_replay(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
+        trace = SyntheticWorkload(seed=70).trace(8_000, warmup=1_000)
+        configs = (two_level(l2_ways=1), two_level(l2_ways=4))
+        since = telemetry.mark()
+        first = FastFunctionalSimulator(configs[0]).run(trace)
+        assert self.front_counts(since) == (1, 0)
+        second = FastFunctionalSimulator(configs[1]).run(trace)
+        assert self.front_counts(since) == (1, 1)
+        for config, result in zip(configs, (first, second)):
+            assert_counts_equal(result, FunctionalSimulator(config).run(trace))
+
+    def test_chunked_run_bypasses_the_cache(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CHUNK", "999")
+        trace = SyntheticWorkload(seed=71).trace(8_000, warmup=1_000)
+        config = two_level(l2_ways=2)
+        since = telemetry.mark()
+        result = FastFunctionalSimulator(config).run(trace)
+        assert self.front_counts(since) == (0, 0)
+        assert_counts_equal(result, FunctionalSimulator(config).run(trace))

@@ -15,6 +15,12 @@ the grid's deepest level stays write-back), short adversarial traces
 warmup boundary anywhere -- on a chunk edge included -- and chunk sizes
 of 1, awkward sizes, and at least the trace length.
 
+The fast-path oracle first runs two siblings of the drawn
+configuration -- one with a larger L1, then one differing only at the
+deepest level -- so a whole-trace run of a deeper hierarchy replays
+only its deepest level, on the upstream streams the front cache kept
+(:func:`~repro.sim.fast._cached_front`).
+
 A second family puts one level the front cannot replay (prefetching,
 no-allocate, two-block fetch, FIFO, random, 32 ways, smaller blocks)
 below a vectorised prefix of one or two levels, so the fast path hands
@@ -35,13 +41,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.audit.parity import assert_counts_equal
 from repro.cache.policy import WritePolicy
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import fast_eligible, front_depth, run_functional
+from repro.sim.fast import (
+    clear_front_cache,
+    fast_eligible,
+    front_depth,
+    run_functional,
+)
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
-    clear_front_cache,
     member_config,
     run_stackdist_grid,
     stackdist_eligible,
@@ -192,9 +203,22 @@ def replays(draw):
 @settings(max_examples=150, deadline=None)
 @given(config=configs(), replay=replays())
 def test_fast_path_equals_reference(config, replay):
+    """The sibling shares every upstream level, so a whole-trace run of
+    two or more levels is served from the front cache; the decoy's larger
+    L1 catches a cache key blind to the upstream levels."""
     trace, chunk = replay
+    deepest = config.levels[-1].associativity
+    sibling = member_config(config, 2 if deepest == 1 else 1)
+    decoy = sibling.with_level(0, size_bytes=config.levels[0].size_bytes * 2)
+    served = config.depth >= 2 and (chunk is None or chunk >= len(trace))
+    clear_front_cache()
     with chunked(chunk):
+        run_functional(trace, decoy)
+        run_functional(trace, sibling)
+        since = telemetry.mark()
         fast = run_functional(trace, config)
+    hits = telemetry.counter_deltas(since).get("front.hits", 0)
+    assert hits == int(served)
     assert_counts_equal(fast, FunctionalSimulator(config).run(trace), "fast path")
 
 

@@ -13,12 +13,15 @@ import pytest
 
 from repro.sim import memo
 from repro.sim.config import LevelConfig, SystemConfig
-from repro.sim.fast import FastFunctionalSimulator, fast_eligible
+from repro.sim.fast import (
+    FastFunctionalSimulator,
+    clear_front_cache,
+    fast_eligible,
+)
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
     STACK_ASSOCIATIVITIES,
     StackdistGridResult,
-    clear_front_cache,
     grid_projection,
     member_config,
     run_stackdist_grid,
