@@ -20,7 +20,7 @@ from typing import List, Sequence, Union
 from repro.audit.invariants import AuditError
 from repro.sim import memo
 from repro.sim.config import SystemConfig
-from repro.sim.fast import FastFunctionalSimulator, front_depth
+from repro.sim.fast import FastFunctionalSimulator, sparse_eligible
 from repro.sim.functional import FunctionalResult, FunctionalSimulator
 from repro.sim.stackdist import member_config, run_stackdist_grid, stackdist_eligible
 from repro.sim.timing import (
@@ -102,11 +102,12 @@ def assert_timing_equal(
 
 
 def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
-    """The vectorised engine must be count-identical to the reference on
-    every configuration it accepts -- a vectorised first level, with any
-    deeper levels it cannot replay walked event by event -- and is a
-    no-op when the front reproduces no level."""
-    if front_depth(config) == 0:
+    """The fast engine must be count-identical to the reference on every
+    configuration it accepts -- a vectorised first level, with any deeper
+    levels it cannot replay walked event by event, or the sparse walk --
+    and is a no-op on the rest (a first-level prefetcher or multi-block
+    fetch)."""
+    if not sparse_eligible(config):
         return
     fast = FastFunctionalSimulator(config).run(trace)
     reference = FunctionalSimulator(config).run(trace)

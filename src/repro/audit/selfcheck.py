@@ -8,8 +8,9 @@ workload and reports PASS/FAIL per check:
   split/unified, write-back/write-through, 1-3 level and prefetching
   configurations;
 * fast-path vs reference parity, including the per-event tail below a
-  vectorised prefix (the L2- and L3-prefetching rows) and a vectorised
-  write-allocate write-through L1;
+  vectorised prefix (the L2- and L3-prefetching rows), a vectorised
+  write-allocate write-through L1, and the sparse walk (the inclusive
+  two- and three-level rows and the non-allocating write-through L1);
 * stack-distance grid (every member associativity) vs reference parity;
 * event-sparse vs per-record timing parity, a write-through L1 included;
 * per-record timing counts vs the reference functional simulator;
@@ -84,6 +85,11 @@ def _grid() -> List[Tuple[str, SystemConfig]]:
             l1, l2.with_(size_bytes=8 * KB, prefetch=PrefetchKind.TAGGED),
         ))),
         ("inclusive-2-level", SystemConfig(levels=(l1, l2), enforce_inclusion=True)),
+        ("inclusive-3-level", SystemConfig(levels=(
+            l1,
+            LevelConfig(size_bytes=8 * KB, block_bytes=32, cycle_cpu_cycles=3),
+            LevelConfig(size_bytes=16 * KB, block_bytes=32, cycle_cpu_cycles=6),
+        ), enforce_inclusion=True, backplane_cycle_ns=30.0)),
         ("fetch-two-blocks", SystemConfig(levels=(
             l1.with_(split=False, fetch_blocks=2),
             l2,

@@ -90,6 +90,7 @@ class Cache:
         self._offset_bits = geometry.offset_bits
         self._index_mask = geometry.sets - 1
         self._index_bits = geometry.index_bits
+        self._ways = geometry.associativity
 
     # -- behavioural core ----------------------------------------------------
 
@@ -219,10 +220,12 @@ class Cache:
         set_index = block & self._index_mask
         tag = block >> self._index_bits
         entries = self._sets[set_index]
-        if len(entries) >= self.geometry.associativity:
+        if len(entries) >= self._ways:
             victim_index = self.replacement.select_victim(entries)
             victim = entries.pop(victim_index)
-            victim_address = self.geometry.rebuild_address(victim[0], set_index)
+            victim_address = (
+                (victim[0] << self._index_bits) | set_index
+            ) << self._offset_bits
             outcome.evicted.append(victim_address)
             if victim[1]:
                 outcome.writebacks.append(victim_address)
@@ -231,6 +234,11 @@ class Cache:
         # Entries are [tag, dirty, fresh]: ``fresh`` marks a prefetched
         # block that has not yet served a demand access.
         self.replacement.on_insert(entries, [tag, False, fresh])
+
+    def _rebuild_address(self, tag: int, set_index: int) -> int:
+        """:meth:`CacheGeometry.rebuild_address` on the cached bit widths
+        (the geometry's properties recompute them on every call)."""
+        return ((tag << self._index_bits) | set_index) << self._offset_bits
 
     def _mark_dirty(self, block: int) -> None:
         entries = self._sets[block & self._index_mask]
@@ -259,7 +267,7 @@ class Cache:
         addresses = []
         for set_index, entries in enumerate(self._sets):
             for tag, _dirty, _fresh in entries:
-                addresses.append(self.geometry.rebuild_address(tag, set_index))
+                addresses.append(self._rebuild_address(tag, set_index))
         return addresses
 
     def flush(self) -> List[int]:
@@ -268,7 +276,7 @@ class Cache:
         for set_index, entries in enumerate(self._sets):
             for tag, is_dirty, _fresh in entries:
                 if is_dirty:
-                    dirty.append(self.geometry.rebuild_address(tag, set_index))
+                    dirty.append(self._rebuild_address(tag, set_index))
             entries.clear()
         if self.counting:
             self.stats.writebacks += len(dirty)

@@ -24,6 +24,7 @@ from repro.sim.fast import (
     fast_eligible,
     front_depth,
     run_functional,
+    sparse_eligible,
 )
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.functional import FunctionalResult, FunctionalSimulator, simulate_miss_ratios
@@ -40,6 +41,7 @@ __all__ = [
     "fast_eligible",
     "front_depth",
     "run_functional",
+    "sparse_eligible",
     "FunctionalSimulator",
     "FunctionalResult",
     "simulate_miss_ratios",

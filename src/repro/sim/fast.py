@@ -54,7 +54,13 @@ stream they send down walks the rest event by event through
 :meth:`~repro.sim.hierarchy.CacheHierarchy.replay_stream` -- the
 reference's own cache rules, over a small share of the records.
 :func:`fast_eligible` means the front covers every level.  Enforced
-inclusion, or an ineligible first level, uses the reference
+inclusion, or a first level the front cannot replay, takes the sparse
+walk (:class:`_SparseWalk`): every record through
+:meth:`~repro.sim.hierarchy.CacheHierarchy.access` except the reads that
+re-touch their level-1 set's last block, which change no state, with a
+set walked again after a back-invalidation drops a block from it.  Only
+a first level with a prefetcher or multi-block fetch
+(:func:`sparse_eligible`) uses the reference
 :class:`~repro.sim.functional.FunctionalSimulator`; the two are validated
 to produce *identical* counts wherever the fast path runs
 (``tests/sim/test_fast.py``, ``tests/sim/test_replay_oracle.py``).  The
@@ -63,6 +69,7 @@ eligibility matrix is documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
 from dataclasses import replace
 from typing import Iterator, List, Optional, Tuple
@@ -711,34 +718,192 @@ def clear_front_cache() -> None:
     _front_cache.clear()
 
 
+def sparse_eligible(config: SystemConfig) -> bool:
+    """True when :class:`_SparseWalk` reproduces ``config``: its first
+    level has no prefetcher and fetches single blocks, so only an access
+    to a level-1 set (or a back-invalidation) changes that set."""
+    first = config.levels[0]
+    return first.prefetch is PrefetchKind.NONE and first.fetch_blocks == 1
+
+
+class _SparseWalk:
+    """The whole hierarchy walked through :class:`CacheHierarchy`, minus
+    the reads that provably change nothing.
+
+    A CPU read whose previous access to the same level-1 set (of the same
+    cache, I or D) was to the same block -- and, when the first level
+    does not write-allocate, was not a store -- hits the set's most
+    recently touched block: LRU already holds it at way 0, FIFO and
+    random never reorder, and with no first-level prefetcher no fresh bit
+    or hit-triggered prefetch is involved.  Such a read only adds one to
+    its cache's ``reads``, so it is skipped and counted in bulk.  The one
+    thing that removes that block without an access to its set is a
+    back-invalidation under enforced inclusion, which
+    :meth:`CacheHierarchy.back_invalidate` reports through
+    ``hierarchy.dropped``; the next access to every set it touched is then
+    walked after all.
+
+    Chunks of a streamed replay carry each set's last block (and whether
+    it was a store) and the sets dropped since, so counts are identical
+    to a whole-trace walk.
+    """
+
+    def __init__(self, config: SystemConfig) -> None:
+        self.hierarchy = CacheHierarchy(config)
+        first = config.levels[0]
+        geometry = first.geometry()
+        self.sets = geometry.sets
+        self.bits = geometry.offset_bits
+        self.allocate = first.write_allocate
+        #: Level-1 caches by side: 0 data (or unified), 1 instructions.
+        self.caches = [self.hierarchy.dcache]
+        if self.hierarchy.icache is not None:
+            self.caches.append(self.hierarchy.icache)
+        groups = len(self.caches) * self.sets
+        #: Per (side, set), carried between chunks: the block of its last
+        #: access (``-1``: none yet), whether that access was a store, and
+        #: whether a back-invalidation has dropped a block from it since.
+        self.last = np.full(groups, -1, dtype=np.int64)
+        self.last_store = np.zeros(groups, dtype=bool)
+        self.stale = np.zeros(groups, dtype=bool)
+        self.walked = self.forced = 0
+
+    def run(self, trace: Trace, chunk_records: Optional[int]) -> None:
+        """Walk ``trace`` (in ``chunk_records``-record chunks when given)."""
+        self.hierarchy.dropped = []
+        for chunk in trace.chunks(chunk_records or max(len(trace), 1)):
+            self._chunk(chunk)
+        self.hierarchy.dropped = None
+        telemetry.counter_add("fast.sparse.walked", self.walked)
+        telemetry.counter_add("fast.sparse.forced", self.forced)
+
+    def _chunk(self, chunk: Trace) -> None:
+        """Walk one chunk; its residual warmup counts nothing."""
+        n = len(chunk)
+        kinds = chunk.kinds
+        blocks = (chunk.addresses >> np.uint64(self.bits)).astype(np.int64)
+        group = blocks & (self.sets - 1)
+        is_ifetch = kinds == IFETCH
+        if len(self.caches) == 2:
+            group += self.sets * is_ifetch
+        order = _stable_argsort(group, len(self.last)).astype(np.int32)
+        group_s = group[order]
+        blocks_s = blocks[order]
+        store_s = kinds[order] == WRITE
+        # Each access's predecessor in its set: the previous one in the
+        # sorted order, or the carried last access for a set's first.
+        head = np.ones(n, dtype=bool)
+        np.not_equal(group_s[1:], group_s[:-1], out=head[1:])
+        prev_block = np.empty(n, dtype=np.int64)
+        prev_block[1:] = blocks_s[:-1]
+        prev_block[head] = self.last[group_s[head]]
+        skip_s = (blocks_s == prev_block) & ~store_s
+        if not self.allocate:
+            prev_store = np.empty(n, dtype=bool)
+            prev_store[1:] = store_s[:-1]
+            prev_store[head] = self.last_store[group_s[head]]
+            skip_s &= ~prev_store
+        # A set dropped from since its last access walks its next one.
+        stale = head & self.stale[group_s]
+        self.forced += int(np.count_nonzero(skip_s & stale))
+        skip_s &= ~stale
+        self.stale[group_s[head]] = False
+        skip = np.empty(n, dtype=bool)
+        skip[order] = skip_s
+        tail = np.flatnonzero(np.append(head[1:], True))
+        self.last[group_s[tail]] = blocks_s[tail]
+        self.last_store[group_s[tail]] = store_s[tail]
+        bounds = np.searchsorted(group_s, np.arange(len(self.last) + 1))
+
+        hierarchy = self.hierarchy
+        access = hierarchy.access
+        dropped = hierarchy.dropped
+        forced: List[int] = []
+        cut = chunk.warmup
+
+        def redirect(t: int) -> None:
+            # Force the next access after ``t`` to every set a
+            # back-invalidation touched; with none left in this chunk,
+            # the set's first access in the next chunk.
+            for cache, address in dropped:
+                g = ((address >> self.bits) & (self.sets - 1)) + self.sets * (
+                    cache is not self.caches[0]
+                )
+                lo, hi = int(bounds[g]), int(bounds[g + 1])
+                j = lo + int(np.searchsorted(order[lo:hi], t, side="right"))
+                if j == hi:
+                    self.stale[g] = True
+                elif skip[order[j]]:
+                    skip[order[j]] = False
+                    heapq.heappush(forced, int(order[j]))
+            dropped.clear()
+
+        def force_until(stop: int) -> None:
+            while forced and forced[0] < stop:
+                t = heapq.heappop(forced)
+                self.walked += 1
+                self.forced += 1
+                access(int(kinds[t]), int(chunk.addresses[t]))
+                if dropped:
+                    redirect(t)
+
+        # The static walk list is fixed up front: forced reads join it
+        # through the heap only.
+        walks = np.flatnonzero(~skip).astype(np.int32)
+        split = int(np.searchsorted(walks, cut))
+        for lo, hi, walk in ((0, cut, walks[:split]), (cut, n, walks[split:])):
+            if lo == hi:
+                continue
+            hierarchy.set_counting(lo >= cut)
+            self.walked += len(walk)
+            for t, kind, address in zip(
+                walk.tolist(), kinds[walk].tolist(), chunk.addresses[walk].tolist()
+            ):
+                if forced and forced[0] < t:
+                    force_until(t)
+                access(kind, address)
+                if dropped:
+                    redirect(t)
+            force_until(hi)
+        # Skipped reads in the measured region are read hits, counted here.
+        measured = skip[cut:]
+        skipped = int(np.count_nonzero(measured))
+        if len(self.caches) == 2:
+            ifetches = int(np.count_nonzero(measured & is_ifetch[cut:]))
+            self.caches[1].stats.reads += ifetches
+            skipped -= ifetches
+        self.caches[0].stats.reads += skipped
+
+
 class FastFunctionalSimulator:
     """Drop-in counterpart of the reference functional simulator.
 
     Produces a :class:`~repro.sim.functional.FunctionalResult` with counts
-    identical to the reference implementation on every configuration with
-    a :func:`front_depth` of at least one.  The first ``front_depth``
+    identical to the reference implementation on every
+    :func:`sparse_eligible` configuration.  The first ``front_depth``
     levels replay on the vectorised front; any deeper levels walk the
     stream the front sends down through one
     :class:`~repro.sim.hierarchy.CacheHierarchy`, which then also counts
-    memory traffic.  With ``REPRO_TRACE_CHUNK`` set (and smaller than the
-    trace), the trace streams through in chunks -- same counts, bounded
-    residency, which is what lets memmap-backed store traces run without
-    ever materialising in full.
+    memory traffic.  With a ``front_depth`` of 0 the whole run takes the
+    sparse walk (:class:`_SparseWalk`).  With ``REPRO_TRACE_CHUNK`` set
+    (and smaller than the trace), the trace streams through in chunks --
+    same counts, bounded residency, which is what lets memmap-backed
+    store traces run without ever materialising in full.
     """
 
     def __init__(self, config: SystemConfig) -> None:
-        self.front_depth = front_depth(config)
-        if self.front_depth == 0:
+        if not sparse_eligible(config):
             raise ValueError(
-                "first level outside the vectorised path (LRU, associativity "
-                f"<= {MAX_FAST_ASSOCIATIVITY}, write-back or write-through, "
-                "no prefetch, single-block write-allocate fetch) or enforced "
-                "inclusion; use FunctionalSimulator"
+                "first level outside the fast path (a prefetcher or "
+                "multi-block fetch); use FunctionalSimulator"
             )
+        self.front_depth = front_depth(config)
         self.config = config
 
     def run(self, trace: Trace) -> FunctionalResult:
         config, depth = self.config, self.front_depth
+        if depth == 0:
+            return self._run_sparse(trace)
         # Chunked replay is count-identical to the one-chunk run (parity
         # tests); REPRO_TRACE_CHUNK tunes residency, never the results.
         front = _Front(trace, config, depth, replay_chunk_records())  # repro: noqa RPR008
@@ -778,6 +943,24 @@ class FastFunctionalSimulator:
             source="fast-path",
         )
 
+    def _run_sparse(self, trace: Trace) -> FunctionalResult:
+        """Every level through :class:`_SparseWalk` (a first level the
+        front cannot replay, or enforced inclusion)."""
+        walk = _SparseWalk(self.config)
+        # Chunked replay is count-identical to the whole-trace walk.
+        chunk_records = replay_chunk_records()
+        if chunk_records is not None and chunk_records >= len(trace):
+            chunk_records = None
+        chunked = {"chunked": True} if chunk_records else {}
+        with telemetry.span("fast.run", records=len(trace), sparse=True, **chunked):
+            walk.run(trace, chunk_records)
+        hierarchy = walk.hierarchy
+        return functional_result(
+            trace, self.config, hierarchy.level_stats(),
+            hierarchy.memory_traffic.reads, hierarchy.memory_traffic.writes,
+            source="fast-path",
+        )
+
 
 def trace_eligible(trace: Trace) -> bool:
     """The vectorised path works in signed 64-bit block arithmetic, so
@@ -788,11 +971,11 @@ def trace_eligible(trace: Trace) -> bool:
 def run_functional(trace: Trace, config: SystemConfig) -> FunctionalResult:
     """Run a functional simulation on the fastest correct engine.
 
-    Dispatches to the vectorised simulator when the front reproduces at
-    least the first level (:func:`front_depth`) and the trace is
-    eligible, otherwise to the reference implementation.
+    Dispatches to :class:`FastFunctionalSimulator` when it accepts the
+    configuration (:func:`sparse_eligible`) and the trace is eligible,
+    otherwise to the reference implementation.
     """
-    if front_depth(config) >= 1 and trace_eligible(trace):
+    if sparse_eligible(config) and trace_eligible(trace):
         return FastFunctionalSimulator(config).run(trace)
     from repro.sim.functional import FunctionalSimulator
 

@@ -21,7 +21,8 @@ traffic and applies everything else through :meth:`CacheHierarchy.write`,
 :meth:`~CacheHierarchy.read`, :meth:`~CacheHierarchy.propagate` and
 :meth:`~CacheHierarchy.settle`; the vectorised fast path
 (:mod:`repro.sim.fast`) walks the stream leaving its vectorised levels
-through :meth:`~CacheHierarchy.replay_stream`.
+through :meth:`~CacheHierarchy.replay_stream`, and its sparse walk steps
+every record that can change state through :meth:`access`.
 
 Fetches triggered by stores (write-allocate) are tagged so they never
 pollute the read miss ratios (see :meth:`repro.cache.cache.Cache.read`).
@@ -90,6 +91,10 @@ class CacheHierarchy:
         ]
         self.memory_traffic = MemoryTraffic()
         self.inclusion = InclusionStats()
+        #: While a walk collects them, the level-1 blocks back-invalidation
+        #: drops, as ``(cache, address)`` pairs; ``None`` otherwise (see
+        #: the sparse walk in :mod:`repro.sim.fast`).
+        self.dropped: Optional[List[Tuple[Cache, int]]] = None
 
     @staticmethod
     def _build(level, name: str) -> Cache:
@@ -274,6 +279,8 @@ class CacheHierarchy:
                     state = cache.invalidate(address)
                     if state == "absent":
                         continue
+                    if upper == 0 and self.dropped is not None:
+                        self.dropped.append((cache, address))
                     if self.counting:
                         self.inclusion.invalidations += 1
                     if state == "dirty":

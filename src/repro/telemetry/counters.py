@@ -78,6 +78,17 @@ CATALOG: Dict[str, InstrumentDef] = _declare([
         "Front-cache lookups that replayed the upstream levels.",
     ),
     InstrumentDef(
+        "fast.sparse.walked", "counter", "records",
+        "Records the sparse walk stepped through the cache hierarchy "
+        "(the rest were provably state-free read hits).",
+    ),
+    InstrumentDef(
+        "fast.sparse.forced", "counter", "records",
+        "Reads the sparse walk stepped through only because a "
+        "back-invalidation dropped a block from their level-1 set (also "
+        "in fast.sparse.walked).",
+    ),
+    InstrumentDef(
         "journal.records", "counter", "records",
         "Cell records appended to the checkpoint journal.",
     ),

@@ -6,7 +6,7 @@ Two kinds of measurement live here:
   footprints) used to sanity-check generated workloads against the paper's
   section 2 characterisation.
 * :func:`stack_distance_profile` -- an exact LRU stack-distance profile
-  computed with the classic Fenwick-tree algorithm.  The survival function
+  computed as a vectorised offline dominance count.  The survival function
   of the profile *is* the fully-associative LRU miss-ratio-versus-size
   curve, which is how the generator calibration (0.69 per doubling) is
   validated empirically.
@@ -15,7 +15,7 @@ Two kinds of measurement live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -77,30 +77,6 @@ class TraceStatistics:
         )
 
 
-class _FenwickTree:
-    """Prefix-sum tree over reference timestamps (1-based)."""
-
-    def __init__(self, size: int) -> None:
-        self._tree = np.zeros(size + 1, dtype=np.int64)
-        self._size = size
-
-    def add(self, index: int, delta: int) -> None:
-        index += 1
-        tree = self._tree
-        while index <= self._size:
-            tree[index] += delta
-            index += index & -index
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries [0, index)."""
-        total = 0
-        tree = self._tree
-        while index > 0:
-            total += tree[index]
-            index -= index & -index
-        return int(total)
-
-
 @dataclass
 class StackDistanceProfile:
     """Result of :func:`stack_distance_profile`.
@@ -150,37 +126,64 @@ def stack_distance_profile(
 ) -> StackDistanceProfile:
     """Exact LRU stack distances for every reference in ``trace``.
 
-    Uses the Fenwick-tree formulation: keep, for each distinct block, a mark
-    at the timestamp of its most recent use; the stack distance of a reuse at
-    time ``t`` of a block last used at time ``s`` is the number of marks in
-    ``(s, t)``, i.e. the number of distinct blocks touched in between.
+    The stack distance of a reuse at time ``t`` of a block last used at
+    ``prev(t)`` is one plus the number of distinct blocks touched in
+    between -- the positions ``u`` in ``(prev(t), t)`` whose block is not
+    touched again before ``t``, i.e. with ``next(u) > t``.  That is an
+    offline dominance count, answered without a per-record loop: each
+    window ``(prev(t), t)`` splits into at most ``2 log2 n`` aligned
+    dyadic blocks, two per level at most; at level ``L`` the keys
+    ``(u >> L) * (n + 1) + next(u)`` are sorted once, so every block's
+    count is its end minus one :func:`numpy.searchsorted` for
+    ``next(u) <= t``.  One level's sorted keys are alive at a time.
+    Cost: ``O(n log^2 n)`` in vectorised sorts and searches, ``O(n)``
+    memory.
 
-    ``max_references`` truncates the analysis (profiles are O(n log n)).
+    ``max_references`` truncates the analysis to the first references.
     """
-    blocks = (trace.addresses // np.uint64(block_bytes)).tolist()
+    blocks = trace.addresses // np.uint64(block_bytes)
     if max_references is not None:
         blocks = blocks[:max_references]
     n = len(blocks)
-    tree = _FenwickTree(n)
-    last_use: Dict[int, int] = {}
-    distances = np.empty(n, dtype=np.int64)
-    n_reuse = 0
-    cold = 0
-    for t, block in enumerate(blocks):
-        prev = last_use.get(block)
-        if prev is None:
-            cold += 1
-        else:
-            # Marks strictly after prev and strictly before t, plus the
-            # referenced block itself (distance 1 = immediate reuse).
-            between = tree.prefix_sum(t) - tree.prefix_sum(prev + 1)
-            distances[n_reuse] = between + 1
-            n_reuse += 1
-            tree.add(prev, -1)
-        tree.add(t, +1)
-        last_use[block] = t
+    # prev/next use of each position's block (next is n when none).
+    order = np.argsort(blocks, kind="stable")
+    same = blocks[order[1:]] == blocks[order[:-1]]
+    successors = np.full(n, n, dtype=np.int64)
+    successors[order[:-1][same]] = order[1:][same]
+    predecessors = np.full(n, -1, dtype=np.int64)
+    predecessors[order[1:][same]] = order[:-1][same]
+    reuses = np.flatnonzero(predecessors >= 0)
+    # Every reuse at t counts the positions with next > t in its window
+    # ``[lo, hi)``, walked up the dyadic levels: an odd edge at level L
+    # is a whole level-L block inside the window.
+    lo = predecessors[reuses] + 1
+    hi = reuses.copy()
+    distances = np.ones(len(reuses), dtype=np.int64)
+    positions = np.arange(n, dtype=np.int64)
+    level = 0
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            break
+        left = np.flatnonzero(open_ & (lo & 1 == 1))
+        right = np.flatnonzero(open_ & (hi & 1 == 1))
+        if len(left) or len(right):
+            keys = (positions >> level) * (n + 1) + successors
+            keys.sort()
+            for queries, block in ((left, lo[left]), (right, hi[right] - 1)):
+                # Block k's keys fill sorted slots [k << L, (k + 1) << L).
+                later = ((block + 1) << level) - np.searchsorted(
+                    keys, block * (n + 1) + reuses[queries] + 1
+                )
+                distances[queries] += later
+            del keys
+        lo += lo & 1
+        hi -= hi & 1
+        lo >>= 1
+        hi >>= 1
+        level += 1
     return StackDistanceProfile(
-        distances=distances[:n_reuse].copy(),
-        cold_references=cold,
+        distances=distances,
+        cold_references=n - len(reuses),
         block_bytes=block_bytes,
     )

@@ -21,6 +21,7 @@ from repro.sim.fast import (
     fast_eligible,
     front_depth,
     run_functional,
+    sparse_eligible,
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.trace.workload import SyntheticWorkload
@@ -237,24 +238,37 @@ class TestEligibility:
         assert fast.level_stats[levels[-1]].writes_forwarded > 0
 
     def test_inclusion_falls_back(self):
-        config = dataclasses.replace(two_level(), enforce_inclusion=True)
+        # Enforced inclusion leaves no level to the vectorised front; the
+        # fast simulator falls back to its sparse walk, not the reference.
+        config = dataclasses.replace(two_level(l2_kb=8), enforce_inclusion=True)
         assert not fast_eligible(config)
         assert front_depth(config) == 0
+        assert sparse_eligible(config)
+        trace = SyntheticWorkload(seed=44).trace(12_000, warmup=2_000)
+        assert_counts_equal(
+            FastFunctionalSimulator(config).run(trace),
+            FunctionalSimulator(config).run(trace),
+        )
 
     def test_constructor_rejects_ineligible(self):
-        # Only a configuration with no vectorised level is refused:
-        # inclusion, a non-allocating write-through L1 and an L1
-        # prefetcher.
+        # Only a first level that changes other sets' state on its own is
+        # refused: an L1 prefetcher or a multi-block L1 fetch.  Inclusion
+        # and a non-allocating write-through L1 take the sparse walk.
+        for config in (
+            two_level().with_level(0, prefetch="on-miss"),
+            two_level().with_level(0, fetch_blocks=2),
+        ):
+            assert not sparse_eligible(config)
+            with pytest.raises(ValueError, match="fast path"):
+                FastFunctionalSimulator(config)
         for config in (
             dataclasses.replace(two_level(), enforce_inclusion=True),
             two_level().with_level(
                 0, write_policy="write-through", write_allocate=False
             ),
-            two_level().with_level(0, prefetch="on-miss"),
         ):
             assert front_depth(config) == 0
-            with pytest.raises(ValueError, match="vectorised path"):
-                FastFunctionalSimulator(config)
+            assert FastFunctionalSimulator(config).front_depth == 0
 
     def test_wide_l2_runs_behind_the_vectorised_l1(self):
         config = two_level().with_level(1, associativity=32)

@@ -28,6 +28,14 @@ the prefix's output stream to the per-event tail; the same traces hold
 it to the reference.  :func:`~repro.sim.fast.front_depth`
 is checked against the draws that built each configuration.
 
+A third family leaves no level to the front -- a FIFO, random,
+non-allocating or write-through first level of one to four ways, or
+enforced inclusion -- with one or two plain or tail levels below, and
+holds the sparse walk (:class:`~repro.sim.fast._SparseWalk`) to the
+reference, whole and chunked.  A hand-built trace pins its one hazard:
+an L2 eviction back-invalidating the live most-recent block of an L1
+set that is then re-read.
+
 Two metamorphic properties need no oracle at all: L2 misses never rise
 with L2 associativity at a fixed set count (8 and 16 ways on the
 vectorised front, 32 on the tail), and a write-back L2 never writes
@@ -38,6 +46,7 @@ import os
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,10 +55,12 @@ from repro.audit.parity import assert_counts_equal
 from repro.cache.policy import WritePolicy
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import (
+    FastFunctionalSimulator,
     clear_front_cache,
     fast_eligible,
     front_depth,
     run_functional,
+    sparse_eligible,
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
@@ -244,6 +255,87 @@ def test_vectorised_prefix_with_event_tail_equals_reference(config, replay):
         fast = run_functional(trace, config)
     reference = FunctionalSimulator(config).run(trace)
     assert_counts_equal(fast, reference, f"front depth {front_depth(config)}")
+
+
+@st.composite
+def sparse_configs(draw):
+    """A first level the vectorised front cannot replay, or any first
+    level under enforced inclusion, with one or two levels below it."""
+    split = draw(st.booleans())
+    block = draw(st.sampled_from((16, 32)))
+    ways = draw(st.sampled_from((1, 2, 4)))
+    inclusive = draw(st.booleans())
+    first = LevelConfig(
+        size_bytes=block * ways * (2 if split else 1) * draw(st.sampled_from((1, 2, 4))),
+        block_bytes=block,
+        associativity=ways,
+        split=split,
+        replacement=draw(st.sampled_from(("lru", "fifo", "random"))),
+        write_policy=draw(st.sampled_from(POLICIES)),
+        write_allocate=draw(st.booleans()),
+    )
+    levels = [first]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            block *= draw(st.sampled_from((1, 2)))
+            levels.append(_plain_level(draw, block))
+        else:
+            levels.append(_tail_level(draw, block))
+            block = max(block, levels[-1].block_bytes)
+    config = SystemConfig(levels=tuple(levels), enforce_inclusion=inclusive)
+    if front_depth(config):
+        # Without inclusion, only an ineligible first level leaves the front.
+        config = config.with_level(0, write_allocate=False)
+    assert front_depth(config) == 0 and sparse_eligible(config)
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=sparse_configs(), replay=replays())
+def test_sparse_walk_equals_reference(config, replay):
+    trace, chunk = replay
+    with chunked(chunk):
+        sparse = FastFunctionalSimulator(config).run(trace)
+    reference = FunctionalSimulator(config).run(trace)
+    assert_counts_equal(sparse, reference, "sparse walk")
+
+
+def _back_invalidation_trace():
+    """Direct-mapped two-set L1 over a two-way fully associative
+    inclusive L2, 16-byte blocks everywhere.  Record 2 re-reads A (skipped:
+    set 0 last saw A); record 3's L2 miss evicts A, the L2's LRU block,
+    and back-invalidates it from L1 set 0 while it is that set's MRU
+    block; record 4's re-read of A must then miss."""
+    config = SystemConfig(
+        levels=(
+            LevelConfig(size_bytes=32, block_bytes=16),
+            LevelConfig(size_bytes=32, block_bytes=16, associativity=2),
+        ),
+        enforce_inclusion=True,
+    )
+    a, b, c = 0, 16, 48  # L1 sets 0, 1, 1
+    trace = Trace(
+        np.full(5, READ, dtype=np.uint8),
+        np.array([a, b, a, c, a], dtype=np.uint64),
+    )
+    return config, trace
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 4])
+def test_sparse_walk_rewalks_after_back_invalidation(chunk):
+    """Chunks of 2 and 4 end on the evicting record, so the forced
+    re-read is carried into the next chunk."""
+    config, trace = _back_invalidation_trace()
+    since = telemetry.mark()
+    with chunked(chunk):
+        sparse = FastFunctionalSimulator(config).run(trace)
+    counters = telemetry.counter_deltas(since)
+    reference = FunctionalSimulator(config).run(trace)
+    assert reference.level_stats[0].read_misses == 4
+    assert_counts_equal(sparse, reference, "sparse walk")
+    # Records 0, 1, 3 and the forced re-read 4 are walked; 2 is skipped.
+    assert counters.get("fast.sparse.walked", 0) == 4
+    assert counters.get("fast.sparse.forced", 0) == 1
 
 
 @st.composite

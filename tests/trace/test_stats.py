@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace.record import IFETCH, READ, WRITE, Trace
 from repro.trace.stats import TraceStatistics, stack_distance_profile
@@ -111,3 +113,60 @@ class TestStackDistanceProfile:
         profile = stack_distance_profile(trace, block_bytes=64)
         assert profile.cold_references == 1
         assert profile.distances.tolist() == [1]
+
+
+def distinct_since_previous_use(blocks):
+    """Oracle: each reuse's distance, in trace order, as one plus the
+    number of distinct blocks since the block's previous use."""
+    last_use = {}
+    distances = []
+    for t, block in enumerate(blocks):
+        if block in last_use:
+            distances.append(1 + len(set(blocks[last_use[block] + 1 : t])))
+        last_use[block] = t
+    return distances, len(blocks) - len(distances)
+
+
+@st.composite
+def profiled_traces(draw):
+    """Up to 300 references over a drawn footprint, a block size and a
+    truncation (``None``: the whole trace)."""
+    n = draw(st.integers(0, 300))
+    footprint = draw(st.integers(1, 80))
+    shape = draw(st.sampled_from(("random", "single", "same")))
+    if shape == "single":
+        n = 1
+    addresses = draw(
+        st.lists(st.integers(0, footprint * 64 - 1), min_size=n, max_size=n)
+    )
+    if shape == "same" and addresses:
+        addresses = [addresses[0]] * n
+    block_bytes = draw(st.sampled_from((1, 16, 24, 64)))
+    limit = draw(st.none() | st.integers(0, n + 5))
+    return trace_of([(READ, a) for a in addresses]), block_bytes, limit
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=profiled_traces())
+def test_profile_equals_distinct_block_oracle(drawn):
+    trace, block_bytes, limit = drawn
+    profile = stack_distance_profile(
+        trace, block_bytes=block_bytes, max_references=limit
+    )
+    blocks = [a // block_bytes for a in trace.addresses.tolist()][:limit]
+    distances, cold = distinct_since_previous_use(blocks)
+    assert profile.distances.tolist() == distances
+    assert profile.distances.dtype == np.int64
+    assert profile.cold_references == cold
+    assert profile.block_bytes == block_bytes
+
+
+@pytest.mark.parametrize(
+    "records, distances, cold",
+    [([], [], 0), ([(READ, 32)], [], 1), ([(READ, 48)] * 5, [1, 1, 1, 1], 1)],
+    ids=["empty", "single", "all-same"],
+)
+def test_profile_edge_traces(records, distances, cold):
+    profile = stack_distance_profile(trace_of(records))
+    assert profile.distances.tolist() == distances
+    assert profile.cold_references == cold
