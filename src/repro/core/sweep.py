@@ -64,7 +64,7 @@ from repro.resilience.journal import current_journal
 from repro.resilience.policy import FailureReport, RetryPolicy, SweepFailure
 from repro.sim import memo
 from repro.sim.config import SystemConfig
-from repro.sim.fast import run_functional
+from repro.sim.fast import front_projection, run_functional
 from repro.sim.functional import FunctionalResult
 from repro.sim.stackdist import (
     StackdistGridResult,
@@ -92,8 +92,11 @@ MIN_CELLS_FOR_POOL = 4
 
 #: Chunks per worker: small enough to amortise dispatch, large enough to
 #: balance uneven cell costs (big caches simulate faster than small ones).
-#: A chunk that fails is split back into single cells by the executor, so
-#: chunking never weakens fault isolation.
+#: The count sets the chunk size; :func:`_front_chunks` then cuts chunks
+#: at front boundaries, so a worker replays each front it is sent once
+#: and only a front larger than a chunk is split, evenly.  A chunk that
+#: fails is split back into single cells by the executor, so chunking
+#: never weakens fault isolation.
 _CHUNKS_PER_WORKER = 4
 
 #: A stack-distance group must cover at least this many outstanding
@@ -142,6 +145,32 @@ def _chunked(jobs: List, chunks: int) -> List[List]:
         end = start + size + (1 if i < remainder else 0)
         out.append(jobs[start:end])
         start = end
+    return out
+
+
+def _front_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
+    """Split ``cells`` into chunks of at most ``ceil(len / chunks)`` cells
+    that keep each front's cells together.
+
+    A front is the stream a configuration's upstream levels send its
+    deepest level over a trace (:func:`repro.sim.fast.front_projection`);
+    a worker replays it once and serves every cell of that front from
+    its cache.  Cells are grouped by front, fronts in first-seen order
+    and cells in their given order; a front with more cells than a chunk
+    splits into even runs; runs are then packed in order, a chunk closing
+    when the next run would overflow it.
+    """
+    fronts: dict = {}
+    for cell in cells:
+        key = (cell.trace_index, front_projection(cell.config))
+        fronts.setdefault(key, []).append(cell)
+    size = -(-len(cells) // max(1, chunks))
+    out: List[List[Cell]] = []
+    for members in fronts.values():
+        for run in _chunked(members, -(-len(members) // size)):
+            if not out or len(out[-1]) + len(run) > size:
+                out.append([])
+            out[-1].extend(run)
     return out
 
 
@@ -269,7 +298,7 @@ def _pool_map(
     if permanent, reported; silently re-running a failing grid serially
     would mask the error (and could "succeed" with different results).
     """
-    chunks = _chunked(cells, workers * _CHUNKS_PER_WORKER)
+    chunks = _front_chunks(cells, workers * _CHUNKS_PER_WORKER)
     return resilient_executor.run_pooled(
         kind, compute, chunks, traces, workers, policy,
         faults=faults, validate=validate, on_result=on_result,

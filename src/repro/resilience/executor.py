@@ -271,6 +271,13 @@ class _Supervisor:
     def submit(self, cells: List[Cell], attempt: int = 0) -> None:
         self.pending.append(_Job(list(cells), attempt))
 
+    def _refill(self, handle: _WorkerHandle) -> None:
+        """Hand an idle worker the next pending job, if there is one."""
+        if handle.job is None and self.pending:
+            job = self.pending.popleft()
+            if not self._dispatch(handle, job):
+                self.pending.appendleft(job)
+
     def _dispatch(self, handle: _WorkerHandle, job: _Job) -> bool:
         if not handle.process.is_alive():
             self._respawn(handle)
@@ -354,6 +361,9 @@ class _Supervisor:
         tag, job_id = message[0], message[1]
         if job is None or job_id != job.job_id:  # pragma: no cover - stale
             return
+        # The worker's next job goes out before this one's results are
+        # absorbed, validated and delivered, so it does not wait on them.
+        self._refill(handle)
         if tag == "ok":
             _, _, results, tele = message
             telemetry.absorb_worker(tele)
@@ -415,10 +425,7 @@ class _Supervisor:
             if not self.pending and not self.delayed and not busy:
                 break
             for handle in self.handles:
-                if handle.job is None and self.pending:
-                    job = self.pending.popleft()
-                    if not self._dispatch(handle, job):
-                        self.pending.appendleft(job)
+                self._refill(handle)
             busy = {h.conn: h for h in self.handles if h.job is not None}
             if not busy:
                 if self.delayed and not self.pending:

@@ -69,6 +69,7 @@ eligibility matrix is documented in ``docs/performance.md``.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import OrderedDict
 from dataclasses import replace
@@ -224,7 +225,7 @@ def _simulate_dm_level(
     carried = 0
     if state is not None:
         tags, reach = state
-        resident = np.unique(blocks & (sets - 1))
+        resident = np.flatnonzero(np.bincount(blocks & (sets - 1), minlength=sets))
         resident = resident[tags[resident, 0] >= 0]
         carried = len(resident)
         blocks = np.concatenate([tags[resident, 0], blocks])
@@ -233,50 +234,40 @@ def _simulate_dm_level(
             [np.full(carried, -1, dtype=np.int64), order_keys]
         )
         n += carried
-    set_index = blocks & (sets - 1)
     # Stable sort by set: within a set, accesses stay in time order.
-    order = _stable_argsort(set_index, sets)
-    sorted_sets = set_index[order]
+    order = _stable_argsort(blocks & (sets - 1), sets)
     sorted_blocks = blocks[order]
-    same_set = np.empty(n, dtype=bool)
-    same_set[0] = False
-    np.equal(sorted_sets[1:], sorted_sets[:-1], out=same_set[1:])
-    same_block = np.empty(n, dtype=bool)
-    same_block[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same_block[1:])
-    hit_sorted = same_set & same_block
-    miss_sorted = ~hit_sorted
+    # An access hits iff the previous access in set order was to the same
+    # block (equal blocks share a set, so that access was in this set).
+    same = np.empty(n, dtype=bool)
+    same[0] = False
+    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
+    miss_positions = np.flatnonzero(~same)
+    miss_order = order[miss_positions]
+    miss_blocks = sorted_blocks[miss_positions]
+    miss_sets = miss_blocks & (sets - 1)
 
     # Residency episodes: one per miss; an episode covers the accesses from
-    # its miss up to (not including) the next miss in the same set.
-    episode = np.cumsum(miss_sorted) - 1
-    n_episodes = int(episode[-1]) + 1
-    dirty = np.zeros(n_episodes, dtype=bool)
-    writes_sorted = is_write[order]
-    np.logical_or.at(dirty, episode, writes_sorted)
-
-    miss_positions = np.flatnonzero(miss_sorted)
-    # Episode e is evicted by the next miss iff that miss lands in the same
-    # set (episodes are contiguous per set: a set change always misses).
-    evicted = np.zeros(n_episodes, dtype=bool)
-    if n_episodes > 1:
-        evicted[:-1] = (
-            sorted_sets[miss_positions[1:]] == sorted_sets[miss_positions[:-1]]
-        )
-    victims = dirty & evicted
-    victim_blocks = sorted_blocks[miss_positions[np.flatnonzero(victims)]]
+    # its miss up to (not including) the next miss in the same set.  A set
+    # change always misses, so episodes are contiguous runs in set order
+    # and one segmented reduction gives each one's dirty bit.
+    dirty = np.logical_or.reduceat(is_write[order], miss_positions)
+    # Episode e is evicted by the next miss iff that miss lands in the
+    # same set; otherwise it is its set's final episode.
+    evicted = np.zeros(len(miss_positions), dtype=bool)
+    np.equal(miss_sets[1:], miss_sets[:-1], out=evicted[:-1])
+    victims = np.flatnonzero(dirty & evicted)
     # The writeback happens when the *next* episode's miss occurs.
-    evictor_positions = miss_positions[np.flatnonzero(victims) + 1]
-    victim_keys = order_keys[order][evictor_positions]
+    victim_keys = order_keys[miss_order[victims + 1]]
 
     if state is not None:
-        # Each touched set's last access leaves its final episode resident.
-        last = np.flatnonzero(np.append(~same_set[1:], True))
-        tags[sorted_sets[last], 0] = sorted_blocks[last]
-        reach[sorted_sets[last], 0] = np.where(dirty[episode[last]], 1, _CLEAN)
+        # Each touched set's final episode stays resident.
+        final = np.flatnonzero(~evicted)
+        tags[miss_sets[final], 0] = miss_blocks[final]
+        reach[miss_sets[final], 0] = np.where(dirty[final], 1, _CLEAN)
     miss_mask = np.zeros(n, dtype=bool)
-    miss_mask[order] = miss_sorted
-    return miss_mask[carried:], victim_blocks.astype(np.int64), victim_keys
+    miss_mask[miss_order] = True
+    return miss_mask[carried:], miss_blocks[victims], victim_keys
 
 
 def _stack_pass(
@@ -497,18 +488,36 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
     """
     kinds = trace.kinds
     is_write = kinds == WRITE
-    stream = (
-        trace.addresses.astype(np.int64),
-        is_write,
-        np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
-        np.arange(key_offset, key_offset + len(trace), dtype=np.int64),
-    )
+    addresses = trace.addresses.astype(np.int64)
     if not split:
-        return [stream]
+        return [
+            (
+                addresses,
+                is_write,
+                np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
+                np.arange(key_offset, key_offset + len(trace), dtype=np.int64),
+            )
+        ]
+    # Index gathers: a boolean-mask gather costs several times a
+    # flatnonzero plus a take over the same array.  The I-side carries
+    # no writes; a record's key is its index.
     is_ifetch = kinds == IFETCH
+    ifetch = np.flatnonzero(is_ifetch)
+    data = np.flatnonzero(~is_ifetch)
+    data_write = is_write[data]
     return [
-        tuple(array[is_ifetch] for array in stream),
-        tuple(array[~is_ifetch] for array in stream),
+        (
+            addresses[ifetch],
+            np.zeros(len(ifetch), dtype=bool),
+            np.full(len(ifetch), _BUCKET_READ, dtype=np.int8),
+            ifetch + key_offset,
+        ),
+        (
+            addresses[data],
+            data_write,
+            np.where(data_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
+            data + key_offset,
+        ),
     ]
 
 
@@ -648,22 +657,23 @@ class _Front:
                         victim_keys * 4 + 1,
                     )
                 )
+                fetched = np.flatnonzero(miss)
                 parts.append(
                     (
-                        blocks[miss],
-                        np.zeros(int(miss.sum()), dtype=bool),
-                        s_bucket[miss],
-                        s_keys[miss] * 4 + 2,
+                        blocks[fetched],
+                        np.zeros(len(fetched), dtype=bool),
+                        s_bucket[fetched],
+                        s_keys[fetched] * 4 + 2,
                     )
                 )
                 if through:
-                    forwarded = int(s_write.sum())
+                    forwarded = np.flatnonzero(s_write)
                     parts.append(
                         (
-                            blocks[s_write],
-                            np.ones(forwarded, dtype=bool),
-                            np.full(forwarded, _BUCKET_WRITE, dtype=np.int8),
-                            s_keys[s_write] * 4 + 3,
+                            blocks[forwarded],
+                            np.ones(len(forwarded), dtype=bool),
+                            np.full(len(forwarded), _BUCKET_WRITE, dtype=np.int8),
+                            s_keys[forwarded] * 4 + 3,
                         )
                     )
             if trail is not None:
@@ -675,14 +685,23 @@ class _Front:
         return sides
 
 
-def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
+def front_projection(config: SystemConfig) -> Tuple:
+    """What ``config``'s cached front depends on besides the trace: its
+    inclusion policy and its upstream levels' functional projections.
+    Cells of a sweep that share a trace and this projection share one
+    front replay."""
     from repro.sim import memo  # memo dispatches through this module
 
     return (
-        memo.trace_fingerprint(trace),
         config.enforce_inclusion,
         tuple(memo.level_projection(level) for level in config.levels[:-1]),
     )
+
+
+def _front_key(trace: Trace, config: SystemConfig) -> Tuple:
+    from repro.sim import memo
+
+    return (memo.trace_fingerprint(trace), *front_projection(config))
 
 
 def _cached_front(
@@ -824,13 +843,15 @@ class _SparseWalk:
         def redirect(t: int) -> None:
             # Force the next access after ``t`` to every set a
             # back-invalidation touched; with none left in this chunk,
-            # the set's first access in the next chunk.
+            # the set's first access in the next chunk.  ``bisect`` reads
+            # a few elements of ``order`` in place, far cheaper per
+            # dropped block than a NumPy search call.
             for cache, address in dropped:
                 g = ((address >> self.bits) & (self.sets - 1)) + self.sets * (
                     cache is not self.caches[0]
                 )
-                lo, hi = int(bounds[g]), int(bounds[g + 1])
-                j = lo + int(np.searchsorted(order[lo:hi], t, side="right"))
+                hi = int(bounds[g + 1])
+                j = bisect.bisect_right(order, t, int(bounds[g]), hi)
                 if j == hi:
                     self.stale[g] = True
                 elif skip[order[j]]:

@@ -15,7 +15,7 @@ from repro import telemetry
 from repro.core import sweep
 from repro.core.sweep import sweep_functional, sweep_timing, sweep_workers
 from repro.sim import memo
-from repro.sim.fast import clear_front_cache, run_functional
+from repro.sim.fast import clear_front_cache, front_projection, run_functional
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -185,6 +185,48 @@ class TestParallel:
         serial = sweep_functional(small_traces, configs, workers=1)
         memo.clear_memo_cache()
         pooled = sweep_functional(small_traces, configs, workers=2)
+        for row_a, row_b in zip(serial, pooled):
+            for a, b in zip(row_a, row_b):
+                assert_counts_equal(a, b)
+
+    def test_pool_replays_each_front_once(self, base_config, monkeypatch):
+        """Cells that share a front -- a trace and the upstream levels --
+        are dispatched together, so each front is replayed by one worker
+        only, once."""
+        from repro.audit import manifest
+
+        monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
+        traces = [
+            SyntheticWorkload(seed=80 + t, address_base=t << 40).trace(
+                12_000, name=f"front{t}", warmup=2_000
+            )
+            for t in range(3)
+        ]
+        # Lone direct-mapped L2 cells: each runs on its cached front.
+        configs = [
+            base_config.with_level(0, size_bytes=l1_kb * KB).with_level(
+                1, size_bytes=l2_kb * KB
+            )
+            for l1_kb in (4, 8)
+            for l2_kb in (16, 32, 64)
+        ]
+        serial = sweep_functional(traces, configs, workers=1)
+        memo.clear_memo_cache()
+        clear_front_cache()  # forked workers must not inherit fronts
+        since = telemetry.mark()
+        with manifest.recording("front-affinity") as run:
+            pooled = sweep_functional(traces, configs, workers=2)
+        (note,) = run.sweeps
+        if not note.pooled:
+            pytest.skip("worker processes cannot be created on this host")
+        assert note.simulated == len(configs) * len(traces)
+        fronts = {
+            (j, front_projection(config))
+            for config in configs
+            for j in range(len(traces))
+        }
+        moved = telemetry.counter_deltas(since)
+        assert moved.get("front.misses", 0) == len(fronts)
         for row_a, row_b in zip(serial, pooled):
             for a, b in zip(row_a, row_b):
                 assert_counts_equal(a, b)

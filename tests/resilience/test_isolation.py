@@ -386,14 +386,22 @@ class TestOneChannel:
             tiny_config.with_level(0, size_bytes=size * KB)
             for size in (1, 2, 4, 8, 16, 32, 64, 128)
         ]
-        # Config-major dispatch order, as the sweep plans it; 16 distinct
-        # cells over 2 workers x 4 chunks each is 8 chunks of 2.
-        signatures = [
-            cell_signature("functional", j, memo.functional_projection(config))
-            for config in configs
-            for j in range(len(tiny_traces))
+        # The cells in config-major order, as the sweep plans them, cut
+        # into chunks as the pool does; 16 cells on 16 distinct fronts
+        # over 2 workers x 4 chunks each is 8 chunks of 2.
+        cells = [
+            Cell(i, j, config, cell_signature(
+                "functional", j, memo.functional_projection(config)
+            ))
+            for i, (config, j) in enumerate(
+                (config, j) for config in configs for j in range(len(tiny_traces))
+            )
         ]
-        chunks = sweep._chunked(signatures, 2 * sweep._CHUNKS_PER_WORKER)
+        signatures = [cell.signature for cell in cells]
+        chunks = [
+            [cell.signature for cell in chunk]
+            for chunk in sweep._front_chunks(cells, 2 * sweep._CHUNKS_PER_WORKER)
+        ]
         assert min(len(chunk) for chunk in chunks) >= 2
         seed = find_flaky_seed(signatures, chunks=chunks)
         monkeypatch.setenv("REPRO_TELEMETRY", "1")

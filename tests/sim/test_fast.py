@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -16,6 +16,9 @@ from repro.audit.parity import assert_counts_equal, assert_timing_equal
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import (
     FastFunctionalSimulator,
+    _CLEAN,
+    _new_state,
+    _simulate_dm_level,
     _stable_argsort,
     clear_front_cache,
     fast_eligible,
@@ -430,6 +433,101 @@ class TestStableArgsort:
     def test_keys_outside_the_bound_raise(self, bad):
         with pytest.raises(ValueError):
             _stable_argsort(np.array([0, bad, 3], dtype=np.int64), 2**16)
+
+
+def dm_reference(blocks, is_write, keys, sets, state):
+    """One direct-mapped write-back level, one access at a time.
+
+    Returns ``(miss, victims)`` -- ``victims`` as ``(evicting key,
+    block)`` pairs -- and updates the width-1 carried ``state`` in place,
+    touched sets only, as the kernel does.
+    """
+    tags, reach = state
+    resident = {s: int(tags[s, 0]) for s in range(sets) if tags[s, 0] >= 0}
+    dirty = {s: bool(reach[s, 0] <= 1) for s in resident}
+    miss, victims, touched = [], [], set()
+    for block, write, key in zip(blocks.tolist(), is_write.tolist(), keys.tolist()):
+        s = block & (sets - 1)
+        touched.add(s)
+        if resident.get(s) == block:
+            miss.append(False)
+            dirty[s] = dirty[s] or write
+            continue
+        miss.append(True)
+        if dirty.get(s):
+            victims.append((key, resident[s]))
+        resident[s], dirty[s] = block, write
+    for s in touched:
+        tags[s, 0] = resident[s]
+        reach[s, 0] = 1 if dirty[s] else _CLEAN
+    return np.array(miss, dtype=bool), sorted(victims)
+
+
+def dm_case(blocks, writes, sets, tags=None, dirty=None):
+    """A kernel input: keys strictly increasing with gaps, and a carried
+    state (``tags`` per set, ``-1`` empty) or ``None``."""
+    blocks = np.array(blocks, dtype=np.int64)
+    keys = np.cumsum(np.arange(1, len(blocks) + 1, dtype=np.int64)) * 3
+    state = None
+    if tags is not None:
+        state = (
+            np.array(tags, dtype=np.int64).reshape(sets, 1),
+            np.where(np.array(dirty, dtype=bool), 1, _CLEAN).reshape(sets, 1),
+        )
+    return blocks, np.array(writes, dtype=bool), keys, sets, state
+
+
+@st.composite
+def dm_cases(draw):
+    """Few sets and few distinct tags, so hits, dirty evictions and
+    carried residency all occur; optionally every access a write."""
+    sets = draw(st.sampled_from((1, 2, 4, 16)))
+    tag_count = draw(st.integers(1, 4))
+    blocks = draw(st.lists(st.integers(0, sets * tag_count - 1), max_size=120))
+    if draw(st.booleans()):
+        writes = [True] * len(blocks)
+    else:
+        writes = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    if not draw(st.booleans()):
+        return dm_case(blocks, writes, sets)
+    tags = [
+        s + sets * draw(st.integers(0, tag_count - 1)) if draw(st.booleans()) else -1
+        for s in range(sets)
+    ]
+    dirty = [tag >= 0 and draw(st.booleans()) for tag in tags]
+    return dm_case(blocks, writes, sets, tags, dirty)
+
+
+class TestDirectMappedKernel:
+    """``_simulate_dm_level`` against a per-set loop: miss mask, dirty
+    victims with their evicting keys, and the carried state it leaves."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=dm_cases())
+    @example(case=dm_case([], [], 4))
+    @example(case=dm_case([], [], 2, tags=[2, -1], dirty=[True, False]))
+    @example(case=dm_case([0, 1, 0, 2, 2, 1], [True, False, False, True, False, True], 1))
+    @example(case=dm_case([0, 4, 1, 5, 0, 4, 1], [True] * 7, 4))
+    @example(case=dm_case([4, 0, 5, 1, 3], [False, True, False, False, True], 4,
+                          tags=[0, 5, -1, 7], dirty=[True, True, False, False]))
+    def test_equals_per_set_loop(self, case):
+        blocks, writes, keys, sets, state = case
+        # A cold start is an all-empty carried state.
+        reference_state = (
+            _new_state(sets, 1) if state is None else (state[0].copy(), state[1].copy())
+        )
+        expected_miss, expected_victims = dm_reference(
+            blocks, writes, keys, sets, reference_state
+        )
+        miss, victims, victim_keys = _simulate_dm_level(
+            blocks, writes, keys, sets, state
+        )
+        if state is not None:
+            np.testing.assert_array_equal(state[0], reference_state[0])
+            np.testing.assert_array_equal(state[1], reference_state[1])
+        np.testing.assert_array_equal(miss, expected_miss)
+        assert victims.dtype == victim_keys.dtype == np.int64
+        assert sorted(zip(victim_keys.tolist(), victims.tolist())) == expected_victims
 
 
 class TestFrontCache:
