@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.trace.stats import StackDistanceProfile
 from repro.units import check_power_of_two
@@ -31,6 +30,10 @@ def miss_probability_by_distance(
     distances: np.ndarray, sets: int, associativity: int
 ) -> np.ndarray:
     """``P(miss | stack distance)`` for each distance under Smith's model."""
+    # Imported here, not at module top: ``scipy.stats`` takes about a
+    # second to import, and only this model needs it.
+    from scipy.stats import binom
+
     if sets < 1 or associativity < 1:
         raise ValueError("sets and associativity must be at least 1")
     distances = np.asarray(distances, dtype=np.int64)

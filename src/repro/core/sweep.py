@@ -29,8 +29,9 @@ What the executor layers on top of a plain double loop:
   by default, or returned as a partial grid with
   ``on_failure="partial"`` -- never as silent all-or-nothing loss.
 * **Checkpointing**: when a :func:`repro.resilience.journal.journaling`
-  context is active, every completed cell is fsynced to an append-only
-  journal as it lands, and a resumed sweep restores journaled cells
+  context is active, every requested cell lands in an append-only
+  journal -- computed cells as they complete, memo-served ones in one
+  batch at planning -- and a resumed sweep restores journaled cells
   instead of re-simulating them (``mlcache run --resume``).
 * **Graceful degradation**: one worker (the default on a single-CPU
   host), tiny workloads, or a host where worker processes cannot be
@@ -406,15 +407,25 @@ def _sweep_functional_grid(
         ]
         # One representative cell per distinct un-cached key, in
         # first-seen (config-major) order so results are reproducible
-        # cell by cell.
+        # cell by cell.  Each distinct key is looked up once, in order:
+        # the memo, then this sweep's journal, then the pending list.  A
+        # memo-served key the journal lacks (typically another sweep's
+        # grid extra) is journaled too, so the journal resumes alone.
         pending: List[Cell] = []
         pending_keys: List[Tuple] = []
+        served: List[Tuple[Tuple, FunctionalResult]] = []
         seen = set()
         resumed = 0
         for i, config in enumerate(configs):
             for j in range(len(traces)):
                 key = keys[i][j]
-                if key in seen or memo.peek(key) is not None:
+                if key in seen:
+                    continue
+                seen.add(key)
+                cached = memo.peek(key)
+                if cached is not None:
+                    if journal is not None and not journal.holds("functional", key):
+                        served.append((key, cached))
                     continue
                 if journal is not None:
                     restored = journal.restore("functional", key, config)
@@ -422,7 +433,6 @@ def _sweep_functional_grid(
                         memo.store(key, restored)
                         resumed += 1
                         continue
-                seen.add(key)
                 pending.append(
                     Cell(
                         len(pending), j, config,
@@ -437,6 +447,11 @@ def _sweep_functional_grid(
         groups, group_member_keys, singles, single_keys = _plan_stackdist(
             pending, pending_keys, stackdist_enabled()
         )
+
+    if journal is not None and served:
+        # Already computed, so a machine crash costs only re-derivation:
+        # the batch rides the group commit instead of forcing an fsync.
+        journal.record_cells("functional", served, sync=False)
 
     def on_group_result(cell: Cell, result: StackdistGridResult) -> None:
         # Fan every derived member into the memo cache: the members this

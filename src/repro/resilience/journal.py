@@ -1,12 +1,13 @@
 """Append-only checkpoint journal for sweeps.
 
-One JSONL record per completed cell, flushed to the operating system
+One JSONL record per requested cell -- computed, or served by the memo
+from another sweep's work -- flushed to the operating system
 before the sweep moves on -- so the journal survives a SIGKILL at any
 instant (the bytes are in the kernel's page cache, which outlives the
 process).  fsync, which is what protects against *machine* crashes and
 costs milliseconds per call on ordinary disks, is group-committed: one
-lands at least every :data:`FSYNC_EVERY` records, after every batched
-:meth:`SweepJournal.record_cells`, and at close.  A power loss can
+lands at least every :data:`FSYNC_EVERY` records, after every batch a
+stack-distance pass derives, and at close.  A power loss can
 therefore cost at most the last few cells -- a resumed sweep simply
 re-simulates them -- instead of taxing every cell of every sweep.  Cells
 are keyed by the same identities the memoisation layer uses
@@ -21,9 +22,11 @@ Record format (one JSON object per line)::
     {"t": "cell", "kind": "functional", "key": "<sha256 of the cell key>",
      "trace": "...", "sum": "<sha256[:12] of payload>", "payload": {...}}
 
-Torn trailing lines (the record being written when the process died) and
-checksum mismatches are skipped on load; duplicate keys keep the last
-complete record.  Payloads carry every field of the result except its
+Each line is exactly ``json.dumps(record, sort_keys=True)``, so the
+payload's checksummed text sits verbatim between ``"payload": `` and
+``, "sum": ``.  Torn trailing lines (the record being written when the
+process died) and checksum mismatches are skipped on load; duplicate
+keys keep the last complete record.  Payloads carry every field of the result except its
 ``config`` -- the resuming sweep re-attaches its own configuration
 object, exactly as the memo cache does for timing-variant hits.
 
@@ -41,7 +44,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -83,11 +86,57 @@ def journal_digest(kind: str, key: Tuple) -> str:
     return hashlib.sha256(f"{kind}|{key!r}".encode()).hexdigest()
 
 
+def _payload_text(payload: Dict) -> str:
+    """A payload's canonical dump: the text its checksum covers."""
+    return json.dumps(payload, sort_keys=True)
+
+
 def _payload_checksum(payload_text: str) -> str:
     return hashlib.sha256(payload_text.encode()).hexdigest()[:12]
 
 
+def _cell_line(digest: str, kind: str, trace: str, payload_text: str) -> str:
+    """One cell record's line, spliced around the payload's canonical text.
+
+    Byte-identical to ``json.dumps(record, sort_keys=True) + "\n"`` for
+    the record ``{"t": "cell", "kind", "key", "trace", "sum", "payload"}``
+    (its keys in sorted order), without dumping the payload a second time.
+    """
+    return (
+        f'{{"key": {json.dumps(digest)}, "kind": {json.dumps(kind)}, '
+        f'"payload": {payload_text}, '
+        f'"sum": {json.dumps(_payload_checksum(payload_text))}, '
+        f'"t": "cell", "trace": {json.dumps(trace)}}}\n'
+    )
+
+
+#: What encloses the payload's text in a cell line: it is the value of
+#: the first ``"payload"`` key, and ``"sum"`` is the next key in sorted
+#: order.  Inside a JSON string a quote is always escaped, so neither
+#: marker can match inside one.
+_PAYLOAD_OPEN = '"payload": '
+_PAYLOAD_CLOSE = ', "sum": '
+
+
+def _raw_payload_text(line: str) -> Optional[str]:
+    """The payload's text as written in ``line``, or ``None``."""
+    start = line.find(_PAYLOAD_OPEN)
+    end = line.rfind(_PAYLOAD_CLOSE)
+    if start < 0 or end < start:
+        return None
+    return line[start + len(_PAYLOAD_OPEN):end]
+
+
 # -- result (de)serialisation ------------------------------------------------
+
+#: ``CacheStats`` is flat (every field an int), so a shallow dict is the
+#: whole of what ``dataclasses.asdict`` would build, at a fraction of
+#: its cost.
+_STATS_FIELDS = tuple(field.name for field in fields(CacheStats))
+
+
+def _encode_stats(stats: CacheStats) -> Dict:
+    return {name: getattr(stats, name) for name in _STATS_FIELDS}
 
 
 def encode_functional(result: FunctionalResult) -> Dict:
@@ -96,7 +145,7 @@ def encode_functional(result: FunctionalResult) -> Dict:
         "cpu_reads": result.cpu_reads,
         "cpu_writes": result.cpu_writes,
         "cpu_ifetches": result.cpu_ifetches,
-        "level_stats": [asdict(stats) for stats in result.level_stats],
+        "level_stats": [_encode_stats(stats) for stats in result.level_stats],
         "memory_reads": result.memory_reads,
         "memory_writes": result.memory_writes,
     }
@@ -125,7 +174,7 @@ def encode_timing(result: TimingResult) -> Dict:
         "base_ns": result.base_ns,
         "read_stall_ns": result.read_stall_ns,
         "write_stall_ns": result.write_stall_ns,
-        "level_stats": [asdict(stats) for stats in result.level_stats],
+        "level_stats": [_encode_stats(stats) for stats in result.level_stats],
         "memory_reads": result.memory_reads,
         "memory_writes": result.memory_writes,
         "buffer_full_stalls": list(result.buffer_full_stalls),
@@ -205,7 +254,12 @@ class SweepJournal:
             self.compact()
 
     def _load(self) -> None:
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        with telemetry.span("journal.load") as span:
+            self._parse(self.path.read_text(encoding="utf-8"))
+            span.annotate(cells=len(self._restorable))
+
+    def _parse(self, text: str) -> None:
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
@@ -217,8 +271,16 @@ class SweepJournal:
             if record.get("t") != "cell":
                 continue
             payload = record.get("payload")
-            payload_text = json.dumps(payload, sort_keys=True)
-            if record.get("sum") != _payload_checksum(payload_text):
+            # The checksum is over the payload's canonical dump.  A line
+            # this journal wrote holds exactly that text, so hash it as
+            # written; only a line whose text does not match (a damaged
+            # or foreign record) pays for the canonical re-dump, which
+            # keeps the accepted and dead sets those of the re-dump alone.
+            checksum = record.get("sum")
+            raw = _raw_payload_text(line)
+            if (raw is None or checksum != _payload_checksum(raw)) and (
+                checksum != _payload_checksum(_payload_text(payload))
+            ):
                 self.dead += 1
                 continue
             if record["key"] in self._restorable:
@@ -241,21 +303,15 @@ class SweepJournal:
 
     # -- recording ----------------------------------------------------------
 
-    def _cell_record(self, kind: str, key: Tuple, result):
+    def _cell_record(self, kind: str, key: Tuple, result) -> Tuple[str, Dict, str]:
+        """``(digest, payload, line)`` for one cell; the payload is dumped
+        once, for both its checksum and the line."""
         payload = (
             encode_functional(result) if kind == "functional" else encode_timing(result)
         )
-        payload_text = json.dumps(payload, sort_keys=True)
         digest = journal_digest(kind, key)
-        record = {
-            "t": "cell",
-            "kind": kind,
-            "key": digest,
-            "trace": result.trace_name,
-            "sum": _payload_checksum(payload_text),
-            "payload": payload,
-        }
-        return digest, payload, record
+        line = _cell_line(digest, kind, result.trace_name, _payload_text(payload))
+        return digest, payload, line
 
     def record_cell(self, kind: str, key: Tuple, result) -> None:
         """Journal one completed cell, flushed before returning.
@@ -264,8 +320,8 @@ class SweepJournal:
         that also makes it survive a machine crash is group-committed
         (every :data:`FSYNC_EVERY` records and at close).
         """
-        digest, payload, record = self._cell_record(kind, key, result)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        digest, payload, line = self._cell_record(kind, key, result)
+        self._handle.write(line)
         self._handle.flush()
         self._restorable[digest] = (kind, payload)
         self.recorded += 1
@@ -274,26 +330,36 @@ class SweepJournal:
         if self._unsynced >= FSYNC_EVERY:
             self.sync()
 
-    def record_cells(self, kind: str, entries) -> None:
-        """Journal a batch of ``(key, result)`` cells that completed
-        together (one stack-distance pass derives several cells) with a
-        single write, flush and fsync.  A torn tail loses at most the
-        batch's unflushed suffix; :meth:`_load` drops it by checksum.
+    def record_cells(self, kind: str, entries, sync: bool = True) -> None:
+        """Journal a batch of ``(key, result)`` cells with a single write
+        and flush.  A torn tail loses at most the batch's unflushed
+        suffix; :meth:`_load` drops it by checksum.
+
+        ``sync=True`` (cells one stack-distance pass derived together)
+        fsyncs the batch at once.  ``sync=False`` (cells the memo already
+        held) lets the batch ride the group commit: a machine crash then
+        costs only their re-derivation.
         """
         lines = []
         for key, result in entries:
-            digest, payload, record = self._cell_record(kind, key, result)
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            digest, payload, line = self._cell_record(kind, key, result)
+            lines.append(line)
             self._restorable[digest] = (kind, payload)
         if not lines:
             return
         self._handle.write("".join(lines))
+        self._handle.flush()
         self.recorded += len(lines)
         self._unsynced += len(lines)
         telemetry.counter_add("journal.records", len(lines))
-        self.sync()
+        if sync or self._unsynced >= FSYNC_EVERY:
+            self.sync()
 
     # -- restoring ----------------------------------------------------------
+
+    def holds(self, kind: str, key: Tuple) -> bool:
+        """Whether a complete record for ``key`` is journaled (no decode)."""
+        return journal_digest(kind, key) in self._restorable
 
     def restore(self, kind: str, key: Tuple, config):
         """The journaled result for ``key`` with ``config`` attached, or
@@ -342,20 +408,10 @@ class SweepJournal:
             + "\n"
         ]
         for digest, (kind, payload) in self._restorable.items():
-            payload_text = json.dumps(payload, sort_keys=True)
             lines.append(
-                json.dumps(
-                    {
-                        "t": "cell",
-                        "kind": kind,
-                        "key": digest,
-                        "trace": payload.get("trace_name", ""),
-                        "sum": _payload_checksum(payload_text),
-                        "payload": payload,
-                    },
-                    sort_keys=True,
+                _cell_line(
+                    digest, kind, payload.get("trace_name", ""), _payload_text(payload)
                 )
-                + "\n"
             )
         dropped = self.dead
         try:

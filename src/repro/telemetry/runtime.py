@@ -137,6 +137,9 @@ class _NoopSpan:
     def __exit__(self, *exc: object) -> None:
         return None
 
+    def annotate(self, **attrs: Any) -> None:
+        return None
+
 
 _NOOP = _NoopSpan()
 
@@ -162,6 +165,10 @@ class _Span:
         _stack.append((self._id, self._path))
         self._t0 = _now_ns()
         return self
+
+    def annotate(self, **attrs: Any) -> None:
+        """Attach attributes known only once the spanned work is done."""
+        self.attrs.update(attrs)
 
     def __exit__(self, *exc: object) -> None:
         t1 = _now_ns()

@@ -1,5 +1,10 @@
 """Tests for Smith's set-associative miss model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,3 +142,23 @@ class TestAssociativityCurve:
     def test_oversized_ways_rejected(self):
         with pytest.raises(ValueError):
             associativity_curve(profile_of([1, 2]), 4, set_sizes=(8,))
+
+
+def test_experiment_registry_does_not_import_scipy_stats():
+    """``scipy.stats`` costs about a second to import and only Smith's
+    model uses it, so loading the experiments must not pull it in."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in [src, env.get("PYTHONPATH", "")] if p
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.experiments.registry\n"
+            "print('scipy.stats' in sys.modules)",
+        ],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

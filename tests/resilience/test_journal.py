@@ -1,6 +1,8 @@
 """The checkpoint journal: durable, torn-write-tolerant, and resumable
 to a grid identical to an uninterrupted run."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -11,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.audit import manifest as run_manifest
+from repro.core import sweep as sweep_module
 from repro.core.sweep import sweep_functional, sweep_timing
+from repro.resilience import journal as journal_module
 from repro.resilience.journal import (
     SweepJournal,
     current_journal,
@@ -20,11 +25,14 @@ from repro.resilience.journal import (
     decode_timing,
     encode_functional,
     encode_timing,
+    journal_digest,
     journaling,
 )
 from repro.sim import memo
-from repro.sim.fast import run_functional
+from repro.sim.config import LevelConfig, SystemConfig
+from repro.sim.fast import clear_front_cache, run_functional
 from repro.sim.timing import TimingSimulator
+from repro.units import KB
 
 
 def assert_counts_equal(a, b):
@@ -444,3 +452,263 @@ class TestJournalLock:
         # Once the holder releases, the path is immediately reusable.
         successor = SweepJournal(path, resume=True, name="second")
         successor.close()
+
+
+def _with_l2(config, ways, sets=256):
+    """``config`` with a ``ways``-way L2 of ``sets`` sets (one grid group)."""
+    block = config.levels[1].block_bytes
+    return config.with_level(1, size_bytes=sets * block * ways, associativity=ways)
+
+
+class TestStandaloneJournal:
+    """Each sweep's journal holds every cell that sweep asked for, so it
+    resumes alone -- even cells another sweep's grid pass derived."""
+
+    def _sweep(self, path, traces, configs, resume=False):
+        with run_manifest.recording("sweep") as recorder:
+            with journaling(path, resume=resume) as journal:
+                grid = sweep_functional(traces, configs, workers=0)
+                dead = journal.dead
+        (note,) = recorder.sweeps
+        return grid, note, dead
+
+    def test_journal_resumes_alone_after_memo_served_cells(
+        self, tmp_path, tiny_traces, tiny_config, monkeypatch
+    ):
+        first = [_with_l2(tiny_config, ways) for ways in (1, 2)]
+        second = [_with_l2(tiny_config, ways) for ways in (4, 8)]
+        self._sweep(tmp_path / "a.jsonl", tiny_traces, first)
+        grid, note, _ = self._sweep(tmp_path / "b.jsonl", tiny_traces, second)
+        # B's cells were A's stack-distance extras: the memo served them.
+        assert note.simulated == note.cells_derived == note.stackdist_groups == 0
+
+        memo.clear_memo_cache()
+        clear_front_cache()
+        passes = []
+        original = sweep_module.run_stackdist_grid
+        monkeypatch.setattr(
+            sweep_module, "run_stackdist_grid",
+            lambda *args: passes.append(args) or original(*args),
+        )
+        mark = telemetry.mark()
+        resumed, note, dead = self._sweep(
+            tmp_path / "b.jsonl", tiny_traces, second, resume=True
+        )
+        deltas = telemetry.counter_deltas(mark)
+        assert deltas.get("journal.records", 0) == 0
+        assert deltas.get("front.misses", 0) == 0
+        assert passes == []
+        assert note.simulated == note.cells_derived == note.stackdist_groups == 0
+        assert note.resumed == len(second) * len(tiny_traces)
+        assert dead == 0
+        for i, config in enumerate(second):
+            for j, trace in enumerate(tiny_traces):
+                assert_counts_equal(resumed[i][j], grid[i][j])
+                assert_counts_equal(resumed[i][j], run_functional(trace, config))
+
+    def test_rerun_over_journaled_cells_appends_nothing(
+        self, tmp_path, tiny_traces, config_grid
+    ):
+        path = tmp_path / "j.jsonl"
+        self._sweep(path, tiny_traces, config_grid)
+        size = path.stat().st_size
+        mark = telemetry.mark()
+        # Warm memo: every cell is memo-served and already journaled.
+        self._sweep(path, tiny_traces, config_grid, resume=True)
+        # Cold memo: every cell is restored from the journal.
+        memo.clear_memo_cache()
+        _, _, dead = self._sweep(path, tiny_traces, config_grid, resume=True)
+        assert telemetry.counter_deltas(mark).get("journal.records", 0) == 0
+        assert path.stat().st_size == size
+        assert dead == 0
+
+    def test_memo_served_batch_rides_the_group_commit(
+        self, tmp_path, tiny_traces, config_grid
+    ):
+        sweep_functional(tiny_traces, config_grid, workers=0)
+        mark = telemetry.mark()
+        with journaling(tmp_path / "j.jsonl") as journal:
+            sweep_functional(tiny_traces, config_grid, workers=0)
+            distinct = 3 * len(tiny_traces)  # three functional configs
+            assert journal.recorded == distinct
+            assert journal._unsynced == distinct  # no fsync forced yet
+        deltas = telemetry.counter_deltas(mark)
+        # The header's fsync, then the one at close.
+        assert deltas.get("journal.fsyncs", 0) == 2
+
+
+# -- the line format -----------------------------------------------------------
+
+
+def _asdict_payload(kind, result):
+    """The payload as the reference encoder builds it (``asdict``)."""
+    payload = (encode_functional if kind == "functional" else encode_timing)(result)
+    payload["level_stats"] = [dataclasses.asdict(s) for s in result.level_stats]
+    return payload
+
+
+def _reference_line(kind, key, result, sort_keys=True):
+    """A cell line as ``json.dumps`` of the whole record writes it."""
+    payload = _asdict_payload(kind, result)
+    record = {
+        "t": "cell",
+        "kind": kind,
+        "key": journal_digest(kind, key),
+        "trace": result.trace_name,
+        "sum": hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()
+        ).hexdigest()[:12],
+        "payload": payload,
+    }
+    return json.dumps(record, sort_keys=sort_keys) + "\n"
+
+
+def _reference_load(path):
+    """Accepted ``{digest: (kind, payload)}`` and dead count, by re-dumping
+    every payload (the format's defining check)."""
+    accepted, dead = {}, 0
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            dead += 1
+            continue
+        if record.get("t") != "cell":
+            continue
+        text = json.dumps(record.get("payload"), sort_keys=True)
+        if record.get("sum") != hashlib.sha256(text.encode()).hexdigest()[:12]:
+            dead += 1
+            continue
+        if record["key"] in accepted:
+            dead += 1
+        accepted[record["key"]] = (record["kind"], record["payload"])
+    return accepted, dead
+
+
+_AWKWARD_NAMES = ("tiny0", 'quo"ted, "sum": x', "naïve-Ωτ\\path", "tab\tnew\nline")
+
+
+@pytest.fixture(scope="module")
+def three_level_config():
+    return SystemConfig(
+        levels=(
+            LevelConfig(size_bytes=2 * KB, block_bytes=16,
+                        cycle_cpu_cycles=1, write_hit_cycles=2),
+            LevelConfig(size_bytes=16 * KB, block_bytes=32, associativity=2,
+                        cycle_cpu_cycles=3, write_hit_cycles=2),
+            LevelConfig(size_bytes=64 * KB, block_bytes=64, associativity=4,
+                        cycle_cpu_cycles=8, write_hit_cycles=2),
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def cell_results(tiny_traces, tiny_config, three_level_config):
+    """``(kind, key, result)`` for functional and timing cells of a 2- and
+    a 3-level machine, each under every awkward trace name."""
+    cells = []
+    trace = tiny_traces[0]
+    for config in (tiny_config, three_level_config):
+        for kind, result, key in (
+            ("functional", run_functional(trace, config), memo.memo_key(trace, config)),
+            ("timing", TimingSimulator(config).run(trace), memo.timing_key(trace, config)),
+        ):
+            for name in _AWKWARD_NAMES:
+                cells.append((kind, key, dataclasses.replace(result, trace_name=name)))
+    return cells
+
+
+class TestLineFormat:
+    def test_line_is_the_sorted_record_dump(self, tmp_path, cell_results):
+        journal = SweepJournal(tmp_path / "j.jsonl")
+        try:
+            for kind, key, result in cell_results:
+                _, _, line = journal._cell_record(kind, key, result)
+                assert line == _reference_line(kind, key, result)
+        finally:
+            journal.close()
+
+    def test_written_journal_matches_reference_bytes(self, tmp_path, cell_results):
+        path = tmp_path / "j.jsonl"
+        journal = SweepJournal(path)
+        for kind, key, result in cell_results[:4]:
+            journal.record_cell(kind, key, result)
+        journal.record_cells(
+            "functional",
+            [(key, result) for kind, key, result in cell_results if kind == "functional"],
+        )
+        journal.close()
+        body = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        expected = [_reference_line(kind, key, result) for kind, key, result in cell_results[:4]]
+        expected += [
+            _reference_line(kind, key, result)
+            for kind, key, result in cell_results if kind == "functional"
+        ]
+        assert body == expected
+
+    def test_compacted_lines_match_reference_bytes(self, tmp_path, cell_results):
+        path = tmp_path / "j.jsonl"
+        journal = SweepJournal(path)
+        for kind, key, result in cell_results:
+            journal.record_cell(kind, key, result)
+        journal.compact()
+        journal.close()
+        body = path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+        # Compaction keeps one record per key: the last name recorded.
+        last = {}
+        for kind, key, result in cell_results:
+            last[journal_digest(kind, key)] = (kind, key, result)
+        assert body == [_reference_line(*cell) for cell in last.values()]
+
+    def test_reference_lines_load_identically(self, tmp_path, cell_results, monkeypatch):
+        """Lines as ``json.dumps`` of the whole record writes them load to
+        the re-dump's accepted set, hashing their payload text as written:
+        the canonical re-dump is never needed."""
+        path = tmp_path / "j.jsonl"
+        lines = ['{"t": "header", "schema": 1, "name": "", "pid": 1}\n']
+        lines += [_reference_line(*cell) for cell in cell_results]
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = _reference_load(path)
+
+        def no_redump(payload):
+            raise AssertionError("canonical line fell back to the re-dump")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(journal_module, "_payload_text", no_redump)
+            journal = SweepJournal(path, resume=True)
+        try:
+            assert journal._restorable == expected[0]
+            assert journal.dead == expected[1]
+        finally:
+            journal.close()
+
+    def test_foreign_and_damaged_lines_load_as_the_redump_says(
+        self, tmp_path, cell_results
+    ):
+        """Unsorted records (valid: their payload re-dumps to the sum),
+        tampered payloads and sums, torn lines and duplicates get exactly
+        the re-dump's verdicts."""
+        path = tmp_path / "j.jsonl"
+        lines = ['{"t": "header", "schema": 1, "name": "", "pid": 1}\n']
+        for index, cell in enumerate(cell_results):
+            line = _reference_line(*cell, sort_keys=index % 2 == 0)
+            if index % 5 == 1:
+                line = line.replace('"reads": ', '"reads": 1', 1)
+            if index % 7 == 3:
+                line = line.replace('"sum": "', '"sum": "0', 1)
+            lines.append(line)
+        lines.append(_reference_line(*cell_results[0]))
+        lines.append(_reference_line(*cell_results[2])[:-40] + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        accepted, dead = _reference_load(path)
+        assert 0 < len(accepted) < len(cell_results) and dead > 0
+
+        journal = SweepJournal(path, resume=True)
+        try:
+            assert journal._restorable == accepted
+            assert journal.dead == dead
+        finally:
+            journal.close()

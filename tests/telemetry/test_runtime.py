@@ -48,6 +48,32 @@ class TestSpans:
         (event,) = telemetry.iter_events()
         assert event["a"] == {"sets": 64, "records": 1000}
 
+    def test_annotate_adds_attrs_known_at_the_end(self):
+        with telemetry.span("journal.load") as span:
+            span.annotate(cells=7)
+        (event,) = telemetry.iter_events()
+        assert event["a"] == {"cells": 7}
+
+    def test_journal_load_is_spanned(self, tmp_path, tiny_traces):
+        from repro.resilience.journal import SweepJournal
+        from repro.sim import memo
+        from repro.sim.config import LevelConfig, SystemConfig
+        from repro.sim.fast import run_functional
+        from repro.units import KB
+
+        config = SystemConfig(levels=(LevelConfig(size_bytes=2 * KB, block_bytes=16),))
+        path = tmp_path / "j.jsonl"
+        journal = SweepJournal(path)
+        for trace in tiny_traces:
+            journal.record_cell(
+                "functional", memo.memo_key(trace, config), run_functional(trace, config)
+            )
+        journal.close()
+        assert "journal.load" not in paths()  # a fresh journal loads nothing
+        SweepJournal(path, resume=True).close()
+        (event,) = [e for e in telemetry.iter_events() if e["name"] == "journal.load"]
+        assert event["a"] == {"cells": len(tiny_traces)}
+
     def test_span_ids_are_unique(self):
         for _ in range(5):
             with telemetry.span("tick"):
@@ -88,7 +114,7 @@ class TestDisabled:
         second = telemetry.span("else")
         assert first is second  # one shared object, zero allocation
         with first:
-            pass
+            first.annotate(cells=1)
         assert list(telemetry.iter_events()) == []
 
     def test_counters_still_validate_and_count(self):
