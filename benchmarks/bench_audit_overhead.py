@@ -34,6 +34,12 @@ from benchmarks.conftest import RESULTS_DIR
 L2_SIZES = [16 * KB, 64 * KB]
 SET_SIZES = [1, 2, 4, 8]
 ROUNDS = 5
+#: Times each timing leg repeats its runs.  The event-sparse engine times
+#: a 40k-record cell in a few milliseconds, where one round's timer and
+#: scheduler noise alone exceeds the 10% budget; repeating the same runs
+#: leaves the expected audited/plain ratio unchanged (the audit is a fixed
+#: cost per run) and makes each leg long enough to resolve it.
+TIMING_REPEATS = 10
 
 
 def _grid_configs():
@@ -91,7 +97,10 @@ def _cold_sweep(traces, configs):
     return sweep_functional(traces, configs)
 
 
-def _timing_runs(trace, configs):
+def _timing_runs(trace, configs, repeats=1):
+    for _ in range(repeats - 1):
+        for config in configs:
+            TimingSimulator(config).run(trace)
     return [TimingSimulator(config).run(trace) for config in configs]
 
 
@@ -111,7 +120,8 @@ def test_audit_overhead(traces, emit, monkeypatch):
         audited_timing,
         timing_overhead,
     ) = _paired_legs(
-        lambda: _timing_runs(timing_trace, timing_configs), monkeypatch
+        lambda: _timing_runs(timing_trace, timing_configs, TIMING_REPEATS),
+        monkeypatch,
     )
 
     with run_manifest.recording("BENCH-AUDIT") as recorder:
@@ -146,9 +156,10 @@ def test_audit_overhead(traces, emit, monkeypatch):
         ["functional sweep, audit off", f"{plain_seconds:.2f}", "-"],
         ["functional sweep, audit on", f"{audited_seconds:.2f}",
          f"{overhead:+.1%}"],
-        ["timing x2 configs, audit off", f"{plain_timing_seconds:.2f}", "-"],
-        ["timing x2 configs, audit on", f"{audited_timing_seconds:.2f}",
-         f"{timing_overhead:+.1%}"],
+        [f"timing x2 configs x{TIMING_REPEATS}, audit off",
+         f"{plain_timing_seconds:.2f}", "-"],
+        [f"timing x2 configs x{TIMING_REPEATS}, audit on",
+         f"{audited_timing_seconds:.2f}", f"{timing_overhead:+.1%}"],
     ]
     checks = {
         "audited counts identical to unaudited": identical,

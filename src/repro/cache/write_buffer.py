@@ -22,7 +22,7 @@ downstream level.  Three situations create visible delay:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Tuple
+from typing import Deque, Optional
 
 
 class WriteBuffer:
@@ -57,8 +57,10 @@ class WriteBuffer:
         self.capacity = capacity
         self.service_time = service_time
         self.downstream_block = downstream_block
-        # Entries are (block_address, enqueue_time).
-        self._entries: Deque[Tuple[int, float]] = deque()
+        # Pending entries, oldest first: the block address each carries
+        # and the time it was enqueued.
+        self._addresses: Deque[int] = deque()
+        self._enqueued: Deque[float] = deque()
         #: Time until which the downstream level is busy draining.
         self._drain_busy_until = 0.0
         #: Total entries that ever passed through (for statistics).
@@ -69,25 +71,46 @@ class WriteBuffer:
         self.read_matches = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._enqueued)
 
     @property
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self._enqueued
 
-    def drain_until(self, now: float) -> None:
+    # Every public call drains at most once, through ``_drain``, and an
+    # empty buffer returns before it.  ``a if a > b else b`` stands for
+    # ``max(b, a)`` so that ties keep the value (and type) ``max`` keeps;
+    # ``tests/cache/test_write_buffer.py`` pins every result to a copy of
+    # the plain ``max``/``deque``-of-pairs formulation.
+
+    def _drain(self, now: float) -> Optional[float]:
         """Retire entries whose drain completes by ``now``.
 
         Draining is opportunistic: an entry starts draining as soon as the
-        previous one finishes, provided the buffer was non-empty.
+        previous one finishes, provided the buffer was non-empty.  Returns
+        when the oldest remaining entry starts (or started) draining, or
+        ``None`` when none remains.
         """
-        while self._entries:
-            start = max(self._drain_busy_until, self._entries[0][1])
-            finish = start + self.service_time
+        enqueued = self._enqueued
+        busy = self._drain_busy_until
+        service = self.service_time
+        while enqueued:
+            head = enqueued[0]
+            start = head if head > busy else busy
+            finish = start + service
             if finish > now:
-                break
-            self._entries.popleft()
-            self._drain_busy_until = finish
+                self._drain_busy_until = busy
+                return start
+            enqueued.popleft()
+            self._addresses.popleft()
+            busy = finish
+        self._drain_busy_until = busy
+        return None
+
+    def drain_until(self, now: float) -> None:
+        """Retire entries whose drain completes by ``now``."""
+        if self._enqueued:
+            self._drain(now)
 
     def busy_until(self, now: float) -> float:
         """Time at which the downstream level stops being occupied by a
@@ -97,11 +120,11 @@ class WriteBuffer:
         drain starts; a drain that has not started yet does not block a
         read, because reads have priority over buffered writes.
         """
-        self.drain_until(now)
-        if self._entries:
-            start = max(self._drain_busy_until, self._entries[0][1])
-            if start < now:
-                return start + self.service_time
+        if not self._enqueued:
+            return now
+        start = self._drain(now)
+        if start is not None and start < now:
+            return start + self.service_time
         return now
 
     def block_until(self, when: float) -> None:
@@ -120,18 +143,22 @@ class WriteBuffer:
         if a slot is free, later if the buffer was full and had to drain one
         entry first.
         """
-        self.drain_until(now)
         self.total_pushes += 1
+        enqueued = self._enqueued
         completion = now
-        if len(self._entries) >= self.capacity:
-            self.full_stalls += 1
-            # Wait for the oldest entry to finish draining; its drain may
-            # already be under way.
-            start = max(self._drain_busy_until, self._entries[0][1])
-            completion = max(start + self.service_time, now)
-            self._entries.popleft()
-            self._drain_busy_until = completion
-        self._entries.append((block_address, completion))
+        if enqueued:
+            start = self._drain(now)
+            if len(enqueued) >= self.capacity:
+                self.full_stalls += 1
+                # Wait for the oldest entry to finish draining; its drain
+                # may already be under way.
+                finish = start + self.service_time
+                completion = now if now > finish else finish
+                enqueued.popleft()
+                self._addresses.popleft()
+                self._drain_busy_until = completion
+        self._addresses.append(block_address)
+        enqueued.append(completion)
         return completion
 
     def read_fence(self, block_address: int, now: float) -> float:
@@ -141,27 +168,34 @@ class WriteBuffer:
         including the match drain first.  Unrelated reads bypass the buffer
         but still wait out a drain already occupying the downstream level.
         """
-        self.drain_until(now)
-        match_index = None
-        for i, (address, _when) in enumerate(self._entries):
-            if address == block_address:
-                match_index = i
-        if match_index is None:
-            return self.busy_until(now)
+        addresses = self._addresses
+        if not addresses:
+            return now
+        start = self._drain(now)
+        if block_address not in addresses:
+            if start is not None and start < now:
+                return start + self.service_time
+            return now
         self.read_matches += 1
-        time = self._drain_busy_until
-        for _ in range(match_index + 1):
-            _address, enqueued = self._entries.popleft()
-            time = max(time, enqueued) + self.service_time
-        self._drain_busy_until = time
-        return max(time, now)
+        last = len(addresses) - 1
+        while addresses[last] != block_address:
+            last -= 1
+        return self._retire(last + 1, now)
 
     def flush(self, now: float) -> float:
         """Drain everything; returns the completion time."""
-        self.drain_until(now)
+        return self._retire(len(self._enqueued), now)
+
+    def _retire(self, count: int, now: float) -> float:
+        """Drain the oldest ``count`` entries back to back; returns when
+        the last finishes, or ``now`` if that is later."""
+        enqueued = self._enqueued
+        addresses = self._addresses
+        service = self.service_time
         time = self._drain_busy_until
-        while self._entries:
-            _address, enqueued = self._entries.popleft()
-            time = max(time, enqueued) + self.service_time
+        for _ in range(count):
+            addresses.popleft()
+            head = enqueued.popleft()
+            time = (head if head > time else time) + service
         self._drain_busy_until = time
-        return max(time, now)
+        return now if now > time else time

@@ -61,8 +61,8 @@ class Bus:
 
         Returns the completion time; queues behind an in-flight transfer.
         """
-        start = max(now, self.busy_until)
-        self.busy_until = start + duration
+        busy = self.busy_until
+        self.busy_until = (busy if busy > now else now) + duration
         return self.busy_until
 
     def reset(self) -> None:

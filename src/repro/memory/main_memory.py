@@ -59,7 +59,7 @@ class MainMemory:
 
     def _start_after(self, ready: float) -> float:
         earliest = self._last_end + self.timing.recovery_ns
-        start = max(ready, earliest)
+        start = earliest if earliest > ready else ready
         self.recovery_wait_ns += start - ready
         return start
 

@@ -53,7 +53,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import List
+from typing import List, Optional, Set
 
 from repro.resilience.integrity import atomic_write_text
 from repro.sim.config import LevelConfig, SystemConfig
@@ -85,6 +85,16 @@ DEFAULT_STORAGE_FAULTS = (
 #: still runs under duress, but the parent-side journal/doctor artifacts
 #: it depends on are not being re-damaged while it verifies them.
 RESUME_FAULTS = "worker_raise:0.15"
+
+#: Where POSIX shared memory is visible as files; the segment check is
+#: skipped on hosts without it.
+SHM_DIR = Path("/dev/shm")
+#: Name prefix of the segments ``multiprocessing.shared_memory`` creates
+#: (``trace.store.export_traces`` hands pool workers their traces in them).
+SHM_PREFIX = "psm_"
+#: How long the killed child's resource tracker gets to unlink its
+#: segments before a survivor counts as leaked.
+SHM_GRACE_S = 5.0
 
 
 def build_traces(records: int, count: int = 2) -> List[Trace]:
@@ -227,6 +237,32 @@ def _clean_env() -> dict:
     return env
 
 
+def _shm_segments() -> Optional[Set[str]]:
+    """Names of the ``shared_memory`` segments now present, or ``None``
+    when the host has no ``SHM_DIR``."""
+    if not SHM_DIR.is_dir():
+        return None
+    return {p.name for p in SHM_DIR.iterdir() if p.name.startswith(SHM_PREFIX)}
+
+
+def _surviving_segments(before: Optional[Set[str]]) -> List[str]:
+    """Segments created since ``before`` that outlive the drill.
+
+    A SIGKILLed child cannot unlink the segments its sweep exported;
+    its ``resource_tracker`` process unlinks them once the child is gone
+    (and warns "leaked shared_memory objects" while doing so), so a
+    survivor gets ``SHM_GRACE_S`` before it counts.
+    """
+    if before is None:
+        return []
+    deadline = time.monotonic() + SHM_GRACE_S
+    while True:
+        survivors = sorted((_shm_segments() or set()) - before)
+        if not survivors or time.monotonic() > deadline:
+            return survivors
+        time.sleep(0.1)
+
+
 def _kill_when_journaled(child, journal: Path, kill_after: int,
                          phase_timeout: float) -> bool:
     """Watch the journal grow; SIGKILL the child at ``kill_after`` cells.
@@ -251,6 +287,13 @@ def _kill_when_journaled(child, journal: Path, kill_after: int,
     return killed
 
 
+def _shm_failures(left: List[str]) -> List[str]:
+    if not left:
+        return []
+    return [f"{len(left)} shared_memory segment(s) survived the drill: "
+            f"{', '.join(left)}"]
+
+
 def _orchestrate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,6 +316,7 @@ def _orchestrate(args) -> int:
     if args.workers:
         chaos_env["REPRO_SWEEP_WORKERS"] = str(args.workers)
 
+    segments_before = _shm_segments()
     print("[chaos] golden run (no faults)...")
     golden_file = out / "golden.digest"
     subprocess.run(
@@ -339,8 +383,9 @@ def _orchestrate(args) -> int:
     summary["golden_digest"] = golden
     summary["resumed_digest"] = resumed
     summary["identical"] = resumed == golden
+    summary["shm_segments_left"] = _surviving_segments(segments_before)
     atomic_write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
-    failures = []
+    failures = _shm_failures(summary["shm_segments_left"])
     if resumed != golden:
         failures.append(f"resumed digest {resumed[:16]}... != "
                         f"golden {golden[:16]}...")
@@ -449,6 +494,7 @@ def _orchestrate_storage(args) -> int:
         storm_env["REPRO_SWEEP_WORKERS"] = str(args.workers)
         resume_env["REPRO_SWEEP_WORKERS"] = str(args.workers)
 
+    segments_before = _shm_segments()
     print("[storage] golden run (no faults, pristine cache)...")
     golden_file = out / "golden.digest"
     subprocess.run(
@@ -515,11 +561,12 @@ def _orchestrate_storage(args) -> int:
     summary["golden_digest"] = golden
     summary["resumed_digest"] = resumed
     summary["identical"] = resumed == golden
+    summary["shm_segments_left"] = _surviving_segments(segments_before)
     atomic_write_text(
         out / "storage-summary.json",
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
-    failures = []
+    failures = _shm_failures(summary["shm_segments_left"])
     if resumed != golden:
         failures.append(f"resumed digest {resumed[:16]}... != golden "
                         f"{golden[:16]}...")

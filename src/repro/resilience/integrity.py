@@ -53,6 +53,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Dict, Iterator, Optional
 
+from repro import telemetry
 from repro.resilience.faults import DISK_FAULT_KINDS, FaultPlan, InjectedFault
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
@@ -213,25 +214,30 @@ def atomic_writer(
     and ``path`` is untouched.  Injected disk faults fire at commit time
     (the tmp damage they leave is part of the simulation -- doctor's
     orphan scan must find it).
+
+    The whole write, the caller's block included, is one
+    ``integrity.write`` span carrying the published size in ``bytes``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     seq = next(_write_seq)
     tmp = path.with_name(f"{path.name}{TMP_MARKER}{os.getpid()}-{seq}")
-    handle = open(tmp, "wb")
-    try:
-        yield handle
-        handle.flush()
-        os.fsync(handle.fileno())
-    except BaseException:
-        handle.close()
+    with telemetry.span("integrity.write") as span:
+        handle = open(tmp, "wb")
         try:
-            os.unlink(tmp)
-        except OSError:  # pragma: no cover - racy cleanup
-            pass
-        raise
-    handle.close()
-    _commit(tmp, path, _disk_plan(faults), seq)
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        except BaseException:
+            handle.close()
+            try:
+                os.unlink(tmp)
+            except OSError:  # pragma: no cover - racy cleanup
+                pass
+            raise
+        span.annotate(bytes=os.fstat(handle.fileno()).st_size)
+        handle.close()
+        _commit(tmp, path, _disk_plan(faults), seq)
 
 
 def atomic_write_bytes(

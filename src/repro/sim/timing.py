@@ -204,6 +204,9 @@ class _TimingState:
             cycle_ns=config.effective_backplane_ns,
         )
         self.memory = MainMemory(config.memory)
+        # Every memory transfer moves one deepest-level block.
+        self._address_ns = self.memory_bus.address_time()
+        self._memory_data_ns = self.memory_bus.data_time(self.level_block[-1])
         # buffers[i] sits between level i and level i+1 (0-based); the last
         # buffer feeds main memory.
         self.buffers: List[WriteBuffer] = []
@@ -214,8 +217,10 @@ class _TimingState:
                 )
                 downstream_block = self.level_block[i + 1]
             else:
-                service = config.memory.write_ns + config.memory.recovery_ns + (
-                    self.memory_bus.data_time(self.level_block[i])
+                service = (
+                    config.memory.write_ns
+                    + config.memory.recovery_ns
+                    + self._memory_data_ns
                 )
                 downstream_block = self.level_block[i]
             self.buffers.append(
@@ -289,12 +294,13 @@ class _TimingState:
         )
         return maybe_audit_timing(trace, result)
 
-    def _memory_read(self, now: float, block_bytes: int) -> float:
-        """Address cycle, DRAM read, data transfer back."""
-        address_done = self.memory_bus.acquire(now, self.memory_bus.address_time())
-        data_at_pins = self.memory.read(address_done)
-        done = data_at_pins + self.memory_bus.data_time(block_bytes)
-        self.memory_bus.busy_until = done
+    def _memory_read(self, now: float) -> float:
+        """Address cycle, DRAM read, data transfer back: the backplane is
+        held from the address cycle until the block has arrived."""
+        bus = self.memory_bus
+        done = self.memory.read(bus.acquire(now, self._address_ns))
+        done += self._memory_data_ns
+        bus.busy_until = done
         return done
 
 
@@ -436,7 +442,7 @@ class _TimingEngine(_TimingState):
         if cache is None:
             # Straight to main memory.
             self.hierarchy.read(level_index, address, bucket)
-            return self._memory_read(fence, self.level_block[boundary])
+            return self._memory_read(fence)
         start = max(fence, self.level_busy[boundary])
         outcome = cache.read(address, bucket)
         if outcome.hit:
@@ -535,15 +541,19 @@ class _EventEngine(_TimingState):
         deferred = np.searchsorted(fetch_misses, data) > np.searchsorted(
             fetch_misses, writer, side="right"
         )
-        in_loop = deferred | np.isin(data, misses)
+        is_miss = np.zeros(n, dtype=bool)
+        is_miss[misses] = True
+        in_loop = deferred | is_miss[data]
         # The loop visits these points: every miss, every deferred wait
         # and, behind a write-through L1, every measured store.
-        points = np.union1d(misses, data[deferred])
+        visit = is_miss.copy()
+        visit[data[deferred]] = True
+        if through:
+            visit[warmup:] |= kinds[warmup:] == WRITE
+        points = np.flatnonzero(visit)
         buffer = self.buffers[0]
         forward = np.full(len(points), -1, dtype=np.int64)
         if through:
-            stores = np.flatnonzero(kinds[warmup:] == WRITE) + warmup
-            points = np.union1d(points, stores)
             # Each store goes into the buffer aligned to the block below.
             forward = np.where(
                 kinds[points] == WRITE,
@@ -564,7 +574,18 @@ class _EventEngine(_TimingState):
         np.cumsum(nominal[~in_loop], out=loose[1:])
         loose_before = loose[np.searchsorted(loose_at, points)]
 
+        # The L1->L2 step of each miss, in locals: a miss that hits in L2
+        # is timed here; deeper chains go through _fetch.  (A reach of 1
+        # on a one-level machine is memory.)
+        push = buffer.push
+        fence = buffer.read_fence
+        block = buffer.block_until
         first_victims = self._victims[0]
+        first_fences = self._fences[0]
+        reach = self._reach
+        l2_hit = 1 if depth > 1 else -1
+        l2_cycle = self.level_cycle[1] if depth > 1 else 0
+        level_busy = self.level_busy
         x = 0  # time beyond the base cost, up to the current point
         x_before: List[int] = []
         read_stall = 0
@@ -574,7 +595,7 @@ class _EventEngine(_TimingState):
             np.diff(loose_before, prepend=0).tolist(),
             own_wait.tolist(),
             anchor.tolist(),
-            np.isin(points, misses).tolist(),
+            is_miss[points].tolist(),
             kinds[points].tolist(),
             base[points + 1].tolist(),
             forward.tolist(),
@@ -583,7 +604,9 @@ class _EventEngine(_TimingState):
             x_before.append(x)
             if wait:
                 if opened >= 0:
-                    wait = max(0, wait - (x - x_before[opened]))
+                    wait -= x - x_before[opened]
+                    if wait < 0:
+                        wait = 0
                 x += wait
                 write_stall += wait
             if not missed and forwarded < 0:
@@ -593,13 +616,26 @@ class _EventEngine(_TimingState):
             if missed:
                 victim = first_victims[event]
                 if victim >= 0:
-                    done = max(done, buffer.push(victim, now))
-                done = max(done, self._fetch(1, event, now))
+                    pushed = push(victim, now)
+                    if pushed > done:
+                        done = pushed
+                if reach[event] == l2_hit:
+                    ready = fence(first_fences[event], now)
+                    busy = level_busy[0]
+                    fetched = (busy if busy > ready else ready) + l2_cycle
+                    level_busy[0] = fetched
+                    block(fetched)
+                else:
+                    fetched = self._fetch(1, event, now)
+                if fetched > done:
+                    done = fetched
                 event += 1
             if forwarded >= 0:
                 # After the store's own fetch, as in the reference's
                 # _service_miss -> _write_block.
-                done = max(done, buffer.push(forwarded, now))
+                pushed = push(forwarded, now)
+                if pushed > done:
+                    done = pushed
             stall = done - now
             x += stall
             if kind == WRITE:
@@ -661,16 +697,21 @@ class _EventEngine(_TimingState):
         buffer = self.buffers[level - 1]
         fence = buffer.read_fence(self._fences[level - 1][event], now)
         if level == len(self.buffers):
-            return self._memory_read(fence, self.level_block[level - 1])
-        start = max(fence, self.level_busy[level - 1])
+            return self._memory_read(fence)
+        busy = self.level_busy[level - 1]
+        start = busy if busy > fence else fence
         if self._reach[event] == level:
             done = start + self.level_cycle[level]
         else:
             done = start
             victim = self._victims[level][event]
             if victim >= 0:
-                done = max(done, self.buffers[level].push(victim, start))
-            done = max(done, self._fetch(level + 1, event, start))
+                pushed = self.buffers[level].push(victim, start)
+                if pushed > done:
+                    done = pushed
+            fetched = self._fetch(level + 1, event, start)
+            if fetched > done:
+                done = fetched
         self.level_busy[level - 1] = done
         buffer.block_until(done)
         return done

@@ -74,6 +74,22 @@ class TestSpans:
         (event,) = [e for e in telemetry.iter_events() if e["name"] == "journal.load"]
         assert event["a"] == {"cells": len(tiny_traces)}
 
+    def test_atomic_writes_are_spanned(self, tmp_path):
+        from repro.resilience.integrity import atomic_write_text, atomic_writer
+
+        text = "report \u00e9\n"
+        atomic_write_text(tmp_path / "report.txt", text)
+        with pytest.raises(RuntimeError):
+            with atomic_writer(tmp_path / "abandoned.bin") as handle:
+                handle.write(b"x" * 10)
+                raise RuntimeError("abandoned")
+        written, abandoned = [
+            e for e in telemetry.iter_events() if e["name"] == "integrity.write"
+        ]
+        assert written["a"] == {"bytes": len(text.encode("utf-8"))}
+        assert "a" not in abandoned  # nothing was published
+        assert not (tmp_path / "abandoned.bin").exists()
+
     def test_span_ids_are_unique(self):
         for _ in range(5):
             with telemetry.span("tick"):
@@ -115,6 +131,13 @@ class TestDisabled:
         assert first is second  # one shared object, zero allocation
         with first:
             first.annotate(cells=1)
+        assert list(telemetry.iter_events()) == []
+
+    def test_atomic_writes_record_nothing(self, tmp_path):
+        from repro.resilience.integrity import atomic_write_text
+
+        atomic_write_text(tmp_path / "report.txt", "report\n")
+        assert (tmp_path / "report.txt").read_text() == "report\n"
         assert list(telemetry.iter_events()) == []
 
     def test_counters_still_validate_and_count(self):
