@@ -9,7 +9,6 @@ behavioural model that the nanosecond-accurate simulator uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.cache.geometry import CacheGeometry
@@ -18,28 +17,61 @@ from repro.cache.replacement import ReplacementPolicy, make_replacement
 from repro.cache.stats import CacheStats
 
 
-@dataclass
 class AccessOutcome:
     """Externally visible consequences of one cache access.
 
     Addresses are block-aligned byte addresses, directly usable as accesses
-    to the next level of the hierarchy.
+    to the next level of the hierarchy.  Every plain hit -- no forwarded
+    write, no prefetch triggered -- returns the one shared
+    :data:`PLAIN_HIT`, so nothing may mutate an outcome it is handed.
     """
 
-    hit: bool
-    #: Blocks fetched from downstream (demand block first).
-    fetched: List[int] = field(default_factory=list)
-    #: Dirty victim blocks that must be written downstream.
-    writebacks: List[int] = field(default_factory=list)
-    #: A write forwarded downstream (write-through, or non-allocating miss).
-    forwarded_write: Optional[int] = None
-    #: Blocks brought in speculatively by the prefetcher (also need
-    #: fetching from downstream, but never stall the processor).
-    prefetched: List[int] = field(default_factory=list)
-    #: Every victim block dropped by this access, clean or dirty (the
-    #: dirty ones also appear in ``writebacks``).  Inclusion enforcement
-    #: uses this to back-invalidate upstream copies.
-    evicted: List[int] = field(default_factory=list)
+    __slots__ = (
+        "hit", "fetched", "writebacks", "forwarded_write", "prefetched", "evicted"
+    )
+
+    def __init__(
+        self,
+        hit: bool,
+        fetched: Optional[List[int]] = None,
+        writebacks: Optional[List[int]] = None,
+        forwarded_write: Optional[int] = None,
+        prefetched: Optional[List[int]] = None,
+        evicted: Optional[List[int]] = None,
+    ) -> None:
+        self.hit = hit
+        #: Blocks fetched from downstream: the demand block's fetch group,
+        #: in address order.
+        self.fetched: List[int] = [] if fetched is None else fetched
+        #: Dirty victim blocks that must be written downstream.
+        self.writebacks: List[int] = [] if writebacks is None else writebacks
+        #: A write forwarded downstream (write-through, or non-allocating miss).
+        self.forwarded_write = forwarded_write
+        #: Blocks brought in speculatively by the prefetcher (also need
+        #: fetching from downstream, but never stall the processor).
+        self.prefetched: List[int] = [] if prefetched is None else prefetched
+        #: Every victim block dropped by this access, clean or dirty (the
+        #: dirty ones also appear in ``writebacks``).  Inclusion enforcement
+        #: uses this to back-invalidate upstream copies.
+        self.evicted: List[int] = [] if evicted is None else evicted
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AccessOutcome):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"AccessOutcome({fields})"
+
+
+#: The outcome of every plain hit, shared: its lists stay empty.
+PLAIN_HIT = AccessOutcome(hit=True)
 
 
 class Cache:
@@ -91,6 +123,15 @@ class Cache:
         self._index_mask = geometry.sets - 1
         self._index_bits = geometry.index_bits
         self._ways = geometry.associativity
+        # The policy decisions every access reads, resolved once.
+        self._on_hit = self.replacement.on_hit
+        self._on_insert = self.replacement.on_insert
+        self._select_victim = self.replacement.select_victim
+        self._write_back = self.write_policy is WritePolicy.WRITE_BACK
+        self._single_fetch = self.fetch.fetch_blocks == 1
+        self._prefetch_enabled = self.prefetch.enabled
+        self._prefetch_always = self.prefetch.kind is PrefetchKind.ALWAYS
+        self._prefetch_tagged = self.prefetch.kind is PrefetchKind.TAGGED
 
     # -- behavioural core ----------------------------------------------------
 
@@ -109,9 +150,7 @@ class Cache:
           prefetcher; counted separately and never re-triggers prefetching.
         """
         is_demand_read = bucket == "read"
-        outcome = self._lookup(
-            address, is_write=False, allow_prefetch=is_demand_read
-        )
+        outcome = self._lookup(address, False, is_demand_read)
         if self.counting:
             if is_demand_read:
                 self.stats.reads += 1
@@ -131,7 +170,7 @@ class Cache:
 
     def write(self, address: int) -> AccessOutcome:
         """Present a write (store) to the cache."""
-        outcome = self._lookup(address, is_write=True, allow_prefetch=False)
+        outcome = self._lookup(address, True, False)
         if self.counting:
             self.stats.writes += 1
             if not outcome.hit:
@@ -144,48 +183,56 @@ class Cache:
         self, address: int, is_write: bool, allow_prefetch: bool
     ) -> AccessOutcome:
         block = address >> self._offset_bits
-        set_index = block & self._index_mask
+        entries = self._sets[block & self._index_mask]
         tag = block >> self._index_bits
-        entries = self._sets[set_index]
-        for i, entry in enumerate(entries):
-            if entry[0] == tag:
-                self.replacement.on_hit(entries, i)
-                first_demand_touch = entry[2]
-                if first_demand_touch and allow_prefetch:
-                    entry[2] = False
-                    if self.counting:
-                        self.stats.useful_prefetches += 1
-                forwarded = None
-                if is_write:
-                    if self.write_policy is WritePolicy.WRITE_BACK:
-                        entry[1] = True
-                    else:
-                        forwarded = block << self._offset_bits
-                outcome = AccessOutcome(hit=True, forwarded_write=forwarded)
-                if allow_prefetch and (
-                    self.prefetch.kind is PrefetchKind.ALWAYS
-                    or (
-                        self.prefetch.kind is PrefetchKind.TAGGED
-                        and first_demand_touch
-                    )
-                ):
-                    self._issue_prefetches(block, outcome)
-                return outcome
+        # A plain loop with its own index: ``enumerate`` costs more than
+        # the one or few ways it walks.
+        i = -1
+        for entry in entries:
+            i += 1
+            if entry[0] != tag:
+                continue
+            if i:
+                self._on_hit(entries, i)
+            first_demand_touch = entry[2]
+            if first_demand_touch and allow_prefetch:
+                entry[2] = False
+                if self.counting:
+                    self.stats.useful_prefetches += 1
+            forwarded = None
+            if is_write:
+                if self._write_back:
+                    entry[1] = True
+                else:
+                    forwarded = block << self._offset_bits
+            prefetch = allow_prefetch and (
+                self._prefetch_always
+                or (self._prefetch_tagged and first_demand_touch)
+            )
+            if forwarded is None and not prefetch:
+                return PLAIN_HIT
+            outcome = AccessOutcome(hit=True, forwarded_write=forwarded)
+            if prefetch:
+                self._issue_prefetches(block, outcome)
+            return outcome
 
         # Miss.
-        outcome = AccessOutcome(hit=False)
-        allocate = (not is_write) or self.fetch.write_allocate
-        if allocate:
-            self._fill_group(block, outcome)
-            if is_write:
-                if self.write_policy is WritePolicy.WRITE_BACK:
-                    self._mark_dirty(block)
-                else:
-                    outcome.forwarded_write = block << self._offset_bits
-        else:
+        outcome = AccessOutcome(False)
+        if is_write and not self.fetch.write_allocate:
             # No allocation: the write bypasses the cache entirely.
             outcome.forwarded_write = block << self._offset_bits
-        if allow_prefetch and self.prefetch.enabled:
+        else:
+            dirty = is_write and self._write_back
+            if self._single_fetch:
+                self._insert(block, outcome, False, dirty)
+                if self.counting:
+                    self.stats.blocks_fetched += 1
+                outcome.fetched.append(block << self._offset_bits)
+            else:
+                self._fill_group(block, outcome, dirty)
+            if is_write and not self._write_back:
+                outcome.forwarded_write = block << self._offset_bits
+        if allow_prefetch and self._prefetch_enabled:
             self._issue_prefetches(block, outcome)
         return outcome
 
@@ -199,30 +246,35 @@ class Cache:
                 self.stats.prefetches_issued += 1
             outcome.prefetched.append(candidate << self._offset_bits)
 
-    def _fill_group(self, demand_block: int, outcome: AccessOutcome) -> None:
-        """Fetch the demand block and its fetch-group companions."""
+    def _fill_group(self, demand_block: int, outcome: AccessOutcome, dirty: bool) -> None:
+        """Fetch a multi-block fetch group in address order: the demand
+        block (``dirty`` when a write-back store allocates it) and its
+        companions not yet resident."""
         for candidate in self.fetch.fetch_group(demand_block):
-            if candidate != demand_block and self._present(candidate):
+            is_demand = candidate == demand_block
+            if not is_demand and self._present(candidate):
                 continue
-            self._insert(candidate, outcome)
+            self._insert(candidate, outcome, dirty=is_demand and dirty)
             if self.counting:
                 self.stats.blocks_fetched += 1
-                if candidate != demand_block:
+                if not is_demand:
                     self.stats.prefetched_blocks += 1
             outcome.fetched.append(candidate << self._offset_bits)
 
     def _present(self, block: int) -> bool:
-        entries = self._sets[block & self._index_mask]
         tag = block >> self._index_bits
-        return any(entry[0] == tag for entry in entries)
+        for entry in self._sets[block & self._index_mask]:
+            if entry[0] == tag:
+                return True
+        return False
 
-    def _insert(self, block: int, outcome: AccessOutcome, fresh: bool = False) -> None:
+    def _insert(
+        self, block: int, outcome: AccessOutcome, fresh: bool = False, dirty: bool = False
+    ) -> None:
         set_index = block & self._index_mask
-        tag = block >> self._index_bits
         entries = self._sets[set_index]
         if len(entries) >= self._ways:
-            victim_index = self.replacement.select_victim(entries)
-            victim = entries.pop(victim_index)
+            victim = entries.pop(self._select_victim(entries))
             victim_address = (
                 (victim[0] << self._index_bits) | set_index
             ) << self._offset_bits
@@ -233,21 +285,12 @@ class Cache:
                     self.stats.writebacks += 1
         # Entries are [tag, dirty, fresh]: ``fresh`` marks a prefetched
         # block that has not yet served a demand access.
-        self.replacement.on_insert(entries, [tag, False, fresh])
+        self._on_insert(entries, [block >> self._index_bits, dirty, fresh])
 
     def _rebuild_address(self, tag: int, set_index: int) -> int:
         """:meth:`CacheGeometry.rebuild_address` on the cached bit widths
         (the geometry's properties recompute them on every call)."""
         return ((tag << self._index_bits) | set_index) << self._offset_bits
-
-    def _mark_dirty(self, block: int) -> None:
-        entries = self._sets[block & self._index_mask]
-        tag = block >> self._index_bits
-        for entry in entries:
-            if entry[0] == tag:
-                entry[1] = True
-                return
-        raise AssertionError("block just inserted is missing from its set")
 
     # -- inspection and maintenance -------------------------------------------
 

@@ -25,7 +25,11 @@ class ReplacementPolicy(ABC):
 
     @abstractmethod
     def on_hit(self, entries: List[list], index: int) -> None:
-        """Called when ``entries[index]`` is referenced."""
+        """Called when ``entries[index]`` is referenced.
+
+        A hit on the head entry (``index`` 0) changes no policy's order,
+        so the cache reports only hits below it.
+        """
 
     @abstractmethod
     def on_insert(self, entries: List[list], entry: list) -> None:

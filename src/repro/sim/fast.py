@@ -57,8 +57,9 @@ reference's own cache rules, over a small share of the records.
 inclusion, or a first level the front cannot replay, takes the sparse
 walk (:class:`_SparseWalk`): every record through
 :meth:`~repro.sim.hierarchy.CacheHierarchy.access` except the reads that
-re-touch their level-1 set's last block, which change no state, with a
-set walked again after a back-invalidation drops a block from it.  Only
+re-touch their level-1 set's last block, and the stores to it once its
+same-block run has dirtied it, which change no state; a set is walked
+again after a back-invalidation drops a block from it.  Only
 a first level with a prefetcher or multi-block fetch
 (:func:`sparse_eligible`) uses the reference
 :class:`~repro.sim.functional.FunctionalSimulator`; the two are validated
@@ -747,7 +748,7 @@ def sparse_eligible(config: SystemConfig) -> bool:
 
 class _SparseWalk:
     """The whole hierarchy walked through :class:`CacheHierarchy`, minus
-    the reads that provably change nothing.
+    the reads and stores that provably change nothing.
 
     A CPU read whose previous access to the same level-1 set (of the same
     cache, I or D) was to the same block -- and, when the first level
@@ -755,16 +756,22 @@ class _SparseWalk:
     recently touched block: LRU already holds it at way 0, FIFO and
     random never reorder, and with no first-level prefetcher no fresh bit
     or hit-triggered prefetch is involved.  Such a read only adds one to
-    its cache's ``reads``, so it is skipped and counted in bulk.  The one
-    thing that removes that block without an access to its set is a
-    back-invalidation under enforced inclusion, which
+    its cache's ``reads``.  In a write-back, write-allocate first level,
+    a store to that block changes nothing but ``writes`` once an earlier
+    store of the same-block run -- the set's consecutive accesses to the
+    block -- has dirtied it.  Both are skipped and counted in bulk.
+
+    The one thing that removes that block without an access to its set is
+    a back-invalidation under enforced inclusion, which
     :meth:`CacheHierarchy.back_invalidate` reports through
     ``hierarchy.dropped``; the next access to every set it touched is then
-    walked after all.
+    walked after all.  The refill is clean, so the set's next store is
+    walked too, even when a skipped read comes first.
 
-    Chunks of a streamed replay carry each set's last block (and whether
-    it was a store) and the sets dropped since, so counts are identical
-    to a whole-trace walk.
+    Chunks of a streamed replay carry each set's last block, whether it
+    was a store, whether its same-block run has dirtied it, and whether a
+    block was dropped from it since, so counts are identical to a
+    whole-trace walk.
     """
 
     def __init__(self, config: SystemConfig) -> None:
@@ -774,17 +781,26 @@ class _SparseWalk:
         self.sets = geometry.sets
         self.bits = geometry.offset_bits
         self.allocate = first.write_allocate
+        #: Whether the store rule applies: only there does a store to a
+        #: block its run has dirtied change nothing but ``writes``.
+        self.store_runs = (
+            first.write_allocate and first.write_policy is WritePolicy.WRITE_BACK
+        )
         #: Level-1 caches by side: 0 data (or unified), 1 instructions.
         self.caches = [self.hierarchy.dcache]
         if self.hierarchy.icache is not None:
             self.caches.append(self.hierarchy.icache)
         groups = len(self.caches) * self.sets
         #: Per (side, set), carried between chunks: the block of its last
-        #: access (``-1``: none yet), whether that access was a store, and
-        #: whether a back-invalidation has dropped a block from it since.
+        #: access (``-1``: none yet), whether that access was a store,
+        #: whether the same-block run it ends holds a store, and whether a
+        #: back-invalidation has dropped a block from the set since its
+        #: last access (``stale``) or since its last store (``stale_store``).
         self.last = np.full(groups, -1, dtype=np.int64)
         self.last_store = np.zeros(groups, dtype=bool)
+        self.dirty = np.zeros(groups, dtype=bool)
         self.stale = np.zeros(groups, dtype=bool)
+        self.stale_store = np.zeros(groups, dtype=bool)
         self.walked = self.forced = 0
 
     def run(self, trace: Trace, chunk_records: Optional[int]) -> None:
@@ -800,39 +816,7 @@ class _SparseWalk:
         """Walk one chunk; its residual warmup counts nothing."""
         n = len(chunk)
         kinds = chunk.kinds
-        blocks = (chunk.addresses >> np.uint64(self.bits)).astype(np.int64)
-        group = blocks & (self.sets - 1)
-        is_ifetch = kinds == IFETCH
-        if len(self.caches) == 2:
-            group += self.sets * is_ifetch
-        order = _stable_argsort(group, len(self.last)).astype(np.int32)
-        group_s = group[order]
-        blocks_s = blocks[order]
-        store_s = kinds[order] == WRITE
-        # Each access's predecessor in its set: the previous one in the
-        # sorted order, or the carried last access for a set's first.
-        head = np.ones(n, dtype=bool)
-        np.not_equal(group_s[1:], group_s[:-1], out=head[1:])
-        prev_block = np.empty(n, dtype=np.int64)
-        prev_block[1:] = blocks_s[:-1]
-        prev_block[head] = self.last[group_s[head]]
-        skip_s = (blocks_s == prev_block) & ~store_s
-        if not self.allocate:
-            prev_store = np.empty(n, dtype=bool)
-            prev_store[1:] = store_s[:-1]
-            prev_store[head] = self.last_store[group_s[head]]
-            skip_s &= ~prev_store
-        # A set dropped from since its last access walks its next one.
-        stale = head & self.stale[group_s]
-        self.forced += int(np.count_nonzero(skip_s & stale))
-        skip_s &= ~stale
-        self.stale[group_s[head]] = False
-        skip = np.empty(n, dtype=bool)
-        skip[order] = skip_s
-        tail = np.flatnonzero(np.append(head[1:], True))
-        self.last[group_s[tail]] = blocks_s[tail]
-        self.last_store[group_s[tail]] = store_s[tail]
-        bounds = np.searchsorted(group_s, np.arange(len(self.last) + 1))
+        order, skip, bounds, next_store = self._plan(chunk)
 
         hierarchy = self.hierarchy
         access = hierarchy.access
@@ -840,12 +824,19 @@ class _SparseWalk:
         forced: List[int] = []
         cut = chunk.warmup
 
+        def force(j: int) -> None:
+            t = int(order[j])
+            if skip[t]:
+                skip[t] = False
+                heapq.heappush(forced, t)
+
         def redirect(t: int) -> None:
             # Force the next access after ``t`` to every set a
-            # back-invalidation touched; with none left in this chunk,
-            # the set's first access in the next chunk.  ``bisect`` reads
-            # a few elements of ``order`` in place, far cheaper per
-            # dropped block than a NumPy search call.
+            # back-invalidation touched, and its next store, which
+            # dirties the clean refill again; with none left in this
+            # chunk, the set's first access (or store) in the next chunk.
+            # ``bisect`` reads a few elements of ``order`` in place, far
+            # cheaper per dropped block than a NumPy search call.
             for cache, address in dropped:
                 g = ((address >> self.bits) & (self.sets - 1)) + self.sets * (
                     cache is not self.caches[0]
@@ -853,10 +844,15 @@ class _SparseWalk:
                 hi = int(bounds[g + 1])
                 j = bisect.bisect_right(order, t, int(bounds[g]), hi)
                 if j == hi:
-                    self.stale[g] = True
-                elif skip[order[j]]:
-                    skip[order[j]] = False
-                    heapq.heappush(forced, int(order[j]))
+                    self.stale[g] = self.stale_store[g] = True
+                    continue
+                force(j)
+                if self.store_runs:
+                    k = int(next_store[j])
+                    if k < hi:
+                        force(k)
+                    else:
+                        self.stale_store[g] = True
             dropped.clear()
 
         def force_until(stop: int) -> None:
@@ -868,7 +864,7 @@ class _SparseWalk:
                 if dropped:
                     redirect(t)
 
-        # The static walk list is fixed up front: forced reads join it
+        # The static walk list is fixed up front: forced records join it
         # through the heap only.
         walks = np.flatnonzero(~skip).astype(np.int32)
         split = int(np.searchsorted(walks, cut))
@@ -886,14 +882,102 @@ class _SparseWalk:
                 if dropped:
                     redirect(t)
             force_until(hi)
-        # Skipped reads in the measured region are read hits, counted here.
+        # Skipped records in the measured region are hits, counted here.
         measured = skip[cut:]
         skipped = int(np.count_nonzero(measured))
         if len(self.caches) == 2:
-            ifetches = int(np.count_nonzero(measured & is_ifetch[cut:]))
+            ifetches = int(np.count_nonzero(measured & (kinds[cut:] == IFETCH)))
             self.caches[1].stats.reads += ifetches
             skipped -= ifetches
-        self.caches[0].stats.reads += skipped
+        stores = int(np.count_nonzero(measured & (kinds[cut:] == WRITE)))
+        self.caches[0].stats.reads += skipped - stores
+        self.caches[0].stats.writes += stores
+
+    def _plan(
+        self, chunk: Trace
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """One chunk's static plan, and the carried per-set state advanced
+        past it: the record order by (side, set), each record's skip flag
+        in trace order, each (side, set)'s bounds in that order, and (with
+        the store rule) each sorted access's next store in it.  The
+        temporaries die here, before the walk."""
+        n = len(chunk)
+        kinds = chunk.kinds
+        blocks = (chunk.addresses >> np.uint64(self.bits)).astype(np.int64)
+        group = blocks & (self.sets - 1)
+        if len(self.caches) == 2:
+            group += self.sets * (kinds == IFETCH)
+        order = _stable_argsort(group, len(self.last)).astype(np.int32)
+        group_s = group[order]
+        blocks_s = blocks[order]
+        del blocks, group  # only their sorted copies are needed below
+        store_s = kinds[order] == WRITE
+        # Whether each access's predecessor in its set -- the previous one
+        # in the sorted order, or the carried last access for a set's
+        # first -- was to the same block.
+        head = np.ones(n, dtype=bool)
+        np.not_equal(group_s[1:], group_s[:-1], out=head[1:])
+        same = np.empty(n, dtype=bool)
+        np.equal(blocks_s[1:], blocks_s[:-1], out=same[1:])
+        same[head] = blocks_s[head] == self.last[group_s[head]]
+        skip_s = same & ~store_s
+        next_store = None
+        if not self.allocate:
+            prev_store = np.empty(n, dtype=bool)
+            prev_store[1:] = store_s[:-1]
+            prev_store[head] = self.last_store[group_s[head]]
+            skip_s &= ~prev_store
+        if self.store_runs:
+            dirty = self._dirty_before(same, head, store_s, group_s)
+            skip_s |= same & store_s & dirty
+        # A set dropped from since its last access walks its next one.
+        stale = head & self.stale[group_s]
+        self.forced += int(np.count_nonzero(skip_s & stale))
+        skip_s &= ~stale
+        self.stale[group_s[head]] = False
+        if self.store_runs:
+            # One dropped from since its last store walks its next store.
+            stores = np.flatnonzero(store_s)
+            first = np.ones(len(stores), dtype=bool)
+            np.not_equal(group_s[stores[1:]], group_s[stores[:-1]], out=first[1:])
+            first = stores[first]
+            pending = first[self.stale_store[group_s[first]]]
+            pending = pending[skip_s[pending]]
+            self.forced += len(pending)
+            skip_s[pending] = False
+            self.stale_store[group_s[first]] = False
+            # Each access's next store in sorted order (``n``: none).
+            next_store = np.where(store_s, np.arange(n, dtype=np.int32), n)[::-1]
+            next_store = np.minimum.accumulate(next_store)[::-1]
+        skip = np.empty(n, dtype=bool)
+        skip[order] = skip_s
+        tail = np.flatnonzero(np.append(head[1:], True))
+        self.last[group_s[tail]] = blocks_s[tail]
+        self.last_store[group_s[tail]] = store_s[tail]
+        if self.store_runs:
+            self.dirty[group_s[tail]] = dirty[tail] | store_s[tail]
+        bounds = np.searchsorted(group_s, np.arange(len(self.last) + 1))
+        return order, skip, bounds, next_store
+
+    def _dirty_before(
+        self,
+        same: np.ndarray,
+        head: np.ndarray,
+        store_s: np.ndarray,
+        group_s: np.ndarray,
+    ) -> np.ndarray:
+        """Per access in (side, set) order: whether an earlier store of
+        its same-block run -- or, for a run carried in from the previous
+        chunk, the carried flag -- has dirtied the block."""
+        n = len(same)
+        positions = np.arange(n, dtype=np.int32)
+        run_start = np.where(head | ~same, positions, 0)
+        np.maximum.accumulate(run_start, out=run_start)
+        last_store = np.full(n, -1, dtype=np.int32)
+        np.copyto(last_store[1:], positions[:-1], where=store_s[:-1])
+        np.maximum.accumulate(last_store, out=last_store)
+        carried = head & same & self.dirty[group_s]
+        return (last_store >= run_start) | carried[run_start]
 
 
 class FastFunctionalSimulator:

@@ -22,7 +22,11 @@ traffic and applies everything else through :meth:`CacheHierarchy.write`,
 :meth:`~CacheHierarchy.settle`; the vectorised fast path
 (:mod:`repro.sim.fast`) walks the stream leaving its vectorised levels
 through :meth:`~CacheHierarchy.replay_stream`, and its sparse walk steps
-every record that can change state through :meth:`access`.
+every record that can change state through :meth:`access` -- all but the
+read hits and dirty-store hits that re-touch their level-1 set's last
+block.  A plain hit comes back as the shared
+:data:`~repro.cache.cache.PLAIN_HIT`, which carries no traffic, so the
+walks here skip :meth:`propagate` for it.
 
 Fetches triggered by stores (write-allocate) are tagged so they never
 pollute the read miss ratios (see :meth:`repro.cache.cache.Cache.read`).
@@ -36,7 +40,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.cache import AccessOutcome, Cache
+from repro.cache.cache import PLAIN_HIT, AccessOutcome, Cache
 from repro.cache.stats import CacheStats
 from repro.sim.config import SystemConfig
 from repro.trace.record import IFETCH, WRITE, Trace
@@ -89,6 +93,14 @@ class CacheHierarchy:
             self._build(level, f"L{i + 2}")
             for i, level in enumerate(config.levels[1:])
         ]
+        #: The cache a write or data read arriving at each level goes to
+        #: (:meth:`cache_at`); past its end, main memory.
+        self._caches: List[Cache] = [self.dcache] + self.lower
+        #: The cache an instruction fetch goes to.
+        self._ifetch_cache = self.icache if self.icache is not None else self.dcache
+        self._inclusive = config.enforce_inclusion
+        first = (self.icache, self.dcache) if self.icache else (self.dcache,)
+        self._groups = (first,) + tuple((cache,) for cache in self.lower)
         self.memory_traffic = MemoryTraffic()
         self.inclusion = InclusionStats()
         #: While a walk collects them, the level-1 blocks back-invalidation
@@ -112,8 +124,7 @@ class CacheHierarchy:
     @property
     def level_caches(self) -> List[List[Cache]]:
         """Caches grouped by level (level 1 first)."""
-        first = [self.icache, self.dcache] if self.icache else [self.dcache]
-        return [first] + [[cache] for cache in self.lower]
+        return [list(group) for group in self._groups]
 
     def all_caches(self) -> List[Cache]:
         return [cache for group in self.level_caches for cache in group]
@@ -197,31 +208,30 @@ class CacheHierarchy:
         """Present one CPU reference to the hierarchy (functional)."""
         if kind == WRITE:
             self.write(0, address)
-        elif kind == IFETCH and self.icache is not None:
-            self.propagate(0, self.icache.read(address), "read")
-        else:
-            self.propagate(0, self.dcache.read(address), "read")
+            return
+        cache = self._ifetch_cache if kind == IFETCH else self.dcache
+        outcome = cache.read(address)
+        if outcome is not PLAIN_HIT:
+            self.propagate(0, outcome, "read")
 
     def cache_at(self, level_index: int) -> Optional[Cache]:
         """The cache a write or data read arriving at ``level_index``
         (0-based) goes to; ``None`` below the deepest cache (main memory)."""
-        if level_index == 0:
-            return self.dcache
-        position = level_index - 1
-        if position < len(self.lower):
-            return self.lower[position]
+        if level_index < len(self._caches):
+            return self._caches[level_index]
         return None
 
     def write(self, level_index: int, address: int) -> None:
         """A write arriving at ``level_index``: a store at level 0, a dirty
         victim or forwarded write below it, a memory write below the
         deepest cache."""
-        cache = self.cache_at(level_index)
-        if cache is None:
+        if level_index >= len(self._caches):
             if self.counting:
                 self.memory_traffic.writes += 1
             return
-        outcome = cache.write(address)
+        outcome = self._caches[level_index].write(address)
+        if outcome is PLAIN_HIT:
+            return
         self.propagate(level_index, outcome, "write")
         if outcome.forwarded_write is not None:
             self.write(level_index + 1, outcome.forwarded_write)
@@ -230,23 +240,27 @@ class CacheHierarchy:
         """A read arriving at ``level_index`` in statistics ``bucket`` (see
         :meth:`repro.cache.cache.Cache.read`); a memory read below the
         deepest cache."""
-        cache = self.cache_at(level_index)
-        if cache is None:
+        if level_index >= len(self._caches):
             if self.counting:
                 self.memory_traffic.reads += 1
             return
-        self.propagate(level_index, cache.read(address, bucket), bucket)
+        outcome = self._caches[level_index].read(address, bucket)
+        if outcome is not PLAIN_HIT:
+            self.propagate(level_index, outcome, bucket)
 
     def propagate(
         self, level_index: int, outcome: AccessOutcome, bucket: str
     ) -> None:
         """Send all of an outcome's traffic below ``level_index``: dirty
-        victims, allocation fetches (in ``bucket``), then :meth:`settle`."""
+        victims, allocation fetches (in ``bucket``), then :meth:`settle`.
+        A plain hit (:data:`~repro.cache.cache.PLAIN_HIT`) has none, and
+        the walks above skip the call for it."""
         for victim in outcome.writebacks:
             self.write(level_index + 1, victim)
         for fetched in outcome.fetched:
             self.read(level_index + 1, fetched, bucket)
-        self.settle(level_index, outcome)
+        if outcome.prefetched or (self._inclusive and level_index and outcome.evicted):
+            self.settle(level_index, outcome)
 
     def settle(self, level_index: int, outcome: AccessOutcome) -> None:
         """Apply an outcome's speculative and inclusion traffic.
@@ -258,7 +272,7 @@ class CacheHierarchy:
         """
         for speculative in outcome.prefetched:
             self.read(level_index + 1, speculative, "prefetch")
-        if self.config.enforce_inclusion and level_index >= 1:
+        if self._inclusive and level_index:
             for victim in outcome.evicted:
                 self.back_invalidate(level_index, victim)
 
@@ -269,9 +283,8 @@ class CacheHierarchy:
         *around* the evicting level, directly to the level below it.
         """
         victim_bytes = self.config.levels[level_index].block_bytes
-        groups = self.level_caches
-        for upper in range(level_index):
-            for cache in groups[upper]:
+        for upper, group in enumerate(self._groups[:level_index]):
+            for cache in group:
                 step = cache.geometry.block_bytes
                 for address in range(
                     victim_address, victim_address + victim_bytes, step

@@ -80,13 +80,14 @@ CATALOG: Dict[str, InstrumentDef] = _declare([
     InstrumentDef(
         "fast.sparse.walked", "counter", "records",
         "Records the sparse walk stepped through the cache hierarchy "
-        "(the rest were provably state-free read hits).",
+        "(the rest were provably state-free read hits or dirty-store hits).",
     ),
     InstrumentDef(
         "fast.sparse.forced", "counter", "records",
-        "Reads the sparse walk stepped through only because a "
-        "back-invalidation dropped a block from their level-1 set (also "
-        "in fast.sparse.walked).",
+        "Records the sparse walk stepped through only because a "
+        "back-invalidation dropped a block from their level-1 set: the "
+        "set's next access and next store after the drop (also in "
+        "fast.sparse.walked).",
     ),
     InstrumentDef(
         "journal.records", "counter", "records",

@@ -32,9 +32,12 @@ A third family leaves no level to the front -- a FIFO, random,
 non-allocating or write-through first level of one to four ways, or
 enforced inclusion -- with one or two plain or tail levels below, and
 holds the sparse walk (:class:`~repro.sim.fast._SparseWalk`) to the
-reference, whole and chunked.  A hand-built trace pins its one hazard:
-an L2 eviction back-invalidating the live most-recent block of an L1
-set that is then re-read.
+reference, whole and chunked, on the adversarial traces and on
+store-heavy ones of long same-block runs.  Two hand-built traces pin its
+hazards: an L2 eviction back-invalidating the live most-recent block of
+an L1 set that is then re-read, and one back-invalidating a dirty block
+in the middle of a store run, whose next store must dirty the clean
+refill again.
 
 Two metamorphic properties need no oracle at all: L2 misses never rise
 with L2 associativity at a fixed set count (8 and 16 ways on the
@@ -290,8 +293,38 @@ def sparse_configs(draw):
     return config
 
 
-@settings(max_examples=150, deadline=None)
-@given(config=sparse_configs(), replay=replays())
+@st.composite
+def store_runs(draw):
+    """A store-heavy trace of same-block runs and a chunk size.
+
+    Each run repeats one block -- stores, with some loads and instruction
+    fetches of it mixed in -- so a write-back, write-allocate L1 skips
+    most of its stores; few tags over few sets make the runs conflict,
+    in the L2 as well, so back-invalidations land inside them.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tags = draw(st.integers(1, 12))
+    sets = draw(st.sampled_from((1, 2, 4)))
+    read_share = draw(st.sampled_from((0.0, 0.2, 0.5)))
+    kinds, addresses = [], []
+    for _ in range(draw(st.integers(1, 30))):
+        base = int(rng.integers(0, tags)) * STRIDE + int(rng.integers(0, sets)) * 16
+        length = int(rng.integers(1, 16))
+        roll = rng.random(length)
+        kinds.append(np.where(roll < read_share, READ, WRITE))
+        kinds[-1][roll < read_share / 4] = IFETCH
+        addresses.append(base + rng.integers(0, 16, length))
+    kinds = np.concatenate(kinds).astype(np.uint8)
+    addresses = np.concatenate(addresses).astype(np.uint64)
+    n = len(kinds)
+    chunk = draw(st.sampled_from((None, 1, 2, 5, 11)))
+    edges = [0, n] if chunk is None else list(range(0, n + 1, chunk))
+    warmup = draw(st.integers(0, n) | st.sampled_from(edges))
+    return Trace(kinds, addresses, warmup=warmup), chunk
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=sparse_configs(), replay=replays() | store_runs())
 def test_sparse_walk_equals_reference(config, replay):
     trace, chunk = replay
     with chunked(chunk):
@@ -336,6 +369,47 @@ def test_sparse_walk_rewalks_after_back_invalidation(chunk):
     # Records 0, 1, 3 and the forced re-read 4 are walked; 2 is skipped.
     assert counters.get("fast.sparse.walked", 0) == 4
     assert counters.get("fast.sparse.forced", 0) == 1
+
+
+def _store_run_trace():
+    """The hierarchy of :func:`_back_invalidation_trace`, with a store run
+    on A in L1 set 0.  Record 0 stores A (walked: it fills A dirty) and
+    record 1 stores it again (skipped: A is dirty).  Record 3's L2 miss
+    evicts A and back-invalidates it, dirty, from the middle of the run;
+    record 4's re-read of A is forced and refills it clean, so record 5,
+    the next store of the run, must be walked to dirty it again, and
+    record 6 is skipped once more.  Record 7 evicts A from L1 set 0, which
+    writes it back only because record 5 was walked."""
+    config, _ = _back_invalidation_trace()
+    a, b, c, d = 0, 16, 48, 32  # L1 sets 0, 1, 1, 0
+    kinds = [WRITE, WRITE, READ, READ, READ, WRITE, WRITE, READ]
+    trace = Trace(
+        np.array(kinds, dtype=np.uint8),
+        np.array([a, a + 4, b, c, a, a + 8, a, d], dtype=np.uint64),
+    )
+    return config, trace
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 5])
+def test_sparse_walk_rewalks_store_after_back_invalidation(chunk):
+    """Chunks of 2 and 4 end on the evicting record, so the forced re-read
+    and the forced store are carried into the next chunk; a chunk of 5
+    ends on the forced re-read, so only the store is carried; chunks of 1
+    carry each on its own, and of 3 start a chunk on record 6."""
+    config, trace = _store_run_trace()
+    since = telemetry.mark()
+    with chunked(chunk):
+        sparse = FastFunctionalSimulator(config).run(trace)
+    counters = telemetry.counter_deltas(since)
+    reference = FunctionalSimulator(config).run(trace)
+    assert reference.level_stats[0].writebacks == 1
+    # Record 3's dirty A, written around the L2.
+    assert reference.memory_writes == 1
+    assert_counts_equal(sparse, reference, "sparse walk")
+    # Records 0, 2, 3, 7 and the forced 4 and 5 are walked; 1 and 6 are
+    # skipped.
+    assert counters.get("fast.sparse.walked", 0) == 6
+    assert counters.get("fast.sparse.forced", 0) == 2
 
 
 @st.composite
