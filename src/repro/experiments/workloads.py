@@ -29,6 +29,7 @@ import logging
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro import telemetry
 from repro.core import envcfg
 from repro.trace.instr import InstructionStreamGenerator
 from repro.trace.multiprogram import MultiprogramScheduler, ProcessSpec
@@ -123,28 +124,30 @@ def build_trace(name: str, index: int, records: int, kernel: bool) -> Trace:
     """Build one multiprogramming trace.
 
     ``kernel=True`` produces a "vms-like" trace (OS bursts at context
-    switches); ``False`` an "interleaved" one.
+    switches); ``False`` an "interleaved" one.  Each build is one
+    ``trace.build`` telemetry span.
     """
-    seed_base = 10_000 * (index + 1)
-    process_count = 3 if kernel else 4
-    processes = [
-        ProcessSpec(
-            name=f"{name}-p{p}",
-            workload=_process_workload(
-                seed=seed_base + 100 * p, address_base=(p + 1) << 44
-            ),
+    with telemetry.span("trace.build", records=records, kernel=kernel):
+        seed_base = 10_000 * (index + 1)
+        process_count = 3 if kernel else 4
+        processes = [
+            ProcessSpec(
+                name=f"{name}-p{p}",
+                workload=_process_workload(
+                    seed=seed_base + 100 * p, address_base=(p + 1) << 44
+                ),
+            )
+            for p in range(process_count)
+        ]
+        scheduler = MultiprogramScheduler(
+            processes,
+            switch_interval=SWITCH_INTERVAL,
+            kernel=_kernel_workload(seed_base + 7) if kernel else None,
+            kernel_burst=600,
+            seed=seed_base + 13,
         )
-        for p in range(process_count)
-    ]
-    scheduler = MultiprogramScheduler(
-        processes,
-        switch_interval=SWITCH_INTERVAL,
-        kernel=_kernel_workload(seed_base + 7) if kernel else None,
-        kernel_burst=600,
-        seed=seed_base + 13,
-    )
-    trace = scheduler.trace(records, name=name)
-    trace.warmup = warmup_boundary(trace, largest_cache_bytes=256 * KB)
+        trace = scheduler.trace(records, name=name)
+        trace.warmup = warmup_boundary(trace, largest_cache_bytes=256 * KB)
     return trace
 
 

@@ -1,10 +1,17 @@
 """Tests for the paper workload suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.experiments.workloads import build_trace, paper_trace_suite
 from repro.trace.stats import TraceStatistics
+from repro.trace.synthetic import StackDistanceGenerator
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 class TestBuildTrace:
@@ -41,6 +48,46 @@ class TestBuildTrace:
         a = build_trace("t", index=3, records=10_000, kernel=False)
         b = build_trace("t", index=4, records=10_000, kernel=False)
         assert not np.array_equal(a.addresses, b.addresses)
+
+
+class TestPinnedBytes:
+    """The exact bytes of a trace and of A-GEN's stack-distance stream.
+
+    Any change to a generator's draws, their order or its LRU stack shows
+    here directly, not only through the end-to-end report goldens.
+    """
+
+    @pytest.mark.parametrize(
+        "args, kinds, addresses, warmup",
+        [
+            (
+                ("vms0", 0, 30_000, True),
+                "66c42946c5ccbcd2e34a3fc35175ab2b2df6c7f43458bdebbc8594fb9396a5e3",
+                "089c032c9fb661bc2e59349ef75dfd6d0499b71e3db71bb0cec43c2fe337ffbf",
+                15_000,
+            ),
+            (
+                ("mix1", 1, 30_000, False),
+                "be437ab6f07300d0056327c4249a4e8e09b92602bc2fbc7dd02b9b9f5d83ea05",
+                "d104aa85a78ef325241b6be39661ce828c157829503bea785bd3fe1206a763f6",
+                15_000,
+            ),
+        ],
+    )
+    def test_build_trace(self, args, kinds, addresses, warmup):
+        name, index, records, kernel = args
+        trace = build_trace(name, index=index, records=records, kernel=kernel)
+        assert (trace.kinds.dtype, trace.addresses.dtype) == (np.uint8, np.uint64)
+        assert _sha256(trace.kinds) == kinds
+        assert _sha256(trace.addresses) == addresses
+        assert trace.warmup == warmup
+
+    def test_generator_ablation_stream(self):
+        addresses = StackDistanceGenerator(seed=5).addresses(120_000)
+        assert addresses.dtype == np.uint64
+        assert _sha256(addresses) == (
+            "fe939445a3cbd88d85bec3d2834430eedbddf8b83279846843edaff93b752648"
+        )
 
 
 class TestSuite:

@@ -90,6 +90,16 @@ class TestSpans:
         assert "a" not in abandoned  # nothing was published
         assert not (tmp_path / "abandoned.bin").exists()
 
+    def test_trace_builds_are_spanned(self):
+        from repro.experiments.workloads import build_trace
+
+        build_trace("vms", index=0, records=2_000, kernel=True)
+        build_trace("mix", index=1, records=3_000, kernel=False)
+        assert [(e["path"], e["a"]) for e in telemetry.iter_events()] == [
+            ("trace.build", {"records": 2_000, "kernel": True}),
+            ("trace.build", {"records": 3_000, "kernel": False}),
+        ]
+
     def test_span_ids_are_unique(self):
         for _ in range(5):
             with telemetry.span("tick"):
@@ -138,6 +148,13 @@ class TestDisabled:
 
         atomic_write_text(tmp_path / "report.txt", "report\n")
         assert (tmp_path / "report.txt").read_text() == "report\n"
+        assert list(telemetry.iter_events()) == []
+
+    def test_trace_builds_record_nothing(self):
+        from repro.experiments.workloads import build_trace
+
+        trace = build_trace("vms", index=0, records=2_000, kernel=True)
+        assert len(trace) == 2_000
         assert list(telemetry.iter_events()) == []
 
     def test_counters_still_validate_and_count(self):
