@@ -7,8 +7,10 @@ two reasons:
 
 * **Determinism discipline.**  The static-analysis rules treat ambient
   clock reads as contamination: RPR001 bans them textually from
-  simulation code, and RPR008 propagates ``reads-clock`` through the
-  call graph into every memo-path function.  This module (and the
+  simulation code, and RPR008 (memo purity) reports a ``reads-clock``
+  effect in any memo-path function, made there or in a callee at any
+  depth; both classify clocks by one sink table
+  (:mod:`repro.lint.project.indexer`).  This module (and the
   telemetry layer built on it) is the explicitly sanctioned exception --
   an effect *barrier* in the interprocedural analysis
   (:data:`repro.lint.project.analysis.SANCTIONED_RELPATHS`) rather than

@@ -1,20 +1,20 @@
 """Domain-aware static analysis for the repro tree.
 
-Nine rules encode the repository's reproducibility contracts as
-review-time checks (see ``docs/static-analysis.md``).  RPR001-RPR005
-are per-file AST walks; RPR006-RPR009 are *interprocedural*, running
-on the project call graph and effect propagation under ``--project``:
+Seven rules encode the repository's reproducibility contracts as
+review-time checks (see ``docs/static-analysis.md``), one rule per
+contract.  RPR001-RPR003 are per-file AST walks; RPR006-RPR009 run on
+the project call graph and effect propagation, so each reports a
+violation whether it sits in the function that owns the contract or in
+a helper any number of calls down:
 
 ========  ======================  ============================================
 RPR001    determinism             no ambient clocks / unseeded RNG in sim code
 RPR002    unit-safety             no ``+``/``-``/compare across unit suffixes
 RPR003    env-registry            every ``REPRO_*`` read goes through envcfg
-RPR004    fork-safety             pool callables are picklable and global-free
-RPR005    memo-purity             memo-path functions read only their args
 RPR006    artifact-write-safety   raw disk writes only inside integrity.py
 RPR007    lock-discipline         journal/cache mutations hold the lock
-RPR008    transitive-memo-purity  RPR005 closed over the call graph
-RPR009    transitive-fork-safety  RPR004 through wrappers and locals
+RPR008    memo-purity             memo-path functions read only their args
+RPR009    fork-safety             pool callables are picklable and global-free
 ========  ======================  ============================================
 
 Run it as ``mlcache lint`` or ``python -m repro.lint``; use

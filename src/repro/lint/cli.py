@@ -44,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Domain-aware static analysis for the repro tree "
-        "(determinism, unit-safety, env-registry, fork-safety, memo-purity, "
-        "plus the interprocedural integrity/locking/purity rules).",
+        "(determinism, unit-safety, env-registry, plus the call-graph "
+        "rules: artifact writes, lock discipline, memo purity, fork "
+        "safety).",
     )
     parser.add_argument(
         "paths",
@@ -85,17 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--project",
-        dest="project",
         action="store_true",
-        default=True,
-        help="run the interprocedural analysis (call graph + effect "
-        "propagation; the default)",
-    )
-    parser.add_argument(
-        "--no-project",
-        dest="project",
-        action="store_false",
-        help="per-file rules only; skip the project analysis",
+        help="run the project analysis (call graph + effect propagation); "
+        "it always runs, the flag is accepted for existing invocations",
     )
     parser.add_argument(
         "--changed",
@@ -246,7 +239,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 paths,
                 select=args.select,
                 baseline=None,
-                project=args.project,
                 cache_path=args.cache,
                 report_relpaths=report_relpaths,
             )
@@ -273,7 +265,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             paths,
             select=args.select,
             baseline=baseline,
-            project=args.project,
             cache_path=args.cache,
             report_relpaths=report_relpaths,
         )

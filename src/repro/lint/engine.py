@@ -189,9 +189,9 @@ class Rule:
     explain: str = ""
     scope: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
-    #: True for interprocedural rules that need the project analysis
-    #: (call graph + effect propagation); they only run under
-    #: ``--project`` and implement :meth:`check_project` instead.
+    #: True for rules that need the project analysis (call graph +
+    #: effect propagation); they implement :meth:`check_project`
+    #: instead of :meth:`check`.
     requires_project: bool = False
 
     def applies_to(self, relpath: str) -> bool:
@@ -494,14 +494,12 @@ def check_source(
     source: str,
     relpath: str,
     rules: Optional[Sequence[Rule]] = None,
-    project: bool = True,
 ) -> List[Finding]:
     """Lint a source string as if it lived at ``repro/<relpath>``.
 
-    Inline ``noqa`` suppressions apply; there is no baseline.  With
-    ``project`` (the default) the interprocedural rules also run,
-    treating the source as a one-module project.  This is the entry
-    point the fixture tests use.
+    Inline ``noqa`` suppressions apply; there is no baseline.  The
+    project rules run on the source as a one-module project.  This is
+    the entry point the fixture tests use.
     """
     module = ModuleContext(
         path=Path(relpath),
@@ -514,7 +512,7 @@ def check_source(
     noqa_map = noqa_line_map(module.tree, module.lines)
     findings, _ = apply_noqa_map(check_module(module, selected), noqa_map)
     project_rules = [rule for rule in selected if rule.requires_project]
-    if project and project_rules:
+    if project_rules:
         from repro.lint.project.analysis import ProjectAnalysis
         from repro.lint.project.indexer import ProjectIndex
 
@@ -527,82 +525,55 @@ def check_source(
     return findings
 
 
-def _lint_flat(
-    files: Sequence[Path], rules: Sequence[Rule]
-) -> Tuple[List[Finding], int]:
-    """The classic per-file pass: parse, run intra rules, apply noqa."""
-    all_findings: List[Finding] = []
-    suppressed = 0
-    for path in files:
-        try:
-            module = ModuleContext.parse(path)
-        except SyntaxError as exc:
-            all_findings.append(syntax_error_finding(path, exc))
-            continue
-        noqa_map = noqa_line_map(module.tree, module.lines)
-        findings, dropped = apply_noqa_map(check_module(module, rules), noqa_map)
-        suppressed += dropped
-        all_findings.extend(findings)
-    return all_findings, suppressed
-
-
 def lint_paths(
     paths: Sequence[Path],
     select: Optional[Sequence[str]] = None,
     baseline: Optional[Baseline] = None,
     *,
-    project: bool = False,
     cache_path: Optional[Path] = None,
     report_relpaths: Optional[Set[str]] = None,
     parse_hook: Optional[Callable[[Path], None]] = None,
 ) -> LintResult:
     """Lint every Python file under ``paths`` and post-process findings.
 
-    ``project=True`` routes the run through the digest-keyed project
-    index (see :mod:`repro.lint.project`): per-module findings come from
-    cached summaries when the file is unchanged, and the interprocedural
-    rules run over the call graph.  ``report_relpaths`` limits *reported*
+    The run goes through the digest-keyed project index (see
+    :mod:`repro.lint.project`): per-module findings come from cached
+    summaries when the file is unchanged, and the project rules run
+    over the call graph.  ``report_relpaths`` limits *reported*
     findings to those package-relative paths (``--changed``) without
     narrowing the analysed project.  ``parse_hook`` is called once per
     actually-parsed file (test instrumentation).
     """
+    from repro.lint.project.analysis import ProjectAnalysis
+    from repro.lint.project.indexer import ProjectIndex
+
     rules = get_rules(select)
     files = iter_python_files([Path(p) for p in paths])
-    if not project:
-        all_findings, suppressed = _lint_flat(files, rules)
-        parsed = len(files)
-    else:
-        from repro.lint.project.analysis import ProjectAnalysis
-        from repro.lint.project.indexer import ProjectIndex
-
-        index = ProjectIndex.build(
-            files, cache_path=cache_path, parse_hook=parse_hook
-        )
-        selected_ids = {rule.rule_id for rule in rules}
-        all_findings = []
-        suppressed = 0
-        noqa_by_relpath: Dict[str, Dict[int, FrozenSet[str]]] = {}
-        for summary in index.summaries:
-            noqa_by_relpath.setdefault(summary.relpath, summary.noqa_map())
-            suppressed += summary.suppressed
-            for payload in summary.findings:
-                item = Finding.from_dict(payload)
-                if item.rule == "RPR000" or item.rule in selected_ids:
-                    all_findings.append(item)
-        project_rules = [rule for rule in rules if rule.requires_project]
-        if project_rules:
-            analysis = ProjectAnalysis.build(index)
-            for rule in project_rules:
-                by_path: Dict[str, List[Finding]] = {}
-                for item in rule.check_project(analysis):
-                    by_path.setdefault(item.path, []).append(item)
-                for relpath, scoped in by_path.items():
-                    kept, dropped = apply_noqa_map(
-                        scoped, noqa_by_relpath.get(relpath, {})
-                    )
-                    suppressed += dropped
-                    all_findings.extend(kept)
-        parsed = index.parsed_count
+    index = ProjectIndex.build(files, cache_path=cache_path, parse_hook=parse_hook)
+    selected_ids = {rule.rule_id for rule in rules}
+    all_findings: List[Finding] = []
+    suppressed = 0
+    noqa_by_relpath: Dict[str, Dict[int, FrozenSet[str]]] = {}
+    for summary in index.summaries:
+        noqa_by_relpath.setdefault(summary.relpath, summary.noqa_map())
+        suppressed += summary.suppressed
+        for payload in summary.findings:
+            item = Finding.from_dict(payload)
+            if item.rule == "RPR000" or item.rule in selected_ids:
+                all_findings.append(item)
+    project_rules = [rule for rule in rules if rule.requires_project]
+    if project_rules:
+        analysis = ProjectAnalysis.build(index)
+        for rule in project_rules:
+            by_path: Dict[str, List[Finding]] = {}
+            for item in rule.check_project(analysis):
+                by_path.setdefault(item.path, []).append(item)
+            for relpath, scoped in by_path.items():
+                kept, dropped = apply_noqa_map(
+                    scoped, noqa_by_relpath.get(relpath, {})
+                )
+                suppressed += dropped
+                all_findings.extend(kept)
     if report_relpaths is not None:
         all_findings = [f for f in all_findings if f.path in report_relpaths]
     baselined = 0
@@ -614,7 +585,7 @@ def lint_paths(
         files=len(files),
         suppressed=suppressed,
         baselined=baselined,
-        parsed=parsed,
+        parsed=index.parsed_count,
     )
 
 

@@ -5,8 +5,7 @@ import aliases resolved through re-export chains), the call graph, and
 three derived analyses the interprocedural rules consume:
 
 * :meth:`ProjectAnalysis.effect_map` -- per function, the transitive
-  effect set {reads-env, reads-clock, raw-disk-write, spawns-process,
-  mutates-global}, each with a witness: the call line where it enters
+  effect set (:data:`EFFECT_KINDS`), each with a witness: the call line where it enters
   the function and the bare-name chain down to the effectful leaf.
   A ``barrier_rule`` makes inline ``noqa`` for that rule an *effect
   barrier*: a suppressed call site does not propagate its effects to
@@ -22,6 +21,9 @@ three derived analyses the interprocedural rules consume:
   that flows into a worker-pool callable slot (``run_pooled`` /
   ``_pool_map`` / ``Process(target=...)``), including flows through
   wrapper functions and parameter positions (RPR009's input).
+
+Direct effect sites are classified once, in the indexer's sink table
+(:mod:`repro.lint.project.indexer`).
 
 Everything is deterministic: functions iterate in sorted key order and
 propagation only ever *adds* facts, so runs are stable and terminate.
@@ -41,7 +43,7 @@ from repro.lint.project.indexer import (
 )
 
 #: Worker-pool entry points: call tail -> the callable's slot (a
-#: positional index or a keyword name).  Mirrors the RPR004 table.
+#: positional index or a keyword name).
 POOL_ENTRY_SLOTS: Dict[str, str] = {
     "run_pooled": "1",
     "_pool_map": "1",
@@ -53,6 +55,8 @@ POOL_ENTRY_SLOTS: Dict[str, str] = {
 EFFECT_KINDS: Tuple[str, ...] = (
     "reads-env",
     "reads-clock",
+    "reads-entropy",
+    "reads-file",
     "raw-disk-write",
     "spawns-process",
     "mutates-global",
@@ -109,12 +113,6 @@ class PoolFlowSite:
     site: CallSite
     arg: CallArg
     chain: Tuple[str, ...]  # wrapper path ending at the entry point
-
-    @property
-    def direct(self) -> bool:
-        """True at a literal ``run_pooled(...)``/``Process(...)`` call
-        (where the intraprocedural RPR004 already looks)."""
-        return len(self.chain) == 1
 
 
 @dataclass
@@ -195,7 +193,7 @@ class ProjectAnalysis:
         target = summary.imports.get(name)
         return self.resolve_fq(target) if target else None
 
-    def _noqa_barrier(self, node: FunctionNode, line: int, rule_id: str) -> bool:
+    def noqa_barrier(self, node: FunctionNode, line: int, rule_id: str) -> bool:
         summary = self.modules.get(node.module)
         if summary is None:
             return False
@@ -221,7 +219,7 @@ class ProjectAnalysis:
             for site in node.info.effects:
                 if site.kind not in EFFECT_KINDS:
                     continue
-                if barrier_rule is not None and self._noqa_barrier(
+                if barrier_rule is not None and self.noqa_barrier(
                     node, site.line, barrier_rule
                 ):
                     continue
@@ -239,7 +237,7 @@ class ProjectAnalysis:
                 for site, target in self.edges.get(key, ()):
                     if target is None:
                         continue
-                    if barrier_rule is not None and self._noqa_barrier(
+                    if barrier_rule is not None and self.noqa_barrier(
                         node, site.line, barrier_rule
                     ):
                         continue

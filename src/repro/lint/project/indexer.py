@@ -28,6 +28,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.lint.engine import (
@@ -42,45 +43,79 @@ from repro.lint.engine import (
 )
 
 #: Bump when the summary shape or extraction logic changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
-# -- direct effect classification --------------------------------------------
+# -- the sink table ------------------------------------------------------------
+#
+# One classification of ambient reads for every rule: the indexer files
+# direct effect sites by it, and RPR001 (determinism) and RPR003
+# (env-registry) match their calls against the same lists.  Entries are
+# dotted-name suffixes, matched by :func:`matches_suffix`.
 
-#: Dotted-name suffixes that read the process environment.
-_ENV_READ_SUFFIXES: Tuple[str, ...] = ("os.getenv", "os.environ.get")
+#: Calls that read the process environment (``os.environ.get`` matches
+#: the ``environ.get`` suffix).
+ENV_READ_SUFFIXES: Tuple[str, ...] = (
+    "os.getenv",
+    "environ.get",
+    "environ.setdefault",
+)
 #: Names denoting the environ mapping itself (subscripts, ``in`` tests).
-_ENVIRON_NAMES: FrozenSet[str] = frozenset(("os.environ", "environ"))
-#: Dotted-name suffixes that read a clock.
-_CLOCK_SUFFIXES: Tuple[str, ...] = (
+ENVIRON_NAMES: FrozenSet[str] = frozenset(("os.environ", "environ"))
+#: Calls that read a clock.
+CLOCK_SUFFIXES: Tuple[str, ...] = (
     "time.time",
     "time.time_ns",
     "time.perf_counter",
     "time.perf_counter_ns",
     "time.monotonic",
     "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
     "datetime.now",
     "datetime.utcnow",
     "datetime.today",
     "date.today",
 )
-#: Dotted-name suffixes that mutate the global RNG state.
-_GLOBAL_RANDOM_SUFFIXES: Tuple[str, ...] = (
-    "random.random",
-    "random.randint",
-    "random.randrange",
-    "random.uniform",
-    "random.gauss",
-    "random.shuffle",
-    "random.choice",
-    "random.choices",
-    "random.sample",
-    "random.seed",
-    "np.random.seed",
-    "numpy.random.seed",
-    "np.random.rand",
-    "np.random.randn",
-    "np.random.randint",
+#: Calls that draw platform entropy.
+ENTROPY_SUFFIXES: Tuple[str, ...] = (
+    "os.urandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+    "secrets.token_bytes",
+    "secrets.token_hex",
+    "secrets.token_urlsafe",
+    "secrets.randbits",
+    "secrets.randbelow",
+    "secrets.choice",
 )
+_STDLIB_RANDOM_FUNCS: Tuple[str, ...] = (
+    "random", "randint", "randrange", "randbytes", "getrandbits", "choice",
+    "choices", "shuffle", "sample", "uniform", "triangular", "normalvariate",
+    "gauss", "expovariate", "betavariate", "seed",
+)
+_NUMPY_RANDOM_FUNCS: Tuple[str, ...] = (
+    "seed", "rand", "randn", "randint", "random", "random_sample", "choice",
+    "shuffle", "permutation", "normal", "uniform", "standard_normal",
+    "exponential", "poisson",
+)
+#: Calls that draw from (or reseed) a process-global RNG: the stdlib
+#: ``random`` module functions and NumPy's legacy ``np.random`` ones.
+#: Seeded generator instances are not sinks.
+GLOBAL_RANDOM_SUFFIXES: Tuple[str, ...] = tuple(
+    f"random.{name}" for name in _STDLIB_RANDOM_FUNCS
+) + tuple(
+    f"{module}.random.{name}"
+    for module in ("np", "numpy")
+    for name in _NUMPY_RANDOM_FUNCS
+)
+
+
+def matches_suffix(name: str, suffixes: Sequence[str]) -> bool:
+    """True when dotted ``name`` is one of ``suffixes`` or ends with
+    ``.`` + one of them (``dt.datetime.now`` matches ``datetime.now``)."""
+    return any(name == s or name.endswith("." + s) for s in suffixes)
+
+
 #: Dotted-name suffixes that spawn a process.
 _SPAWN_SUFFIXES: Tuple[str, ...] = (
     "subprocess.run",
@@ -92,6 +127,17 @@ _SPAWN_SUFFIXES: Tuple[str, ...] = (
     "os.fork",
     "os.execv",
     "os.execve",
+)
+#: Default-argument constructors that must never cross a fork boundary.
+_UNSAFE_DEFAULT_CALLS: FrozenSet[str] = frozenset(
+    (
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "threading.Event",
+        "threading.Semaphore",
+        "open",
+    )
 )
 #: Call *tails* that are raw write sinks when applied to a path (not an
 #: atomic handle): ``Path.write_text``, ``json.dump``, ``np.save``...
@@ -184,8 +230,7 @@ class CallSite:
 class EffectSite:
     """One direct effect inside a function body."""
 
-    kind: str  # "reads-env" | "reads-clock" | "raw-disk-write" |
-    #          "spawns-process" | "mutates-global" | "guarded-write"
+    kind: str  # one of analysis.EFFECT_KINDS, or "guarded-write"
     line: int
     detail: str  # e.g. 'os.environ.get', 'open(.., "w")'
     locked: bool = False
@@ -222,6 +267,7 @@ class FunctionInfo:
     mutated_globals: List[str]
     lambda_locals: List[str]  # local names bound to a lambda
     nested_names: List[str]
+    unsafe_defaults: List[str]  # lock/handle constructors in defaults
     effects: List[EffectSite]
     calls: List[CallSite]
 
@@ -237,6 +283,7 @@ class FunctionInfo:
             "mutated_globals": self.mutated_globals,
             "lambda_locals": self.lambda_locals,
             "nested_names": self.nested_names,
+            "unsafe_defaults": self.unsafe_defaults,
             "effects": [site.to_dict() for site in self.effects],
             "calls": [site.to_dict() for site in self.calls],
         }
@@ -255,6 +302,9 @@ class FunctionInfo:
             mutated_globals=[str(p) for p in _as_list(payload["mutated_globals"])],
             lambda_locals=[str(p) for p in _as_list(payload["lambda_locals"])],
             nested_names=[str(p) for p in _as_list(payload["nested_names"])],
+            unsafe_defaults=[
+                str(p) for p in _as_list(payload["unsafe_defaults"])
+            ],
             effects=[
                 EffectSite.from_dict(item)
                 for item in _as_list(payload["effects"])
@@ -354,15 +404,14 @@ def file_digest(data: bytes) -> str:
 
 
 def _walk_local(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs,
-    classes, or lambdas (those are summarised separately)."""
+    """Walk a function body without descending into nested defs or
+    classes (those are summarised separately).  Lambda bodies are walked:
+    a lambda has no summary of its own, so its calls and effects count
+    as the enclosing function's."""
     stack: List[ast.AST] = list(ast.iter_child_nodes(node))
     while stack:
         child = stack.pop()
-        if isinstance(
-            child,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-        ):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             continue
         yield child
         stack.extend(ast.iter_child_nodes(child))
@@ -438,6 +487,20 @@ def _lock_intervals(fn_node: ast.AST) -> List[Tuple[int, int]]:
     return intervals
 
 
+def _unsafe_defaults(fn_node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> List[str]:
+    """Lock and file-handle constructors baked into default arguments."""
+    defaults = list(fn_node.args.defaults)
+    defaults += [d for d in fn_node.args.kw_defaults if d is not None]
+    found: List[str] = []
+    for default in defaults:
+        for inner in ast.walk(default):
+            if isinstance(inner, ast.Call):
+                name = dotted_name(inner.func)
+                if name is not None and name in _UNSAFE_DEFAULT_CALLS:
+                    found.append(name)
+    return found
+
+
 def _in_intervals(line: int, intervals: Sequence[Tuple[int, int]]) -> bool:
     return any(lo <= line <= hi for lo, hi in intervals)
 
@@ -464,6 +527,9 @@ class _FunctionSummariser:
         self.module = module
         self.module_names = module_names
         self.imports = imports
+        #: Names of functions defined inside this one (calls to them
+        #: resolve to their ``<locals>`` qualname).
+        self.local_defs: Set[str] = set()
 
     def _container_root(
         self, target: ast.AST, local_names: Set[str]
@@ -498,6 +564,7 @@ class _FunctionSummariser:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             and child is not fn_node
         ]
+        self.local_defs = set(nested_names)
         effects: List[EffectSite] = []
         calls: List[CallSite] = []
         mutated: List[str] = []
@@ -537,7 +604,7 @@ class _FunctionSummariser:
                 )
             elif isinstance(node, ast.Subscript):
                 target = dotted_name(node.value)
-                if target in _ENVIRON_NAMES:
+                if target in ENVIRON_NAMES:
                     effects.append(
                         EffectSite(
                             kind="reads-env",
@@ -548,7 +615,7 @@ class _FunctionSummariser:
             elif isinstance(node, ast.Compare):
                 for comparator in node.comparators:
                     target = dotted_name(comparator)
-                    if target in _ENVIRON_NAMES and any(
+                    if target in ENVIRON_NAMES and any(
                         isinstance(op, (ast.In, ast.NotIn)) for op in node.ops
                     ):
                         effects.append(
@@ -573,6 +640,7 @@ class _FunctionSummariser:
             mutated_globals=sorted(set(mutated)),
             lambda_locals=sorted(lambda_locals),
             nested_names=sorted(set(nested_names)),
+            unsafe_defaults=_unsafe_defaults(fn_node),
             effects=effects,
             calls=calls,
         )
@@ -612,6 +680,8 @@ class _FunctionSummariser:
         """Module-local resolution of a dotted call target."""
         parts = raw.split(".")
         head = parts[0]
+        if len(parts) == 1 and head in self.local_defs:
+            return f"{self.module}.{self.qualname}.<locals>.{head}"
         if head == "self" and self.class_name and len(parts) == 2:
             return f"{self.module}.{self.class_name}.{parts[1]}"
         if head in self.module_names:
@@ -654,22 +724,28 @@ class _FunctionSummariser:
                 EffectSite(kind=kind, line=node.lineno, detail=detail, locked=locked)
             )
 
-        if any(name == s or name.endswith("." + s) for s in _ENV_READ_SUFFIXES):
+        if matches_suffix(name, ENV_READ_SUFFIXES):
             add("reads-env", name)
-        elif name.endswith("environ.get"):
-            add("reads-env", name)
-        elif any(name == s or name.endswith("." + s) for s in _CLOCK_SUFFIXES):
+        elif matches_suffix(name, CLOCK_SUFFIXES):
             add("reads-clock", name)
-        elif any(name == s or name.endswith("." + s) for s in _GLOBAL_RANDOM_SUFFIXES):
+        elif matches_suffix(name, ENTROPY_SUFFIXES):
+            add("reads-entropy", name)
+        elif matches_suffix(name, GLOBAL_RANDOM_SUFFIXES):
+            # A draw both reads entropy and advances shared state.
+            add("reads-entropy", f"{name} (global RNG)")
             add("mutates-global", f"{name} (global RNG)")
-        elif any(name == s or name.endswith("." + s) for s in _SPAWN_SUFFIXES):
+        elif matches_suffix(name, _SPAWN_SUFFIXES):
             add("spawns-process", name)
+        elif name == "input":
+            add("reads-file", "input()")
 
         # Raw disk-write sinks, with the atomic-handle exemption.
         if name in ("open", "io.open"):
             mode = _open_write_mode(node)
             if mode is not None:
                 add("raw-disk-write", f'open(.., "{mode}")')
+            else:
+                add("reads-file", "open(..)")
         elif tail in _HANDLE_SINK_TAILS or (
             tail in _WRITE_TAILS and tail not in ("write_text", "write_bytes")
         ):

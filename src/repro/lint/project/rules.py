@@ -1,8 +1,10 @@
-"""The interprocedural rules: RPR006-RPR009.
+"""The project rules: RPR006-RPR009.
 
 All four run on :class:`~repro.lint.project.analysis.ProjectAnalysis`
-(under ``mlcache lint --project``) and attach the witness call chain to
-every finding, e.g. ``run_functional -> _helper -> os.environ.get``.
+and attach the witness call chain to every finding, e.g.
+``run_functional -> _helper -> os.environ.get``.  Each owns one
+contract whole: a direct violation and one inherited through any depth
+of calls are the same rule's finding.
 """
 
 from __future__ import annotations
@@ -10,13 +12,19 @@ from __future__ import annotations
 from typing import Dict, Iterator, Set, Tuple
 
 from repro.lint.engine import Finding, Rule, register
-from repro.lint.project.analysis import FunctionNode, ProjectAnalysis
-from repro.lint.rules.memopurity import _STRICT_MODULES, _memo_pattern_name
+from repro.lint.project.analysis import (
+    FunctionNode,
+    ProjectAnalysis,
+    Witness,
+)
+from repro.lint.project.indexer import CallArg
 
 #: Human verbs for the effect kinds, used in diagnostics.
 _EFFECT_VERBS: Dict[str, str] = {
     "reads-env": "reads the process environment",
     "reads-clock": "reads a clock",
+    "reads-entropy": "draws entropy or global random state",
+    "reads-file": "reads a file or stdin",
     "raw-disk-write": "performs a raw disk write",
     "spawns-process": "spawns a process",
     "mutates-global": "mutates global state",
@@ -151,28 +159,54 @@ class LockDisciplineRule(Rule):
                 )
 
 
+#: Modules where *every* function is on (or one call away from) the
+#: memoised path.
+_STRICT_MODULES = frozenset(
+    (
+        "sim/memo.py",
+        "sim/fast.py",
+        "sim/functional.py",
+        "sim/hierarchy.py",
+        "sim/stackdist.py",
+    )
+)
+
+
+def _memo_pattern_name(name: str) -> bool:
+    if name in ("memo_key", "timing_key", "trace_fingerprint"):
+        return True
+    if name.endswith("_projection"):
+        return True
+    if name.startswith("run_functional"):
+        return True
+    return "memo" in name or "stackdist" in name
+
+
 @register
-class TransitiveMemoPurityRule(Rule):
-    """RPR008: RPR005 closed over the call graph."""
+class MemoPurityRule(Rule):
+    """RPR008: memo-path functions read nothing ambient, at any depth."""
 
     rule_id = "RPR008"
-    name = "transitive-memo-purity"
+    name = "memo-purity"
     severity = "error"
     scope = ("sim/",)
     requires_project = True
     rationale = (
-        "Memo keys assume functional behaviour: same arguments, same "
-        "result.  RPR005 checks each memo-path function body; this rule "
-        "closes the contract over the call graph, so a helper three "
-        "calls down that reads os.environ or a clock still poisons the "
-        "memo key -- and the diagnostic prints the propagated chain."
+        "The memo cache assumes result == f(trace, config); a memo-path "
+        "function that reads env vars, files, clocks or entropy -- "
+        "itself or through a helper any number of calls down -- makes "
+        "two processes disagree under the same key, and the cache then "
+        "replays the wrong answer as if it were reproducible."
     )
     explain = (
-        "Roots are the RPR005 population: every function in the strict "
-        "sim modules (memo/fast/functional/hierarchy/stackdist) plus "
-        "memo-pattern names elsewhere under sim/.  The fixed-point "
-        "propagator attributes each transitive effect to the call site "
-        "where it enters the root:\n\n"
+        "Roots are every function in the strict sim modules "
+        "(memo/fast/functional/hierarchy/stackdist) plus memo-pattern "
+        "names elsewhere under sim/ (memo_key, timing_key, "
+        "trace_fingerprint, *_projection, run_functional*, *memo*, "
+        "*stackdist*).  A root's own ambient reads are reported where "
+        "they happen, except lines RPR001 or RPR003 already report; an "
+        "inherited read is reported once per effect kind at the call "
+        "that brings it in:\n\n"
         "  sim/fast.py:660:1: RPR008 [error] memo-path function "
         "'run_functional' transitively reads the process environment "
         "[chain: run_functional -> replay_chunk_records -> get -> "
@@ -182,6 +216,15 @@ class TransitiveMemoPurityRule(Rule):
         "propagation to callers (use with an explanatory comment)."
     )
 
+    #: The kinds that poison a memo key: ambient *reads*.  Global
+    #: mutation is excluded on purpose -- the memo layer's own
+    #: idempotent cache fills are global writes, and a write never
+    #: changes what f(args) returns (fork divergence is RPR009's job).
+    _PURITY_KINDS = ("reads-env", "reads-clock", "reads-entropy", "reads-file")
+
+    #: Per-file rules whose finding on a line already covers a direct read.
+    _COVERING_RULES = ("RPR001", "RPR003")
+
     def _is_root(self, node: FunctionNode) -> bool:
         if node.relpath in _STRICT_MODULES:
             return True
@@ -189,55 +232,81 @@ class TransitiveMemoPurityRule(Rule):
             node.info.name
         )
 
-    #: The kinds that poison a memo key: ambient *reads*.  Global
-    #: mutation is excluded on purpose -- the memo layer's own
-    #: idempotent cache fills are global writes, and a write never
-    #: changes what f(args) returns (fork divergence is RPR009's job).
-    _PURITY_KINDS = ("reads-env", "reads-clock")
-
     def check_project(self, analysis: ProjectAnalysis) -> Iterator[Finding]:
         effects = analysis.effect_map(barrier_rule=self.rule_id)
         for key in sorted(analysis.functions):
             node = analysis.functions[key]
             if not self.applies_to(node.relpath) or not self._is_root(node):
                 continue
-            for kind in self._PURITY_KINDS:
-                witness = effects[key].get(kind)
-                if witness is None or not witness.inherited:
-                    continue  # direct effects are RPR005/RPR006 territory
-                chain = (node.info.name,) + witness.chain
+            name = node.info.name
+            covered = {
+                int(str(item["line"]))
+                for item in analysis.modules[node.module].findings
+                if item.get("rule") in self._COVERING_RULES
+            }
+            for site in node.info.effects:
+                if site.kind in self._PURITY_KINDS and site.line not in covered:
+                    yield _finding(
+                        self,
+                        node,
+                        site.line,
+                        f"memo-path function '{name}' "
+                        f"{_EFFECT_VERBS[site.kind]} ({site.detail}); "
+                        "memoised results must depend only on the "
+                        "function's arguments",
+                        (name, site.detail),
+                    )
+            inherited: Dict[str, Witness] = {}
+            for call, target in analysis.edges.get(key, ()):
+                if target is None or analysis.noqa_barrier(
+                    node, call.line, self.rule_id
+                ):
+                    continue
+                callee = analysis.functions[target].info.name
+                for kind, witness in effects[target].items():
+                    if kind in self._PURITY_KINDS and kind not in inherited:
+                        inherited[kind] = Witness(
+                            kind=kind,
+                            line=call.line,
+                            chain=(callee,) + witness.chain,
+                        )
+            for kind, witness in inherited.items():
                 yield _finding(
                     self,
                     node,
                     witness.line,
-                    f"memo-path function '{node.info.name}' transitively "
+                    f"memo-path function '{name}' transitively "
                     f"{_EFFECT_VERBS[kind]}",
-                    chain,
+                    (name,) + witness.chain,
                 )
 
 
 @register
-class TransitiveForkSafetyRule(Rule):
-    """RPR009: pool callables stay safe through wrappers and locals."""
+class ForkSafetyRule(Rule):
+    """RPR009: pool callables are picklable and fork-safe, however they
+    reach the pool."""
 
     rule_id = "RPR009"
-    name = "transitive-fork-safety"
+    name = "fork-safety"
     severity = "error"
     requires_project = True
     rationale = (
-        "RPR004 checks the literal arguments of run_pooled/Process "
-        "calls; this rule follows the value flow, so a lambda stashed "
-        "in a local, a callable forwarded through a wrapper function, "
-        "or a compute function that mutates globals three calls down "
-        "is still caught before it reaches a worker process."
+        "Worker processes receive their compute callable at fork time; "
+        "lambdas, closures, global mutation (at any call depth) and "
+        "lock/file-handle defaults turn per-cell fault isolation into "
+        "per-sweep heisenbugs -- whether the callable is written at the "
+        "run_pooled/Process call or reaches it through a local or a "
+        "wrapper."
     )
     explain = (
         "A parameter-flow fixed point marks every function parameter "
         "that ends up in a pool callable slot (run_pooled/_pool_map "
         "slot 1, Process(target=...)); each concrete value observed at "
         "a flowing slot is then checked: lambdas and nested functions "
-        "are not picklable under spawn, and callables that transitively "
-        "mutate module globals diverge between fork and spawn workers."
+        "are not picklable under spawn, callables that mutate module "
+        "globals (directly or transitively) diverge between fork and "
+        "spawn workers, and a lock or open file baked into a default "
+        "argument crosses the fork in an undefined state."
         "\n\n  resilience/executor.py:90:1: RPR009 [error] ... "
         "[chain: compute -> _submit -> run_pooled]"
     )
@@ -254,71 +323,53 @@ class TransitiveForkSafetyRule(Rule):
             if dedup in seen:
                 continue
             seen.add(dedup)
-            display = arg.name or "lambda"
-            chain = (display,) + flow.chain
-            if arg.kind == "lambda":
-                if flow.direct:
-                    continue  # literal lambda at the entry: RPR004's catch
-                yield _finding(
-                    self,
-                    node,
-                    flow.site.line,
-                    "lambda flows into the worker pool through a wrapper; "
-                    "workers need a module-level function",
-                    chain,
-                )
-                continue
-            if arg.name in node.info.lambda_locals:
-                yield _finding(
-                    self,
-                    node,
-                    flow.site.line,
-                    f"'{arg.name}' is bound to a lambda and reaches the "
-                    "worker pool; workers need a module-level function",
-                    chain,
-                )
-                continue
-            if arg.name in node.info.nested_names:
-                if flow.direct:
-                    continue  # RPR004 flags nested names at the entry call
-                yield _finding(
-                    self,
-                    node,
-                    flow.site.line,
-                    f"nested function '{arg.name}' reaches the worker pool "
-                    "through a wrapper; workers need a module-level function",
-                    chain,
-                )
-                continue
-            target = analysis.resolve_local_name(node, arg.name)
-            if target is None:
-                continue
-            target_node = analysis.functions[target]
-            if target_node.info.is_nested:
-                if not flow.direct:
-                    yield _finding(
-                        self,
-                        node,
-                        flow.site.line,
-                        f"nested function '{arg.name}' reaches the worker "
-                        "pool through a wrapper",
-                        chain,
-                    )
-                continue
-            witness = effects[target].get("mutates-global")
-            if witness is None:
-                continue
-            direct_global = bool(target_node.info.mutated_globals)
-            same_module = target_node.module == node.module
-            if flow.direct and direct_global and same_module:
-                continue  # RPR004 already flags this at the entry call
-            effect_path = " -> ".join((target_node.info.name,) + witness.chain)
-            yield _finding(
-                self,
-                node,
-                flow.site.line,
-                f"pool callable '{arg.name}' transitively mutates global "
-                f"state ({effect_path}); workers must not rely on global "
-                "mutation",
-                chain,
+            chain = (arg.name or "lambda",) + flow.chain
+            for message in self._violations(analysis, effects, node, arg):
+                yield _finding(self, node, flow.site.line, message, chain)
+
+    @staticmethod
+    def _violations(
+        analysis: ProjectAnalysis,
+        effects: Dict[str, Dict[str, Witness]],
+        node: FunctionNode,
+        arg: CallArg,
+    ) -> Iterator[str]:
+        """What is wrong with the callable ``node`` hands to the pool."""
+        if arg.kind == "lambda":
+            yield (
+                "lambda reaches the worker pool; workers need a "
+                "module-level function"
+            )
+            return
+        name = arg.name
+        if name in node.info.lambda_locals:
+            yield (
+                f"'{name}' is bound to a lambda and reaches the worker "
+                "pool; workers need a module-level function"
+            )
+            return
+        target = analysis.resolve_local_name(node, name)
+        if name in node.info.nested_names or (
+            target is not None and analysis.functions[target].info.is_nested
+        ):
+            yield (
+                f"nested function '{name}' reaches the worker pool; "
+                "workers need a module-level function"
+            )
+            return
+        if target is None:
+            return
+        info = analysis.functions[target].info
+        witness = effects[target].get("mutates-global")
+        if witness is not None:
+            effect_path = " -> ".join((info.name,) + witness.chain)
+            yield (
+                f"pool callable '{name}' mutates global state "
+                f"({effect_path}); workers must not rely on global mutation"
+            )
+        for call in info.unsafe_defaults:
+            yield (
+                f"pool callable '{name}' bakes {call}() into a default "
+                "argument; locks and file handles must not cross the "
+                "fork boundary"
             )

@@ -5,16 +5,16 @@ Importing this package registers every rule with the engine's registry
 import time).  ``engine.get_rules`` imports this package lazily, so rule
 modules may import the engine without a cycle.
 
-The intraprocedural rules (RPR001-RPR005) live here; the interprocedural
-rules (RPR006-RPR009) live in :mod:`repro.lint.project.rules` and are
-imported here for registration too.
+The per-file rules (RPR001-RPR003) live here; the project rules
+(RPR006-RPR009), which own the call-graph contracts -- artifact writes,
+lock discipline, memo purity and fork safety -- live in
+:mod:`repro.lint.project.rules` and are imported here for registration
+too.
 """
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     determinism,
     envreads,
-    forksafety,
-    memopurity,
     units,
 )
 from repro.lint.project import rules as project_rules  # noqa: F401
@@ -22,8 +22,6 @@ from repro.lint.project import rules as project_rules  # noqa: F401
 __all__ = [
     "determinism",
     "envreads",
-    "forksafety",
-    "memopurity",
     "units",
     "project_rules",
 ]

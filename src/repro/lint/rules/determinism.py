@@ -9,12 +9,17 @@ simulator no longer reproduces.  Seeded generator *instances*
 (``random.Random(seed)``, ``np.random.default_rng(seed)``) threaded
 through arguments are the sanctioned pattern and are not flagged.
 
+The clock, entropy and global-RNG calls come from the one sink table
+in :mod:`repro.lint.project.indexer`, the same classification the
+memo-purity rule (RPR008) propagates through the call graph; RPR008
+leaves a line this rule reports to this rule.
+
 Timing is not banned -- *ambient* timing is.  The one sanctioned clock
 is :mod:`repro.core.clock` (``clock.monotonic_ns()``), whose readings
 feed telemetry spans and manifests but never simulation results; the
-interprocedural analysis treats it and the telemetry layer as effect
-barriers (``SANCTIONED_RELPATHS`` in ``repro.lint.project.analysis``),
-so ``telemetry.span(...)`` in kernel code needs no ``noqa``.  Direct
+project analysis treats it and the telemetry layer as effect barriers
+(``SANCTIONED_RELPATHS`` in ``repro.lint.project.analysis``), so
+``telemetry.span(...)`` in kernel code needs no ``noqa``.  Direct
 ``time.*`` reads in simulation code remain violations: route them
 through ``repro.core.clock`` / ``repro.telemetry`` instead.
 """
@@ -22,85 +27,23 @@ through ``repro.core.clock`` / ``repro.telemetry`` instead.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.lint.engine import Finding, ModuleContext, Rule, dotted_name, register
-
-#: Wall-clock and platform-entropy calls that are never deterministic.
-_BANNED_CALLS = frozenset(
-    (
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "os.urandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.token_urlsafe",
-        "secrets.randbits",
-        "secrets.randbelow",
-        "secrets.choice",
-    )
+from repro.lint.project.indexer import (
+    CLOCK_SUFFIXES,
+    ENTROPY_SUFFIXES,
+    GLOBAL_RANDOM_SUFFIXES,
+    matches_suffix,
 )
 
-#: ``datetime``-flavoured clock reads, matched by dotted-name suffix so
-#: ``datetime.now``, ``datetime.datetime.now`` and ``dt.datetime.now``
-#: are all caught.
-_BANNED_SUFFIXES = (
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
+#: Seeded-generator constructors that draw OS entropy when called
+#: without a seed.
+_SEEDABLE_CONSTRUCTORS = frozenset(
+    ("random.Random", "np.random.default_rng", "numpy.random.default_rng")
 )
 
-#: Module-level functions of the stdlib ``random`` module (global,
-#: implicitly-seeded state).  ``random.Random`` is handled separately.
-_RANDOM_MODULE_FUNCS = frozenset(
-    (
-        "random",
-        "randint",
-        "randrange",
-        "randbytes",
-        "getrandbits",
-        "choice",
-        "choices",
-        "shuffle",
-        "sample",
-        "uniform",
-        "triangular",
-        "normalvariate",
-        "gauss",
-        "expovariate",
-        "betavariate",
-        "seed",
-    )
-)
-
-#: NumPy legacy global-state RNG functions (``np.random.<func>``).
-_NUMPY_GLOBAL_FUNCS = frozenset(
-    (
-        "seed",
-        "rand",
-        "randn",
-        "randint",
-        "random",
-        "random_sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "normal",
-        "uniform",
-        "standard_normal",
-        "exponential",
-        "poisson",
-    )
-)
+_PURE = "results must be a pure function of (trace, config)"
 
 
 @register
@@ -127,43 +70,22 @@ class DeterminismRule(Rule):
             if message is not None:
                 yield self.finding(module, node, message)
 
-    def _violation(self, dotted: str, node: ast.Call) -> "str | None":
-        if dotted in _BANNED_CALLS:
+    @staticmethod
+    def _violation(dotted: str, node: ast.Call) -> Optional[str]:
+        if matches_suffix(dotted, CLOCK_SUFFIXES):
             return (
-                f"non-deterministic call {dotted}() in simulation code; "
-                f"results must be a pure function of (trace, config) -- "
+                f"clock read {dotted}() in simulation code; {_PURE} -- "
                 f"time only the sanctioned way, via repro.core.clock / "
                 f"repro.telemetry spans"
             )
-        for suffix in _BANNED_SUFFIXES:
-            if dotted == suffix or dotted.endswith("." + suffix):
-                return (
-                    f"wall-clock read {dotted}() in simulation code; "
-                    f"results must be a pure function of (trace, config) -- "
-                    f"time only the sanctioned way, via repro.core.clock / "
-                    f"repro.telemetry spans"
-                )
-        parts = dotted.split(".")
-        if len(parts) == 2 and parts[0] == "random":
-            if parts[1] in _RANDOM_MODULE_FUNCS:
-                return (
-                    f"module-level {dotted}() uses the global random state; "
-                    f"thread a seeded random.Random(seed) through arguments"
-                )
-            if parts[1] == "Random" and not node.args and not node.keywords:
-                return (
-                    "random.Random() without a seed is non-deterministic; "
-                    "pass an explicit seed"
-                )
-        if len(parts) == 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
-            if parts[2] in _NUMPY_GLOBAL_FUNCS:
-                return (
-                    f"{dotted}() uses numpy's global random state; "
-                    f"use a seeded np.random.default_rng(seed) instead"
-                )
-            if parts[2] == "default_rng" and not node.args and not node.keywords:
-                return (
-                    f"{dotted}() without a seed draws OS entropy; "
-                    f"pass an explicit seed"
-                )
+        if matches_suffix(dotted, ENTROPY_SUFFIXES):
+            return f"{dotted}() draws platform entropy; {_PURE}"
+        if matches_suffix(dotted, GLOBAL_RANDOM_SUFFIXES):
+            return (
+                f"{dotted}() uses the global random state; thread a seeded "
+                f"random.Random(seed) / np.random.default_rng(seed) through "
+                f"arguments"
+            )
+        if dotted in _SEEDABLE_CONSTRUCTORS and not node.args and not node.keywords:
+            return f"{dotted}() without a seed draws OS entropy; pass an explicit seed"
         return None

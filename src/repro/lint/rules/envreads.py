@@ -13,7 +13,10 @@ docs table all come from its registrations.  Two things defeat that:
   runtime ``ValueError`` in whatever code path reads the knob first).
 
 Both arms resolve one level of module-level constant indirection, so the
-``WORKERS_ENV = "REPRO_SWEEP_WORKERS"`` idiom is seen through.
+``WORKERS_ENV = "REPRO_SWEEP_WORKERS"`` idiom is seen through.  What
+counts as a direct read comes from the sink table in
+:mod:`repro.lint.project.indexer`, which the memo-purity rule (RPR008)
+shares; RPR008 leaves a line this rule reports to this rule.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ from repro.lint.engine import (
     resolve_string,
 )
 from repro.lint.engine import register as register_rule
-
-#: Dotted call names that read the process environment directly.
-_DIRECT_READ_CALLS = frozenset(
-    ("os.environ.get", "os.getenv", "environ.get", "os.environ.setdefault")
+from repro.lint.project.indexer import (
+    ENV_READ_SUFFIXES,
+    ENVIRON_NAMES,
+    matches_suffix,
 )
-
-#: Dotted names that *are* the environment mapping (subscript reads).
-_ENVIRON_NAMES = frozenset(("os.environ", "environ"))
 
 #: envcfg accessors whose first argument names a variable.
 _ENVCFG_ACCESSORS = frozenset(("get", "raw", "var"))
@@ -90,7 +90,7 @@ class EnvRegistryRule(Rule):
         name = resolve_string(node.args[0], constants)
         if name is None or not name.startswith("REPRO_"):
             return
-        if dotted in _DIRECT_READ_CALLS:
+        if matches_suffix(dotted, ENV_READ_SUFFIXES):
             yield self.finding(
                 module,
                 node,
@@ -112,7 +112,7 @@ class EnvRegistryRule(Rule):
         self, module: ModuleContext, node: ast.Subscript, constants: dict
     ) -> Iterator[Finding]:
         dotted = dotted_name(node.value)
-        if dotted not in _ENVIRON_NAMES:
+        if dotted not in ENVIRON_NAMES:
             return
         index: Optional[ast.expr] = node.slice
         if isinstance(index, ast.Index):  # pragma: no cover - py38 AST

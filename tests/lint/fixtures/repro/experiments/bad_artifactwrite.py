@@ -4,7 +4,7 @@ The raw ``open(.., "w")`` hides one call below the public entry point,
 so the diagnostic must carry the chain ``save_report -> _raw_dump ->
 open(.., "w")``.  Writes *through* the raw handle are not re-flagged --
 the open is the violation.  Function names deliberately avoid the
-memo-pattern vocabulary so RPR005/RPR008 stay silent, and the file
+memo-pattern vocabulary so RPR008 stays silent, and the file
 lives under ``experiments/`` which is outside RPR001's scope.
 """
 

@@ -1,4 +1,4 @@
-"""RPR004 bad fixture: fork-unsafe callables handed to the worker pool."""
+"""RPR009 bad fixture: fork-unsafe callables written at the pool entry call."""
 
 import threading
 from multiprocessing import Process
@@ -20,13 +20,13 @@ def locked_worker(cell, lock=threading.Lock()):
 
 
 def sweep(chunks, traces, workers):
-    run_pooled("functional", lambda c: c, chunks, traces, workers)  # RPR004
+    run_pooled("functional", lambda c: c, chunks, traces, workers)  # RPR009
 
     def local_worker(cell):
         return cell
 
-    run_pooled("functional", local_worker, chunks, traces, workers)  # RPR004
-    run_pooled("functional", leaky_worker, chunks, traces, workers)  # RPR004
-    run_pooled("functional", locked_worker, chunks, traces, workers)  # RPR004
-    process = Process(target=lambda: None)  # RPR004
+    run_pooled("functional", local_worker, chunks, traces, workers)  # RPR009
+    run_pooled("functional", leaky_worker, chunks, traces, workers)  # RPR009
+    run_pooled("functional", locked_worker, chunks, traces, workers)  # RPR009
+    process = Process(target=lambda: None)  # RPR009
     return process

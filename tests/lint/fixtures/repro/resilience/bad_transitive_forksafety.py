@@ -1,12 +1,12 @@
 """RPR009 bad fixture: unpicklable/global-mutating callables reaching the
-pool through indirection RPR004 cannot see.
+pool through indirection.
 
 Three escapes: a lambda stashed in a local before the entry call, a
 lambda forwarded through the ``_submit`` wrapper, and a module function
 whose global mutation hides one call down (``_tally -> _bump``).
 ``run_pooled`` is an in-module stand-in with the real entry point's
-shape; RPR004 checks only literal arguments at the entry call, so it
-stays blind to all three.
+shape; none of the three is visible from the entry call's literal
+arguments alone.
 """
 
 _COUNTS = {}

@@ -1,4 +1,4 @@
-"""RPR004 good fixture: module-level, closure-free worker callables."""
+"""RPR009 good fixture: module-level, closure-free worker callables."""
 
 from multiprocessing import Process
 

@@ -1,13 +1,12 @@
 """RPR008 bad fixture: ambient reads entering memo roots through helpers.
 
 The roots (``run_functional_grid``, ``grid_projection``) are textually
-pure -- RPR005 has nothing to say -- but their helpers read the
-environment three and two calls down respectively.  Only the
-transitive rule sees it, and the diagnostic must print the full chain,
+pure, but their helpers read the environment three and two calls down
+respectively.  The diagnostic must print the full chain,
 e.g. ``run_functional_grid -> _chunk_hint -> _read_knob ->
 os.environ.get``.  Effects are chosen to be RPR008-exclusive:
 non-``REPRO_`` env names (no RPR003), no clocks or RNG (no RPR001),
-helpers without memo-pattern names (no RPR005).
+helpers without memo-pattern names (not roots themselves).
 """
 
 import os

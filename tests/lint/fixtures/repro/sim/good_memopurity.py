@@ -1,4 +1,4 @@
-"""RPR005 good fixture: memo-path functions that are argument-pure."""
+"""RPR008 good fixture: memo-path functions that are argument-pure."""
 
 import hashlib
 
@@ -16,6 +16,6 @@ def trace_fingerprint(trace):
 
 def unrelated_helper(path):
     # Not memo-pattern-named and not in a strict module: ambient reads
-    # here are RPR005-exempt (RPR003/RPR001 still apply on their own
-    # terms).
+    # here are RPR008-exempt unless a memo root calls this helper
+    # (RPR003/RPR001 still apply on their own terms).
     return len(str(path))

@@ -218,13 +218,11 @@ def test_package_relpath_fallback_is_filename():
 # -- registry ----------------------------------------------------------------
 
 
-def test_get_rules_returns_all_nine():
+def test_get_rules_returns_one_rule_per_contract():
     assert [rule.rule_id for rule in get_rules()] == [
         "RPR001",
         "RPR002",
         "RPR003",
-        "RPR004",
-        "RPR005",
         "RPR006",
         "RPR007",
         "RPR008",

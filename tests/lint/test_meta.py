@@ -7,7 +7,7 @@ the push does.
 
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths
+from repro.lint import Baseline, get_rules, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
@@ -16,8 +16,8 @@ BASELINE = REPO_ROOT / "lint-baseline.json"
 
 def test_source_tree_is_lint_clean():
     """The full check, project analysis included: src/ must be clean
-    under all nine rules with the committed (empty) baseline."""
-    result = lint_paths([SRC], baseline=Baseline.load(BASELINE), project=True)
+    under every rule with the committed (empty) baseline."""
+    result = lint_paths([SRC], baseline=Baseline.load(BASELINE))
     rendered = "\n".join(item.render() for item in result.findings)
     assert result.exit_code == 0, f"lint findings in src/:\n{rendered}"
     assert result.files > 50  # the whole tree was actually visited
@@ -25,8 +25,8 @@ def test_source_tree_is_lint_clean():
 
 def test_source_tree_is_clean_under_each_project_rule():
     """Per-rule pass so a regression names the contract it broke."""
-    for rule_id in ("RPR006", "RPR007", "RPR008", "RPR009"):
-        result = lint_paths([SRC], select=[rule_id], project=True)
+    for rule_id in [r.rule_id for r in get_rules() if r.requires_project]:
+        result = lint_paths([SRC], select=[rule_id])
         rendered = "\n".join(item.render() for item in result.findings)
         assert result.exit_code == 0, f"{rule_id} findings:\n{rendered}"
 

@@ -94,6 +94,33 @@ def test_version_or_salt_mismatch_rebuilds_everything(tmp_path):
     assert index.parsed_count == 2
 
 
+def test_previous_version_cache_is_reparsed_not_trusted(tmp_path):
+    """A cache written by the previous summary version -- one without
+    ``reads-entropy`` effects -- is re-parsed, so the new effect shows."""
+    root = tmp_path / "repro"
+    (root / "core").mkdir(parents=True)
+    draw = root / "core" / "draw.py"
+    draw.write_text("import random\n\ndef pick():\n    return random.random()\n")
+    cache = tmp_path / "cache.json"
+    ProjectIndex.build([draw], cache_path=cache)
+
+    payload = json.loads(cache.read_text())
+    payload["version"] = CACHE_VERSION - 1
+    for entry in payload["files"].values():
+        for function in entry["summary"]["functions"]:
+            function["effects"] = [
+                site for site in function["effects"]
+                if site["kind"] != "reads-entropy"
+            ]
+    cache.write_text(json.dumps(payload))
+
+    parsed = []
+    index = ProjectIndex.build([draw], cache_path=cache, parse_hook=parsed.append)
+    assert parsed == [draw]
+    (function,) = index.summaries[0].functions
+    assert "reads-entropy" in {site.kind for site in function.effects}
+
+
 def test_garbage_cache_is_ignored_not_fatal(tmp_path):
     root, clock, clean = _make_tree(tmp_path)
     cache = tmp_path / "cache.json"
@@ -108,9 +135,9 @@ def test_garbage_cache_is_ignored_not_fatal(tmp_path):
 def test_lint_paths_reports_parse_counts_through_the_cache(tmp_path):
     root, clock, clean = _make_tree(tmp_path)
     cache = tmp_path / "cache.json"
-    cold = lint_paths([root], project=True, cache_path=cache)
+    cold = lint_paths([root], cache_path=cache)
     assert cold.parsed == 2 and cold.files == 2
-    warm = lint_paths([root], project=True, cache_path=cache)
+    warm = lint_paths([root], cache_path=cache)
     assert warm.parsed == 0 and warm.files == 2
     assert [f.fingerprint for f in warm.findings] == [
         f.fingerprint for f in cold.findings
@@ -126,7 +153,7 @@ def test_cached_summaries_preserve_noqa_suppressions(tmp_path):
         "    return time.time()  # repro: noqa RPR001 -- display only\n"
     )
     cache = tmp_path / "cache.json"
-    cold = lint_paths([root], project=True, cache_path=cache)
-    warm = lint_paths([root], project=True, cache_path=cache)
+    cold = lint_paths([root], cache_path=cache)
+    warm = lint_paths([root], cache_path=cache)
     assert cold.findings == [] and warm.findings == []
     assert cold.suppressed == warm.suppressed == 1

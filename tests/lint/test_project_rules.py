@@ -1,6 +1,6 @@
-"""Behavioural tests for the interprocedural rules RPR006-RPR009:
-witness chains, cross-module propagation, noqa barriers, and the
-dedup boundaries against their per-file counterparts."""
+"""Behavioural tests for the project rules RPR006-RPR009: witness
+chains, cross-module propagation, noqa barriers, and one finding per
+line."""
 
 from pathlib import Path
 
@@ -20,7 +20,7 @@ def _lint_tree(tmp_path, modules):
         target = root / relative
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
-    return lint_paths([root], project=True)
+    return lint_paths([root])
 
 
 # -- witness chains ----------------------------------------------------------
@@ -71,6 +71,64 @@ def test_effects_propagate_across_modules(tmp_path):
     assert finding.rule == "RPR008"
     assert finding.path == "sim/gridmod.py"
     assert finding.chain == ("run_functional_x", "leak", "os.environ.get")
+
+
+#: One ambient read per helper, each a different sink of the shared table.
+_PROBE_READS = {
+    "rng": ("import random", "random.random()"),
+    "bits": ("import random", "random.getrandbits(32)"),
+    "normal": ("import numpy as np", "np.random.normal()"),
+    "cpu": ("import time", "time.process_time()"),
+    "salt": ("import os", "os.urandom(8)"),
+    "knob": ("import os", "os.environ.get('MLCACHE_X')"),
+}
+
+
+def test_every_sink_kind_reaches_memo_roots_across_modules(tmp_path):
+    """Memo roots under sim/ each call a core/ helper (outside RPR001's
+    scope) making one ambient read: all six reach RPR008 with chains."""
+    modules = {}
+    for name, (imp, read) in _PROBE_READS.items():
+        modules[f"core/probe_{name}.py"] = (
+            f"{imp}\n\ndef {name}_read():\n    return {read}\n"
+        )
+        modules[f"sim/probe_{name}.py"] = (
+            f"from repro.core.probe_{name} import {name}_read\n\n"
+            f"def run_functional_{name}(trace):\n"
+            f"    return (trace, {name}_read())\n"
+        )
+    result = _lint_tree(tmp_path, modules)
+    chains = {
+        finding.path: finding.chain
+        for finding in result.findings
+        if finding.rule == "RPR008"
+    }
+    assert len(result.findings) == len(chains) == 6
+    for name, (_, read) in _PROBE_READS.items():
+        call = read.split("(")[0]
+        assert chains[f"sim/probe_{name}.py"][:2] == (
+            f"run_functional_{name}", f"{name}_read",
+        )
+        assert chains[f"sim/probe_{name}.py"][2].startswith(call)
+
+
+def test_memopurity_sees_lambda_bodies_and_nested_helpers():
+    """A lambda has no summary of its own, so its reads are the
+    enclosing root's; a nested helper's reads reach the root through
+    the call."""
+    source = (
+        "import os\n\n"
+        "def memo_key(cells):\n"
+        "    def salt():\n"
+        "        return os.getenv('HOME')\n"
+        "    ordered = sorted(cells, key=lambda c: (c, os.getenv('USER')))\n"
+        "    return (ordered, salt())\n"
+    )
+    findings = check_source(source, "sim/keys.py")
+    assert [(f.rule, f.line, f.chain) for f in findings] == [
+        ("RPR008", 6, ("memo_key", "os.getenv")),
+        ("RPR008", 7, ("memo_key", "salt", "os.getenv")),
+    ]
 
 
 def test_raw_write_in_helper_module_blames_the_writer(tmp_path):
@@ -146,22 +204,34 @@ def test_lock_region_traced_through_helpers():
     assert _lint_fixture("resilience/good_journal_locking.py") == []
 
 
-def test_direct_literal_lambda_is_left_to_rpr004():
-    """RPR009 must not duplicate RPR004's finding for a lambda written
-    literally at the pool entry call."""
+def test_literal_lambda_at_the_entry_call_is_one_finding():
+    """A lambda written literally at the pool entry call is reported
+    once, by RPR009, with the one-hop chain."""
     source = (
         "def run_pooled(items, fn, workers=2):\n"
         "    return [fn(item) for item in items]\n\n"
         "def go(items):\n"
         "    return run_pooled(items, lambda item: item + 1)\n"
     )
-    findings = check_source(source, "resilience/poolmod.py")
-    assert [f.rule for f in findings] == ["RPR004"]
+    (finding,) = check_source(source, "resilience/poolmod.py")
+    assert finding.rule == "RPR009"
+    assert finding.chain == ("lambda", "run_pooled")
 
 
-def test_project_rules_silent_without_project_analysis():
-    path = FIXTURES / "sim" / "bad_transitive_memopurity.py"
-    findings = check_source(
-        path.read_text(), package_relpath(path), project=False
+def test_memopurity_leaves_rpr001_lines_to_rpr001():
+    """A direct clock read in a memo root is RPR001's line; RPR008 does
+    not repeat it, but still reports the same kind inherited from a
+    helper."""
+    source = (
+        "import time\n\n"
+        "def _stamp():\n"
+        "    return time.time()\n\n"
+        "def run_functional_x(trace):\n"
+        "    return (trace, time.time(), _stamp())\n"
     )
-    assert findings == []
+    findings = check_source(source, "sim/stamped.py")
+    assert sorted((f.rule, f.line) for f in findings) == [
+        ("RPR001", 4), ("RPR001", 7), ("RPR008", 7),
+    ]
+    (inherited,) = [f for f in findings if f.rule == "RPR008"]
+    assert inherited.chain == ("run_functional_x", "_stamp", "time.time")

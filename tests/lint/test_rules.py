@@ -1,4 +1,4 @@
-"""Fixture-driven tests for the five built-in lint rules.
+"""Fixture-driven tests for the built-in lint rules.
 
 Each rule has a ``bad_*`` fixture that must produce the expected
 findings and a ``good_*`` fixture that must be completely clean (across
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import check_source, package_relpath
+from repro.lint import check_source, get_rules, package_relpath
 
 FIXTURES = Path(__file__).parent / "fixtures" / "repro"
 
@@ -36,8 +36,8 @@ BAD_FIXTURES = {
     "sim/bad_determinism.py": ("RPR001", 8),
     "core/bad_units.py": ("RPR002", 4),
     "core/bad_envread.py": ("RPR003", 4),
-    "resilience/bad_forksafety.py": ("RPR004", 5),
-    "sim/bad_memopurity.py": ("RPR005", 4),
+    "resilience/bad_forksafety.py": ("RPR009", 5),
+    "sim/bad_memopurity.py": ("RPR008", 4),
     "experiments/bad_artifactwrite.py": ("RPR006", 2),
     "resilience/bad_journal_locking.py": ("RPR007", 1),
     "sim/bad_transitive_memopurity.py": ("RPR008", 2),
@@ -150,11 +150,12 @@ def test_envreads_ignores_envcfg_module_itself():
 
 def test_forksafety_ignores_unknown_entry_points():
     source = "def f(apply, work):\n    return apply(lambda c: c, work)\n"
-    assert check_source(source, "core/x.py") == []
+    assert check_source(source, "core/x.py", get_rules(["RPR009"])) == []
 
 
 def test_memopurity_strict_module_checks_every_function():
     source = "import os\n\ndef helper():\n    return os.getenv('HOME')\n"
-    (finding,) = check_source(source, "sim/memo.py")
-    assert finding.rule == "RPR005"
+    (finding,) = check_source(source, "sim/memo.py", get_rules(["RPR008"]))
+    assert finding.rule == "RPR008"
+    assert finding.chain == ("helper", "os.getenv")
     assert check_source(source, "sim/other.py") == []
