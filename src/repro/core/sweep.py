@@ -11,15 +11,22 @@ own loop.
 
 What the executor layers on top of a plain double loop:
 
-* **Memoisation** (functional sweeps): cells are first deduplicated
-  through :mod:`repro.sim.memo`, so timing-only configuration variations
-  and repeated sub-sweeps (e.g. the shared direct-mapped baseline of the
+* **Memoisation**: cells are first deduplicated through
+  :mod:`repro.sim.memo`, so timing-only configuration variations and
+  repeated sub-sweeps (e.g. the shared direct-mapped baseline of the
   three Figure 5 maps) simulate each distinct functional configuration
-  exactly once per trace.
+  exactly once per trace.  Timing cells are memoised by their whole
+  configuration (:func:`repro.sim.memo.timing_key`), and each
+  event-engine result's counts also seed the functional memo, so a
+  functional sweep after a timing sweep of the same cells simulates
+  nothing.
 * **Parallelism**: outstanding cells are chunked and fanned out over a
-  supervised worker pool (:mod:`repro.resilience.executor`).  Traces ship
-  to each worker once (at spawn), not per cell.  Results come back in
-  deterministic cell order regardless of worker scheduling.
+  supervised worker pool (:mod:`repro.resilience.executor`).  Chunks keep
+  the cells that share work together: a functional cell's front
+  (:func:`_front_chunks`), a timing cell's L1 event plan
+  (:func:`_plan_chunks`).  Traces ship to each worker once (at spawn),
+  not per cell.  Results come back in deterministic cell order
+  regardless of worker scheduling.
 * **Fault isolation**: a failed, hung or killed worker no longer takes
   the sweep down with it.  Cells are retried with exponential backoff
   (``REPRO_SWEEP_RETRIES``), bounded by per-cell wall-clock timeouts
@@ -66,14 +73,19 @@ from repro.resilience.policy import FailureReport, RetryPolicy, SweepFailure
 from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import front_projection, run_functional
-from repro.sim.functional import FunctionalResult
+from repro.sim.functional import FunctionalResult, functional_result
 from repro.sim.stackdist import (
     StackdistGridResult,
     grid_projection,
     run_stackdist_grid,
     stackdist_eligible,
 )
-from repro.sim.timing import TimingResult, TimingSimulator
+from repro.sim.timing import (
+    TimingResult,
+    TimingSimulator,
+    event_eligible,
+    plan_projection,
+)
 from repro.trace.record import Trace
 
 #: Environment knob for the pool size (0 or 1 disables the pool).
@@ -91,13 +103,17 @@ MAX_WORKERS = 64
 #: trace shipping costs more than the simulation it would parallelise.
 MIN_CELLS_FOR_POOL = 4
 
-#: Chunks per worker: small enough to amortise dispatch, large enough to
-#: balance uneven cell costs (big caches simulate faster than small ones).
-#: The count sets the chunk size; :func:`_front_chunks` then cuts chunks
-#: at front boundaries, so a worker replays each front it is sent once
-#: and only a front larger than a chunk is split, evenly.  A chunk that
-#: fails is split back into single cells by the executor, so chunking
-#: never weakens fault isolation.
+#: Chunks per worker of a functional or stack-distance sweep: small
+#: enough to amortise dispatch, large enough to balance uneven cell
+#: costs (big caches simulate faster than small ones).  The count sets
+#: the chunk size; :func:`_front_chunks` then cuts chunks at front
+#: boundaries, so a worker replays each front it is sent once and only a
+#: front larger than a chunk is split, evenly.  A timing sweep sends one
+#: chunk per worker, cut at L1 plan boundaries (:func:`_plan_chunks`):
+#: a plan is about half a cold cell, so splitting a group costs more
+#: than the balance it buys.  A chunk that fails is split back into
+#: single cells by the executor, so chunking never weakens fault
+#: isolation.
 _CHUNKS_PER_WORKER = 4
 
 #: A stack-distance group must cover at least this many outstanding
@@ -149,30 +165,52 @@ def _chunked(jobs: List, chunks: int) -> List[List]:
     return out
 
 
-def _front_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
+def _group_chunks(
+    cells: List[Cell], chunks: int, group: Callable[[Cell], Tuple]
+) -> List[List[Cell]]:
     """Split ``cells`` into chunks of at most ``ceil(len / chunks)`` cells
-    that keep each front's cells together.
+    that keep each ``group``'s cells together.
 
-    A front is the stream a configuration's upstream levels send its
-    deepest level over a trace (:func:`repro.sim.fast.front_projection`);
-    a worker replays it once and serves every cell of that front from
-    its cache.  Cells are grouped by front, fronts in first-seen order
-    and cells in their given order; a front with more cells than a chunk
-    splits into even runs; runs are then packed in order, a chunk closing
-    when the next run would overflow it.
+    A worker builds a group's shared state once and serves every cell of
+    the group from its cache.  Cells are grouped in first-seen order,
+    cells in their given order; a group with more cells than a chunk
+    splits into even runs; runs are then packed in order, a chunk
+    closing when the next run would overflow it.
     """
-    fronts: dict = {}
+    groups: dict = {}
     for cell in cells:
-        key = (cell.trace_index, front_projection(cell.config))
-        fronts.setdefault(key, []).append(cell)
+        groups.setdefault(group(cell), []).append(cell)
     size = -(-len(cells) // max(1, chunks))
     out: List[List[Cell]] = []
-    for members in fronts.values():
+    for members in groups.values():
         for run in _chunked(members, -(-len(members) // size)):
             if not out or len(out[-1]) + len(run) > size:
                 out.append([])
             out[-1].extend(run)
     return out
+
+
+def _front_group(cell: Cell) -> Tuple:
+    """A functional cell's front: the stream its upstream levels send
+    the deepest level over its trace
+    (:func:`repro.sim.fast.front_projection`)."""
+    return cell.trace_index, front_projection(cell.config)
+
+
+def _plan_group(cell: Cell) -> Tuple:
+    """A timing cell's L1 event plan
+    (:func:`repro.sim.timing.plan_projection`)."""
+    return cell.trace_index, plan_projection(cell.config)
+
+
+def _front_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
+    """Functional and stack-distance chunks, cut at front boundaries."""
+    return _group_chunks(cells, chunks, _front_group)
+
+
+def _plan_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
+    """Timing chunks, cut at L1 plan boundaries."""
+    return _group_chunks(cells, chunks, _plan_group)
 
 
 def _run_functional_cell(traces: Sequence[Trace], cell: Cell) -> FunctionalResult:
@@ -290,6 +328,8 @@ def _pool_map(
     faults,
     validate,
     on_result,
+    chunker: Callable[[List[Cell], int], List[List[Cell]]],
+    per_worker: int,
 ) -> Optional[ExecOutcome]:
     """Fan ``cells`` out over the supervised pool; ``None`` if no worker
     process could be created (the caller falls back to the serial path).
@@ -299,7 +339,7 @@ def _pool_map(
     if permanent, reported; silently re-running a failing grid serially
     would mask the error (and could "succeed" with different results).
     """
-    chunks = _front_chunks(cells, workers * _CHUNKS_PER_WORKER)
+    chunks = chunker(cells, workers * per_worker)
     return resilient_executor.run_pooled(
         kind, compute, chunks, traces, workers, policy,
         faults=faults, validate=validate, on_result=on_result,
@@ -314,18 +354,23 @@ def _run_cells(
     workers: Optional[int],
     faults,
     on_result,
+    chunker: Callable[[List[Cell], int], List[List[Cell]]] = _front_chunks,
+    per_worker: int = _CHUNKS_PER_WORKER,
 ) -> Tuple[ExecOutcome, int, bool]:
     """Evaluate ``cells`` (deterministic order) in parallel when it pays.
 
-    Returns ``(outcome, workers_resolved, pooled)`` so callers can report
-    how the work was actually executed.
+    A pool gets ``chunker(cells, workers * per_worker)``; the serial path
+    runs the cells in their given order.  Returns ``(outcome,
+    workers_resolved, pooled)`` so callers can report how the work was
+    actually executed.
     """
     policy = RetryPolicy.from_env()
     validate = _make_validate(kind, traces, faults)
     count = sweep_workers(workers)
     if count > 1 and len(cells) >= MIN_CELLS_FOR_POOL:
         outcome = _pool_map(
-            kind, compute, cells, traces, count, policy, faults, validate, on_result
+            kind, compute, cells, traces, count, policy, faults, validate,
+            on_result, chunker, per_worker,
         )
         if outcome is not None:
             return outcome, count, True
@@ -537,10 +582,14 @@ def sweep_timing(
     """Timing-simulate every (config, trace) cell of the grid.
 
     Returns ``results[i][j]`` for ``configs[i]`` on ``traces[j]``.  Timing
-    results depend on every configuration field, so there is no
-    memoisation -- just the shared fan-out, checkpointing (keyed by
-    :func:`repro.sim.memo.timing_key`) and fault isolation.  ``on_failure``
-    behaves as in :func:`sweep_functional`.
+    results depend on every configuration field, so cells are memoised
+    and checkpointed by :func:`repro.sim.memo.timing_key`: a cell this
+    process already timed, or one asked for twice, simulates once.
+    Outstanding cells are grouped by L1 event plan
+    (:func:`repro.sim.timing.plan_projection`), which a worker builds once
+    for the group, and each event-engine result's counts seed the
+    functional memo.  ``on_failure`` behaves as in
+    :func:`sweep_functional`.
     """
     traces = list(traces)
     configs = list(configs)
@@ -550,6 +599,25 @@ def sweep_timing(
         "sweep.timing", configs=len(configs), traces=len(traces)
     ):
         return _sweep_timing_grid(traces, configs, workers, on_failure, failures)
+
+
+def _remember_counts(trace: Trace, config: SystemConfig, result: TimingResult) -> None:
+    """Seed the functional memo with an event-engine result's counts.
+
+    The event engine's counts equal the functional fast path's on every
+    run it takes (``tests/sim/test_timing_events.py`` pins it to the
+    reference, whose counts are the functional simulator's), so a later
+    functional sweep of the same cell is a memo hit.  The result goes
+    through :func:`functional_result`, which audits it.
+    """
+    if not event_eligible(config, trace):
+        return
+    key = memo.memo_key(trace, config)
+    if memo.peek(key) is None:
+        memo.store(key, functional_result(
+            trace, config, [dataclasses.replace(s) for s in result.level_stats],
+            result.memory_reads, result.memory_writes, source="event-engine",
+        ))
 
 
 def _sweep_timing_grid(
@@ -563,43 +631,69 @@ def _sweep_timing_grid(
     since = telemetry.mark()
     journal = current_journal()
     faults = FaultPlan.from_env()
-    width = len(traces)
-    flat: List[Optional[TimingResult]] = [None] * (len(configs) * width)
-    pending: List[Cell] = []
-    pending_keys: List[Tuple] = []
-    pending_slots: List[int] = []
+    fingerprints = [memo.trace_fingerprint(trace) for trace in traces]
+    keys: List[List[Tuple]] = []
+    found: dict = {}
+    served: List[Tuple[Tuple, TimingResult]] = []
+    plans: dict = {}
     resumed = 0
     with telemetry.span("sweep.plan"):
+        # Each distinct key is looked up once, in order: the memo, then
+        # this sweep's journal, then the pending list, grouped by L1
+        # plan so the serial path and every pool chunk build each plan
+        # once.  A memo-served key the journal lacks is journaled too,
+        # so the journal resumes alone.
         for i, config in enumerate(configs):
             projection = memo.timing_projection(config)
-            for j, trace in enumerate(traces):
-                key = (memo.trace_fingerprint(trace), projection)
+            keys.append([(fingerprint, projection) for fingerprint in fingerprints])
+            for j, key in enumerate(keys[i]):
+                if key in found:
+                    continue
+                cached = memo.peek_timing(key)
+                if cached is not None:
+                    found[key] = cached
+                    if journal is not None and not journal.holds("timing", key):
+                        served.append((key, cached))
+                    continue
                 if journal is not None:
                     restored = journal.restore("timing", key, config)
                     if restored is not None:
-                        flat[i * width + j] = restored
+                        memo.store_timing(key, restored)
+                        found[key] = restored
                         resumed += 1
                         continue
+                found[key] = None  # pending: filled by on_result
+                group = (j, plan_projection(config))
+                plans.setdefault(group, []).append((j, config, key))
+        pending: List[Cell] = []
+        pending_keys: List[Tuple] = []
+        for members in plans.values():
+            for j, config, key in members:
                 pending.append(
                     Cell(
                         len(pending), j, config,
-                        cell_signature("timing", j, projection),
+                        cell_signature("timing", j, key[1]),
                     )
                 )
                 pending_keys.append(key)
-                pending_slots.append(i * width + j)
+
+    if journal is not None and served:
+        journal.record_cells("timing", served, sync=False)
 
     def on_result(cell: Cell, result: TimingResult) -> None:
-        flat[pending_slots[cell.cell_id]] = result
+        key = pending_keys[cell.cell_id]
+        found[key] = result
+        memo.store_timing(key, result)
+        _remember_counts(traces[cell.trace_index], cell.config, result)
         if journal is not None:
-            journal.record_cell("timing", pending_keys[cell.cell_id], result)
+            journal.record_cell("timing", key, result)
 
     outcome = ExecOutcome()
     used_workers, pooled = sweep_workers(workers), False
     if pending:
         outcome, used_workers, pooled = _run_cells(
             "timing", _run_timing_cell, pending, traces, workers,
-            faults, on_result,
+            faults, on_result, _plan_chunks, 1,
         )
     run_manifest.note_sweep(
         kind="timing",
@@ -614,4 +708,13 @@ def _sweep_timing_grid(
         failed=len(outcome.failures),
     )
     _settle_failures(outcome, on_failure, failures)
-    return [flat[i * width:(i + 1) * width] for i in range(len(configs))]
+    grid: List[List[Optional[TimingResult]]] = []
+    for config, row in zip(configs, keys):
+        cells = []
+        for key in row:
+            result = found[key]
+            if result is not None and result.config is not config:
+                result = dataclasses.replace(result, config=config)
+            cells.append(result)
+        grid.append(cells)
+    return grid

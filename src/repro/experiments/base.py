@@ -48,6 +48,10 @@ class Experiment(ABC):
     #: Identifier used by the CLI and DESIGN.md ("F3-1", "E-EQ1", ...).
     experiment_id: str = "?"
     title: str = "?"
+    #: Whether :meth:`run` reads the trace suite it is given; one that
+    #: draws its own streams sets this false, and ``mlcache run`` then
+    #: builds no suite for it.
+    reads_traces: bool = True
 
     @abstractmethod
     def run(self, traces: Sequence[Trace]) -> ExperimentReport:

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.core.clock import Stopwatch
+from repro.experiments.base import Experiment
 from repro.experiments.registry import experiment_ids, make_experiment
 from repro.experiments.workloads import paper_trace_suite
 
@@ -139,9 +140,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_one(
-    experiment_id: str, traces, output: Optional[Path], resume: bool = False
+    experiment: Experiment, traces, output: Optional[Path], resume: bool = False
 ) -> bool:
-    experiment = make_experiment(experiment_id)
+    experiment_id = experiment.experiment_id
     watch = Stopwatch()
     journal = (
         output / f"{experiment_id}.journal.jsonl" if output is not None else None
@@ -324,13 +325,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("mlcache run: --resume requires -o/--output (the checkpoint "
               "journal lives in the output directory)", file=sys.stderr)
         return 2
-    targets = (
-        experiment_ids() if args.experiment.lower() == "all" else [args.experiment]
+    targets = [
+        make_experiment(experiment_id)
+        for experiment_id in (
+            experiment_ids() if args.experiment.lower() == "all"
+            else [args.experiment]
+        )
+    ]
+    # Built only when a target reads it (A-GEN draws its own streams).
+    traces = (
+        paper_trace_suite(records=args.records, count=args.traces)
+        if any(experiment.reads_traces for experiment in targets)
+        else []
     )
-    traces = paper_trace_suite(records=args.records, count=args.traces)
     ok = True
-    for experiment_id in targets:
-        ok = _run_one(experiment_id, traces, args.output, resume=args.resume) and ok
+    for experiment in targets:
+        ok = _run_one(experiment, traces, args.output, resume=args.resume) and ok
     return 0 if ok else 1
 
 

@@ -353,14 +353,15 @@ def noqa_line_map(
 
 def apply_noqa_map(
     findings: Iterable[Finding], noqa_map: Dict[int, FrozenSet[str]]
-) -> Tuple[List[Finding], int]:
-    """Drop findings whose line carries a matching inline suppression."""
+) -> Tuple[List[Finding], Dict[str, int]]:
+    """Drop findings whose line carries a matching inline suppression;
+    returns the kept findings and the dropped count per rule id."""
     kept: List[Finding] = []
-    suppressed = 0
+    suppressed: Dict[str, int] = {}
     for item in findings:
         suppression = noqa_map.get(item.line)
         if suppression is not None and (not suppression or item.rule in suppression):
-            suppressed += 1
+            suppressed[item.rule] = suppressed.get(item.rule, 0) + 1
             continue
         kept.append(item)
     return kept, suppressed
@@ -556,7 +557,10 @@ def lint_paths(
     noqa_by_relpath: Dict[str, Dict[int, FrozenSet[str]]] = {}
     for summary in index.summaries:
         noqa_by_relpath.setdefault(summary.relpath, summary.noqa_map())
-        suppressed += summary.suppressed
+        suppressed += sum(
+            count for rule_id, count in summary.suppressed.items()
+            if rule_id in selected_ids
+        )
         for payload in summary.findings:
             item = Finding.from_dict(payload)
             if item.rule == "RPR000" or item.rule in selected_ids:
@@ -572,7 +576,7 @@ def lint_paths(
                 kept, dropped = apply_noqa_map(
                     scoped, noqa_by_relpath.get(relpath, {})
                 )
-                suppressed += dropped
+                suppressed += sum(dropped.values())
                 all_findings.extend(kept)
     if report_relpaths is not None:
         all_findings = [f for f in all_findings if f.path in report_relpaths]

@@ -43,7 +43,7 @@ from repro.lint.engine import (
 )
 
 #: Bump when the summary shape or extraction logic changes.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 # -- the sink table ------------------------------------------------------------
 #
@@ -331,7 +331,9 @@ class ModuleSummary:
     functions: List[FunctionInfo]
     noqa: Dict[int, List[str]]  # line -> suppressed ids ([] = blanket)
     findings: List[Dict[str, object]]  # intra findings, post-noqa
-    suppressed: int = 0
+    #: Intra findings dropped by inline noqa, per rule id (a run sums
+    #: only the rules it selects).
+    suppressed: Dict[str, int] = field(default_factory=dict)
 
     def noqa_map(self) -> Dict[int, FrozenSet[str]]:
         return {line: frozenset(ids) for line, ids in self.noqa.items()}
@@ -365,6 +367,7 @@ class ModuleSummary:
             for item in _as_list(payload.get("findings"))
             if isinstance(item, dict)
         ]
+        suppressed_raw = payload.get("suppressed")
         return cls(
             path=str(payload["path"]),
             relpath=str(payload["relpath"]),
@@ -378,7 +381,10 @@ class ModuleSummary:
             ],
             noqa=noqa,
             findings=findings,
-            suppressed=int(str(payload.get("suppressed", 0))),
+            suppressed={
+                str(rule_id): int(str(count))
+                for rule_id, count in suppressed_raw.items()
+            } if isinstance(suppressed_raw, dict) else {},
         )
 
 

@@ -23,6 +23,11 @@ this repository does).  The cache is per-process; the sweep executor
 it with results coming back from worker processes.  Hits, misses and
 evictions are the ``memo.*`` telemetry counters, which worker processes
 ship back with each job; run manifests read their deltas.
+
+Timing results live in a second cache, keyed by :func:`timing_key`
+(the whole configuration), so a timing cell two sweeps ask for is
+simulated once per process.  The ``memo.*`` counters do not count it;
+sweep notes count the cells it serves as memoised.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro import telemetry
 from repro.cache.policy import PrefetchKind
@@ -39,6 +44,9 @@ from repro.sim.fast import run_functional
 from repro.sim.functional import FunctionalResult
 from repro.trace.record import Trace
 from repro.trace.store import trace_content_digest
+
+if TYPE_CHECKING:  # the timing engine keys its plans through this module
+    from repro.sim.timing import TimingResult
 
 #: Metadata slot holding a trace's cached fingerprint.
 _FINGERPRINT_SLOT = "_functional_fingerprint"
@@ -49,6 +57,9 @@ _FINGERPRINT_SLOT = "_functional_fingerprint"
 MAX_ENTRIES = 65536
 
 _cache: "OrderedDict[Tuple, FunctionalResult]" = OrderedDict()
+
+#: Timing results by :func:`timing_key`, under the same bound.
+_timing_cache: "OrderedDict[Tuple, TimingResult]" = OrderedDict()
 
 
 def trace_fingerprint(trace: Trace) -> str:
@@ -120,9 +131,10 @@ def timing_projection(config: SystemConfig) -> Tuple:
     """Every field a :class:`~repro.sim.timing.TimingResult` depends on.
 
     Timing results are a function of the *whole* configuration, so this is
-    the functional projection plus all the timing fields.  Used by the
-    resilience journal (:mod:`repro.resilience.journal`) to key
-    checkpointed timing cells; there is no timing memo cache.
+    the functional projection plus all the timing fields.  It keys the
+    timing memo cache (:func:`peek_timing`, :func:`store_timing`) and the
+    resilience journal's checkpointed timing cells
+    (:mod:`repro.resilience.journal`).
     """
     return (
         functional_projection(config),
@@ -148,7 +160,7 @@ def memo_key(trace: Trace, config: SystemConfig) -> Tuple:
 
 
 def timing_key(trace: Trace, config: SystemConfig) -> Tuple:
-    """The journal key for one timing (trace, config) cell."""
+    """The timing memo and journal key for one (trace, config) cell."""
     return (trace_fingerprint(trace), timing_projection(config))
 
 
@@ -187,6 +199,28 @@ def store(key: Tuple, result: FunctionalResult) -> None:
     telemetry.gauge_set("memo.entries", len(_cache))
 
 
+def peek_timing(key: Tuple) -> Optional["TimingResult"]:
+    """A cached timing result for ``key``, or ``None``.
+
+    The sweep executor serves timing cells from here while planning,
+    as it serves functional cells from :func:`peek`; the result carries
+    the configuration of the cell that computed it.
+    """
+    result = _timing_cache.get(key)
+    if result is not None:
+        _timing_cache.move_to_end(key)
+    return result
+
+
+def store_timing(key: Tuple, result: "TimingResult") -> None:
+    """Insert a timing result, evicting least-recently-used entries past
+    the cap."""
+    _timing_cache[key] = result
+    _timing_cache.move_to_end(key)
+    while len(_timing_cache) > MAX_ENTRIES:
+        _timing_cache.popitem(last=False)
+
+
 def run_functional_memo(trace: Trace, config: SystemConfig) -> FunctionalResult:
     """Memoised :func:`~repro.sim.fast.run_functional`.
 
@@ -210,5 +244,7 @@ def cache_size() -> int:
 
 
 def clear_memo_cache() -> None:
-    """Drop every cached result (the ``memo.*`` counters keep counting)."""
+    """Drop every cached functional and timing result (the ``memo.*``
+    counters keep counting)."""
     _cache.clear()
+    _timing_cache.clear()

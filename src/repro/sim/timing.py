@@ -46,17 +46,19 @@ reproduces the reference field for field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import telemetry
 from repro.audit import maybe_audit_timing
 from repro.cache.policy import WritePolicy
 from repro.cache.stats import CacheStats
 from repro.cache.write_buffer import WriteBuffer
 from repro.memory.bus import Bus
 from repro.memory.main_memory import MainMemory
+from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import _Front, fast_eligible, memory_traffic, trace_eligible
 from repro.sim.functional import measured_cpu_counts
@@ -472,45 +474,135 @@ class _TimingEngine(_TimingState):
         return done
 
 
-class _EventEngine(_TimingState):
-    """The event-sparse engine for :func:`event_eligible` runs.
+def plan_projection(config: SystemConfig) -> Tuple:
+    """What an L1 event plan depends on besides the trace.
 
-    Cache outcomes are independent of time (buffered writes are applied
-    functionally at push time), so one whole-array functional replay
-    (:class:`repro.sim.fast._Front`) decides every hit, miss and
-    dirty victim up front.  The write-buffer, bus and DRAM objects then
-    run over the events only, through the same calls the reference
-    engine makes: the post-warmup L1 misses and, behind a write-through
-    L1, every measured store, which after its own miss chain pushes its
-    address into the L1->L2 buffer.  Between two events the CPU pays
-    only base costs and a write-back L1's write-hit occupancy waits,
-    which come from integer prefix sums; a wait whose window holds a
-    miss is settled in the event loop.
+    The first level's functional projection (its output stream, misses
+    and victims), the CPU-side costs (the CPU cycle, the L1 cycle in CPU
+    cycles and its write-hit occupancy, which set the base costs and the
+    occupancy windows; the L1 write policy rides in the projection), and
+    the block size of the level below the first, which aligns the fences,
+    victims and forwarded stores of the L1->L2 buffer (a one-level
+    machine's buffer feeds memory at the L1's own block size).
+    """
+    first = config.levels[0]
+    below = config.levels[1] if config.depth > 1 else first
+    return (
+        memo.level_projection(first),
+        config.cpu.cycle_ns,
+        first.cycle_cpu_cycles,
+        first.write_hit_cycles,
+        below.block_bytes,
+    )
+
+
+class _Slot:
+    """A one-entry cache: the last value built, under its key.
+
+    Values are pure functions of their keys, so reuse never changes a
+    result; one entry suffices because the sweep planner hands a worker
+    each plan group's cells together.
     """
 
-    def run(self, trace: Trace) -> TimingResult:
-        config = self.config
-        depth = config.depth
+    def __init__(self, counter: str) -> None:
+        self.counter = counter
+        self.key: Optional[Tuple] = None
+        self.value = None
+
+    def get(self, key: Tuple, build: Callable[[], Any]) -> Any:
+        if self.key != key:
+            self.key, self.value = None, None  # free the old value first
+            self.value = build()
+            self.key = key
+            telemetry.counter_add(self.counter)
+        return self.value
+
+    def clear(self) -> None:
+        self.key, self.value = None, None
+
+
+#: The last L1 plan (:class:`_L1Plan`) and the last levels-below part
+#: (:class:`_LowerLevels`) the event engine built in this process.
+_plans = _Slot("timing.plans")
+_lower = _Slot("timing.parts")
+
+
+def clear_plan_cache() -> None:
+    """Drop the cached L1 plan and levels-below part (tests, benchmarks)."""
+    _plans.clear()
+    _lower.clear()
+
+
+def _chain(
+    entry: Tuple,
+    level: int,
+    misses: np.ndarray,
+    addresses: np.ndarray,
+    align: np.int64,
+    offset: int,
+) -> Tuple[List[int], List[int]]:
+    """One level's share of the demand chain of each measured L1 miss.
+
+    ``entry`` is the level's ``_Front`` trail.  Returns per miss (sorted
+    record indices ``misses``): the dirty victim the level pushes into
+    the buffer below it (``-1`` for none) and the address that buffer's
+    read fence compares, both aligned with ``align`` to the block below.
+    Level-d demand events carry order keys ``r * 4**d + 2 * (4**d - 1) /
+    3``; the victims of a buffered write's allocation below L1 have
+    other keys and stay state-only.
+    """
+    _, _, victims, victim_keys = entry
+    scale = 4**level
+    pushed = victim_keys % scale == 2 * (scale - 1) // 3
+    pushes = np.full(len(misses), -1, dtype=np.int64)
+    _scatter(
+        pushes, misses, victim_keys[pushed] // scale,
+        (victims[pushed] << offset) & align,
+    )
+    return pushes.tolist(), (addresses & align).tolist()
+
+
+class _L1Plan:
+    """The first level's share of an event-sparse run.
+
+    What the L1 sends down does not depend on the levels below it, so
+    everything here is a function of the trace and
+    :func:`plan_projection` alone: the level-1 replay and its
+    statistics, the stream it sends level 2, the measured-miss index
+    with the first boundary's victims and fences, and the event loop's
+    per-point inputs -- the base-cost prefix sums and the occupancy
+    waits between points.  Cells that share it replay only the levels
+    below it (:class:`_LowerLevels`) and run the event loop.
+    """
+
+    def __init__(self, trace: Trace, engine: "_EventEngine") -> None:
+        config = engine.config
         n = len(trace)
         warmup = trace.warmup
         kinds = trace.kinds
         trail: List[Tuple] = []
-        front = _Front(trace, config, depth)
-        [stream] = next(front.streams(trail))
-        level_stats = front.level_stats
-        memory_reads, memory_writes = memory_traffic(stream, warmup * 4**depth)
+        front = _Front(trace, config, 1)
+        [self.stream] = next(front.streams(trail))
+        [self.stats] = front.level_stats
         keys, miss, _, _ = trail[0]
         misses = np.sort(keys[miss])
-        misses = misses[np.searchsorted(misses, warmup):]
-        self._load_chains(trace, trail, misses)
-        # The front's full-length arrays go before the prefix sums below.
-        del stream, trail, keys, miss
+        #: Sorted record indices of the measured L1 misses.
+        self.misses = misses = misses[np.searchsorted(misses, warmup):]
+        #: Their addresses, which every boundary's fence compares.
+        self.addresses = trace.addresses[misses].astype(np.int64)
+        buffer = engine.buffers[0]
+        align = ~np.int64(buffer.downstream_block - 1)
+        self.victims, self.fences = _chain(
+            trail[0], 0, misses, self.addresses, align,
+            log2_int(engine.level_block[0]),
+        )
+        del trail, keys, miss
 
         # base[i]: non-stall time of the measured records before record i.
         base = np.zeros(n + 1, dtype=np.int64)
         cost = base[1:]
-        cost[kinds == IFETCH] = int(self.ifetch_cost)
-        cost[kinds == READ] = int(self.data_hit_cost)
+        cost[kinds == IFETCH] = int(engine.ifetch_cost)
+        cost[kinds == READ] = int(engine.data_hit_cost)
         cost[misses[kinds[misses] == READ]] = 0  # a read miss pays its stall
         cost[:warmup] = 0
         np.cumsum(base, out=base)
@@ -529,7 +621,7 @@ class _EventEngine(_TimingState):
         # L1 forwards each store into the L1->L2 buffer instead.
         through = config.levels[0].write_policy is WritePolicy.WRITE_THROUGH
         occupancy = 0 if through else int(
-            config.levels[0].write_hit_cycles * self.cpu_cycle
+            config.levels[0].write_hit_cycles * engine.cpu_cycle
         )
         nominal = occupancy - (base[data] - base[writer + 1])
         waiting = nominal > 0
@@ -551,14 +643,12 @@ class _EventEngine(_TimingState):
         if through:
             visit[warmup:] |= kinds[warmup:] == WRITE
         points = np.flatnonzero(visit)
-        buffer = self.buffers[0]
         forward = np.full(len(points), -1, dtype=np.int64)
         if through:
             # Each store goes into the buffer aligned to the block below.
             forward = np.where(
                 kinds[points] == WRITE,
-                trace.addresses[points].astype(np.int64)
-                & ~np.int64(buffer.downstream_block - 1),
+                trace.addresses[points].astype(np.int64) & align,
                 -1,
             )
         own_wait = np.zeros(len(points), dtype=np.int64)
@@ -574,15 +664,114 @@ class _EventEngine(_TimingState):
         np.cumsum(nominal[~in_loop], out=loose[1:])
         loose_before = loose[np.searchsorted(loose_at, points)]
 
+        #: The event loop's inputs, one entry per point.
+        self.points = (
+            np.diff(loose_before, prepend=0).tolist(),
+            own_wait.tolist(),
+            anchor.tolist(),
+            is_miss[points].tolist(),
+            kinds[points].tolist(),
+            base[points + 1].tolist(),
+            forward.tolist(),
+        )
+        #: Non-stall time of the whole measured region.
+        self.base_ns = int(base[n])
+        #: All loose waits, and those after the last point.
+        self.loose_ns = int(loose[-1])
+        self.loose_tail_ns = int(
+            loose[-1] - (loose_before[-1] if len(points) else 0)
+        )
+
+
+class _LowerLevels:
+    """The levels below the first over an L1 plan's stream.
+
+    Their statistics, the memory traffic, and the rest of each measured
+    miss's demand chain: the level its fetch hits at (depth means
+    memory) and, per boundary below the first, its victim push and
+    fence address.  A function of the trace and the configuration's
+    functional projection alone, so cells that differ only in timing
+    fields -- buffer depth, cycle times, memory speeds -- share it.
+    """
+
+    def __init__(self, trace: Trace, engine: "_EventEngine", plan: _L1Plan) -> None:
+        config = engine.config
+        depth = config.depth
+        stream = plan.stream
+        trail: List[Tuple] = []
+        front = _Front(trace, config, depth)
+        if depth > 1:
+            [stream] = front._replay(trace, 0, trail, 1, [stream])
+        self.stats = front.level_stats[1:]
+        self.memory_reads, self.memory_writes = memory_traffic(
+            stream, trace.warmup * 4**depth
+        )
+        misses = plan.misses
+        reach = np.full(len(misses), depth, dtype=np.int64)
+        self.victims: List[List[int]] = []
+        self.fences: List[List[int]] = []
+        for level, entry in enumerate(trail, start=1):
+            keys, miss, _, _ = entry
+            scale = 4**level
+            hits = keys[(keys % scale == 2 * (scale - 1) // 3) & ~miss] // scale
+            _scatter(reach, misses, hits, level)
+            victims, fences = _chain(
+                entry, level, misses, plan.addresses,
+                ~np.int64(engine.buffers[level].downstream_block - 1),
+                log2_int(engine.level_block[level]),
+            )
+            self.victims.append(victims)
+            self.fences.append(fences)
+        self.reach: List[int] = reach.tolist()
+
+
+class _EventEngine(_TimingState):
+    """The event-sparse engine for :func:`event_eligible` runs.
+
+    Cache outcomes are independent of time (buffered writes are applied
+    functionally at push time), so one whole-array functional replay
+    (:class:`repro.sim.fast._Front`) decides every hit, miss and
+    dirty victim up front.  The write-buffer, bus and DRAM objects then
+    run over the events only, through the same calls the reference
+    engine makes: the post-warmup L1 misses and, behind a write-through
+    L1, every measured store, which after its own miss chain pushes its
+    address into the L1->L2 buffer.  Between two events the CPU pays
+    only base costs and a write-back L1's write-hit occupancy waits,
+    which come from integer prefix sums; a wait whose window holds a
+    miss is settled in the event loop.
+
+    The replay splits at the first level: an :class:`_L1Plan` (keyed by
+    :func:`plan_projection`) and a :class:`_LowerLevels` part (keyed by
+    the functional projection), each kept for the next run that shares
+    it, so only the event loop runs per cell.
+    """
+
+    def run(self, trace: Trace) -> TimingResult:
+        config = self.config
+        fingerprint = memo.trace_fingerprint(trace)
+        plan = _plans.get(
+            (fingerprint, plan_projection(config)),
+            lambda: _L1Plan(trace, self),
+        )
+        lower = _lower.get(
+            (fingerprint, memo.functional_projection(config)),
+            lambda: _LowerLevels(trace, self, plan),
+        )
+        self._victims = [plan.victims] + lower.victims
+        self._fences = [plan.fences] + lower.fences
+        self._reach = lower.reach
+
         # The L1->L2 step of each miss, in locals: a miss that hits in L2
         # is timed here; deeper chains go through _fetch.  (A reach of 1
         # on a one-level machine is memory.)
+        depth = config.depth
+        buffer = self.buffers[0]
         push = buffer.push
         fence = buffer.read_fence
         block = buffer.block_until
-        first_victims = self._victims[0]
-        first_fences = self._fences[0]
-        reach = self._reach
+        first_victims = plan.victims
+        first_fences = plan.fences
+        reach = lower.reach
         l2_hit = 1 if depth > 1 else -1
         l2_cycle = self.level_cycle[1] if depth > 1 else 0
         level_busy = self.level_busy
@@ -592,13 +781,7 @@ class _EventEngine(_TimingState):
         write_stall = 0
         event = 0
         for gap, wait, opened, missed, kind, now_base, forwarded in zip(
-            np.diff(loose_before, prepend=0).tolist(),
-            own_wait.tolist(),
-            anchor.tolist(),
-            is_miss[points].tolist(),
-            kinds[points].tolist(),
-            base[points + 1].tolist(),
-            forward.tolist(),
+            *plan.points
         ):
             x += gap
             x_before.append(x)
@@ -642,51 +825,17 @@ class _EventEngine(_TimingState):
                 write_stall += stall
             else:
                 read_stall += stall
-        x += int(loose[-1] - (loose_before[-1] if len(points) else 0))
+        x += plan.loose_tail_ns
 
-        self.base = float(base[n])
-        self.now = float(base[n] + x)
+        self.base = float(plan.base_ns)
+        self.now = float(plan.base_ns + x)
         self.read_stall = float(read_stall)
-        self.write_stall = float(write_stall + loose[-1])
+        self.write_stall = float(write_stall + plan.loose_ns)
         self._drain_buffers()
-        return self._result(trace, level_stats, memory_reads, memory_writes)
-
-    def _load_chains(
-        self, trace: Trace, trail: List[Tuple], misses: np.ndarray
-    ) -> None:
-        """Index the demand chain of each measured L1 miss.
-
-        Per miss (``misses`` holds their sorted record indices): the level
-        its fetch hits at (depth means memory), the address each boundary's
-        fence compares, and the dirty victim each missing level pushes
-        into the buffer below it.  Level-d demand events carry order keys
-        ``r * 4**d + 2 * (4**d - 1) / 3``; the victims of a buffered
-        write's allocation below L1 have other keys and stay state-only.
-        """
-        depth = len(self.buffers)
-        reach = np.full(len(misses), depth, dtype=np.int64)
-        addresses = trace.addresses[misses].astype(np.int64)
-        self._victims: List[List[int]] = []
-        self._fences: List[List[int]] = []
-        for level, (keys, miss, victims, victim_keys) in enumerate(trail):
-            scale = 4**level
-            chain = 2 * (scale - 1) // 3
-            align = ~np.int64(self.buffers[level].downstream_block - 1)
-            if level:
-                hits = keys[(keys % scale == chain) & ~miss] // scale
-                _scatter(reach, misses, hits, level)
-            pushed = victim_keys % scale == chain
-            offset = log2_int(self.level_block[level])
-            pushes = np.full(len(misses), -1, dtype=np.int64)
-            _scatter(
-                pushes,
-                misses,
-                victim_keys[pushed] // scale,
-                (victims[pushed] << offset) & align,
-            )
-            self._victims.append(pushes.tolist())
-            self._fences.append((addresses & align).tolist())
-        self._reach: List[int] = reach.tolist()
+        level_stats = [replace(plan.stats)] + [replace(s) for s in lower.stats]
+        return self._result(
+            trace, level_stats, lower.memory_reads, lower.memory_writes
+        )
 
     def _fetch(self, level: int, event: int, now: float) -> float:
         """Demand fetch of miss ``event`` through ``config.levels[level]``.

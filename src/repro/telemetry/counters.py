@@ -78,6 +78,18 @@ CATALOG: Dict[str, InstrumentDef] = _declare([
         "Front-cache lookups that replayed the upstream levels.",
     ),
     InstrumentDef(
+        "timing.plans", "counter", "plans",
+        "L1 event plans the event-sparse timing engine built: level-1 "
+        "replay, miss index, prefix sums and loop points (runs sharing "
+        "a trace and plan projection reuse the last one).",
+    ),
+    InstrumentDef(
+        "timing.parts", "counter", "parts",
+        "Levels-below-L1 replays the event-sparse timing engine built "
+        "(runs sharing a trace and functional projection reuse the "
+        "last one).",
+    ),
+    InstrumentDef(
         "fast.sparse.walked", "counter", "records",
         "Records the sparse walk stepped through the cache hierarchy "
         "(the rest were provably state-free read hits or dirty-store hits).",

@@ -33,16 +33,6 @@ from repro.trace.multiprogram import MultiprogramScheduler, ProcessSpec
 from repro.trace.workload import SyntheticWorkload
 from repro.trace.dinero import read_dinero, write_dinero
 from repro.trace.stats import TraceStatistics, stack_distance_profile
-from repro.trace.transforms import (
-    concatenate_measured,
-    data_references,
-    filter_kinds,
-    instruction_fetches,
-    interleave_round_robin,
-    remap_compact,
-    split_by_process,
-    to_block_granularity,
-)
 from repro.trace.warmup import skip_warmup, warmup_boundary
 
 __all__ = [
@@ -66,12 +56,4 @@ __all__ = [
     "stack_distance_profile",
     "skip_warmup",
     "warmup_boundary",
-    "filter_kinds",
-    "data_references",
-    "instruction_fetches",
-    "split_by_process",
-    "to_block_granularity",
-    "remap_compact",
-    "interleave_round_robin",
-    "concatenate_measured",
 ]

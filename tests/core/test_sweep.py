@@ -279,6 +279,73 @@ class TestTiming:
         assert "memo.hits" not in counted and "memo.misses" not in counted
 
 
+class TestTimingMemo:
+    """Timing cells are memoised by their whole configuration, and an
+    event-engine result's counts seed the functional memo."""
+
+    def test_repeated_config_across_two_sweeps_simulates_once(
+        self, small_traces, base_config
+    ):
+        from repro.audit import manifest
+
+        slower = base_config.with_level(1, cycle_cpu_cycles=5)
+        with manifest.recording("repeat") as run:
+            first = sweep_timing(small_traces, [base_config], workers=1)
+            second = sweep_timing(
+                small_traces, [slower, base_config, slower], workers=1
+            )
+        one, two = run.sweeps
+        assert one.simulated == len(small_traces)
+        assert two.simulated == len(small_traces)
+        assert two.memoised == 2 * len(small_traces)
+        for a, b in zip(first[0], second[1]):
+            assert a == b and b.config is base_config
+        assert second[0] == second[2]
+
+    def test_second_sweeps_journal_resumes_alone(
+        self, tmp_path, small_traces, base_config
+    ):
+        from repro.audit import manifest
+        from repro.resilience.journal import journaling
+
+        configs = timing_variants(base_config)
+        with journaling(tmp_path / "first.jsonl"):
+            sweep_timing(small_traces, configs, workers=1)
+        with journaling(tmp_path / "second.jsonl"):
+            served = sweep_timing(small_traces, configs, workers=1)
+        memo.clear_memo_cache()
+        with manifest.recording("resume") as run:
+            with journaling(tmp_path / "second.jsonl", resume=True):
+                resumed = sweep_timing(small_traces, configs, workers=1)
+        (note,) = run.sweeps
+        assert note.simulated == 0
+        assert note.resumed == len(configs) * len(small_traces)
+        for row_a, row_b in zip(served, resumed):
+            for a, b in zip(row_a, row_b):
+                assert a.total_ns == b.total_ns
+                assert a.write_stall_ns == b.write_stall_ns
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_functional_sweep_after_timing_simulates_nothing(
+        self, small_traces, base_config, workers
+    ):
+        from repro.audit import manifest
+
+        configs = [
+            base_config,
+            base_config.with_level(1, size_bytes=16 * KB),
+            base_config.with_level(0, write_policy="write-through"),
+        ]
+        sweep_timing(small_traces, configs, workers=workers)
+        with manifest.recording("after-timing") as run:
+            grid = sweep_functional(small_traces, configs, workers=workers)
+        (note,) = run.sweeps
+        assert note.simulated == 0 and note.cells_derived == 0
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert result == run_functional(trace, config)
+
+
 class TestWorkerErrors:
     def test_worker_exceptions_propagate(
         self, small_traces, base_config, monkeypatch

@@ -111,6 +111,21 @@ class TestCli:
         assert (tmp_path / "A-GEN.txt").exists()
         assert "A-GEN" in capsys.readouterr().out
 
+    def test_run_builds_no_suite_for_an_experiment_that_reads_none(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Regression: ``mlcache run A-GEN`` built the trace suite, which
+        A-GEN never reads (it draws its own generator streams)."""
+        from repro.experiments import cli
+
+        def no_suite(*args, **kwargs):
+            raise AssertionError("paper_trace_suite built for A-GEN")
+
+        monkeypatch.setattr(cli, "paper_trace_suite", no_suite)
+        assert cli.main(["run", "A-GEN", "-o", str(tmp_path)]) == 0
+        assert (tmp_path / "A-GEN.txt").exists()
+        capsys.readouterr()
+
 
 class TestSimulateCommand:
     def test_simulate_prints_per_level_table(self, tmp_path, capsys):

@@ -157,3 +157,19 @@ def test_cached_summaries_preserve_noqa_suppressions(tmp_path):
     warm = lint_paths([root], cache_path=cache)
     assert cold.findings == [] and warm.findings == []
     assert cold.suppressed == warm.suppressed == 1
+
+
+def test_suppressed_count_sums_only_the_selected_rules(tmp_path):
+    """Regression: a run counted every noqa'd intra finding in its
+    summaries, whatever ``--select`` named."""
+    root = tmp_path / "repro"
+    (root / "sim").mkdir(parents=True)
+    (root / "sim" / "suppressed.py").write_text(
+        "import time\n\ndef f():\n"
+        "    return time.time()  # repro: noqa RPR001 -- display only\n"
+    )
+    cache = tmp_path / "cache.json"
+    for _ in ("cold", "warm"):
+        result = lint_paths([root], select=["RPR002"], cache_path=cache)
+        assert result.findings == [] and result.suppressed == 0
+    assert lint_paths([root], select=["RPR001"], cache_path=cache).suppressed == 1

@@ -180,6 +180,7 @@ class TestSweepResume:
         with journaling(path):
             first = sweep_timing(tiny_traces, config_grid, workers=0)
 
+        memo.clear_memo_cache()
         with run_manifest.recording("resume") as recorder:
             with journaling(path, resume=True):
                 second = sweep_timing(tiny_traces, config_grid, workers=0)

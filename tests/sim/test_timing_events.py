@@ -16,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cache.policy import PrefetchKind, WritePolicy
+from repro.memory.main_memory import MemoryTiming
 from repro.sim import timing
-from repro.sim.config import LevelConfig, SystemConfig
+from repro.sim.config import CpuConfig, LevelConfig, SystemConfig
 from repro.sim.timing import (
     TimingSimulator,
     _EventEngine,
@@ -135,6 +137,137 @@ def traces(draw):
         addresses[start:stop] = np.arange(stop - start) * stride * span
     warmup = draw(st.sampled_from((0, n // 2, n)) | st.integers(0, n))
     return Trace(kinds, addresses, warmup=warmup)
+
+
+@st.composite
+def plan_families(draw):
+    """Machines that share one L1 and CPU -- the L2's size, ways and
+    cycle, the buffer depth and the memory times vary, and a drawn
+    member may repeat the first's levels at another buffer depth -- and
+    unrelated machines, each differing from the first in exactly one
+    field its L1 plan depends on."""
+    split = draw(st.booleans())
+    ways = draw(st.sampled_from(WAYS))
+    half = 16 * ways * draw(st.sampled_from((1, 2, 4)))
+    first = LevelConfig(
+        size_bytes=half * 2 if split else half,
+        block_bytes=16,
+        associativity=ways,
+        split=split,
+        cycle_cpu_cycles=draw(st.sampled_from((1.0, 2.0))),
+        write_hit_cycles=draw(st.integers(2, 3)),
+        write_policy=draw(st.sampled_from(POLICIES)),
+    )
+    cpu = CpuConfig(cycle_ns=draw(st.sampled_from((10.0, 20.0))))
+
+    def member():
+        ways = draw(st.sampled_from(WAYS))
+        return machine(
+            first,
+            LevelConfig(
+                size_bytes=32 * ways * draw(st.sampled_from((2, 4, 16))),
+                block_bytes=32,
+                associativity=ways,
+                cycle_cpu_cycles=float(draw(st.integers(1, 8))),
+                write_hit_cycles=draw(st.integers(1, 3)),
+            ),
+            cpu=cpu,
+            memory=MemoryTiming(
+                read_ns=draw(st.sampled_from((60.0, 180.0))),
+                write_ns=draw(st.sampled_from((40.0, 100.0))),
+                recovery_ns=draw(st.sampled_from((0.0, 120.0))),
+            ),
+            write_buffer_entries=draw(st.integers(1, 8)),
+        )
+
+    family = [member() for _ in range(draw(st.integers(2, 4)))]
+    if draw(st.booleans()):
+        family.append(
+            dataclasses.replace(
+                family[0], write_buffer_entries=draw(st.integers(1, 8))
+            )
+        )
+    base = family[0]
+    other_policy = POLICIES[1 - POLICIES.index(first.write_policy)]
+    unrelated = [
+        dataclasses.replace(base, cpu=CpuConfig(cycle_ns=30.0 - cpu.cycle_ns)),
+        base.with_level(0, write_hit_cycles=5 - first.write_hit_cycles),
+        base.with_level(0, write_policy=other_policy),
+        base.with_level(0, cycle_cpu_cycles=3.0 - first.cycle_cpu_cycles),
+        base.with_level(0, size_bytes=first.size_bytes * 2),
+    ]
+    return family, unrelated
+
+
+class TestSharedPlans:
+    """Runs that share an L1 plan, or a levels-below part, reuse it; each
+    run must still equal the reference field for field, whatever ran
+    before it in the process."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        timing.clear_plan_cache()
+        yield
+        timing.clear_plan_cache()
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=plan_families(), trace=traces(), data=st.data())
+    def test_cold_warm_and_shuffled_runs_match_reference(self, family, trace, data):
+        configs, unrelated = family
+        timing.clear_plan_cache()
+        expected = {id(c): _TimingEngine(c).run(trace) for c in configs + unrelated}
+        # Cold, then warm; each unrelated machine runs between two family
+        # members, so a plan or part it wrongly shared would show on one
+        # side or the other; then the family again in a shuffled order.
+        order = list(configs)
+        for other in unrelated:
+            order += [other, data.draw(st.sampled_from(configs))]
+        order += data.draw(st.permutations(configs))
+        for config in order:
+            assert event_eligible(config, trace)
+            assert_same(_EventEngine(config).run(trace), expected[id(config)])
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"cpu": CpuConfig(cycle_ns=20.0)},
+            {"level": {"write_hit_cycles": 3}},
+            {"level": {"write_policy": WritePolicy.WRITE_THROUGH}},
+            {"level": {"cycle_cpu_cycles": 2.0}},
+            {"below": {"block_bytes": 64, "size_bytes": 128 * KB}},
+            {"below": {"size_bytes": 16 * KB}},
+        ],
+        ids=["cpu-cycle", "occupancy", "write-policy", "l1-cycle",
+             "block-below", "l2-size"],
+    )
+    def test_one_field_apart_never_shares(self, change):
+        trace = SyntheticWorkload(seed=53).trace(6_000, warmup=1_000)
+        base = known.base_machine(l2_kb=32)
+        other = base
+        if "cpu" in change:
+            other = dataclasses.replace(base, cpu=change["cpu"])
+        if "level" in change:
+            other = base.with_level(0, **change["level"])
+        if "below" in change:
+            other = base.with_level(1, **change["below"])
+        expected = [_TimingEngine(c).run(trace) for c in (base, other)]
+        assert expected[0].total_ns != expected[1].total_ns
+        for config, result in zip((base, other, base, other), expected * 2):
+            assert_same(_EventEngine(config).run(trace), result)
+
+    def test_a_family_builds_one_plan_and_one_part_per_projection(self):
+        trace = SyntheticWorkload(seed=59).trace(6_000, warmup=1_000)
+        base = known.base_machine(l2_kb=32)
+        family = [
+            dataclasses.replace(base, write_buffer_entries=entries)
+            for entries in (1, 2, 4, 8)
+        ] + [base.with_level(1, size_bytes=64 * KB, cycle_cpu_cycles=5)]
+        since = telemetry.mark()
+        for config in family:
+            both(trace, config)
+        moved = telemetry.counter_deltas(since)
+        assert moved["timing.plans"] == 1
+        assert moved["timing.parts"] == 2
 
 
 class TestDifferential:
