@@ -90,7 +90,8 @@ RESUME_FAULTS = "worker_raise:0.15"
 #: skipped on hosts without it.
 SHM_DIR = Path("/dev/shm")
 #: Name prefix of the segments ``multiprocessing.shared_memory`` creates
-#: (``trace.store.export_traces`` hands pool workers their traces in them).
+#: (``trace.store.export_traces`` hands spawned or forkserver pool workers
+#: their traces in them; forked workers inherit the arrays instead).
 SHM_PREFIX = "psm_"
 #: How long the killed child's resource tracker gets to unlink its
 #: segments before a survivor counts as leaked.

@@ -117,12 +117,13 @@ def _worker_main(
 ) -> None:
     """Worker process loop: serve jobs until EOF or a ``None`` sentinel.
 
-    Workers receive trace *handles* (:mod:`repro.trace.store`), not the
-    traces: a store path reopens as memmap views, a shared-memory name
-    attaches zero-copy.  Spawning a worker therefore ships kilobytes
-    regardless of trace size, pool restarts re-touch no trace pages, and
-    the loop is start-method-agnostic (fork and spawn both resolve the
-    same handles).
+    Workers receive trace *handles* (:mod:`repro.trace.store`): a store
+    path reopens as memmap views, a shared-memory name attaches
+    zero-copy, and under ``fork`` a heap trace's inline handle is the
+    parent's own arrays, inherited.  Spawning a worker therefore ships
+    kilobytes regardless of trace size, pool restarts re-touch no trace
+    pages, and the loop is start-method-agnostic (every worker resolves
+    handles the same way).
 
     SIGINT is ignored so a ctrl-C lands only in the supervisor, whose
     ``finally`` then tears the workers down deterministically.  Pipe EOF
@@ -488,10 +489,10 @@ def run_pooled(
 
     Traces are exported to zero-copy handles once per call
     (:func:`repro.trace.store.export_traces`): store-backed traces ship
-    as paths, heap traces as shared-memory segments owned by this
-    process until the pool is done.  Workers -- including every respawn
-    after a death, hang or kill -- resolve the handles instead of
-    inheriting the arrays.
+    as paths.  Forked workers -- including every respawn after a death,
+    hang or kill -- inherit heap traces' arrays as they are; under spawn
+    or forkserver, heap traces ship as shared-memory segments owned by
+    this process until the pool is done.
 
     Returns ``None`` when worker processes cannot be created at all (a
     sandbox forbidding process creation, say); the caller falls back to
@@ -501,7 +502,9 @@ def run_pooled(
     """
     context = _pool_context()
     jobs = [list(chunk) for chunk in chunks if chunk]
-    trace_handles, lease = export_traces(traces)
+    trace_handles, lease = export_traces(
+        traces, inherited=context.get_start_method() == "fork"
+    )
     supervisor = _Supervisor(
         kind, compute, traces, trace_handles, context, workers, policy,
         faults, validate, on_result,

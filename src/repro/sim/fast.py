@@ -11,13 +11,24 @@ Two NumPy kernels replay one cache level each:
 * **LRU stack** (:func:`_stack_pass`): a Mattson-style per-set stack
   kernel of a given ``width``.  Accesses are bucketed by set and replayed
   in per-set time order; every set's *t*-th access is processed in one
-  vectorised step over a ``(sets_touched, width)`` stack, so the
+  vectorised step over a ``(sets_touched, width)`` stack of tags, so the
   Python-level loop length is the deepest per-set access count rather
-  than the trace length.  At width ``A`` the stack *is* an A-way level
+  than the trace length.  The loop tracks nothing but tags: which copies
+  are dirty -- the writebacks of every associativity, the dirty victims
+  of the ``width``-way cache, and the reach a chunk carries -- is derived
+  afterwards from the stack distances alone, per block in time order
+  (:func:`_stack_dirt`).  At width ``A`` the stack *is* an A-way level
   (a miss is stack distance ``A``), which puts the Figure 5 / Equation 3
   associativity sweeps on the fast path; at width 16 it is the
   single-pass grid of :mod:`repro.sim.stackdist`, every member
   associativity at once.
+
+Either kernel sees only the head of each run of consecutive accesses to
+one block (:func:`_run_heads`), its write flag OR-ed over the run: the
+rest of a run are hits at the top of the stack at every set count and
+width, so the outputs expand back exactly.  The hierarchy's deepest
+level builds no output stream: what reaches memory is counted from its
+statistics (:func:`memory_traffic`).
 
 Both kernels, and the driver's merge of each level's output, order
 their events with :func:`_stable_argsort`, a radix sort on 16-bit
@@ -187,7 +198,8 @@ def _new_state(sets: int, width: int) -> State:
 
     Row ``s`` is set ``s``'s stack, way 0 most recently used, ``-1`` an
     empty way; an entry is dirty in the ``width``-way cache iff its reach
-    is at most ``width`` (:func:`_stack_pass`).
+    is at most ``width`` (:func:`_stack_dirt`).  The kernels advance the
+    tags; the reach is derived from them after each chunk.
     """
     return (
         np.full((sets, width), -1, dtype=np.int64),
@@ -273,43 +285,33 @@ def _simulate_dm_level(
 
 def _stack_pass(
     blocks: np.ndarray,
-    is_write: np.ndarray,
-    order_keys: np.ndarray,
     sets: int,
     width: int,
-    state: Optional[State] = None,
-    warmup_key: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The LRU stack kernel: one width-``width`` replay of a reference stream.
+    tags: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """The LRU stack kernel: one width-``width`` replay of a block stream.
 
     Accesses are bucketed by set and replayed in per-set time order: step
     ``t`` processes the ``t``-th access of *every* touched set in one
-    vectorised operation over a ``(sets_touched, width)`` stack (way 0 =
-    most recently used, ``-1`` = empty), so the Python loop runs for the
-    deepest per-set access count, not the stream length.  The top ``A``
-    ways are exactly the content of an A-way LRU cache, for every
-    ``A <= width`` at once.  Per entry the stack also tracks ``reach``:
-    the deepest position it has occupied since it was last written
-    (:data:`_CLEAN` when it has not been), so the A-way cache holds it
-    dirty iff ``reach <= A`` (:mod:`repro.sim.stackdist` explains the
-    invariant).
+    vectorised operation over a ``(sets_touched, width)`` stack of tags
+    (way 0 = most recently used, ``-1`` = empty), so the Python loop runs
+    for the deepest per-set access count, not the stream length.  The
+    top ``A`` ways are exactly the content of an A-way LRU cache, for
+    every ``A <= width`` at once.  A step only matches, shifts and stores
+    tags: which copies are dirty, and which blocks each cache evicts,
+    follow from the distances alone (:func:`_stack_dirt`).
 
-    ``state`` carries the stack between chunks of a streamed replay (see
-    :func:`_new_state`): the touched rows are gathered into the pass's
-    working arrays and scattered back afterwards, so replaying a stream
-    piecewise gives the same outputs as one call.  Without it the pass
-    starts cold on touched-set rows only.
+    ``tags`` is the carried ``(sets, width)`` tag matrix of a streamed
+    replay (see :func:`_new_state`): the touched rows are gathered into
+    the pass's working array and scattered back afterwards, so replaying
+    a stream piecewise gives the same outputs as one call.  Without it
+    the pass starts cold on touched-set rows only.
 
-    Returns ``(dist, victims, victim_keys, writebacks)``:
-
-    * ``dist[i]`` is access ``i``'s stack distance minus one -- it hits
-      every cache of more than ``dist[i]`` ways -- and ``width`` when the
-      block is not on the stack (a miss at every width);
-    * ``victims`` / ``victim_keys``: the dirty entries pushed off way
-      ``width - 1`` -- the ``width``-way cache's writebacks -- stamped with
-      the order key of the access that evicted them;
-    * ``writebacks[A-1]`` counts the A-way cache's dirty evictions by
-      accesses keyed at or after ``warmup_key``.
+    Returns ``(dist, start)``: ``dist[i]`` is access ``i``'s stack
+    distance minus one -- it hits every cache of more than ``dist[i]``
+    ways -- and ``width`` when the block is not on the stack (a miss at
+    every width); ``start`` is ``(set_ids, rows)``, the touched sets'
+    carried tags before the pass (``None`` without ``tags``).
     """
     n = len(blocks)
     set_index = blocks & (sets - 1)
@@ -336,84 +338,254 @@ def _stack_pass(
     seq = np.arange(n, dtype=np.int64) - np.repeat(starts, counts_by_rank)
     order = set_order[_stable_argsort(seq, peak)]
     blocks_s = blocks[order]
-    write_s = is_write[order]
-    keys_s = order_keys[order]
-    step_starts = np.append(0, np.cumsum(np.bincount(seq)))
+    step_starts = np.append(0, np.cumsum(np.bincount(seq))).tolist()
 
-    # ``reach`` has one extra, always-clean column so that reading it at
-    # the miss position yields the reach of a freshly fetched block.
-    reach = np.full((touched, width + 1), _CLEAN, dtype=np.int64)
-    if state is None:
-        tags = np.full((touched, width), -1, dtype=np.int64)
+    if tags is None:
+        rows = np.full((touched, width), -1, dtype=np.int64)
+        start = None
     else:
-        tags = state[0][ids_by_rank]
-        reach[:, :width] = state[1][ids_by_rank]
-    ways = np.arange(width)
-    depths = ways + 1  # way w holds stack depth w + 1
+        rows = tags[ids_by_rank]
+        start = (ids_by_rank, rows.copy())
     dist_s = np.empty(n, dtype=np.int8)
-    last_tags_s = np.empty(n, dtype=np.int64)
-    evicted_s = np.empty(n, dtype=bool)
-    counted_s = keys_s >= warmup_key
-    all_counted = bool(counted_s.all())
     # Preallocated per-step scratch (the loop body runs tens of
     # thousands of times; allocation is pure dispatch overhead at this
     # size).  ``match``'s extra always-true column turns argmax into a
     # combined hit test + hit way + evict position: first True index is
     # the hit way, or ``width`` on a miss.
-    row_idx = np.arange(touched)
+    ways = np.arange(width - 1)
     match = np.empty((touched, width + 1), dtype=bool)
     match[:, width] = True
-    pushed_buf = np.empty((touched, width), dtype=bool)
-    cross_buf = np.empty((touched, width), dtype=bool)
-    tmp_tags = np.empty((touched, width - 1), dtype=np.int64)
-    tmp_reach = np.empty((touched, width - 1), dtype=np.int64)
-    # Writebacks accumulate per row; one reduction at the end replaces a
-    # per-step axis-0 sum.
-    wb_rows = np.zeros((touched, width), dtype=np.int64)
+    shifted_buf = np.empty((touched, width - 1), dtype=bool)
     for t in range(len(step_starts) - 1):
-        lo, hi = int(step_starts[t]), int(step_starts[t + 1])
+        lo, hi = step_starts[t], step_starts[t + 1]
         k = hi - lo
-        row_tags = tags[:k]
-        row_reach = reach[:k]
+        row_tags = rows[:k]
+        step_blocks = blocks_s[lo:hi]
         m = match[:k]
-        np.equal(row_tags, blocks_s[lo:hi, None], out=m[:, :width])
+        np.equal(row_tags, step_blocks[:, None], out=m[:, :width])
         pos = m.argmax(axis=1)
         dist_s[lo:hi] = pos
-        # Entries at ways [0, pos) get pushed one position deeper; each
-        # crossing from depth w+1 to w+2 evicts the entry from the
-        # (w+1)-way cache, writing it back if dirty there.  An entry
-        # with ``reach <= w + 1`` is necessarily valid and dirty there
-        # (an empty or clean slot's reach is :data:`_CLEAN`).
-        pushed = np.less(ways, pos[:, None], out=pushed_buf[:k])
-        cross = np.less_equal(row_reach[:, :width], depths, out=cross_buf[:k])
-        cross &= pushed
-        # Crossings off the bottom way are the width-way cache's victims.
-        evicted_s[lo:hi] = cross[:, -1]
-        last_tags_s[lo:hi] = row_tags[:, -1]
-        if not all_counted:
-            cross &= counted_s[lo:hi, None]
-        wb_rows[:k] += cross
-        # Promote the accessed block to way 0.  A write resets its reach
-        # to depth 1 (dirty in every cache); a read hit preserves it; a
-        # fetch enters with no dirty copy anywhere.  Shifted entries'
-        # reach grows to their new depth.  The shifted columns are
-        # staged through scratch copies, so reading ``[:, :-1]`` while
-        # writing ``[:, 1:]`` is safe.
-        head_reach = np.where(write_s[lo:hi], 1, row_reach[row_idx[:k], pos])
-        shifted = pushed[:, :-1]
-        np.copyto(tmp_tags[:k], row_tags[:, :-1])
-        np.maximum(row_reach[:, : width - 1], depths[1:], out=tmp_reach[:k])
-        np.copyto(row_tags[:, 1:], tmp_tags[:k], where=shifted)
-        np.copyto(row_reach[:, 1:width], tmp_reach[:k], where=shifted)
-        row_tags[:, 0] = blocks_s[lo:hi]
-        row_reach[:, 0] = head_reach
+        # Promote the accessed block to way 0, pushing the entries at
+        # ways [0, pos) one way deeper (a miss pushes the bottom way's
+        # block off the stack).  ``copyto`` buffers overlapping views,
+        # so reading ``[:, :-1]`` while writing ``[:, 1:]`` is safe.
+        shifted = np.less(ways, pos[:, None], out=shifted_buf[:k])
+        np.copyto(row_tags[:, 1:], row_tags[:, :-1], where=shifted)
+        row_tags[:, 0] = step_blocks
 
-    if state is not None:
-        state[0][ids_by_rank] = tags
-        state[1][ids_by_rank] = reach[:, :width]
+    if tags is not None:
+        tags[ids_by_rank] = rows
     dist = np.empty(n, dtype=np.int8)
     dist[order] = dist_s
-    return dist, last_tags_s[evicted_s], keys_s[evicted_s], wb_rows.sum(axis=0)
+    return dist, start
+
+
+def _rank_in_runs(keys: np.ndarray) -> np.ndarray:
+    """Each element's position within its run of equal ``keys``."""
+    rank = np.arange(len(keys), dtype=np.int64)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return rank - np.maximum.accumulate(np.where(first, rank, 0))
+
+
+def _stack_depths(
+    chosen: np.ndarray, sets_of: np.ndarray, times: np.ndarray, span: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stack depth of each ``chosen`` event's block at one instant.
+
+    ``chosen`` marks, per block, its last event before the instant; a
+    block's depth there is one plus the number of chosen events of its
+    set that are more recent (a larger ``times``; ``span`` exceeds every
+    ``times`` range).  Returns ``(positions, depths)``, a depth beyond
+    the stack's width meaning the block had fallen off it.
+    """
+    picked = np.flatnonzero(chosen)
+    picked_sets = sets_of[picked]
+    order = np.argsort(picked_sets * span - times[picked])
+    depths = np.empty(len(picked), dtype=np.int64)
+    depths[order] = _rank_in_runs(picked_sets[order]) + 1
+    return picked, depths
+
+
+def _stack_dirt(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    dist: np.ndarray,
+    sets: int,
+    width: int,
+    state: Optional[State] = None,
+    start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    cut: Optional[int] = None,
+    victims: bool = False,
+) -> Tuple[Optional[Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]:
+    """Every dirty fact of one :func:`_stack_pass`, from its distances.
+
+    Per block, in time order, each access leaves a **reach** ``R``: the
+    smallest associativity whose cache holds the block dirty.  A write
+    sets it to 1, a read that missed the width-``width`` stack to
+    :data:`_CLEAN`, and a read hit at distance ``d`` to ``max(R, d + 1)``
+    -- a deeper excursion means that cache already evicted (and wrote
+    back) the block after its last write, and re-fetched it clean.
+    Between one access and the block's next, whose distance is ``d'``,
+    the block sinks from depth 1 and crosses depth ``A`` to ``A + 1``
+    for every ``A <= d'``, each crossing an eviction from the A-way
+    cache, dirty iff ``R <= A``: the interval adds one writeback to
+    every ``A`` in ``[R, d']``.  At the end of the pass ``d'`` is the
+    block's final depth minus one, or ``width`` when it fell off.
+
+    A carried stack (``state`` with the kernel's ``start`` rows) opens
+    one interval per resident block, at its depth and carried reach.  A
+    ``cut`` (an access index) is the same boundary inside the pass:
+    crossings count only from it on, so an interval wholly before it
+    counts nothing and one that straddles it counts only ``A`` at or
+    beyond the block's depth at the cut.
+
+    Returns ``(dirty_victims, writebacks)``:
+
+    * with ``victims``, ``(blocks, at)``: the dirty blocks the
+      ``width``-way cache evicts and the indices of the accesses that
+      evict them.  A miss that finds its set full evicts the set's least
+      recently used block, so within a set the intervals that end off
+      the stack pair, in the order they opened, with those misses in
+      time order;
+    * with ``cut``, ``writebacks[A-1]``: the A-way cache's dirty
+      evictions by accesses at or after index ``cut``.
+
+    With ``state`` the touched sets' carried reach is rewritten to match
+    the kernel's tags: ``max(R, depth)`` per resident block, and
+    :data:`_CLEAN` for an empty way.
+    """
+    n = len(blocks)
+    writebacks = None if cut is None else np.zeros(width, dtype=np.int64)
+    miss = dist == width
+    value = dist.astype(np.int64) + 1
+    value[miss] = _CLEAN
+    value[is_write] = 1
+    reset = is_write | miss
+    times = np.arange(n, dtype=np.int64)
+    events = blocks
+    if start is not None:
+        # Each carried block opens an interval: its "time" is minus its
+        # depth, so deeper entries are older and all precede the pass.
+        assert state is not None
+        set_ids, rows = start
+        row, way = np.nonzero(rows >= 0)
+        events = np.concatenate([rows[row, way], blocks])
+        times = np.concatenate([-1 - way, times])
+        value = np.concatenate([state[1][set_ids[row], way], value])
+        reset = np.concatenate([np.ones(len(row), dtype=bool), reset])
+
+    # Group events by block, each group in time order.  The first event
+    # of a block is a write, a miss or a carried entry, so every group
+    # starts a new segment of the running maximum.
+    distinct, dense = np.unique(events, return_inverse=True)
+    order = _stable_argsort(dense, len(distinct))
+    group = dense[order]
+    times = times[order]
+    segment = np.cumsum(reset[order])
+    stride = _CLEAN + 1
+    reach = np.maximum.accumulate(value[order] + segment * stride) - segment * stride
+    last = np.ones(len(order), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=last[:-1])
+
+    sets_of = distinct[group] & (sets - 1)
+    span = n + width + 1
+    final, depth = _stack_depths(last, sets_of, times, span)
+    if state is not None:
+        assert start is not None
+        resident = depth <= width
+        final_depth = depth[resident]
+        state[1][start[0]] = _CLEAN
+        state[1][sets_of[final[resident]], final_depth - 1] = np.maximum(
+            reach[final[resident]], final_depth
+        )
+    counting = cut is not None and cut < n
+    if not counting and not victims:
+        return None, writebacks
+
+    # Each interval's closing distance d', and when it closes.
+    following = np.flatnonzero(~last)
+    after = np.full(len(order), n, dtype=np.int64)
+    after[following] = times[following + 1]
+    closing = np.empty(len(order), dtype=np.int64)
+    closing[following] = dist[after[following]]
+    closing[final] = np.minimum(depth - 1, width)
+    dirty_victims = None
+    if victims:
+        off = np.flatnonzero(closing == width)
+        off = off[np.argsort(sets_of[off] * span + times[off])]
+        evicting = np.flatnonzero(miss)
+        miss_sets = blocks[evicting] & (sets - 1)
+        by_set = _stable_argsort(miss_sets, sets)
+        evicting, miss_sets = evicting[by_set], miss_sets[by_set]
+        held = np.zeros(sets, dtype=np.int64)
+        if start is not None:
+            held[start[0]] = np.count_nonzero(start[1] >= 0, axis=1)
+        evicting = evicting[held[miss_sets] + _rank_in_runs(miss_sets) >= width]
+        dirty = reach[off] <= width
+        dirty_victims = (distinct[group[off[dirty]]], evicting[dirty])
+    if counting:
+        floor = np.ones(len(order), dtype=np.int64)
+        straddle, cut_depth = _stack_depths(
+            (times < cut) & (after >= cut), sets_of, times, span
+        )
+        floor[straddle] = cut_depth
+        lowest = np.maximum(reach, floor)
+        counted = (after >= cut) & (lowest <= closing)
+        bounds = np.bincount(lowest[counted] - 1, minlength=width + 1)
+        bounds -= np.bincount(closing[counted], minlength=width + 1)
+        writebacks = np.cumsum(bounds)[:width]
+    return dirty_victims, writebacks
+
+
+def _run_heads(blocks: np.ndarray, is_write: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Collapse each run of consecutive accesses to one block into its
+    head: ``(heads, writes)``, the heads' indices and, per head, whether
+    any access of its run writes.  The rest of a run are distance-0 hits
+    in every cache the stream can meet -- nothing else touched any set
+    in between -- so a kernel's outputs over the heads expand back
+    exactly."""
+    n = len(blocks)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    return heads, np.logical_or.reduceat(is_write, heads)
+
+
+def _stack_replay(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    sets: int,
+    width: int,
+    state: Optional[State] = None,
+    cut: Optional[int] = None,
+    victims: bool = False,
+) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]:
+    """One width-``width`` LRU stack replay: :func:`_stack_pass` over the
+    heads of the stream's same-block runs (:func:`_run_heads`), then
+    :func:`_stack_dirt`, expanded back to every access.
+
+    Returns ``(dist, dirty_victims, writebacks)`` as those two define
+    them, with indices -- the victims' evicting accesses and ``cut`` --
+    into ``blocks``; the rest of a run has distance 0.
+    """
+    heads, head_writes = _run_heads(blocks, is_write)
+    head_blocks = blocks[heads]
+    head_dist, start = _stack_pass(
+        head_blocks, sets, width, None if state is None else state[0]
+    )
+    dirty, writebacks = _stack_dirt(
+        head_blocks, head_writes, head_dist, sets, width, state, start,
+        None if cut is None else int(np.searchsorted(heads, cut)), victims,
+    )
+    dist = np.zeros(len(blocks), dtype=np.int8)
+    dist[heads] = head_dist
+    if dirty is not None:
+        dirty = (dirty[0], heads[dirty[1]])
+    return dist, dirty, writebacks
 
 
 def _simulate_level(
@@ -424,17 +596,25 @@ def _simulate_level(
     associativity: int,
     state: Optional[State] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One level on its kernel, chosen by associativity alone.
+    """One level on its kernel, chosen by associativity alone; either
+    kernel sees only the heads of the stream's same-block runs.
 
     Returns ``(miss_mask, victim_blocks, victim_keys)``, see
     :func:`_simulate_dm_level`.
     """
-    if associativity == 1:
-        return _simulate_dm_level(blocks, is_write, order_keys, sets, state)
-    dist, victims, victim_keys, _ = _stack_pass(
-        blocks, is_write, order_keys, sets, associativity, state
+    if associativity > 1:
+        dist, dirty, _ = _stack_replay(
+            blocks, is_write, sets, associativity, state, victims=True
+        )
+        assert dirty is not None
+        return dist == associativity, dirty[0], order_keys[dirty[1]]
+    heads, head_writes = _run_heads(blocks, is_write)
+    head_miss, victims, victim_keys = _simulate_dm_level(
+        blocks[heads], head_writes, order_keys[heads], sets, state
     )
-    return dist == associativity, victims, victim_keys
+    miss = np.zeros(len(blocks), dtype=bool)
+    miss[heads] = head_miss
+    return miss, victims, victim_keys
 
 
 def _merge_parts(parts: List[Stream], bound: int) -> Stream:
@@ -522,15 +702,15 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
     ]
 
 
-def memory_traffic(stream: Stream, warmup_key: int) -> Tuple[int, int]:
-    """Post-warmup ``(reads, writes)`` reaching memory in a deepest-level
-    output stream: writes are the deepest victims or forwarded writes,
-    reads the demand fetches.  ``warmup_key`` is the warmup boundary in
-    the stream's key scale (``warmup * 4**depth``)."""
-    _, stream_write, _, stream_keys = stream
-    counted = stream_keys >= warmup_key
-    writes = int(np.count_nonzero(counted & stream_write))
-    return int(np.count_nonzero(counted)) - writes, writes
+def memory_traffic(stats: CacheStats) -> Tuple[int, int]:
+    """Post-warmup ``(reads, writes)`` reaching memory, from the deepest
+    level's statistics: its demand fetches are the reads, its dirty
+    victims and forwarded writes the writes.  These are exactly the
+    events its output stream would carry, counted under the same key
+    threshold (an input key ``k`` leaves as ``4k + 1..3``, past the
+    next level's boundary ``4 * warmup_key`` iff ``k >= warmup_key``),
+    so the deepest level builds no stream at all."""
+    return stats.blocks_fetched, stats.writebacks + stats.writes_forwarded
 
 
 class _Front:
@@ -545,10 +725,13 @@ class _Front:
     counters accumulate into ``level_stats``.
 
     :meth:`streams` drives the replay, yielding per chunk the event
-    streams that enter level ``levels`` (or memory, at full depth): one
-    merged stream, or the CPU streams of :func:`_cpu_streams` when
-    ``levels`` is 0.  Their blocks have ``bits`` offset bits; their keys
-    are global and scaled by ``4**levels``.
+    streams that enter level ``levels``: one merged stream, or the CPU
+    streams of :func:`_cpu_streams` when ``levels`` is 0.  Their blocks
+    have ``bits`` offset bits; their keys are global and scaled by
+    ``4**levels``.  At full depth an empty list is yielded unless
+    ``memory_stream`` asks for the stream: what reaches memory is counted
+    from the deepest level's statistics (:func:`memory_traffic`), not
+    from a merged stream nobody reads.
     """
 
     def __init__(
@@ -557,10 +740,14 @@ class _Front:
         config: SystemConfig,
         levels: int,
         chunk_records: Optional[int] = None,
+        memory_stream: bool = False,
     ) -> None:
         self.trace = trace
         self.config = config
         self.levels = levels
+        #: Whether the hierarchy's deepest level builds the stream it
+        #: sends memory; otherwise that traffic is only counted.
+        self.memory_stream = memory_stream
         self.chunk_records = chunk_records or len(trace)
         self.chunked = self.chunk_records < len(trace)
         self.level_stats = [CacheStats() for _ in range(levels)]
@@ -615,7 +802,8 @@ class _Front:
         ``sides`` are the streams entering level ``start``: the chunk's
         CPU streams when it is 0 (the default), otherwise the output of
         level ``start - 1`` -- a cached upstream replay, say
-        (:func:`_cached_front`).
+        (:func:`_cached_front`).  Returns the streams leaving the last
+        replayed level, or ``[]`` when that is the hierarchy's deepest.
         """
         if sides is None:
             sides = _cpu_streams(chunk, self.config.levels[0].split, key_offset)
@@ -629,6 +817,7 @@ class _Front:
             # writes, and every write entering it goes down as a
             # forwarded write instead of a later victim.
             through = level.write_policy is WritePolicy.WRITE_THROUGH
+            deepest = index == self.config.depth - 1 and not self.memory_stream
             parts: List[Stream] = []
             outcomes = []
             for (s_blocks, s_write, s_bucket, s_keys), state in zip(sides, states):
@@ -642,6 +831,8 @@ class _Front:
                     victim_keys, self.trace.warmup * 4**index, through,
                 )
                 outcomes.append((s_keys, miss, victims, victim_keys))
+                if deepest:
+                    continue
                 # Dirty victims go down as writes.  Demand fetches always
                 # enter the next level as *reads*: the fetched block
                 # arrives clean (write-allocate dirties it in the
@@ -679,6 +870,8 @@ class _Front:
                     )
             if trail is not None:
                 trail.append(tuple(np.concatenate(c) for c in zip(*outcomes)))
+            if deepest:
+                return []
             # Keys entering level ``index`` are below ``len * 4**index``,
             # so this level's outputs are below four times that.
             sides = [_merge_parts(parts, len(self.trace) * 4 ** (index + 1))]
@@ -1015,7 +1208,6 @@ class FastFunctionalSimulator:
         threshold = trace.warmup * 4**depth
         # Levels below the front: one hierarchy, carried across chunks.
         tail = CacheHierarchy(config) if depth < config.depth else None
-        memory_reads = memory_writes = 0
         chunked = {"chunked": True} if front.chunked else {}
         with telemetry.span("fast.run", records=len(trace), **chunked):
             if tail is None and depth >= 2 and not front.chunked:
@@ -1024,22 +1216,19 @@ class FastFunctionalSimulator:
                 # replays only the deepest level.
                 upstream, sides = _cached_front(trace, config)
                 front.level_stats[: depth - 1] = upstream
-                chunks = [front._replay(trace, 0, None, depth - 1, sides)]
+                front._replay(trace, 0, None, depth - 1, sides)
             else:
-                chunks = front.streams()
-            for [stream] in chunks:
-                if tail is None:
-                    reads, writes = memory_traffic(stream, threshold)
-                    memory_reads += reads
-                    memory_writes += writes
-                else:
-                    blocks, is_write, buckets, keys = stream
-                    tail.replay_stream(
-                        depth, blocks << front.bits, is_write, buckets, keys,
-                        threshold,
-                    )
+                for sides in front.streams():
+                    if tail is not None:
+                        [(blocks, is_write, buckets, keys)] = sides
+                        tail.replay_stream(
+                            depth, blocks << front.bits, is_write, buckets, keys,
+                            threshold,
+                        )
         level_stats = front.level_stats
-        if tail is not None:
+        if tail is None:
+            memory_reads, memory_writes = memory_traffic(level_stats[-1])
+        else:
             level_stats = level_stats + tail.level_stats()[depth:]
             memory_reads = tail.memory_traffic.reads
             memory_writes = tail.memory_traffic.writes

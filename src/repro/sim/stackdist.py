@@ -12,23 +12,33 @@ simultaneously: an A-way cache hits precisely the accesses with distance
 ``<= A``, so per-associativity miss counts are suffix sums of one
 histogram.
 
-Writebacks need one more invariant.  Per resident block the kernel
-tracks ``reach``: the deepest stack position the block has occupied
-since it was last written (``_CLEAN`` when it has not been written
-since it entered the stack).  The A-way cache's copy is dirty iff
-``reach <= A`` -- a deeper excursion means that cache already evicted
-(and wrote back) the block after that write and re-fetched it clean.
-When an access pushes an entry from depth ``A`` to ``A + 1``, the A-way
-cache evicts it at exactly that access; a dirty crossing is therefore
-one writeback at associativity ``A``, stamped with the pushing access's
-order key (the fast path's victim-key rule, which decides whether the
-writeback lands before or after the warmup boundary).
+Writebacks follow from the same distances.  Per block, each access
+leaves a **reach**: the smallest associativity whose cache holds the
+block dirty -- 1 after a write, none after a read that missed the whole
+stack, and after a read hit at distance ``d`` the larger of its old reach
+and ``d`` (a deeper excursion means that cache already evicted, and
+wrote back, the block after its last write, then re-fetched it clean).
+Until its next access finds it at distance ``d'``, the block sinks from
+depth 1, and each crossing from depth ``A`` to ``A + 1`` (``A < d'``) is
+the A-way cache evicting it -- dirty iff the reach is at most ``A``.  So
+each interval between two accesses to a block adds one writeback to
+every associativity ``A`` from its reach up to ``d' - 1``; an interval
+still open at the end of the pass closes at the block's final depth
+(beyond the stack if it fell off).  The warmup boundary is a cut inside
+the pass: crossings count from it on, so an interval that straddles it
+counts only the crossings below the depth the block held at the cut
+(:func:`repro.sim.fast._stack_dirt`).  Nothing of this is
+tracked per step: the kernel's loop moves tags only, and one vectorised
+pass over the distances, grouped by block, derives every writeback.
 
-The pass is the fast path's LRU stack kernel
-(:func:`repro.sim.fast._stack_pass`) at width 16 -- the same kernel runs
-every set-associative level of the fast path at its own width -- fed by
-the fast path's replay driver (:class:`repro.sim.fast._Front`), whole or
-chunked.  Scope: the deepest level of a
+The pass is the fast path's LRU stack replay
+(:func:`repro.sim.fast._stack_replay`) at width 16 -- the same kernel and
+the same derivation run every set-associative level of the fast path at
+its own width -- fed by the fast path's replay driver
+(:class:`repro.sim.fast._Front`), whole or chunked; a chunk boundary
+carries the stack's tags and each entry's derived reach.  Consecutive
+accesses to one block are collapsed into the first before the kernel
+runs: the rest are distance-1 hits at every width.  Scope: the deepest level of a
 :func:`repro.sim.fast.fast_eligible` configuration when it is write-back
 and its replacement is genuinely LRU (a direct-mapped deepest level
 qualifies under any stated policy -- one way leaves nothing to choose);
@@ -61,8 +71,9 @@ from repro.sim.fast import (
     _BUCKET_WRITE,
     _cached_front,
     _Front,
-    _stack_pass,
+    _stack_replay,
     fast_eligible,
+    memory_traffic,
 )
 from repro.sim.functional import FunctionalResult, functional_result
 from repro.trace.record import Trace
@@ -199,8 +210,9 @@ def _grid_histograms(
     writebacks = np.zeros(_WIDTH, dtype=np.int64)
     for sides in chunks:
         for (blocks, is_write, bucket, keys), state in zip(sides, states):
-            dist, _, _, part_wb = _stack_pass(
-                blocks >> shift, is_write, keys, sets, _WIDTH, state, warmup_key
+            dist, _, part_wb = _stack_replay(
+                blocks >> shift, is_write, sets, _WIDTH, state,
+                cut=int(np.searchsorted(keys, warmup_key)),
             )
             counted = keys >= warmup_key
             stores = bucket == _BUCKET_WRITE
@@ -249,17 +261,15 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
             writebacks=int(writebacks[ways - 1]),
             blocks_fetched=read_misses + write_misses,
         )
-        # Memory traffic is whatever leaves the deepest level: the
-        # demand fetches and the dirty victims.  The key-threshold
-        # algebra makes the post-warmup cuts coincide (an event with
-        # level key k is counted iff k >= warmup_key, and its memory
-        # key 4k+1 or 4k+2 is counted iff it exceeds 4*warmup_key).
+        # Memory traffic is whatever leaves the deepest level, counted
+        # by the fast path's one rule.
+        memory_reads, memory_writes = memory_traffic(stats)
         result = functional_result(
             trace,
             member_config(config, ways),
             [replace(stats) for stats in upstream] + [stats],
-            memory_reads=stats.blocks_fetched,
-            memory_writes=stats.writebacks,
+            memory_reads=memory_reads,
+            memory_writes=memory_writes,
             source="stackdist",
         )
         members.append((ways, result))

@@ -581,8 +581,11 @@ class _L1Plan:
         warmup = trace.warmup
         kinds = trace.kinds
         trail: List[Tuple] = []
-        front = _Front(trace, config, 1)
-        [self.stream] = next(front.streams(trail))
+        # The plan is shared by machines of any depth: it always keeps
+        # the stream its L1 sends down.
+        front = _Front(trace, config, 1, memory_stream=True)
+        #: What the L1 sends the level below it.
+        self.sides = next(front.streams(trail))
         [self.stats] = front.level_stats
         keys, miss, _, _ = trail[0]
         misses = np.sort(keys[miss])
@@ -697,14 +700,13 @@ class _LowerLevels:
     def __init__(self, trace: Trace, engine: "_EventEngine", plan: _L1Plan) -> None:
         config = engine.config
         depth = config.depth
-        stream = plan.stream
         trail: List[Tuple] = []
         front = _Front(trace, config, depth)
         if depth > 1:
-            [stream] = front._replay(trace, 0, trail, 1, [stream])
+            front._replay(trace, 0, trail, 1, plan.sides)
         self.stats = front.level_stats[1:]
         self.memory_reads, self.memory_writes = memory_traffic(
-            stream, trace.warmup * 4**depth
+            self.stats[-1] if self.stats else plan.stats
         )
         misses = plan.misses
         reach = np.full(len(misses), depth, dtype=np.int64)

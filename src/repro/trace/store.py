@@ -406,8 +406,10 @@ class TraceHandle(NamedTuple):
     * ``"shm"`` -- ``(segment_name, records, name, warmup, metadata)``:
       attach the shared-memory segment (kinds then 8-byte-aligned
       addresses, same layout as the store's data segments).
-    * ``"inline"`` -- ``(trace,)``: the trace itself, for empty traces
-      and as the fallback when shared memory is unavailable.
+    * ``"inline"`` -- ``(trace,)``: the trace itself -- for workers
+      forked from the exporting process (they inherit its arrays), for
+      empty traces, and as the fallback when shared memory is
+      unavailable.
     """
 
     kind: str
@@ -442,15 +444,21 @@ def _shm_layout(records: int) -> Tuple[int, int]:
     return addresses_offset, addresses_offset + 8 * records
 
 
-def export_traces(traces: Sequence[Trace]) -> Tuple[List[TraceHandle], ShmLease]:
-    """Build picklable handles for ``traces``, copying bytes at most once.
+def export_traces(
+    traces: Sequence[Trace], inherited: bool = False
+) -> Tuple[List[TraceHandle], ShmLease]:
+    """Build handles for ``traces``, copying bytes at most once.
 
     Store-backed traces (opened via :meth:`TraceStore.as_trace`, path
-    still present) export as path handles -- zero bytes copied.  Heap
-    traces are copied once into a shared-memory segment that every
-    worker attaches for the pool's lifetime; pool *restarts* then cost
-    nothing.  Empty traces, and environments without working shared
-    memory, fall back to inline handles (the pre-store behaviour).
+    still present) export as path handles -- zero bytes copied.  With
+    ``inherited`` -- workers forked from this process, which see its
+    arrays as they are -- heap traces export as inline handles to those
+    very arrays, read-only in the workers: zero bytes copied, for every
+    respawn too.  Otherwise heap traces are copied once into a
+    shared-memory segment that every worker attaches for the pool's
+    lifetime; pool *restarts* then cost nothing.  Empty traces, and
+    environments without working shared memory, fall back to inline
+    handles, which a spawned worker receives pickled.
     """
     lease = ShmLease()
     handles: List[TraceHandle] = []
@@ -459,7 +467,7 @@ def export_traces(traces: Sequence[Trace]) -> Tuple[List[TraceHandle], ShmLease]
         if path is not None and Path(path).is_file():
             handles.append(TraceHandle("store", (str(path),)))
             continue
-        if len(trace) == 0:
+        if inherited or len(trace) == 0:
             handles.append(TraceHandle("inline", (trace,)))
             continue
         try:

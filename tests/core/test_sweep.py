@@ -387,6 +387,9 @@ class TestWorkerErrors:
         import multiprocessing
 
         class Unforkable:
+            def get_start_method(self):
+                return "fork"
+
             def Pool(self, *args, **kwargs):
                 raise OSError("no processes for you")
 

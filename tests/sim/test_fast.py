@@ -20,6 +20,7 @@ from repro.sim.fast import (
     _new_state,
     _simulate_dm_level,
     _stable_argsort,
+    _stack_replay,
     clear_front_cache,
     fast_eligible,
     front_depth,
@@ -27,6 +28,7 @@ from repro.sim.fast import (
     sparse_eligible,
 )
 from repro.sim.functional import FunctionalSimulator
+from repro.trace.record import WRITE
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
 
@@ -528,6 +530,254 @@ class TestDirectMappedKernel:
         np.testing.assert_array_equal(miss, expected_miss)
         assert victims.dtype == victim_keys.dtype == np.int64
         assert sorted(zip(victim_keys.tolist(), victims.tolist())) == expected_victims
+
+
+# The LRU stack kernel as it was when it tracked reach itself: per entry,
+# the deepest position occupied since the last write, updated in every
+# step, with writebacks counted at each crossing and victims recorded
+# off the bottom way.  Kept verbatim as the oracle for the tags-only
+# kernel and the distance-derived dirt of ``_stack_replay``.
+def reference_stack_pass(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    order_keys: np.ndarray,
+    sets: int,
+    width: int,
+    state=None,
+    warmup_key: int = 0,
+):
+    """The LRU stack kernel: one width-``width`` replay of a reference stream.
+
+    Accesses are bucketed by set and replayed in per-set time order: step
+    ``t`` processes the ``t``-th access of *every* touched set in one
+    vectorised operation over a ``(sets_touched, width)`` stack (way 0 =
+    most recently used, ``-1`` = empty), so the Python loop runs for the
+    deepest per-set access count, not the stream length.  The top ``A``
+    ways are exactly the content of an A-way LRU cache, for every
+    ``A <= width`` at once.  Per entry the stack also tracks ``reach``:
+    the deepest position it has occupied since it was last written
+    (:data:`_CLEAN` when it has not been), so the A-way cache holds it
+    dirty iff ``reach <= A`` (:mod:`repro.sim.stackdist` explains the
+    invariant).
+
+    ``state`` carries the stack between chunks of a streamed replay (see
+    :func:`_new_state`): the touched rows are gathered into the pass's
+    working arrays and scattered back afterwards, so replaying a stream
+    piecewise gives the same outputs as one call.  Without it the pass
+    starts cold on touched-set rows only.
+
+    Returns ``(dist, victims, victim_keys, writebacks)``:
+
+    * ``dist[i]`` is access ``i``'s stack distance minus one -- it hits
+      every cache of more than ``dist[i]`` ways -- and ``width`` when the
+      block is not on the stack (a miss at every width);
+    * ``victims`` / ``victim_keys``: the dirty entries pushed off way
+      ``width - 1`` -- the ``width``-way cache's writebacks -- stamped with
+      the order key of the access that evicted them;
+    * ``writebacks[A-1]`` counts the A-way cache's dirty evictions by
+      accesses keyed at or after ``warmup_key``.
+    """
+    n = len(blocks)
+    set_index = blocks & (sets - 1)
+    # Rank the touched sets by descending access count (stable, so
+    # equal-count sets keep a deterministic order).  Step t touches
+    # exactly the sets with more than t accesses -- ranks [0, k) -- so
+    # the per-step state is a contiguous *prefix* of the rank-ordered
+    # arrays: plain views, updated in place, instead of per-step
+    # gather/scatter copies.
+    counts = np.bincount(set_index, minlength=sets)
+    touched_ids = np.flatnonzero(counts)
+    peak = int(counts.max())
+    ids_by_rank = touched_ids[_stable_argsort(peak - counts[touched_ids], peak)]
+    touched = len(ids_by_rank)
+    counts_by_rank = counts[ids_by_rank]
+    rank_of_set = np.empty(sets, dtype=np.int64)
+    rank_of_set[ids_by_rank] = np.arange(touched)
+    # Stable sort by rank keeps each set's accesses in time order; then
+    # the per-set sequence number re-sorts them so that step t's accesses
+    # form one contiguous slice, one access per set, rank order == row
+    # order.
+    set_order = _stable_argsort(rank_of_set[set_index], touched)
+    starts = np.cumsum(counts_by_rank) - counts_by_rank
+    seq = np.arange(n, dtype=np.int64) - np.repeat(starts, counts_by_rank)
+    order = set_order[_stable_argsort(seq, peak)]
+    blocks_s = blocks[order]
+    write_s = is_write[order]
+    keys_s = order_keys[order]
+    step_starts = np.append(0, np.cumsum(np.bincount(seq)))
+
+    # ``reach`` has one extra, always-clean column so that reading it at
+    # the miss position yields the reach of a freshly fetched block.
+    reach = np.full((touched, width + 1), _CLEAN, dtype=np.int64)
+    if state is None:
+        tags = np.full((touched, width), -1, dtype=np.int64)
+    else:
+        tags = state[0][ids_by_rank]
+        reach[:, :width] = state[1][ids_by_rank]
+    ways = np.arange(width)
+    depths = ways + 1  # way w holds stack depth w + 1
+    dist_s = np.empty(n, dtype=np.int8)
+    last_tags_s = np.empty(n, dtype=np.int64)
+    evicted_s = np.empty(n, dtype=bool)
+    counted_s = keys_s >= warmup_key
+    all_counted = bool(counted_s.all())
+    # Preallocated per-step scratch (the loop body runs tens of
+    # thousands of times; allocation is pure dispatch overhead at this
+    # size).  ``match``'s extra always-true column turns argmax into a
+    # combined hit test + hit way + evict position: first True index is
+    # the hit way, or ``width`` on a miss.
+    row_idx = np.arange(touched)
+    match = np.empty((touched, width + 1), dtype=bool)
+    match[:, width] = True
+    pushed_buf = np.empty((touched, width), dtype=bool)
+    cross_buf = np.empty((touched, width), dtype=bool)
+    tmp_tags = np.empty((touched, width - 1), dtype=np.int64)
+    tmp_reach = np.empty((touched, width - 1), dtype=np.int64)
+    # Writebacks accumulate per row; one reduction at the end replaces a
+    # per-step axis-0 sum.
+    wb_rows = np.zeros((touched, width), dtype=np.int64)
+    for t in range(len(step_starts) - 1):
+        lo, hi = int(step_starts[t]), int(step_starts[t + 1])
+        k = hi - lo
+        row_tags = tags[:k]
+        row_reach = reach[:k]
+        m = match[:k]
+        np.equal(row_tags, blocks_s[lo:hi, None], out=m[:, :width])
+        pos = m.argmax(axis=1)
+        dist_s[lo:hi] = pos
+        # Entries at ways [0, pos) get pushed one position deeper; each
+        # crossing from depth w+1 to w+2 evicts the entry from the
+        # (w+1)-way cache, writing it back if dirty there.  An entry
+        # with ``reach <= w + 1`` is necessarily valid and dirty there
+        # (an empty or clean slot's reach is :data:`_CLEAN`).
+        pushed = np.less(ways, pos[:, None], out=pushed_buf[:k])
+        cross = np.less_equal(row_reach[:, :width], depths, out=cross_buf[:k])
+        cross &= pushed
+        # Crossings off the bottom way are the width-way cache's victims.
+        evicted_s[lo:hi] = cross[:, -1]
+        last_tags_s[lo:hi] = row_tags[:, -1]
+        if not all_counted:
+            cross &= counted_s[lo:hi, None]
+        wb_rows[:k] += cross
+        # Promote the accessed block to way 0.  A write resets its reach
+        # to depth 1 (dirty in every cache); a read hit preserves it; a
+        # fetch enters with no dirty copy anywhere.  Shifted entries'
+        # reach grows to their new depth.  The shifted columns are
+        # staged through scratch copies, so reading ``[:, :-1]`` while
+        # writing ``[:, 1:]`` is safe.
+        head_reach = np.where(write_s[lo:hi], 1, row_reach[row_idx[:k], pos])
+        shifted = pushed[:, :-1]
+        np.copyto(tmp_tags[:k], row_tags[:, :-1])
+        np.maximum(row_reach[:, : width - 1], depths[1:], out=tmp_reach[:k])
+        np.copyto(row_tags[:, 1:], tmp_tags[:k], where=shifted)
+        np.copyto(row_reach[:, 1:width], tmp_reach[:k], where=shifted)
+        row_tags[:, 0] = blocks_s[lo:hi]
+        row_reach[:, 0] = head_reach
+
+    if state is not None:
+        state[0][ids_by_rank] = tags
+        state[1][ids_by_rank] = reach[:, :width]
+    dist = np.empty(n, dtype=np.int8)
+    dist[order] = dist_s
+    return dist, last_tags_s[evicted_s], keys_s[evicted_s], wb_rows.sum(axis=0)
+
+
+@st.composite
+def stack_cases(draw):
+    """A width, a set count and a short stream with hits at every depth,
+    evictions, same-block repeats, a warmup key anywhere (before the
+    first access and after the last included) and chunk cuts."""
+    width = draw(st.integers(1, 16))
+    sets = draw(st.sampled_from((1, 2, 4, 8, 16, 32, 64)))
+    tag_count = draw(st.integers(1, width + 3))
+    base = draw(st.sampled_from((0, 1 << 40)))
+    drawn = draw(st.lists(st.integers(0, sets * tag_count - 1), max_size=120))
+    repeats = draw(
+        st.lists(st.integers(0, 2), min_size=len(drawn), max_size=len(drawn))
+    )
+    blocks = [base + block for block, extra in zip(drawn, repeats) for _ in range(1 + extra)]
+    mode = draw(st.sampled_from(("mixed", "reads", "writes")))
+    if mode == "mixed":
+        writes = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    else:
+        writes = [mode == "writes"] * len(blocks)
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(blocks), max_size=len(blocks)))
+    keys = np.cumsum(np.array(gaps, dtype=np.int64))
+    last_key = int(keys[-1]) if len(keys) else 0
+    warmup_key = draw(st.integers(0, last_key + 2))
+    cuts = sorted(draw(st.lists(st.integers(0, len(blocks)), max_size=4)))
+    return (
+        np.array(blocks, dtype=np.int64), np.array(writes, dtype=bool), keys,
+        sets, width, warmup_key, cuts,
+    )
+
+
+class TestStackKernel:
+    """``_stack_replay`` -- the tags-only ``_stack_pass`` over run heads
+    plus ``_stack_dirt`` -- against the reach-tracking kernel it
+    replaced: distances, miss masks, dirty victims with their evicting
+    keys, writebacks at every associativity after the warmup key, and
+    the carried ``(tags, reach)``, whole and chunked."""
+
+    @staticmethod
+    def replay(blocks, writes, keys, sets, width, warmup_key, state):
+        cut = int(np.searchsorted(keys, warmup_key))
+        dist, dirty, writebacks = _stack_replay(
+            blocks, writes, sets, width, state, cut, victims=True
+        )
+        victims = sorted(zip(keys[dirty[1]].tolist(), dirty[0].tolist()))
+        return dist, victims, writebacks
+
+    @staticmethod
+    def reference(blocks, writes, keys, sets, width, warmup_key, state):
+        dist, victims, victim_keys, writebacks = reference_stack_pass(
+            blocks, writes, keys, sets, width, state, warmup_key
+        )
+        return dist, sorted(zip(victim_keys.tolist(), victims.tolist())), writebacks
+
+    def check(self, case):
+        blocks, writes, keys, sets, width, warmup_key, cuts = case
+        dist, victims, writebacks = self.replay(
+            blocks, writes, keys, sets, width, warmup_key, None
+        )
+        expected = self.reference(blocks, writes, keys, sets, width, warmup_key, None)
+        np.testing.assert_array_equal(dist, expected[0])
+        np.testing.assert_array_equal(dist == width, expected[0] == width)
+        assert victims == expected[1]
+        np.testing.assert_array_equal(writebacks, expected[2])
+        # Chunked: every chunk's outputs and the carried state it leaves.
+        state, expected_state = _new_state(sets, width), _new_state(sets, width)
+        total = np.zeros(width, dtype=np.int64)
+        for lo, hi in zip([0] + cuts, cuts + [len(blocks)]):
+            part = (blocks[lo:hi], writes[lo:hi], keys[lo:hi], sets, width, warmup_key)
+            dist, victims, writebacks = self.replay(*part, state)
+            expected = self.reference(*part, expected_state)
+            np.testing.assert_array_equal(dist, expected[0])
+            assert victims == expected[1]
+            np.testing.assert_array_equal(writebacks, expected[2])
+            np.testing.assert_array_equal(state[0], expected_state[0])
+            np.testing.assert_array_equal(state[1], expected_state[1])
+            total += writebacks
+        np.testing.assert_array_equal(total, self.replay(
+            blocks, writes, keys, sets, width, warmup_key, None
+        )[2])
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=stack_cases())
+    def test_equals_reach_tracking_kernel(self, case):
+        self.check(case)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 16])
+    @pytest.mark.parametrize("warmup", [0.0, 0.3, 1.0])
+    def test_synthetic_stream(self, width, warmup):
+        """A longer, realistic stream: a level-1 miss stream's shape."""
+        trace = SyntheticWorkload(seed=41).trace(6_000, warmup=0)
+        blocks = (trace.addresses >> np.uint64(5)).astype(np.int64)
+        writes = trace.kinds == WRITE
+        keys = np.arange(len(blocks), dtype=np.int64) * 4 + 2
+        warmup_key = int(keys[-1] * warmup) + 1 if warmup else 0
+        cuts = [1_000, 1_001, 3_777]
+        self.check((blocks, writes, keys, 16, width, warmup_key, cuts))
 
 
 class TestFrontCache:

@@ -172,6 +172,21 @@ class TestWorkerHandoff:
         finally:
             lease.release()
 
+    def test_inherited_heap_traces_export_inline(self, tmp_path):
+        """Forked workers see the parent's arrays: no segment, no copy;
+        a store-backed trace still ships as its path."""
+        heap = sample_trace()
+        TraceStore.save(heap, tmp_path / "t.mlt")
+        loaded = TraceStore.open(tmp_path / "t.mlt").as_trace()
+        handles, lease = export_traces([heap, loaded], inherited=True)
+        try:
+            assert [handle.kind for handle in handles] == ["inline", "store"]
+            assert lease.segments == []
+            resolved, _ = resolve_traces(handles)
+            assert resolved is heap
+        finally:
+            lease.release()
+
     def test_empty_traces_export_inline(self):
         handles, lease = export_traces([Trace.from_records([])])
         try:
