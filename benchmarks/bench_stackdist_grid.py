@@ -1,4 +1,4 @@
-"""BENCH-STACKDIST: one trace pass per set count vs one per grid cell.
+"""BENCH-STACKDIST: one trace pass per grid group vs one per grid cell.
 
 Times a Figure-5-shaped size x associativity grid (L2 sizes 16 KB-512 KB
 x 1/2/4/8/16 ways over the standard trace suite) two ways:
@@ -17,7 +17,13 @@ Both paths must produce identical counts on every cell (the fast path is
 itself count-identical to the reference ``FunctionalSimulator`` --
 ``tests/sim``), and a truncated-trace sub-grid is checked against the
 reference simulator directly.  The acceptance bar is >= 5x at the full
-250k-record scale.  A ``BENCH`` summary line goes to stdout for CI job
+250k-record scale.
+
+The set-count row times Figure-3-shaped direct-mapped cells -- the base
+machine's L2 and its solo twin over the CPU stream, 4 KB-4 MB each --
+per cell on the fast path against one direct-mapped set-count pass per
+trace and shape (:func:`repro.sim.stackdist.run_stackdist_grid` with the
+member set counts), with identical counts on every cell.  A ``BENCH`` summary line goes to stdout for CI job
 summaries, and the headline numbers land in ``results/BENCH.json`` via
 :mod:`benchjson`.
 """
@@ -42,6 +48,11 @@ from repro.units import KB
 #: groups; the two extreme corners ride solo passes (shared L1 front).
 L2_SIZES = [16 * KB, 32 * KB, 64 * KB, 128 * KB, 256 * KB, 512 * KB]
 SET_SIZES = [1, 2, 4, 8, 16]
+
+#: The Figure 3 L2 axis, direct-mapped: one set-count pass per trace
+#: serves every size of the base machine's L2, and another every size
+#: of its solo twin.
+DM_SIZES = [(4 * KB) << i for i in range(11)]
 
 #: Records of the reference-simulator spot check (the event-driven
 #: reference is ~3 orders slower, so it sees a truncated trace).
@@ -70,6 +81,61 @@ def _counts(result):
     ) + ((result.memory_reads, result.memory_writes),)
 
 
+def _set_count_shapes():
+    """(shape, group config, member configs): the base machine's L2 and
+    its solo twin, direct-mapped over :data:`DM_SIZES`."""
+    shapes = []
+    for shape, config in (
+        ("base-machine L2", base_machine()),
+        ("solo L2", base_machine().without_level(0)),
+    ):
+        members = [config.with_level(config.depth - 1, size_bytes=size) for size in DM_SIZES]
+        shapes.append((shape, config, members))
+    return shapes
+
+
+def _set_count_row(traces):
+    """Per-cell fast path against one set-count pass per trace and shape:
+    ``(per-cell s, one-pass s, identical, cells, passes)``, each leg its
+    best of :data:`ROUNDS` alternating rounds."""
+    shapes = _set_count_shapes()
+    per_cell, grouped = {}, {}
+
+    def cell_leg():
+        clear_front_cache()
+        watch = clock.Stopwatch()
+        for shape, _, members in shapes:
+            for trace in traces:
+                per_cell[(shape, trace.name)] = [
+                    FastFunctionalSimulator(member).run(trace) for member in members
+                ]
+        return watch.elapsed_s()
+
+    def pass_leg():
+        clear_front_cache()
+        watch = clock.Stopwatch()
+        for shape, config, members in shapes:
+            set_counts = [m.levels[-1].geometry().sets for m in members]
+            for trace in traces:
+                grouped[(shape, trace.name)] = stackdist.run_stackdist_grid(
+                    trace, config, set_counts
+                ).results
+        return watch.elapsed_s()
+
+    cell_times, pass_times = [], []
+    for rnd in range(ROUNDS):
+        legs = (pass_leg, cell_leg) if rnd % 2 else (cell_leg, pass_leg)
+        for leg in legs:
+            (cell_times if leg is cell_leg else pass_times).append(leg())
+    identical = all(
+        _counts(new) == _counts(old)
+        for key, cells in per_cell.items()
+        for new, old in zip(grouped[key], cells)
+    ) and per_cell.keys() == grouped.keys()
+    cells = sum(len(members) for _, _, members in shapes) * len(traces)
+    return min(cell_times), min(pass_times), identical, cells, len(per_cell)
+
+
 def _reference_spot_check(trace):
     """stackdist members vs the reference simulator on a truncated trace."""
     short = Trace(
@@ -81,11 +147,8 @@ def _reference_spot_check(trace):
     config = base_machine(l2_size=32 * KB)
     grid = stackdist.run_stackdist_grid(short, config)
     return all(
-        _counts(grid.result_for(ways))
-        == _counts(
-            FunctionalSimulator(stackdist.member_config(config, ways)).run(short)
-        )
-        for ways in stackdist.STACK_ASSOCIATIVITIES
+        _counts(member) == _counts(FunctionalSimulator(member.config).run(short))
+        for member in grid.results
     )
 
 
@@ -135,6 +198,10 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
     )
     reference_ok = _reference_spot_check(traces[0])
     speedup = fast_total / stack_total if stack_total else float("inf")
+    dm_cell_total, dm_pass_total, dm_identical, dm_cells, dm_passes = (
+        _set_count_row(traces)
+    )
+    dm_speedup = dm_cell_total / dm_pass_total if dm_pass_total else float("inf")
     full_scale = records >= len(traces) * 200_000
 
     headers = ["path", "wall (s)", "trace passes / trace"]
@@ -149,6 +216,16 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
             f"{stack_total:.2f}",
             f"{groups} stack passes",
         ],
+        [
+            "direct-mapped L2 axis, per cell",
+            f"{dm_cell_total:.2f}",
+            str(dm_cells // len(traces)),
+        ],
+        [
+            "direct-mapped L2 axis, one pass",
+            f"{dm_pass_total:.2f}",
+            f"{dm_passes // len(traces)} set-count passes",
+        ],
     ]
 
     checks = {
@@ -156,6 +233,9 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         "stackdist counts identical to the reference (truncated sub-grid)":
             reference_ok,
         "stackdist faster than per-cell fast path": speedup > 1.0,
+        "set-count pass counts identical to the fast path on every cell":
+            dm_identical,
+        "set-count pass faster than per-cell fast path": dm_speedup > 1.0,
     }
     if full_scale:
         checks["speedup >= 5x at full 250k-record scale"] = speedup >= 5.0
@@ -166,24 +246,38 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         f"({cells} configs x {len(traces)} traces x "
         f"{records // len(traces)} records/trace, best of {ROUNDS})"
     )
+    dm_line = (
+        f"BENCH stackdist-sets: fast {dm_cell_total:.2f}s set-count pass "
+        f"{dm_pass_total:.2f}s speedup {dm_speedup:.1f}x "
+        f"({dm_cells // len(traces)} direct-mapped cells x {len(traces)} traces, "
+        f"{format_size(DM_SIZES[0])}-{format_size(DM_SIZES[-1])}, base-machine "
+        f"and solo L2, best of {ROUNDS})"
+    )
     print(bench_line, file=sys.__stdout__, flush=True)
+    print(dm_line, file=sys.__stdout__, flush=True)
     benchjson.note(
         "stackdist-grid", records, stack_total, speedup=speedup,
         baseline_wall_s=round(fast_total, 4), configs=cells,
         traces=len(traces), parity=bool(identical and reference_ok),
     )
+    benchjson.note(
+        "stackdist-sets", records, dm_pass_total, speedup=dm_speedup,
+        baseline_wall_s=round(dm_cell_total, 4), configs=dm_cells // len(traces),
+        traces=len(traces), parity=bool(dm_identical),
+    )
 
     report = ExperimentReport(
         experiment_id="BENCH-STACKDIST",
         title=(
-            "Stack-distance grid engine vs per-cell fast path "
-            "(Figure-5-shaped size x associativity grid)"
+            "Grid engine vs per-cell fast path (Figure-5-shaped size x "
+            "associativity grid; Figure-3-shaped direct-mapped size axis)"
         ),
         headers=headers,
         rows=rows,
         checks=checks,
         notes=[
             bench_line,
+            dm_line,
             f"{format_size(min(L2_SIZES))}-{format_size(max(L2_SIZES))} x "
             f"set sizes {SET_SIZES}: diagonals of constant size/ways share "
             f"a set count, so one LRU stack pass derives every member "

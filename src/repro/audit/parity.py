@@ -22,7 +22,7 @@ from repro.sim import memo
 from repro.sim.config import SystemConfig
 from repro.sim.fast import FastFunctionalSimulator, sparse_eligible
 from repro.sim.functional import FunctionalResult, FunctionalSimulator
-from repro.sim.stackdist import member_config, run_stackdist_grid, stackdist_eligible
+from repro.sim.stackdist import run_stackdist_grid, stackdist_eligible
 from repro.sim.timing import (
     TimingResult,
     _EventEngine,
@@ -114,16 +114,22 @@ def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
     assert_counts_equal(fast, reference, context="fast-vs-reference")
 
 
-def check_stackdist_vs_reference(trace: Trace, config: SystemConfig) -> None:
-    """Every member of a stack-distance grid pass must be count-identical
-    to the reference on its member configuration (no-op when the config
-    is outside the stack-distance path)."""
+def check_stackdist_vs_reference(
+    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
+) -> None:
+    """Every member of a grid pass -- ``config``'s associativity axis, or
+    with ``set_counts`` its set-count axis -- must be count-identical to
+    the reference on its member configuration (no-op when the config is
+    outside the stack-distance path)."""
     if not stackdist_eligible(config):
         return
-    for ways, derived in run_stackdist_grid(trace, config).results:
-        reference = FunctionalSimulator(member_config(config, ways)).run(trace)
+    for derived in run_stackdist_grid(trace, config, set_counts).results:
+        deepest = derived.config.levels[-1]
+        reference = FunctionalSimulator(derived.config).run(trace)
         assert_counts_equal(
-            derived, reference, context=f"stackdist-vs-reference[{ways}-way]"
+            derived, reference,
+            context=f"stackdist-vs-reference[{deepest.geometry().sets} sets, "
+            f"{deepest.associativity}-way]",
         )
 
 

@@ -11,7 +11,9 @@ workload and reports PASS/FAIL per check:
   vectorised prefix (the L2- and L3-prefetching rows), a vectorised
   write-allocate write-through L1, and the sparse walk (the inclusive
   two- and three-level rows and the non-allocating write-through L1);
-* stack-distance grid (every member associativity) vs reference parity;
+* stack-distance grid (every member associativity) vs reference parity,
+  and the direct-mapped set-count grid (every member set count of a solo
+  and of a two-level group) likewise;
 * event-sparse vs per-record timing parity, a write-through L1 included;
 * per-record timing counts vs the reference functional simulator;
 * memoised vs direct parity;
@@ -108,6 +110,18 @@ def _grid() -> List[Tuple[str, SystemConfig]]:
     ]
 
 
+def _set_count_groups() -> List[Tuple[SystemConfig, Tuple[int, ...]]]:
+    """Direct-mapped set-count groups: a solo cache over the CPU stream,
+    and a base-machine-shaped L2 behind a split L1."""
+    l1 = LevelConfig(size_bytes=2 * KB, block_bytes=16, split=True,
+                     cycle_cpu_cycles=1, write_hit_cycles=2)
+    l2 = LevelConfig(size_bytes=8 * KB, block_bytes=32, cycle_cpu_cycles=3)
+    return [
+        (SystemConfig(levels=(l2,)), (64, 256, 1024)),
+        (SystemConfig(levels=(l1, l2)), (256, 1024, 4096)),
+    ]
+
+
 def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]:
     checks: List[Tuple[str, Callable[[], None]]] = []
     grid = _grid()
@@ -139,6 +153,12 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
             for trace in traces:
                 check_stackdist_vs_reference(trace, config)
     checks.append(("stackdist-vs-reference", stackdist_parity))
+
+    def dmgrid_parity():
+        for config, set_counts in _set_count_groups():
+            for trace in traces:
+                check_stackdist_vs_reference(trace, config, set_counts)
+    checks.append(("dmgrid-vs-reference", dmgrid_parity))
 
     def timing_parity():
         for _, config in grid:

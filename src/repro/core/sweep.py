@@ -75,6 +75,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.fast import front_projection, run_functional
 from repro.sim.functional import FunctionalResult, functional_result
 from repro.sim.stackdist import (
+    SETS,
     StackdistGridResult,
     grid_projection,
     run_stackdist_grid,
@@ -116,14 +117,17 @@ MIN_CELLS_FOR_POOL = 4
 #: isolation.
 _CHUNKS_PER_WORKER = 4
 
-#: A stack-distance group must cover at least this many outstanding
-#: cells, or its lone member must be set-associative at the deepest
-#: level.  The rule is kernel cost: a lone direct-mapped cell runs the
-#: fast path's sort kernel on the cached upstream stream
-#: (:func:`repro.sim.fast._cached_front`), about a fifth of a width-16
-#: pass, while a lone A-way cell pays a stack pass at width A anyway
+#: A grid group must cover at least this many outstanding cells, or its
+#: lone member must be set-associative at the deepest level.  The rule
+#: is kernel cost.  A lone A-way cell pays a stack pass at width A anyway
 #: (70-98% of width 16), so it rides the width-16 pass and its four
-#: sibling associativities land in the memo for free.
+#: sibling associativities land in the memo for free.  A direct-mapped
+#: cell is the direct-mapped kernel's, about a fifth of a width-16 pass:
+#: left alone on its associativity axis, it joins the other lone
+#: direct-mapped cells on its set-count axis (same trace, same deepest
+#: level but for its set count), which share one pass of that kernel
+#: and ask it for nothing extra.  A lone cell on both axes runs per cell
+#: on its cached upstream stream (:func:`repro.sim.fast._cached_front`).
 _MIN_GROUP_MEMBERS = 2
 
 
@@ -236,8 +240,9 @@ def _run_timing_cell(traces: Sequence[Trace], cell: Cell) -> TimingResult:
 
 
 def _run_stackdist_cell(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
-    """One single-pass grid group: every member associativity at once."""
-    return run_stackdist_grid(traces[cell.trace_index], cell.config)
+    """One single-pass grid group: every member associativity, or every
+    member set count, at once."""
+    return run_stackdist_grid(traces[cell.trace_index], cell.config, cell.set_counts)
 
 
 def _plan_stackdist(
@@ -245,42 +250,67 @@ def _plan_stackdist(
     pending_keys: List[Tuple],
     enabled: bool,
 ) -> Tuple[List[Cell], List[List[Tuple]], List[Cell], List[Tuple]]:
-    """Partition outstanding cells into stack-distance groups and singles.
+    """Partition outstanding cells into grid groups and singles.
 
     Cells whose configurations are :func:`stackdist_eligible` and share a
-    :func:`grid_projection` (same trace, same deepest-level set count and
-    policies -- they differ only in deepest associativity) are covered by
-    **one** stack pass, unless the group is a lone direct-mapped cell,
-    which stays a single (:data:`_MIN_GROUP_MEMBERS`).  Returns
-    ``(groups, group_member_keys, singles, single_keys)``; both cell
-    lists are renumbered from zero because each becomes its own executor
-    batch (failure reports carry batch-local cell ids).  Group order follows the first member's position and
-    singles keep their original relative order, so scheduling stays
-    deterministic.
+    :func:`grid_projection` on the ways axis (same trace, same
+    deepest-level set count and policies -- they differ only in deepest
+    associativity) are covered by **one** stack pass, unless the group
+    is a lone direct-mapped cell.  Those lone cells then bucket by their
+    projection on the sets axis (they differ only in deepest set count),
+    and a bucket of two or more is one pass of the direct-mapped kernel
+    whose job carries the member set counts; a lone cell on both axes
+    stays a single (:data:`_MIN_GROUP_MEMBERS`).  Returns ``(groups,
+    group_member_keys, singles, single_keys)``; both cell lists are
+    renumbered from zero because each becomes its own executor batch
+    (failure reports carry batch-local cell ids).  Group order follows
+    the first member's position and singles keep their original relative
+    order, so scheduling stays deterministic.
     """
     if not enabled:
         return [], [], list(pending), list(pending_keys)
-    buckets: dict = {}
+    by_ways: dict = {}
     for index, cell in enumerate(pending):
         if stackdist_eligible(cell.config):
             bucket = (cell.trace_index, grid_projection(cell.config))
-            buckets.setdefault(bucket, []).append(index)
+            by_ways.setdefault(bucket, []).append(index)
+    # (members, projection, set counts) per group; set counts only on
+    # the sets axis.
+    planned: List[Tuple[List[int], Tuple, Tuple[int, ...]]] = []
+    by_sets: dict = {}
+    for (trace_index, projection), members in by_ways.items():
+        config = pending[members[0]].config
+        if len(members) < _MIN_GROUP_MEMBERS and config.levels[-1].associativity == 1:
+            bucket = (trace_index, grid_projection(config, SETS))
+            by_sets.setdefault(bucket, []).append(members[0])
+        else:
+            planned.append((members, projection, ()))
+    for (_, projection), members in by_sets.items():
+        if len(members) >= _MIN_GROUP_MEMBERS:
+            by_sets_count = sorted(
+                (pending[m].config.levels[-1].geometry().sets, m) for m in members
+            )
+            planned.append((
+                [m for _, m in by_sets_count],
+                projection,
+                tuple(sets for sets, _ in by_sets_count),
+            ))
+    planned.sort(key=lambda group: min(group[0]))
+
     groups: List[Cell] = []
     group_member_keys: List[List[Tuple]] = []
     grouped = set()
-    for (trace_index, projection), members in buckets.items():
-        if (
-            len(members) < _MIN_GROUP_MEMBERS
-            and pending[members[0]].config.levels[-1].associativity == 1
-        ):
-            continue
+    for members, projection, set_counts in planned:
         grouped.update(members)
+        first = pending[members[0]]
+        identity = (projection, set_counts) if set_counts else projection
         groups.append(
             Cell(
                 len(groups),
-                trace_index,
-                pending[members[0]].config,
-                cell_signature("stackdist", trace_index, projection),
+                first.trace_index,
+                first.config,
+                cell_signature("stackdist", first.trace_index, identity),
+                set_counts,
             )
         )
         group_member_keys.append([pending_keys[m] for m in members])
@@ -307,7 +337,7 @@ def _make_validate(kind: str, traces: Sequence[Trace], faults) -> Optional[Calla
         return None
     if kind == "stackdist":
         def validate(cell: Cell, result) -> None:
-            for _, member in result.results:
+            for member in result.results:
                 audit_functional_result(
                     traces[cell.trace_index], member, source="sweep-intake"
                 )
@@ -487,8 +517,9 @@ def _sweep_functional_grid(
                 pending_keys.append(key)
 
         # Plan: cells that differ only in deepest-level associativity
-        # share one stack-distance pass; everything else simulates per
-        # cell.
+        # share one stack-distance pass, lone direct-mapped cells that
+        # differ only in deepest-level set count one direct-mapped pass;
+        # everything else simulates per cell.
         groups, group_member_keys, singles, single_keys = _plan_stackdist(
             pending, pending_keys, stackdist_enabled()
         )
@@ -507,7 +538,7 @@ def _sweep_functional_grid(
         trace = traces[cell.trace_index]
         requested = set(group_member_keys[cell.cell_id])
         batch = []
-        for _, member in result.results:
+        for member in result.results:
             key = memo.memo_key(trace, member.config)
             memo.store(key, member)
             if key in requested:

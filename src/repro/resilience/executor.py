@@ -69,6 +69,9 @@ class Cell(NamedTuple):
     #: Stable signature (:func:`repro.resilience.faults.cell_signature`)
     #: used for deterministic fault injection.
     signature: str
+    #: A set-count grid group's member set counts, ascending (empty for
+    #: every other cell).
+    set_counts: Tuple[int, ...] = ()
 
 
 @dataclass

@@ -196,19 +196,18 @@ class FaultPlan:
         time decomposition for timing results -- so ``REPRO_AUDIT=1``
         runs reject it at sweep intake.  For a stack-distance grid
         result (a bundle of member results) the first member is
-        corrupted, modelling a histogram gone wrong for one derived
-        associativity.  The copy leaves the original (and anything it
+        corrupted, modelling a pass gone wrong for one derived member.  The copy leaves the original (and anything it
         shares, like memo cache payloads) untouched.
         """
         if not self.decide("corrupt_result", signature, attempt):
             return result
         if hasattr(result, "results") and not hasattr(result, "level_stats"):
-            (ways, first), rest = result.results[0], result.results[1:]
+            first, rest = result.results[0], result.results[1:]
             corrupted_member = self.corrupt_after(signature, attempt, first)
             if corrupted_member is first:  # pragma: no cover - decide is stable
                 return result
             return dataclasses.replace(
-                result, results=((ways, corrupted_member),) + tuple(rest)
+                result, results=(corrupted_member,) + tuple(rest)
             )
         stats = list(result.level_stats)
         stats[0] = dataclasses.replace(

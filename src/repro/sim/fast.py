@@ -1,12 +1,19 @@
 """Vectorised functional simulation for LRU cache hierarchies.
 
-Two NumPy kernels replay one cache level each:
+Two NumPy kernels replay cache levels, each with an axis of members it
+serves from one pass:
 
 * **Direct-mapped** (:func:`_simulate_dm_level`): a direct-mapped cache
   has a delightfully vectorisable property -- an access hits exactly when
   the *previous access to the same set* carried the same tag.  Sorting the
   reference stream stably by set index turns hit detection, dirty tracking
-  and eviction detection into array operations.
+  and eviction detection into array operations.  Its axis is the set
+  count: a stable one-bit partition per further index bit turns one set
+  count's order into the next's, so one call replays every power-of-two
+  set count of a direct-mapped level at once (bit selection makes them
+  inclusive -- Hill & Smith's set refinement).  A hierarchy level is the
+  one-member call; the :mod:`repro.sim.stackdist` grid's set-count
+  groups are the many-member one.
 
 * **LRU stack** (:func:`_stack_pass`): a Mattson-style per-set stack
   kernel of a given ``width``.  Accesses are bucketed by set and replayed
@@ -21,7 +28,7 @@ Two NumPy kernels replay one cache level each:
   (a miss is stack distance ``A``), which puts the Figure 5 / Equation 3
   associativity sweeps on the fast path; at width 16 it is the
   single-pass grid of :mod:`repro.sim.stackdist`, every member
-  associativity at once.
+  associativity at once -- the kernel's axis is the way count.
 
 Either kernel sees only the head of each run of consecutive accesses to
 one block (:func:`_run_heads`), its write flag OR-ed over the run: the
@@ -85,7 +92,7 @@ import bisect
 import heapq
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,76 +218,134 @@ def _simulate_dm_level(
     blocks: np.ndarray,
     is_write: np.ndarray,
     order_keys: np.ndarray,
-    sets: int,
-    state: Optional[State] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One direct-mapped write-back level, fully vectorised.
+    set_counts: Sequence[int],
+    states: Optional[Sequence[State]] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Direct-mapped write-back levels of every set count in
+    ``set_counts`` over one stream, fully vectorised.
 
     ``blocks`` are block identifiers (byte address >> offset bits);
     ``is_write`` marks accesses that dirty the block; ``order_keys`` is a
     strictly increasing key per access (original record index scaled to
-    make room for same-record ordering).
+    make room for same-record ordering).  ``set_counts`` are ascending
+    powers of two, the members; a hierarchy level is the one-member case.
 
-    ``state`` carries the level between chunks of a streamed replay: a
-    width-1 :func:`_new_state` holding each set's resident block and
-    whether it is dirty.  Every touched set's resident block is replayed
-    as a pseudo-access ahead of the chunk, so its residency continues
-    into the chunk, and the touched sets' final blocks are stored back.
+    One stable sort groups the accesses by the smallest member's set
+    index.  A larger member's set index adds higher bits, and a stable
+    partition on each added bit turns one member's set order into the
+    next's (least-significant-digit radix sort), so every member reads
+    its set order off the same pass.  Within a member an access hits iff
+    the previous access in its set order is the same block.  An
+    episode's accesses after its miss hit in every larger member too (no
+    access to their set comes between them), so each member passes on
+    only its episodes -- their misses, with each episode's dirt -- and
+    the larger members sort and scan fewer accesses.
 
-    Returns ``(miss_mask, victim_blocks, victim_keys)`` where the victims
-    are dirty evictions, each stamped with the order key of the evicting
-    miss (so downstream streams interleave correctly).
+    ``states`` carries the members between chunks of a streamed replay:
+    per member a width-1 :func:`_new_state` holding each set's resident
+    block and whether it is dirty.  Bit selection makes the members
+    inclusive -- a set's resident is the most recently touched of the
+    larger members' residents that map to it -- so the largest member's
+    residents in the sets the chunk touches are replayed as
+    pseudo-accesses ahead of it, the blocks fewer members hold first: in
+    every member each set's own resident then comes last, and its
+    residency continues into the chunk.  A pseudo-access dirties a
+    member iff that member held the block dirty.  The members' touched
+    sets' final blocks are stored back.
+
+    Yields, per member in order, ``(miss_mask, victim_blocks,
+    victim_keys)`` where the victims are dirty evictions, each stamped
+    with the order key of the evicting miss (so downstream streams
+    interleave correctly).  A member's outputs are built as the caller
+    takes them, so one member's arrays are alive at a time; its carried
+    state is stored back before it is yielded, and a caller takes every
+    member.
     """
     n = len(blocks)
+    members = len(set_counts)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return np.zeros(0, dtype=bool), empty, empty
+        for _ in set_counts:
+            yield np.zeros(0, dtype=bool), empty, empty
+        return
+    # Per access, the first member whose copy it dirties: every member
+    # for a write, none for a read.
+    reach = np.where(is_write, 0, members).astype(np.int8)
+    low = set_counts[0]
     carried = 0
-    if state is not None:
-        tags, reach = state
-        resident = np.flatnonzero(np.bincount(blocks & (sets - 1), minlength=sets))
-        resident = resident[tags[resident, 0] >= 0]
-        carried = len(resident)
-        blocks = np.concatenate([tags[resident, 0], blocks])
-        is_write = np.concatenate([reach[resident, 0] <= 1, is_write])
+    if states is not None:
+        touched = np.bincount(blocks & (low - 1), minlength=low) > 0
+        tags = states[-1][0][:, 0]
+        pseudo = tags[tags >= 0]
+        pseudo = pseudo[touched[pseudo & (low - 1)]]
+        # Per carried block, the first member holding it, and holding it
+        # dirty (the members are inclusive, so both hold from there on).
+        held = np.full(len(pseudo), members, dtype=np.int8)
+        dirt = np.full(len(pseudo), members, dtype=np.int8)
+        for member in reversed(range(members)):
+            member_tags, member_reach = states[member]
+            rows = pseudo & (set_counts[member] - 1)
+            holds = member_tags[rows, 0] == pseudo
+            held[holds] = member
+            dirt[holds & (member_reach[rows, 0] <= 1)] = member
+        older = _stable_argsort(members - held.astype(np.int64), members + 1)
+        carried = len(pseudo)
+        blocks = np.concatenate([pseudo[older], blocks])
+        reach = np.concatenate([dirt[older], reach])
         order_keys = np.concatenate(
             [np.full(carried, -1, dtype=np.int64), order_keys]
         )
         n += carried
-    # Stable sort by set: within a set, accesses stay in time order.
-    order = _stable_argsort(blocks & (sets - 1), sets)
+    # Stable sort by the smallest member's set: within a set, accesses
+    # stay in time order.  ``order`` maps the set-ordered stream back to
+    # stream positions.
+    order = _stable_argsort(blocks & (low - 1), low)
     sorted_blocks = blocks[order]
-    # An access hits iff the previous access in set order was to the same
-    # block (equal blocks share a set, so that access was in this set).
-    same = np.empty(n, dtype=bool)
-    same[0] = False
-    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
-    miss_positions = np.flatnonzero(~same)
-    miss_order = order[miss_positions]
-    miss_blocks = sorted_blocks[miss_positions]
-    miss_sets = miss_blocks & (sets - 1)
+    sorted_reach = reach[order]
+    for member, sets in enumerate(set_counts):
+        while low < sets:
+            # Refine the set order by the next index bit.
+            split = np.argsort((sorted_blocks & low) != 0, kind="stable")
+            order = order[split]
+            sorted_blocks = sorted_blocks[split]
+            sorted_reach = sorted_reach[split]
+            low <<= 1
+        # An access hits iff the previous access in set order was to the
+        # same block (equal blocks share a set, so that access was in
+        # this set).
+        same = np.zeros(len(sorted_blocks), dtype=bool)
+        np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
+        miss_positions = np.flatnonzero(~same)
+        # Residency episodes: one per miss; an episode covers the accesses
+        # from its miss up to (not including) the next miss in the same
+        # set.  A set change always misses, so episodes are contiguous
+        # runs in set order and one segmented reduction gives each one's
+        # first dirtying member.
+        sorted_reach = np.minimum.reduceat(sorted_reach, miss_positions)
+        # The rest of an episode re-touches its block with nothing of its
+        # set in between, in every larger member too: the larger members
+        # read only the episodes, each standing for its accesses.
+        order = order[miss_positions]
+        sorted_blocks = sorted_blocks[miss_positions]
+        miss_sets = sorted_blocks & (sets - 1)
+        dirty = sorted_reach <= member
+        # Episode e is evicted by the next miss iff that miss lands in the
+        # same set; otherwise it is its set's final episode.
+        evicted = np.zeros(len(miss_positions), dtype=bool)
+        np.equal(miss_sets[1:], miss_sets[:-1], out=evicted[:-1])
+        victims = np.flatnonzero(dirty & evicted)
+        # The writeback happens when the *next* episode's miss occurs.
+        victim_keys = order_keys[order[victims + 1]]
 
-    # Residency episodes: one per miss; an episode covers the accesses from
-    # its miss up to (not including) the next miss in the same set.  A set
-    # change always misses, so episodes are contiguous runs in set order
-    # and one segmented reduction gives each one's dirty bit.
-    dirty = np.logical_or.reduceat(is_write[order], miss_positions)
-    # Episode e is evicted by the next miss iff that miss lands in the
-    # same set; otherwise it is its set's final episode.
-    evicted = np.zeros(len(miss_positions), dtype=bool)
-    np.equal(miss_sets[1:], miss_sets[:-1], out=evicted[:-1])
-    victims = np.flatnonzero(dirty & evicted)
-    # The writeback happens when the *next* episode's miss occurs.
-    victim_keys = order_keys[miss_order[victims + 1]]
-
-    if state is not None:
-        # Each touched set's final episode stays resident.
-        final = np.flatnonzero(~evicted)
-        tags[miss_sets[final], 0] = miss_blocks[final]
-        reach[miss_sets[final], 0] = np.where(dirty[final], 1, _CLEAN)
-    miss_mask = np.zeros(n, dtype=bool)
-    miss_mask[miss_order] = True
-    return miss_mask[carried:], miss_blocks[victims], victim_keys
+        if states is not None:
+            # Each touched set's final episode stays resident.
+            member_tags, member_reach = states[member]
+            final = np.flatnonzero(~evicted)
+            member_tags[miss_sets[final], 0] = sorted_blocks[final]
+            member_reach[miss_sets[final], 0] = np.where(dirty[final], 1, _CLEAN)
+        miss_mask = np.zeros(n, dtype=bool)
+        miss_mask[order] = True
+        yield miss_mask[carried:], sorted_blocks[victims], victim_keys
 
 
 def _stack_pass(
@@ -608,13 +673,30 @@ def _simulate_level(
         )
         assert dirty is not None
         return dist == associativity, dirty[0], order_keys[dirty[1]]
-    heads, head_writes = _run_heads(blocks, is_write)
-    head_miss, victims, victim_keys = _simulate_dm_level(
-        blocks[heads], head_writes, order_keys[heads], sets, state
+    [outcome] = _dm_replay(
+        blocks, is_write, order_keys, (sets,), None if state is None else [state]
     )
-    miss = np.zeros(len(blocks), dtype=bool)
-    miss[heads] = head_miss
-    return miss, victims, victim_keys
+    return outcome
+
+
+def _dm_replay(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    order_keys: np.ndarray,
+    set_counts: Sequence[int],
+    states: Optional[Sequence[State]] = None,
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`_simulate_dm_level` over the heads of the stream's
+    same-block runs (:func:`_run_heads`), each member's miss mask
+    expanded back to every access as the caller takes it."""
+    heads, head_writes = _run_heads(blocks, is_write)
+    outcomes = _simulate_dm_level(
+        blocks[heads], head_writes, order_keys[heads], set_counts, states
+    )
+    for head_miss, victims, victim_keys in outcomes:
+        miss = np.zeros(len(blocks), dtype=bool)
+        miss[heads] = head_miss
+        yield miss, victims, victim_keys
 
 
 def _merge_parts(parts: List[Stream], bound: int) -> Stream:

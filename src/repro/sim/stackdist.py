@@ -1,16 +1,19 @@
-"""Single-pass stack-distance simulation of the associativity axis.
+"""Single-pass simulation of the associativity and set-count axes.
 
 The paper's dense grids (Figures 3-5, Equations 1-3) sweep cache size and
 set size together, and even the vectorised fast path pays one full trace
-replay per grid cell.  Mattson's inclusion property makes most of that
-redundant for LRU: at a fixed (set count, block size), the content of an
-A-way set-associative cache is exactly the top ``A`` entries of the
-per-set LRU stack, for *every* ``A`` at once.  One replay that records
-each access's **stack distance** -- the depth at which its block sits --
-therefore yields exact hit and miss counts for every associativity
-simultaneously: an A-way cache hits precisely the accesses with distance
-``<= A``, so per-associativity miss counts are suffix sums of one
-histogram.
+replay per grid cell.  Inclusion makes most of that redundant, along
+either of two axes of the deepest level; one pass serves a **group** of
+cells that differ only along one of them.
+
+**The ways axis.**  Mattson's inclusion property for LRU: at a fixed
+(set count, block size), the content of an A-way set-associative cache
+is exactly the top ``A`` entries of the per-set LRU stack, for *every*
+``A`` at once.  One replay that records each access's **stack
+distance** -- the depth at which its block sits -- therefore yields
+exact hit and miss counts for every associativity simultaneously: an
+A-way cache hits precisely the accesses with distance ``<= A``, so
+per-associativity miss counts are suffix sums of one histogram.
 
 Writebacks follow from the same distances.  Per block, each access
 leaves a **reach**: the smallest associativity whose cache holds the
@@ -34,22 +37,41 @@ pass over the distances, grouped by block, derives every writeback.
 The pass is the fast path's LRU stack replay
 (:func:`repro.sim.fast._stack_replay`) at width 16 -- the same kernel and
 the same derivation run every set-associative level of the fast path at
-its own width -- fed by the fast path's replay driver
-(:class:`repro.sim.fast._Front`), whole or chunked; a chunk boundary
-carries the stack's tags and each entry's derived reach.  Consecutive
-accesses to one block are collapsed into the first before the kernel
-runs: the rest are distance-1 hits at every width.  Scope: the deepest level of a
-:func:`repro.sim.fast.fast_eligible` configuration when it is write-back
-and its replacement is genuinely LRU (a direct-mapped deepest level
-qualifies under any stated policy -- one way leaves nothing to choose);
-write-through levels above it only change the stream it is fed.
-Upstream levels are identical across the derived grid.  A whole-trace
-pass takes their output streams from the fast path's front cache
-(:func:`repro.sim.fast._cached_front`), the same cache the fast path's
-whole-trace runs of deeper hierarchies read, so a sweep's groups and the
-lone direct-mapped cells it runs per cell replay them once per trace,
-not once per cell.  Count-identity with the reference simulator is
-enforced by ``tests/sim/test_replay_oracle.py`` and
+its own width; a chunk boundary carries the stack's tags and each
+entry's derived reach.
+
+**The sets axis.**  Set refinement by bit selection (Hill & Smith,
+1989): direct-mapped caches of ``S`` and ``2S`` sets index by the low
+bits of the block number, so each set of the smaller splits into two of
+the larger, and the smaller cache's content is always a subset of the
+larger's.  Sorting the stream stably by the smallest member's set index
+and then partitioning stably on each further index bit gives every
+member its own set order from one pass, and in each an access hits iff
+the previous access in its set order is the same block.  The pass is
+the fast path's direct-mapped kernel
+(:func:`repro.sim.fast._simulate_dm_level`) with one member per
+requested set count -- the one-member call is every direct-mapped level
+of the fast path -- and each member is counted by the fast path's own
+rule (:func:`repro.sim.fast._accumulate_level`); a chunk boundary
+carries each member's resident blocks.  It serves the direct-mapped
+cells a sweep leaves alone on the ways axis: the paper's L2 size axis,
+and its solo twin over the CPU stream.
+
+Both passes are fed by the fast path's replay driver
+(:class:`repro.sim.fast._Front`), whole or chunked.  Consecutive
+accesses to one block are collapsed into the first before either kernel
+runs: the rest are distance-1 hits at every width and set count.  Scope:
+the deepest level of a :func:`repro.sim.fast.fast_eligible`
+configuration when it is write-back and its replacement is genuinely
+LRU (a direct-mapped deepest level qualifies under any stated policy --
+one way leaves nothing to choose); write-through levels above it only
+change the stream it is fed.  Upstream levels are identical across a
+group.  A whole-trace pass takes their output streams from the fast
+path's front cache (:func:`repro.sim.fast._cached_front`), the same
+cache the fast path's whole-trace runs of deeper hierarchies read, so a
+sweep's groups and the lone cells it runs per cell replay them once per
+trace, not once per cell.  Count-identity with the reference simulator
+is enforced by ``tests/sim/test_replay_oracle.py`` and
 ``tests/sim/test_stackdist.py``; the sweep planner that fans grid groups
 out over the worker pool lives in :mod:`repro.core.sweep`.
 """
@@ -57,7 +79,7 @@ out over the worker pool lives in :mod:`repro.core.sweep`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,12 +87,16 @@ from repro import telemetry
 from repro.cache.policy import WritePolicy
 from repro.cache.stats import CacheStats
 from repro.sim import memo
-from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, format_config
 from repro.sim.fast import (
     MAX_FAST_ASSOCIATIVITY,
     _BUCKET_WRITE,
+    Stream,
+    _accumulate_level,
     _cached_front,
+    _dm_replay,
     _Front,
+    _new_state,
     _stack_replay,
     fast_eligible,
     memory_traffic,
@@ -87,6 +113,11 @@ STACK_ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
 #: Stack width -- one column per way of the widest derived cache.
 _WIDTH = MAX_FAST_ASSOCIATIVITY
+
+#: The two axes a pass serves: every associativity at one deepest-level
+#: set count (the width-16 stack pass), or every requested set count of
+#: a direct-mapped deepest level (the direct-mapped kernel's members).
+WAYS, SETS = "ways", "sets"
 
 
 def stackdist_eligible(config: SystemConfig) -> bool:
@@ -108,19 +139,20 @@ def stackdist_eligible(config: SystemConfig) -> bool:
     return deepest.replacement == "lru" or deepest.associativity == 1
 
 
-def grid_projection(config: SystemConfig) -> Tuple:
-    """The identity of a configuration's single-pass group.
+def grid_projection(config: SystemConfig, axis: str = WAYS) -> Tuple:
+    """The identity of a configuration's single-pass group on ``axis``.
 
     Two eligible configurations with equal grid projections differ at
-    most in the deepest level's associativity (and the total size that
-    scales with it), so one stack-distance pass serves both.
+    most in the deepest level's associativity (:data:`WAYS`) or set
+    count (:data:`SETS`), and the total size that scales with it, so one
+    pass serves both.
     """
     deepest = config.levels[-1]
     return (
         config.enforce_inclusion,
         tuple(memo.level_projection(level) for level in config.levels[:-1]),
         (
-            deepest.geometry().sets,
+            deepest.geometry().sets if axis == WAYS else deepest.associativity,
             deepest.block_bytes,
             deepest.split,
             deepest.write_policy,
@@ -131,16 +163,20 @@ def grid_projection(config: SystemConfig) -> Tuple:
     )
 
 
-def member_config(config: SystemConfig, associativity: int) -> SystemConfig:
-    """The group member with ``associativity`` ways at the deepest level.
+def member_config(
+    config: SystemConfig, associativity: int, sets: Optional[int] = None
+) -> SystemConfig:
+    """The group member with ``associativity`` ways and ``sets`` sets
+    (by default ``config``'s) at the deepest level.
 
-    Holds the set count fixed, so the size scales with the way count;
-    the replacement policy is pinned to LRU where it matters (the stack
-    pass *is* LRU).
+    The size scales with the way and set counts; the replacement policy
+    is pinned to LRU where it matters (the stack pass *is* LRU).
     """
     index = len(config.levels) - 1
     deepest = config.levels[index]
-    size = deepest.geometry().sets * deepest.block_bytes * associativity
+    if sets is None:
+        sets = deepest.geometry().sets
+    size = sets * deepest.block_bytes * associativity
     if deepest.split:
         size *= 2
     changes = {"associativity": associativity, "size_bytes": size}
@@ -153,56 +189,62 @@ def member_config(config: SystemConfig, associativity: int) -> SystemConfig:
 class StackdistGridResult:
     """Every member result of one single-pass grid group.
 
-    ``results`` pairs each derived associativity (in
-    :data:`STACK_ASSOCIATIVITIES` order) with a full
-    :class:`~repro.sim.functional.FunctionalResult` whose configuration
-    differs from the group's only in the deepest level's way count and
-    size.
+    ``results`` holds one :class:`~repro.sim.functional.FunctionalResult`
+    per member, keyed by its configuration, which differs from the
+    group's only in the deepest level's way count (the ways axis, in
+    :data:`STACK_ASSOCIATIVITIES` order) or set count (the sets axis,
+    ascending), and the size that scales with it.
     """
 
-    results: Tuple[Tuple[int, FunctionalResult], ...]
+    results: Tuple[FunctionalResult, ...]
 
-    def result_for(self, associativity: int) -> FunctionalResult:
-        for ways, result in self.results:
-            if ways == associativity:
+    def result_for(self, config: SystemConfig) -> FunctionalResult:
+        """The member whose configuration is functionally ``config``."""
+        key = memo.functional_projection(config)
+        for result in self.results:
+            if memo.functional_projection(result.config) == key:
                 return result
-        raise KeyError(
-            f"associativity {associativity} is not derived by the stack "
-            f"pass (members: {STACK_ASSOCIATIVITIES})"
-        )
+        raise KeyError(f"{format_config(config)} is not a member of this pass")
 
 
-def _grid_histograms(
+def _deepest_input(
     trace: Trace, front: _Front
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[CacheStats]]:
-    """The width-16 stack pass over the streams ``front`` feeds the
-    deepest level.
+) -> Tuple[List[CacheStats], Iterable[List[Stream]]]:
+    """The statistics of the levels above the deepest, and per chunk the
+    streams they feed it.
 
-    Returns ``(read_hist, write_hist, writebacks, upstream)``:
-
-    * ``read_hist[d-1]`` / ``write_hist[d-1]`` count post-warmup
-      accesses of each statistics bucket with stack distance ``d``
-      (1..16); index 16 counts distances beyond the stack, a miss at
-      every member associativity.
-    * ``writebacks[A-1]`` counts post-warmup dirty evictions from the
-      A-way member cache.
-    * ``upstream`` holds the statistics of the levels above.
-
-    A whole-trace pass takes its upstream streams from the fast path's
+    A whole-trace pass takes the upstream streams from the fast path's
     front cache (:func:`repro.sim.fast._cached_front`); a chunked pass
-    bypasses it -- entries hold whole-trace streams, exactly what chunked
-    replay exists to avoid.
+    bypasses it -- entries hold whole-trace streams, exactly what
+    chunked replay exists to avoid -- and so does a deepest level with
+    nothing above it, which reads the CPU streams.  The statistics fill
+    in as the chunks are replayed.
+    """
+    if front.chunked or front.levels == 0:
+        return front.level_stats, front.streams(span="stackdist.chunk")
+    upstream, sides = _cached_front(trace, front.config)
+    return upstream, [sides]
+
+
+def _ways_axis(
+    trace: Trace, front: _Front
+) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
+    """The width-16 stack pass over the streams ``front`` feeds the
+    deepest level: every :data:`STACK_ASSOCIATIVITIES` member's
+    configuration and deepest-level statistics, and the upstream
+    statistics.
+
+    Post-warmup accesses are histogrammed by stack distance per
+    statistics bucket (``hist[d-1]`` for distance ``d`` in 1..16, index
+    16 beyond the stack, a miss at every member associativity); the
+    A-way member misses the suffix from ``A`` on, and its writebacks are
+    the pass's ``writebacks[A-1]``.
     """
     deepest = front.config.levels[-1]
     sets = deepest.geometry().sets
     shift = log2_int(deepest.block_bytes) - front.bits
     warmup_key = trace.warmup * 4**front.levels
-    if front.chunked or front.levels == 0:
-        upstream = front.level_stats
-        chunks = front.streams(span="stackdist.chunk")
-    else:
-        upstream, sides = _cached_front(trace, front.config)
-        chunks = [sides]
+    upstream, chunks = _deepest_input(trace, front)
     # A split first level is two member caches: one stack per side.
     states = [front.new_state(sets, _WIDTH) for _ in range(front.sides)]
     read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
@@ -219,33 +261,6 @@ def _grid_histograms(
             read_hist += np.bincount(dist[counted & ~stores], minlength=_WIDTH + 1)
             write_hist += np.bincount(dist[counted & stores], minlength=_WIDTH + 1)
             writebacks += part_wb
-    return read_hist, write_hist, writebacks, upstream
-
-
-def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResult:
-    """Replay ``trace`` once against ``config``'s grid group.
-
-    Returns the exact functional result of every member associativity
-    (counts identical to :func:`repro.sim.fast.run_functional` on each
-    member configuration).  With ``REPRO_TRACE_CHUNK`` set (and smaller
-    than the trace), the replay streams in chunks through persistent
-    state -- same histograms, bounded residency.
-    """
-    if not stackdist_eligible(config):
-        raise ValueError(
-            "configuration outside the stack-distance path (the deepest "
-            "level must be fast-eligible LRU); use run_functional"
-        )
-    # Chunked histogram accumulation is count-identical to the one-chunk
-    # pass (parity tests); REPRO_TRACE_CHUNK tunes residency only.
-    front = _Front(trace, config, config.depth - 1, replay_chunk_records())  # repro: noqa RPR008
-    with telemetry.span(
-        "stackdist.pass",
-        sets=config.levels[-1].geometry().sets,
-        records=len(trace),
-        chunked=front.chunked,
-    ):
-        read_hist, write_hist, writebacks, upstream = _grid_histograms(trace, front)
 
     reads = int(read_hist.sum())
     writes = int(write_hist.sum())
@@ -261,16 +276,100 @@ def run_stackdist_grid(trace: Trace, config: SystemConfig) -> StackdistGridResul
             writebacks=int(writebacks[ways - 1]),
             blocks_fetched=read_misses + write_misses,
         )
+        members.append((member_config(front.config, ways), stats))
+    return members, upstream
+
+
+def _sets_axis(
+    trace: Trace, front: _Front, set_counts: Tuple[int, ...]
+) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
+    """One pass of the direct-mapped kernel over the streams ``front``
+    feeds the deepest level, every set count of ``set_counts`` a member:
+    each member's configuration and deepest-level statistics, counted by
+    the fast path's own rule (:func:`repro.sim.fast._accumulate_level`),
+    and the upstream statistics.  A chunked pass carries one width-1
+    state per member and side."""
+    config = front.config
+    shift = log2_int(config.levels[-1].block_bytes) - front.bits
+    warmup_key = trace.warmup * 4**front.levels
+    upstream, chunks = _deepest_input(trace, front)
+    states = [
+        [_new_state(sets, 1) for sets in set_counts] if front.chunked else None
+        for _ in range(front.sides)
+    ]
+    member_stats = [CacheStats() for _ in set_counts]
+    for sides in chunks:
+        for (blocks, is_write, bucket, keys), side_states in zip(sides, states):
+            outcomes = _dm_replay(blocks >> shift, is_write, keys, set_counts, side_states)
+            for stats, (miss, _, victim_keys) in zip(member_stats, outcomes):
+                _accumulate_level(
+                    stats, is_write, bucket, miss, keys, victim_keys, warmup_key,
+                    through=False,
+                )
+    members = [
+        (member_config(config, 1, sets), stats)
+        for sets, stats in zip(set_counts, member_stats)
+    ]
+    return members, upstream
+
+
+def run_stackdist_grid(
+    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
+) -> StackdistGridResult:
+    """Replay ``trace`` once against one of ``config``'s grid groups.
+
+    Without ``set_counts`` the group is ``config``'s associativity axis:
+    every :data:`STACK_ASSOCIATIVITIES` member at its deepest set count,
+    from one width-16 stack pass.  With them it is its set-count axis: a
+    direct-mapped member per set count (ascending powers of two), from
+    one pass of the direct-mapped kernel.  Returns the exact functional
+    result of every member (counts identical to
+    :func:`repro.sim.fast.run_functional` on each member configuration).
+    With ``REPRO_TRACE_CHUNK`` set (and smaller than the trace), the
+    replay streams in chunks through persistent state -- same counts,
+    bounded residency.
+    """
+    if not stackdist_eligible(config):
+        raise ValueError(
+            "configuration outside the stack-distance path (the deepest "
+            "level must be fast-eligible LRU); use run_functional"
+        )
+    set_counts = tuple(set_counts)
+    if set_counts and (
+        config.levels[-1].associativity != 1
+        or list(set_counts) != sorted(set(set_counts))
+        or any(sets < 1 or sets & (sets - 1) for sets in set_counts)
+    ):
+        raise ValueError(
+            "a set-count group is direct-mapped, with ascending distinct "
+            f"power-of-two set counts; got {set_counts}"
+        )
+    # Chunked accumulation is count-identical to the one-chunk pass
+    # (parity tests); REPRO_TRACE_CHUNK tunes residency only.
+    front = _Front(trace, config, config.depth - 1, replay_chunk_records())  # repro: noqa RPR008
+    with telemetry.span(
+        "stackdist.pass",
+        axis=SETS if set_counts else WAYS,
+        sets=set_counts[-1] if set_counts else config.levels[-1].geometry().sets,
+        records=len(trace),
+        chunked=front.chunked,
+    ):
+        if set_counts:
+            members, upstream = _sets_axis(trace, front, set_counts)
+        else:
+            members, upstream = _ways_axis(trace, front)
+
+    results = []
+    for member, stats in members:
         # Memory traffic is whatever leaves the deepest level, counted
         # by the fast path's one rule.
         memory_reads, memory_writes = memory_traffic(stats)
-        result = functional_result(
+        results.append(functional_result(
             trace,
-            member_config(config, ways),
+            member,
             [replace(stats) for stats in upstream] + [stats],
             memory_reads=memory_reads,
             memory_writes=memory_writes,
             source="stackdist",
-        )
-        members.append((ways, result))
-    return StackdistGridResult(results=tuple(members))
+        ))
+    return StackdistGridResult(results=tuple(results))

@@ -15,6 +15,7 @@ from repro import telemetry
 from repro.core import sweep
 from repro.core.sweep import sweep_functional, sweep_timing, sweep_workers
 from repro.sim import memo
+from repro.resilience.executor import Cell
 from repro.sim.fast import clear_front_cache, front_projection, run_functional
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
@@ -192,7 +193,7 @@ class TestParallel:
     def test_pool_replays_each_front_once(self, base_config, monkeypatch):
         """Cells that share a front -- a trace and the upstream levels --
         are dispatched together, so each front is replayed by one worker
-        only, once."""
+        only, once: as per-cell singles, and as set-count groups."""
         from repro.audit import manifest
 
         monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
@@ -202,7 +203,8 @@ class TestParallel:
             )
             for t in range(3)
         ]
-        # Lone direct-mapped L2 cells: each runs on its cached front.
+        # Lone direct-mapped L2 cells: per cell each runs on its cached
+        # front; grouped, each front's cells are one set-count pass.
         configs = [
             base_config.with_level(0, size_bytes=l1_kb * KB).with_level(
                 1, size_bytes=l2_kb * KB
@@ -210,26 +212,33 @@ class TestParallel:
             for l1_kb in (4, 8)
             for l2_kb in (16, 32, 64)
         ]
-        serial = sweep_functional(traces, configs, workers=1)
-        memo.clear_memo_cache()
-        clear_front_cache()  # forked workers must not inherit fronts
-        since = telemetry.mark()
-        with manifest.recording("front-affinity") as run:
-            pooled = sweep_functional(traces, configs, workers=2)
-        (note,) = run.sweeps
-        if not note.pooled:
-            pytest.skip("worker processes cannot be created on this host")
-        assert note.simulated == len(configs) * len(traces)
         fronts = {
             (j, front_projection(config))
             for config in configs
             for j in range(len(traces))
         }
-        moved = telemetry.counter_deltas(since)
-        assert moved.get("front.misses", 0) == len(fronts)
-        for row_a, row_b in zip(serial, pooled):
-            for a, b in zip(row_a, row_b):
-                assert_counts_equal(a, b)
+        serial = sweep_functional(traces, configs, workers=1)
+        for grouped in ("0", "1"):
+            monkeypatch.setenv(sweep.STACKDIST_ENV, grouped)
+            memo.clear_memo_cache()
+            clear_front_cache()  # forked workers must not inherit fronts
+            since = telemetry.mark()
+            with manifest.recording("front-affinity") as run:
+                pooled = sweep_functional(traces, configs, workers=2)
+            (note,) = run.sweeps
+            if not note.pooled:
+                pytest.skip("worker processes cannot be created on this host")
+            cells = len(configs) * len(traces)
+            if grouped == "1":
+                assert note.stackdist_groups == len(fronts)
+                assert (note.simulated, note.cells_derived) == (0, cells)
+            else:
+                assert (note.simulated, note.stackdist_groups) == (cells, 0)
+            moved = telemetry.counter_deltas(since)
+            assert moved.get("front.misses", 0) == len(fronts)
+            for row_a, row_b in zip(serial, pooled):
+                for a, b in zip(row_a, row_b):
+                    assert_counts_equal(a, b)
 
     def test_env_knob_controls_workers(self, monkeypatch):
         monkeypatch.setenv(sweep.WORKERS_ENV, "3")
@@ -581,6 +590,167 @@ class TestStackdistPlanner:
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
         configs = self.grid_configs(base_config)
         with pytest.raises(AuditError):
+            sweep_functional(small_traces, configs, workers=1)
+
+
+class TestSetCountPlanner:
+    """Lone direct-mapped cells that differ only in deepest-level set
+    count ride one pass of the direct-mapped kernel; cells with
+    associative siblings keep the width-16 pass."""
+
+    @staticmethod
+    def dm_configs(base_config, sizes_kb=(16, 32, 64, 128)):
+        return [base_config.with_level(1, size_bytes=kb * KB) for kb in sizes_kb]
+
+    @staticmethod
+    def plan(traces, configs):
+        pending, keys = [], []
+        for config in configs:
+            for j, trace in enumerate(traces):
+                keys.append(memo.memo_key(trace, config))
+                pending.append(Cell(len(pending), j, config, f"cell{len(pending)}"))
+        return sweep._plan_stackdist(pending, keys, True)
+
+    def test_lone_cells_sharing_a_front_form_one_group(
+        self, small_traces, base_config
+    ):
+        from repro.audit import manifest
+
+        configs = self.dm_configs(base_config)
+        groups, member_keys, singles, _ = self.plan(small_traces, configs)
+        assert singles == []
+        assert len(groups) == len(small_traces)
+        for group, keys in zip(groups, member_keys):
+            assert group.set_counts == tuple(
+                c.levels[-1].geometry().sets for c in configs
+            )
+            assert len(keys) == len(configs)
+        with manifest.recording("planner-sets") as run:
+            grid = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.stackdist_groups == len(small_traces)
+        assert note.cells_derived == len(configs) * len(small_traces)
+        assert note.simulated == 0
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert result.config is config
+                assert_counts_equal(result, run_functional(trace, config))
+
+    def test_associative_siblings_keep_the_width_pass(
+        self, small_traces, base_config
+    ):
+        # 64 KB direct-mapped has a 2-way sibling at its set count, so
+        # both ride the width-16 pass; the lone 16 and 32 KB cells share
+        # one set-count pass.
+        two_way = base_config.with_level(1, associativity=2, size_bytes=128 * KB)
+        configs = self.dm_configs(base_config, (64, 16)) + [two_way] + (
+            self.dm_configs(base_config, (32,))
+        )
+        groups, member_keys, singles, _ = self.plan(small_traces[:1], configs)
+        assert singles == []
+        assert [g.set_counts for g in groups] == [(), (512, 1024)]
+        (trace,) = small_traces[:1]
+        assert member_keys[0] == [memo.memo_key(trace, c) for c in configs[::2]]
+        grid = sweep_functional(small_traces, configs, workers=1)
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
+
+    def test_single_lone_cell_stays_single(self, small_traces, base_config):
+        # One direct-mapped cell per front: nothing to share a pass with.
+        configs = [
+            self.dm_configs(base_config, (32,))[0],
+            self.dm_configs(base_config, (64,))[0].with_level(0, size_bytes=8 * KB),
+        ]
+        groups, _, singles, _ = self.plan(small_traces, configs)
+        assert groups == []
+        assert len(singles) == len(configs) * len(small_traces)
+
+    def test_only_requested_members_are_journaled(
+        self, tmp_path, small_traces, base_config
+    ):
+        from repro.resilience.journal import journaling
+
+        # A width pass derives four extras per trace; the set-count pass
+        # derives nothing beyond its members.  Only requested cells land.
+        configs = self.dm_configs(base_config, (16, 32)) + [
+            base_config.with_level(1, associativity=4, size_bytes=256 * KB)
+        ]
+        since = telemetry.mark()
+        with journaling(tmp_path / "j.jsonl"):
+            sweep_functional(small_traces, configs, workers=1)
+        moved = telemetry.counter_deltas(since)
+        assert moved.get("journal.records", 0) == len(configs) * len(small_traces)
+
+    def test_resumed_sweep_restores_identical_grids(
+        self, tmp_path, small_traces, base_config
+    ):
+        from repro.audit import manifest
+        from repro.resilience.chaos import grid_digest
+        from repro.resilience.journal import journaling
+
+        configs = self.dm_configs(base_config)
+        path = tmp_path / "j.jsonl"
+        with journaling(path):
+            first = sweep_functional(small_traces, configs, workers=1)
+        memo.clear_memo_cache()
+        clear_front_cache()
+        with manifest.recording("resume-sets") as run:
+            with journaling(path, resume=True):
+                second = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.resumed == len(configs) * len(small_traces)
+        assert note.simulated == note.stackdist_groups == 0
+        assert grid_digest(second, []) == grid_digest(first, [])
+
+    def test_injected_fault_is_retried_and_reported(
+        self, small_traces, base_config, monkeypatch
+    ):
+        from repro.audit import manifest
+        from repro.resilience.faults import InjectedFault
+
+        configs = self.dm_configs(base_config)
+        real = sweep.run_stackdist_grid
+        failed_once = set()
+
+        def flaky(trace, config, set_counts=()):
+            # The first attempt at every set-count group fails.
+            if set_counts and (trace.name, set_counts) not in failed_once:
+                failed_once.add((trace.name, set_counts))
+                raise InjectedFault(f"injected into {set_counts}")
+            return real(trace, config, set_counts)
+
+        monkeypatch.setattr(sweep, "run_stackdist_grid", flaky)
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
+        with manifest.recording("sets-retried") as run:
+            grid = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.retries == len(small_traces)
+        assert note.failed == 0
+        assert note.stackdist_groups == len(small_traces)
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
+
+        # With every attempt failing and no retry left, each group is one
+        # failure report, its member cells holes in a partial grid.
+        def broken(trace, config, set_counts=()):
+            if set_counts:
+                raise InjectedFault(f"injected into {set_counts}")
+            return real(trace, config, set_counts)
+
+        memo.clear_memo_cache()
+        monkeypatch.setattr(sweep, "run_stackdist_grid", broken)
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
+        failures = []
+        partial = sweep_functional(
+            small_traces, configs, workers=1, on_failure="partial",
+            failures=failures,
+        )
+        assert len(failures) == len(small_traces)
+        assert all(isinstance(f.exception, InjectedFault) for f in failures)
+        assert all(cell is None for row in partial for cell in row)
+        with pytest.raises(InjectedFault):
             sweep_functional(small_traces, configs, workers=1)
 
 

@@ -18,7 +18,7 @@ from repro.sim.fast import (
     run_functional,
 )
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.stackdist import STACK_ASSOCIATIVITIES, run_stackdist_grid
+from repro.sim.stackdist import STACK_ASSOCIATIVITIES, member_config, run_stackdist_grid
 from repro.trace.store import TraceStore
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -146,8 +146,9 @@ class TestStackdistChunkedParity:
         )
         whole, chunked = self.grids(trace, config, chunk, monkeypatch)
         for ways in STACK_ASSOCIATIVITIES:
+            member = member_config(config, ways)
             assert_counts_equal(
-                chunked.result_for(ways), whole.result_for(ways),
+                chunked.result_for(member), whole.result_for(member),
                 f"ways={ways} chunk={chunk}",
             )
 
@@ -156,8 +157,9 @@ class TestStackdistChunkedParity:
         trace = SyntheticWorkload(seed=48).trace(20_000, warmup=4_000)
         whole, chunked = self.grids(trace, two_level(), chunk, monkeypatch)
         for ways in STACK_ASSOCIATIVITIES:
+            member = member_config(two_level(), ways)
             assert_counts_equal(
-                chunked.result_for(ways), whole.result_for(ways),
+                chunked.result_for(member), whole.result_for(member),
                 f"ways={ways} chunk={chunk}",
             )
 
@@ -165,8 +167,9 @@ class TestStackdistChunkedParity:
         trace = SyntheticWorkload(seed=49).trace(20_000)
         whole, chunked = self.grids(trace, three_level(), 7777, monkeypatch)
         for ways in STACK_ASSOCIATIVITIES:
+            member = member_config(three_level(), ways)
             assert_counts_equal(
-                chunked.result_for(ways), whole.result_for(ways), f"ways={ways}"
+                chunked.result_for(member), whole.result_for(member), f"ways={ways}"
             )
 
 
@@ -209,6 +212,7 @@ class TestStoreTraceReplay:
         monkeypatch.setenv("REPRO_TRACE_CHUNK", "4096")
         chunked = run_stackdist_grid(loaded, two_level())
         for ways in STACK_ASSOCIATIVITIES:
+            member = member_config(two_level(), ways)
             assert_counts_equal(
-                chunked.result_for(ways), whole.result_for(ways), f"ways={ways}"
+                chunked.result_for(member), whole.result_for(member), f"ways={ways}"
             )

@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.audit.parity import assert_counts_equal, assert_timing_equal
+from repro.cache.stats import CacheStats
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import (
     FastFunctionalSimulator,
+    _BUCKET_READ,
+    _BUCKET_WRITE,
     _CLEAN,
+    _accumulate_level,
     _new_state,
     _simulate_dm_level,
     _stable_argsort,
@@ -521,8 +525,8 @@ class TestDirectMappedKernel:
         expected_miss, expected_victims = dm_reference(
             blocks, writes, keys, sets, reference_state
         )
-        miss, victims, victim_keys = _simulate_dm_level(
-            blocks, writes, keys, sets, state
+        [(miss, victims, victim_keys)] = _simulate_dm_level(
+            blocks, writes, keys, (sets,), None if state is None else [state]
         )
         if state is not None:
             np.testing.assert_array_equal(state[0], reference_state[0])
@@ -530,6 +534,189 @@ class TestDirectMappedKernel:
         np.testing.assert_array_equal(miss, expected_miss)
         assert victims.dtype == victim_keys.dtype == np.int64
         assert sorted(zip(victim_keys.tolist(), victims.tolist())) == expected_victims
+
+
+# The direct-mapped kernel as it was when it served one set count per
+# call.  Kept verbatim as the oracle for the set-count axis: run once per
+# member, it must agree with one multi-member call.
+def reference_dm_level(
+    blocks: np.ndarray,
+    is_write: np.ndarray,
+    order_keys: np.ndarray,
+    sets: int,
+    state=None,
+):
+    """One direct-mapped write-back level, fully vectorised.
+
+    ``blocks`` are block identifiers (byte address >> offset bits);
+    ``is_write`` marks accesses that dirty the block; ``order_keys`` is a
+    strictly increasing key per access (original record index scaled to
+    make room for same-record ordering).
+
+    ``state`` carries the level between chunks of a streamed replay: a
+    width-1 :func:`_new_state` holding each set's resident block and
+    whether it is dirty.  Every touched set's resident block is replayed
+    as a pseudo-access ahead of the chunk, so its residency continues
+    into the chunk, and the touched sets' final blocks are stored back.
+
+    Returns ``(miss_mask, victim_blocks, victim_keys)`` where the victims
+    are dirty evictions, each stamped with the order key of the evicting
+    miss (so downstream streams interleave correctly).
+    """
+    n = len(blocks)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(0, dtype=bool), empty, empty
+    carried = 0
+    if state is not None:
+        tags, reach = state
+        resident = np.flatnonzero(np.bincount(blocks & (sets - 1), minlength=sets))
+        resident = resident[tags[resident, 0] >= 0]
+        carried = len(resident)
+        blocks = np.concatenate([tags[resident, 0], blocks])
+        is_write = np.concatenate([reach[resident, 0] <= 1, is_write])
+        order_keys = np.concatenate(
+            [np.full(carried, -1, dtype=np.int64), order_keys]
+        )
+        n += carried
+    # Stable sort by set: within a set, accesses stay in time order.
+    order = _stable_argsort(blocks & (sets - 1), sets)
+    sorted_blocks = blocks[order]
+    # An access hits iff the previous access in set order was to the same
+    # block (equal blocks share a set, so that access was in this set).
+    same = np.empty(n, dtype=bool)
+    same[0] = False
+    np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
+    miss_positions = np.flatnonzero(~same)
+    miss_order = order[miss_positions]
+    miss_blocks = sorted_blocks[miss_positions]
+    miss_sets = miss_blocks & (sets - 1)
+
+    # Residency episodes: one per miss; an episode covers the accesses from
+    # its miss up to (not including) the next miss in the same set.  A set
+    # change always misses, so episodes are contiguous runs in set order
+    # and one segmented reduction gives each one's dirty bit.
+    dirty = np.logical_or.reduceat(is_write[order], miss_positions)
+    # Episode e is evicted by the next miss iff that miss lands in the
+    # same set; otherwise it is its set's final episode.
+    evicted = np.zeros(len(miss_positions), dtype=bool)
+    np.equal(miss_sets[1:], miss_sets[:-1], out=evicted[:-1])
+    victims = np.flatnonzero(dirty & evicted)
+    # The writeback happens when the *next* episode's miss occurs.
+    victim_keys = order_keys[miss_order[victims + 1]]
+
+    if state is not None:
+        # Each touched set's final episode stays resident.
+        final = np.flatnonzero(~evicted)
+        tags[miss_sets[final], 0] = miss_blocks[final]
+        reach[miss_sets[final], 0] = np.where(dirty[final], 1, _CLEAN)
+    miss_mask = np.zeros(n, dtype=bool)
+    miss_mask[miss_order] = True
+    return miss_mask[carried:], miss_blocks[victims], victim_keys
+
+
+SET_AXIS = tuple(1 << bit for bit in range(11))
+
+
+@st.composite
+def set_axis_cases(draw):
+    """Members drawn from 1-1024 sets and a short stream over a block
+    range narrow enough for conflicts in the small members and wide
+    enough to leave the large ones sparse: reads, writes and same-block
+    repeats, a warmup key anywhere (before the first access and after
+    the last included) and chunk cuts."""
+    set_counts = sorted(draw(st.sets(st.sampled_from(SET_AXIS), min_size=1, max_size=6)))
+    span = draw(st.sampled_from((2, 8, 64, 512, 4096)))
+    base = draw(st.sampled_from((0, 1 << 40)))
+    drawn = draw(st.lists(st.integers(0, span - 1), max_size=150))
+    repeats = draw(
+        st.lists(st.integers(0, 2), min_size=len(drawn), max_size=len(drawn))
+    )
+    blocks = [base + block for block, extra in zip(drawn, repeats) for _ in range(1 + extra)]
+    mode = draw(st.sampled_from(("mixed", "reads", "writes")))
+    if mode == "mixed":
+        writes = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    else:
+        writes = [mode == "writes"] * len(blocks)
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(blocks), max_size=len(blocks)))
+    keys = np.cumsum(np.array(gaps, dtype=np.int64))
+    last_key = int(keys[-1]) if len(keys) else 0
+    warmup_key = draw(st.integers(0, last_key + 2))
+    cuts = sorted(draw(st.lists(st.integers(0, len(blocks)), max_size=4)))
+    return (
+        np.array(blocks, dtype=np.int64), np.array(writes, dtype=bool), keys,
+        tuple(set_counts), warmup_key, cuts,
+    )
+
+
+class TestDirectMappedSetAxis:
+    """One multi-member ``_simulate_dm_level`` call against the
+    one-set-count kernel it grew from, run once per member: miss masks,
+    victims with their evicting keys, the post-warmup counts, and the
+    carried per-member state, whole and chunked at random cuts."""
+
+    @staticmethod
+    def counted(miss, victim_keys, keys, writes, warmup_key):
+        stats = CacheStats()
+        bucket = np.where(writes, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8)
+        _accumulate_level(
+            stats, writes, bucket, miss, keys, victim_keys, warmup_key, False
+        )
+        return stats
+
+    def check_chunk(self, blocks, writes, keys, set_counts, warmup_key, states, expected_states):
+        outcomes = list(_simulate_dm_level(blocks, writes, keys, set_counts, states))
+        assert len(outcomes) == len(set_counts)
+        for member, (sets, (miss, victims, victim_keys)) in enumerate(
+            zip(set_counts, outcomes)
+        ):
+            state = None if expected_states is None else expected_states[member]
+            want = reference_dm_level(blocks, writes, keys, sets, state)
+            np.testing.assert_array_equal(miss, want[0], f"{sets} sets")
+            assert victims.dtype == victim_keys.dtype == np.int64
+            assert sorted(zip(victim_keys.tolist(), victims.tolist())) == sorted(
+                zip(want[2].tolist(), want[1].tolist())
+            ), f"{sets} sets"
+            assert self.counted(miss, victim_keys, keys, writes, warmup_key) == (
+                self.counted(want[0], want[2], keys, writes, warmup_key)
+            )
+            if states is not None:
+                np.testing.assert_array_equal(states[member][0], state[0])
+                np.testing.assert_array_equal(states[member][1], state[1])
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=set_axis_cases())
+    @example(case=(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+                   np.empty(0, dtype=np.int64), (1, 4), 0, [0]))
+    @example(case=(np.array([0, 4, 8, 0, 4, 12, 8], dtype=np.int64),
+                   np.array([True, False, True, False, True, False, False]),
+                   np.arange(1, 8, dtype=np.int64), (1, 2, 4, 16), 3, [3, 5]))
+    def test_equals_one_kernel_call_per_member(self, case):
+        blocks, writes, keys, set_counts, warmup_key, cuts = case
+        self.check_chunk(blocks, writes, keys, set_counts, warmup_key, None, None)
+        states = [_new_state(sets, 1) for sets in set_counts]
+        expected = [_new_state(sets, 1) for sets in set_counts]
+        for lo, hi in zip([0] + cuts, cuts + [len(blocks)]):
+            self.check_chunk(
+                blocks[lo:hi], writes[lo:hi], keys[lo:hi], set_counts,
+                warmup_key, states, expected,
+            )
+
+    def test_synthetic_stream(self):
+        """A realistic level-1 miss stream over the paper's L2 axis."""
+        trace = SyntheticWorkload(seed=42).trace(6_000, warmup=0)
+        blocks = (trace.addresses >> np.uint64(5)).astype(np.int64)
+        writes = trace.kinds == WRITE
+        keys = np.arange(len(blocks), dtype=np.int64) * 4 + 2
+        set_counts = tuple(1 << bit for bit in range(4, 15))
+        self.check_chunk(blocks, writes, keys, set_counts, 4_000, None, None)
+        states = [_new_state(sets, 1) for sets in set_counts]
+        expected = [_new_state(sets, 1) for sets in set_counts]
+        for lo, hi in zip([0, 1_000, 1_001], [1_000, 1_001, len(blocks)]):
+            self.check_chunk(
+                blocks[lo:hi], writes[lo:hi], keys[lo:hi], set_counts, 4_000,
+                states, expected,
+            )
 
 
 # The LRU stack kernel as it was when it tracked reach itself: per entry,

@@ -67,6 +67,7 @@ from repro.sim.fast import (
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
+    STACK_ASSOCIATIVITIES,
     member_config,
     run_stackdist_grid,
     stackdist_eligible,
@@ -243,7 +244,7 @@ def test_every_grid_member_equals_reference(config, replay):
     clear_front_cache()
     with chunked(chunk):
         grid = run_stackdist_grid(trace, config)
-    for ways, derived in grid.results:
+    for ways, derived in zip(STACK_ASSOCIATIVITIES, grid.results):
         member = member_config(config, ways)
         assert derived.config == member
         reference = FunctionalSimulator(member).run(trace)

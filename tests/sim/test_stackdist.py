@@ -20,6 +20,7 @@ from repro.sim.fast import (
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
+    SETS,
     STACK_ASSOCIATIVITIES,
     StackdistGridResult,
     grid_projection,
@@ -77,7 +78,7 @@ def assert_grid_parity(trace, config, reference_ways=(1, 4, 16)):
     grid = run_stackdist_grid(trace, config)
     for ways in STACK_ASSOCIATIVITIES:
         member = member_config(config, ways)
-        derived = grid.result_for(ways)
+        derived = grid.result_for(member)
         assert derived.config == member
         fast = FastFunctionalSimulator(member).run(trace)
         assert_member_matches(derived, fast, f"{ways}-way vs fast")
@@ -160,10 +161,82 @@ class TestDifferentialParity:
         empty = Trace(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint64))
         grid = run_stackdist_grid(empty, two_level())
         for ways in STACK_ASSOCIATIVITIES:
-            result = grid.result_for(ways)
+            result = grid.result_for(member_config(two_level(), ways))
             assert result.cpu_reads == 0
             assert result.memory_reads == 0
             assert result.memory_writes == 0
+
+
+class TestSetAxis:
+    """A set-count group: one direct-mapped pass, one member per set
+    count, each identical to the fast path and the reference, whole and
+    chunked."""
+
+    SOLO = SystemConfig(levels=(LevelConfig(size_bytes=4 * KB, block_bytes=32),))
+
+    def assert_members(self, trace, config, set_counts, reference=True):
+        grid = run_stackdist_grid(trace, config, set_counts)
+        assert [r.config.levels[-1].geometry().sets for r in grid.results] == (
+            list(set_counts)
+        )
+        for sets, derived in zip(set_counts, grid.results):
+            member = member_config(config, 1, sets)
+            assert derived.config == member
+            assert grid.result_for(member) is derived
+            fast = FastFunctionalSimulator(member).run(trace)
+            assert_member_matches(derived, fast, f"{sets} sets vs fast")
+            if reference:
+                want = FunctionalSimulator(member).run(trace)
+                assert_member_matches(derived, want, f"{sets} sets vs reference")
+        return grid
+
+    @pytest.mark.parametrize("seed", [341, 342])
+    def test_solo_group(self, seed):
+        trace = SyntheticWorkload(seed=seed).trace(10_000, warmup=2_000)
+        self.assert_members(trace, self.SOLO, (16, 64, 256, 1024))
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_two_level_group(self, split):
+        trace = SyntheticWorkload(seed=343).trace(10_000, warmup=2_000)
+        self.assert_members(trace, two_level(split=split), (32, 128, 256, 4096))
+
+    def test_single_member_is_the_fast_path(self):
+        trace = SyntheticWorkload(seed=344).trace(6_000, warmup=1_000)
+        self.assert_members(trace, two_level(), (512,), reference=False)
+
+    @pytest.mark.parametrize("chunk", (999, 7919))
+    def test_chunked_equals_whole(self, chunk, monkeypatch):
+        trace = SyntheticWorkload(seed=345).trace(20_000, warmup=4_000)
+        for config in (self.SOLO, two_level()):
+            whole = run_stackdist_grid(trace, config, (64, 128, 2048))
+            monkeypatch.setenv("REPRO_TRACE_CHUNK", str(chunk))
+            chunked = run_stackdist_grid(trace, config, (64, 128, 2048))
+            monkeypatch.delenv("REPRO_TRACE_CHUNK")
+            for a, b in zip(chunked.results, whole.results):
+                assert a.config == b.config
+                assert_member_matches(a, b, f"{a.config.levels[-1].size_bytes} B")
+
+    @pytest.mark.parametrize(
+        "set_counts", [(128, 64), (64, 64), (64, 96), (0, 64)]
+    )
+    def test_malformed_axis_rejected(self, set_counts):
+        trace = SyntheticWorkload(seed=346).trace(1_000)
+        with pytest.raises(ValueError, match="set-count group"):
+            run_stackdist_grid(trace, two_level(), set_counts)
+
+    def test_associative_deepest_rejected(self):
+        trace = SyntheticWorkload(seed=347).trace(1_000)
+        config = two_level().with_level(1, associativity=2, size_bytes=64 * KB)
+        with pytest.raises(ValueError, match="set-count group"):
+            run_stackdist_grid(trace, config, (64, 128))
+
+    def test_projection_ignores_only_the_set_count(self):
+        small, large = two_level(l2_kb=32), two_level(l2_kb=512)
+        assert grid_projection(small, SETS) == grid_projection(large, SETS)
+        assert grid_projection(small) != grid_projection(large)
+        assert grid_projection(small, SETS) != grid_projection(
+            two_level(l1_kb=8), SETS
+        )
 
 
 class TestEligibility:
@@ -250,7 +323,7 @@ class TestGrouping:
         grid = run_stackdist_grid(trace, two_level())
         assert isinstance(grid, StackdistGridResult)
         with pytest.raises(KeyError):
-            grid.result_for(3)
+            grid.result_for(member_config(two_level(), 32))
 
 
 class TestFrontCache:
@@ -264,18 +337,19 @@ class TestFrontCache:
         clear_front_cache()
         cold = run_stackdist_grid(trace, config)
         for ways in STACK_ASSOCIATIVITIES:
+            member = member_config(config, ways)
             assert_member_matches(
-                first.result_for(ways), cold.result_for(ways), f"{ways}-way"
+                first.result_for(member), cold.result_for(member), f"{ways}-way"
             )
 
     def test_upstream_stats_are_private_copies(self):
         trace = SyntheticWorkload(seed=334).trace(4_000)
         config = two_level()
         first = run_stackdist_grid(trace, config)
-        first.result_for(1).level_stats[0].reads += 999
+        first.result_for(config).level_stats[0].reads += 999
         second = run_stackdist_grid(trace, config)
-        assert second.result_for(1).level_stats[0].reads != (
-            first.result_for(1).level_stats[0].reads
+        assert second.result_for(config).level_stats[0].reads != (
+            first.result_for(config).level_stats[0].reads
         )
 
     def test_block_shrink_across_levels_rejected(self):
