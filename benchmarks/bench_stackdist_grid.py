@@ -8,10 +8,11 @@ x 1/2/4/8/16 ways over the standard trace suite) two ways:
   sweep paid before the stack-distance planner.
 * **stackdist path**: :func:`repro.core.sweep.sweep_functional` with the
   grid planner on and a cold memo cache.  Cells sharing a deepest-level
-  set count ride one stack-distance pass (Mattson's inclusion property);
-  on this grid's diagonals that collapses 30 simulations per trace into
-  8 multi-member passes, and the two extreme corners ride solo passes
-  because their L1 front replay is shared with the rest of the grid.
+  set count ride one stack (Mattson's inclusion property), and the set
+  counts of one front share one sets x ways pass with a stack per set
+  count; on this grid that collapses 30 simulations per trace into one
+  pass over the ten diagonals, and the direct-mapped 512 KB corner, a
+  lone direct-mapped cell, runs on the fast path.
 
 Both paths must produce identical counts on every cell (the fast path is
 itself count-identical to the reference ``FunctionalSimulator`` --
@@ -23,7 +24,15 @@ The set-count row times Figure-3-shaped direct-mapped cells -- the base
 machine's L2 and its solo twin over the CPU stream, 4 KB-4 MB each --
 per cell on the fast path against one direct-mapped set-count pass per
 trace and shape (:func:`repro.sim.stackdist.run_stackdist_grid` with the
-member set counts), with identical counts on every cell.  A ``BENCH`` summary line goes to stdout for CI job
+member set counts), with identical counts on every cell.
+
+The sets x ways row times Figure-5-1-shaped cells -- the base machine
+with a 4 KB L1, every L2 size of the sweep at one and two ways -- as one
+width-16 pass per deepest set count against one pass with a stack per
+set count, each replaying only its direct-mapped misses, found for
+every member by one set refinement
+(:func:`repro.sim.stackdist.run_stackdist_grid` on the ways axis with
+the member set counts), with identical counts on every cell.  A ``BENCH`` summary line goes to stdout for CI job
 summaries, and the headline numbers land in ``results/BENCH.json`` via
 :mod:`benchjson`.
 """
@@ -32,12 +41,14 @@ import sys
 
 import benchjson
 
+from repro.audit import manifest
 from repro.core import clock, sweep
 from repro.core.sweep import sweep_functional
 from repro.experiments.base import ExperimentReport
-from repro.experiments.baseline import base_machine
+from repro.experiments.baseline import base_machine, l2_sweep_sizes
 from repro.experiments.render import format_size
 from repro.sim import memo, stackdist
+from repro.sim.stackdist import STACK_ASSOCIATIVITIES as STACK_WAYS
 from repro.sim.fast import FastFunctionalSimulator, clear_front_cache
 from repro.sim.functional import FunctionalSimulator
 from repro.trace.record import Trace
@@ -53,6 +64,11 @@ SET_SIZES = [1, 2, 4, 8, 16]
 #: serves every size of the base machine's L2, and another every size
 #: of its solo twin.
 DM_SIZES = [(4 * KB) << i for i in range(11)]
+
+#: The Figure 5-1 plane: a 4 KB L1, every L2 size of the sweep at one
+#: and two ways -- the set counts one sets x ways pass serves.
+PLANE_SIZES = l2_sweep_sizes(minimum=8 * KB)
+PLANE_WAYS = (1, 2)
 
 #: Records of the reference-simulator spot check (the event-driven
 #: reference is ~3 orders slower, so it sees a truncated trace).
@@ -136,6 +152,57 @@ def _set_count_row(traces):
     return min(cell_times), min(pass_times), identical, cells, len(per_cell)
 
 
+def _plane_row(traces):
+    """One width-16 pass per set count against one sets x ways pass per
+    trace: ``(per-set-count s, one-pass s, identical, set counts)``, each
+    leg its best of :data:`ROUNDS` alternating rounds."""
+    config = base_machine(l1_size=4 * KB)
+    set_counts = sorted({
+        config.with_level(1, size_bytes=size, associativity=ways)
+        .levels[-1].geometry().sets
+        for size in PLANE_SIZES
+        for ways in PLANE_WAYS
+    })
+    per_count, grouped = {}, {}
+
+    def count_leg():
+        clear_front_cache()
+        watch = clock.Stopwatch()
+        for trace in traces:
+            per_count[trace.name] = [
+                member
+                for sets in set_counts
+                for member in stackdist.run_stackdist_grid(
+                    trace, stackdist.member_config(config, 1, sets), (), stackdist.WAYS
+                ).results
+            ]
+        return watch.elapsed_s()
+
+    def pass_leg():
+        clear_front_cache()
+        watch = clock.Stopwatch()
+        for trace in traces:
+            grouped[trace.name] = stackdist.run_stackdist_grid(
+                trace, config, set_counts, stackdist.WAYS
+            ).results
+        return watch.elapsed_s()
+
+    count_times, pass_times = [], []
+    for rnd in range(ROUNDS):
+        legs = (pass_leg, count_leg) if rnd % 2 else (count_leg, pass_leg)
+        for leg in legs:
+            (count_times if leg is count_leg else pass_times).append(leg())
+    identical = per_count.keys() == grouped.keys() and all(
+        len(grouped[name]) == len(members)
+        and all(
+            new.config == old.config and _counts(new) == _counts(old)
+            for new, old in zip(grouped[name], members)
+        )
+        for name, members in per_count.items()
+    )
+    return min(count_times), min(pass_times), identical, set_counts
+
+
 def _reference_spot_check(trace):
     """stackdist members vs the reference simulator on a truncated trace."""
     short = Trace(
@@ -168,14 +235,20 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
             ]
         return watch.elapsed_s()
 
+    planned = {}
+
     def stack_leg():
         memo.clear_memo_cache()
         clear_front_cache()
         watch = clock.Stopwatch()
-        rows = sweep_functional(
-            traces, [config for _, _, config in grid], workers=1
-        )
-        return watch.elapsed_s(), rows
+        with manifest.recording("bench-stackdist") as run:
+            rows = sweep_functional(
+                traces, [config for _, _, config in grid], workers=1
+            )
+        elapsed = watch.elapsed_s()
+        (note,) = run.sweeps
+        planned.update(groups=note.stackdist_groups, simulated=note.simulated)
+        return elapsed, rows
 
     fast_times, stack_times = [], []
     stack_rows = None
@@ -202,19 +275,25 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         _set_count_row(traces)
     )
     dm_speedup = dm_cell_total / dm_pass_total if dm_pass_total else float("inf")
+    plane_count_total, plane_pass_total, plane_identical, plane_sets = (
+        _plane_row(traces)
+    )
+    plane_speedup = (
+        plane_count_total / plane_pass_total if plane_pass_total else float("inf")
+    )
     full_scale = records >= len(traces) * 200_000
 
     headers = ["path", "wall (s)", "trace passes / trace"]
     cells = len(grid)
-    # 8 multi-member diagonals of the 6 x 5 grid plus the two extreme
-    # corners, which ride solo passes on the shared L1 front replay.
-    groups = 10
+    groups = planned["groups"] // len(traces)
+    singles = planned["simulated"] // len(traces)
     rows = [
         ["fast path (per cell)", f"{fast_total:.2f}", str(cells)],
         [
-            "stackdist (per set count)",
+            "stackdist (sweep planner)",
             f"{stack_total:.2f}",
-            f"{groups} stack passes",
+            f"{groups} stack pass{'es' if groups != 1 else ''}"
+            + (f" + {singles} per cell" if singles else ""),
         ],
         [
             "direct-mapped L2 axis, per cell",
@@ -226,6 +305,16 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
             f"{dm_pass_total:.2f}",
             f"{dm_passes // len(traces)} set-count passes",
         ],
+        [
+            "sets x ways plane, per set count",
+            f"{plane_count_total:.2f}",
+            f"{len(plane_sets)} stack passes",
+        ],
+        [
+            "sets x ways plane, one pass",
+            f"{plane_pass_total:.2f}",
+            "1 stack pass",
+        ],
     ]
 
     checks = {
@@ -236,6 +325,9 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         "set-count pass counts identical to the fast path on every cell":
             dm_identical,
         "set-count pass faster than per-cell fast path": dm_speedup > 1.0,
+        "sets x ways pass counts identical to per-set-count passes on every cell":
+            plane_identical,
+        "sets x ways pass faster than one pass per set count": plane_speedup > 1.0,
     }
     if full_scale:
         checks["speedup >= 5x at full 250k-record scale"] = speedup >= 5.0
@@ -253,8 +345,16 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         f"{format_size(DM_SIZES[0])}-{format_size(DM_SIZES[-1])}, base-machine "
         f"and solo L2, best of {ROUNDS})"
     )
+    plane_line = (
+        f"BENCH stackdist-plane: per set count {plane_count_total:.2f}s "
+        f"one pass {plane_pass_total:.2f}s speedup {plane_speedup:.1f}x "
+        f"({len(plane_sets)} set counts {plane_sets[0]}-{plane_sets[-1]} x "
+        f"{len(STACK_WAYS)} associativities x {len(traces)} traces, 4KB L1, "
+        f"best of {ROUNDS})"
+    )
     print(bench_line, file=sys.__stdout__, flush=True)
     print(dm_line, file=sys.__stdout__, flush=True)
+    print(plane_line, file=sys.__stdout__, flush=True)
     benchjson.note(
         "stackdist-grid", records, stack_total, speedup=speedup,
         baseline_wall_s=round(fast_total, 4), configs=cells,
@@ -265,12 +365,19 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         baseline_wall_s=round(dm_cell_total, 4), configs=dm_cells // len(traces),
         traces=len(traces), parity=bool(dm_identical),
     )
+    benchjson.note(
+        "stackdist-plane", records, plane_pass_total, speedup=plane_speedup,
+        baseline_wall_s=round(plane_count_total, 4),
+        configs=len(plane_sets) * len(STACK_WAYS), traces=len(traces),
+        parity=bool(plane_identical),
+    )
 
     report = ExperimentReport(
         experiment_id="BENCH-STACKDIST",
         title=(
             "Grid engine vs per-cell fast path (Figure-5-shaped size x "
-            "associativity grid; Figure-3-shaped direct-mapped size axis)"
+            "associativity grid; Figure-3-shaped direct-mapped size axis; "
+            "Figure-5-1-shaped sets x ways plane)"
         ),
         headers=headers,
         rows=rows,
@@ -278,10 +385,12 @@ def test_stackdist_grid_speedup(traces, emit, monkeypatch):
         notes=[
             bench_line,
             dm_line,
+            plane_line,
             f"{format_size(min(L2_SIZES))}-{format_size(max(L2_SIZES))} x "
             f"set sizes {SET_SIZES}: diagonals of constant size/ways share "
-            f"a set count, so one LRU stack pass derives every member "
-            f"associativity exactly (Mattson inclusion).",
+            f"a set count, so one LRU stack derives every member "
+            f"associativity exactly (Mattson inclusion), and one pass with "
+            f"a stack per set count serves every diagonal (set refinement).",
         ],
     )
     emit(report)

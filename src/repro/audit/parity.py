@@ -15,7 +15,7 @@ first diverging counter, or returns quietly.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.audit.invariants import AuditError
 from repro.sim import memo
@@ -115,15 +115,20 @@ def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
 
 
 def check_stackdist_vs_reference(
-    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
+    trace: Trace,
+    config: SystemConfig,
+    set_counts: Sequence[int] = (),
+    axis: Optional[str] = None,
 ) -> None:
-    """Every member of a grid pass -- ``config``'s associativity axis, or
-    with ``set_counts`` its set-count axis -- must be count-identical to
-    the reference on its member configuration (no-op when the config is
-    outside the stack-distance path)."""
+    """Every member of a grid pass -- ``config``'s associativity axis at
+    each of ``set_counts``, or its direct-mapped set-count axis (see
+    :func:`~repro.sim.stackdist.run_stackdist_grid` for ``axis``) --
+    must be count-identical to the reference on its member
+    configuration (no-op when the config is outside the stack-distance
+    path)."""
     if not stackdist_eligible(config):
         return
-    for derived in run_stackdist_grid(trace, config, set_counts).results:
+    for derived in run_stackdist_grid(trace, config, set_counts, axis).results:
         deepest = derived.config.levels[-1]
         reference = FunctionalSimulator(derived.config).run(trace)
         assert_counts_equal(

@@ -12,8 +12,9 @@ workload and reports PASS/FAIL per check:
   write-allocate write-through L1, and the sparse walk (the inclusive
   two- and three-level rows and the non-allocating write-through L1);
 * stack-distance grid (every member associativity) vs reference parity,
-  and the direct-mapped set-count grid (every member set count of a solo
-  and of a two-level group) likewise;
+  the direct-mapped set-count grid (every member set count of a solo
+  and of a two-level group) likewise, and a sets x ways group (every
+  associativity at each of three set counts, one pass) likewise;
 * event-sparse vs per-record timing parity, a write-through L1 included;
 * per-record timing counts vs the reference functional simulator;
 * memoised vs direct parity;
@@ -52,6 +53,7 @@ from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import run_functional
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.stackdist import WAYS
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -122,6 +124,13 @@ def _set_count_groups() -> List[Tuple[SystemConfig, Tuple[int, ...]]]:
     ]
 
 
+def _plane_group() -> Tuple[SystemConfig, Tuple[int, ...]]:
+    """A sets x ways group: a base-machine-shaped L2 behind a split L1,
+    every associativity at three set counts from one width-16 pass."""
+    config, _ = _set_count_groups()[1]
+    return config, (64, 256, 1024)
+
+
 def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]:
     checks: List[Tuple[str, Callable[[], None]]] = []
     grid = _grid()
@@ -159,6 +168,12 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
             for trace in traces:
                 check_stackdist_vs_reference(trace, config, set_counts)
     checks.append(("dmgrid-vs-reference", dmgrid_parity))
+
+    def plane_parity():
+        config, set_counts = _plane_group()
+        for trace in traces:
+            check_stackdist_vs_reference(trace, config, set_counts, WAYS)
+    checks.append(("plane-vs-reference", plane_parity))
 
     def timing_parity():
         for _, config in grid:

@@ -76,6 +76,7 @@ from repro.sim.fast import front_projection, run_functional
 from repro.sim.functional import FunctionalResult, functional_result
 from repro.sim.stackdist import (
     SETS,
+    WAYS,
     StackdistGridResult,
     grid_projection,
     run_stackdist_grid,
@@ -240,9 +241,12 @@ def _run_timing_cell(traces: Sequence[Trace], cell: Cell) -> TimingResult:
 
 
 def _run_stackdist_cell(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
-    """One single-pass grid group: every member associativity, or every
-    member set count, at once."""
-    return run_stackdist_grid(traces[cell.trace_index], cell.config, cell.set_counts)
+    """One single-pass grid group: every member associativity at each of
+    its set counts, or every member set count of a direct-mapped level,
+    at once."""
+    return run_stackdist_grid(
+        traces[cell.trace_index], cell.config, cell.set_counts, cell.axis
+    )
 
 
 def _plan_stackdist(
@@ -256,11 +260,16 @@ def _plan_stackdist(
     :func:`grid_projection` on the ways axis (same trace, same
     deepest-level set count and policies -- they differ only in deepest
     associativity) are covered by **one** stack pass, unless the group
-    is a lone direct-mapped cell.  Those lone cells then bucket by their
-    projection on the sets axis (they differ only in deepest set count),
-    and a bucket of two or more is one pass of the direct-mapped kernel
-    whose job carries the member set counts; a lone cell on both axes
-    stays a single (:data:`_MIN_GROUP_MEMBERS`).  Returns ``(groups,
+    is a lone direct-mapped cell.  Those ways buckets that also agree on
+    everything but the deepest set count (one trace, one front, one
+    deepest block size and policy) merge into one sets x ways group: one
+    width-16 pass with a stack per member set count.  The lone
+    direct-mapped cells bucket by their projection on the sets axis
+    (they differ only in deepest set count), and a bucket of two or more
+    is one pass of the direct-mapped kernel; a lone cell on both axes
+    stays a single (:data:`_MIN_GROUP_MEMBERS`).  Every group's job
+    names its axis and carries its member set counts (none for a single
+    ways bucket, which runs at its own).  Returns ``(groups,
     group_member_keys, singles, single_keys)``; both cell lists are
     renumbered from zero because each becomes its own executor batch
     (failure reports carry batch-local cell ids).  Group order follows
@@ -274,9 +283,9 @@ def _plan_stackdist(
         if stackdist_eligible(cell.config):
             bucket = (cell.trace_index, grid_projection(cell.config))
             by_ways.setdefault(bucket, []).append(index)
-    # (members, projection, set counts) per group; set counts only on
-    # the sets axis.
-    planned: List[Tuple[List[int], Tuple, Tuple[int, ...]]] = []
+    # (members, identity, set counts, axis) per group.
+    planned: List[Tuple[List[int], Tuple, Tuple[int, ...], str]] = []
+    by_plane: dict = {}
     by_sets: dict = {}
     for (trace_index, projection), members in by_ways.items():
         config = pending[members[0]].config
@@ -284,26 +293,43 @@ def _plan_stackdist(
             bucket = (trace_index, grid_projection(config, SETS))
             by_sets.setdefault(bucket, []).append(members[0])
         else:
-            planned.append((members, projection, ()))
+            plane = (trace_index, grid_projection(config, None))
+            by_plane.setdefault(plane, []).append(
+                (config.levels[-1].geometry().sets, projection, members)
+            )
+    for (_, plane), buckets in by_plane.items():
+        if len(buckets) == 1:
+            [(_, projection, members)] = buckets
+            planned.append((members, projection, (), WAYS))
+            continue
+        buckets.sort(key=lambda bucket: bucket[0])
+        set_counts = tuple(sets for sets, _, _ in buckets)
+        planned.append((
+            [m for _, _, members in buckets for m in members],
+            (plane, WAYS, set_counts),
+            set_counts,
+            WAYS,
+        ))
     for (_, projection), members in by_sets.items():
         if len(members) >= _MIN_GROUP_MEMBERS:
             by_sets_count = sorted(
                 (pending[m].config.levels[-1].geometry().sets, m) for m in members
             )
+            set_counts = tuple(sets for sets, _ in by_sets_count)
             planned.append((
                 [m for _, m in by_sets_count],
-                projection,
-                tuple(sets for sets, _ in by_sets_count),
+                (projection, set_counts),
+                set_counts,
+                SETS,
             ))
     planned.sort(key=lambda group: min(group[0]))
 
     groups: List[Cell] = []
     group_member_keys: List[List[Tuple]] = []
     grouped = set()
-    for members, projection, set_counts in planned:
+    for members, identity, set_counts, axis in planned:
         grouped.update(members)
         first = pending[members[0]]
-        identity = (projection, set_counts) if set_counts else projection
         groups.append(
             Cell(
                 len(groups),
@@ -311,6 +337,7 @@ def _plan_stackdist(
                 first.config,
                 cell_signature("stackdist", first.trace_index, identity),
                 set_counts,
+                axis,
             )
         )
         group_member_keys.append([pending_keys[m] for m in members])
@@ -517,9 +544,9 @@ def _sweep_functional_grid(
                 pending_keys.append(key)
 
         # Plan: cells that differ only in deepest-level associativity
-        # share one stack-distance pass, lone direct-mapped cells that
-        # differ only in deepest-level set count one direct-mapped pass;
-        # everything else simulates per cell.
+        # and set count share one stack-distance pass, lone direct-mapped
+        # cells that differ only in deepest-level set count one
+        # direct-mapped pass; everything else simulates per cell.
         groups, group_member_keys, singles, single_keys = _plan_stackdist(
             pending, pending_keys, stackdist_enabled()
         )

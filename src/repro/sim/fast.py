@@ -28,7 +28,14 @@ serves from one pass:
   (a miss is stack distance ``A``), which puts the Figure 5 / Equation 3
   associativity sweeps on the fast path; at width 16 it is the
   single-pass grid of :mod:`repro.sim.stackdist`, every member
-  associativity at once -- the kernel's axis is the way count.
+  associativity at once -- the kernel's axis is the way count.  Its
+  replay (:func:`_stack_replay`) adds a member axis of set counts.  An
+  access whose set's previous access was to the same block is at
+  distance 1 and moves nothing, so each member's stack replays only its
+  direct-mapped misses, found for every member by the set refinement
+  the direct-mapped kernel runs on (:func:`_episodes`).  A hierarchy
+  level is the one-member call; the grid's sets x ways groups are the
+  many-member one.
 
 Either kernel sees only the head of each run of consecutive accesses to
 one block (:func:`_run_heads`), its write flag OR-ed over the run: the
@@ -214,6 +221,57 @@ def _new_state(sets: int, width: int) -> State:
     )
 
 
+def _episodes(
+    blocks: np.ndarray, reach: Optional[np.ndarray], set_counts: Sequence[int]
+) -> Iterator[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """The direct-mapped residency episodes of one stream at every member
+    set count of ``set_counts`` (ascending powers of two).
+
+    One stable sort groups the accesses by the smallest member's set
+    index.  A larger member's set index adds higher bits, and a stable
+    partition on each added bit turns one member's set order into the
+    next's (least-significant-digit radix sort).  Within a member an
+    access opens an episode -- a direct-mapped miss -- iff the previous
+    access in its set order is another block (or in another set); the
+    rest of an episode re-touches its block with nothing of its set in
+    between, in every larger member too, so each member refines only
+    the previous member's episode openers.
+
+    Yields, per member, ``(order, blocks, reach)`` of its episodes in its
+    set order: the stream positions of their opening accesses, their
+    blocks, and per episode the minimum of ``reach`` over its accesses
+    (``None`` without ``reach``).
+    """
+    low = set_counts[0]
+    # Stable sort by the smallest member's set: within a set, accesses
+    # stay in time order.  ``order`` maps the set-ordered stream back to
+    # stream positions.
+    order = _stable_argsort(blocks & (low - 1), low)
+    sorted_blocks = blocks[order]
+    sorted_reach = None if reach is None else reach[order]
+    for sets in set_counts:
+        while low < sets:
+            # Refine the set order by the next index bit.
+            split = np.argsort((sorted_blocks & low) != 0, kind="stable")
+            order = order[split]
+            sorted_blocks = sorted_blocks[split]
+            if sorted_reach is not None:
+                sorted_reach = sorted_reach[split]
+            low <<= 1
+        # Equal blocks share a set, so an access whose predecessor in set
+        # order is the same block continues that block's episode.  A set
+        # change always opens one, so episodes are contiguous runs in set
+        # order and one segmented reduction covers each.
+        same = np.zeros(len(sorted_blocks), dtype=bool)
+        np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
+        opening = np.flatnonzero(~same)
+        if sorted_reach is not None:
+            sorted_reach = np.minimum.reduceat(sorted_reach, opening)
+        order = order[opening]
+        sorted_blocks = sorted_blocks[opening]
+        yield order, sorted_blocks, sorted_reach
+
+
 def _simulate_dm_level(
     blocks: np.ndarray,
     is_write: np.ndarray,
@@ -230,16 +288,13 @@ def _simulate_dm_level(
     make room for same-record ordering).  ``set_counts`` are ascending
     powers of two, the members; a hierarchy level is the one-member case.
 
-    One stable sort groups the accesses by the smallest member's set
-    index.  A larger member's set index adds higher bits, and a stable
-    partition on each added bit turns one member's set order into the
-    next's (least-significant-digit radix sort), so every member reads
-    its set order off the same pass.  Within a member an access hits iff
-    the previous access in its set order is the same block.  An
-    episode's accesses after its miss hit in every larger member too (no
-    access to their set comes between them), so each member passes on
-    only its episodes -- their misses, with each episode's dirt -- and
-    the larger members sort and scan fewer accesses.
+    Every member reads its set order off one sort (:func:`_episodes`):
+    within a member an access hits iff the previous access in its set
+    order is the same block, and the members' misses open its residency
+    episodes.  An episode's accesses after its miss hit in every larger
+    member too, so each member passes on only its episodes -- their
+    misses, with each episode's dirt -- and the larger members sort and
+    scan fewer accesses.
 
     ``states`` carries the members between chunks of a streamed replay:
     per member a width-1 :func:`_new_state` holding each set's resident
@@ -269,8 +324,10 @@ def _simulate_dm_level(
             yield np.zeros(0, dtype=bool), empty, empty
         return
     # Per access, the first member whose copy it dirties: every member
-    # for a write, none for a read.
-    reach = np.where(is_write, 0, members).astype(np.int8)
+    # for a write, none for a read.  A read-only stream with nothing
+    # carried dirties no member, so it tracks no dirt at all.
+    tracked = states is not None or bool(is_write.any())
+    reach = (~is_write).view(np.int8) * np.int8(members) if tracked else None
     low = set_counts[0]
     carried = 0
     if states is not None:
@@ -296,42 +353,18 @@ def _simulate_dm_level(
             [np.full(carried, -1, dtype=np.int64), order_keys]
         )
         n += carried
-    # Stable sort by the smallest member's set: within a set, accesses
-    # stay in time order.  ``order`` maps the set-ordered stream back to
-    # stream positions.
-    order = _stable_argsort(blocks & (low - 1), low)
-    sorted_blocks = blocks[order]
-    sorted_reach = reach[order]
-    for member, sets in enumerate(set_counts):
-        while low < sets:
-            # Refine the set order by the next index bit.
-            split = np.argsort((sorted_blocks & low) != 0, kind="stable")
-            order = order[split]
-            sorted_blocks = sorted_blocks[split]
-            sorted_reach = sorted_reach[split]
-            low <<= 1
-        # An access hits iff the previous access in set order was to the
-        # same block (equal blocks share a set, so that access was in
-        # this set).
-        same = np.zeros(len(sorted_blocks), dtype=bool)
-        np.equal(sorted_blocks[1:], sorted_blocks[:-1], out=same[1:])
-        miss_positions = np.flatnonzero(~same)
-        # Residency episodes: one per miss; an episode covers the accesses
-        # from its miss up to (not including) the next miss in the same
-        # set.  A set change always misses, so episodes are contiguous
-        # runs in set order and one segmented reduction gives each one's
-        # first dirtying member.
-        sorted_reach = np.minimum.reduceat(sorted_reach, miss_positions)
-        # The rest of an episode re-touches its block with nothing of its
-        # set in between, in every larger member too: the larger members
-        # read only the episodes, each standing for its accesses.
-        order = order[miss_positions]
-        sorted_blocks = sorted_blocks[miss_positions]
+    episodes = _episodes(blocks, reach, set_counts)
+    for member, (sets, (order, sorted_blocks, sorted_reach)) in enumerate(
+        zip(set_counts, episodes)
+    ):
+        if tracked:
+            dirty = sorted_reach <= member
+        else:
+            dirty = np.zeros(len(order), dtype=bool)
         miss_sets = sorted_blocks & (sets - 1)
-        dirty = sorted_reach <= member
         # Episode e is evicted by the next miss iff that miss lands in the
         # same set; otherwise it is its set's final episode.
-        evicted = np.zeros(len(miss_positions), dtype=bool)
+        evicted = np.zeros(len(order), dtype=bool)
         np.equal(miss_sets[1:], miss_sets[:-1], out=evicted[:-1])
         victims = np.flatnonzero(dirty & evicted)
         # The writeback happens when the *next* episode's miss occurs.
@@ -617,40 +650,88 @@ def _run_heads(blocks: np.ndarray, is_write: np.ndarray) -> Tuple[np.ndarray, np
     head[0] = True
     np.not_equal(blocks[1:], blocks[:-1], out=head[1:])
     heads = np.flatnonzero(head)
-    return heads, np.logical_or.reduceat(is_write, heads)
+    if not is_write.any():
+        # A read-only stream (every I-side one) has nothing to OR.
+        return heads, np.zeros(len(heads), dtype=bool)
+    # A run writes iff the writes before its end outnumber those before
+    # its head (half the cost of an OR-``reduceat``).
+    written = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(is_write, out=written[1:])
+    return heads, written[np.append(heads[1:], n)] > written[heads]
 
 
 def _stack_replay(
     blocks: np.ndarray,
     is_write: np.ndarray,
-    sets: int,
+    set_counts: Sequence[int],
     width: int,
-    state: Optional[State] = None,
+    states: Optional[Sequence[State]] = None,
     cut: Optional[int] = None,
     victims: bool = False,
-) -> Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]:
-    """One width-``width`` LRU stack replay: :func:`_stack_pass` over the
-    heads of the stream's same-block runs (:func:`_run_heads`), then
-    :func:`_stack_dirt`, expanded back to every access.
+) -> Iterator[
+    Tuple[np.ndarray, Optional[Tuple[np.ndarray, np.ndarray]], Optional[np.ndarray]]
+]:
+    """Width-``width`` LRU stack replays of one stream, one per member
+    set count of ``set_counts`` (ascending powers of two): per member,
+    :func:`_stack_pass` then :func:`_stack_dirt`, expanded back to every
+    access.  A hierarchy level is the one-member call.
 
-    Returns ``(dist, dirty_victims, writebacks)`` as those two define
-    them, with indices -- the victims' evicting accesses and ``cut`` --
-    into ``blocks``; the rest of a run has distance 0.
+    An access whose set's previous access was to the same block is at
+    the top of its stack (distance 1) and moves nothing, so a member's
+    stack replays only its direct-mapped misses: the accesses that open
+    a residency episode (:func:`_episodes`), each carrying the OR of its
+    episode's writes.  Bit selection makes the members inclusive at
+    every width (Hill & Smith's set refinement): each set of a member
+    splits into sets of the next, an episode of a larger member is a
+    run of a smaller member's, and each member's episodes are found by
+    refining only the previous member's.  A stream's same-block runs
+    (:func:`_run_heads`) are episodes at every set count, so the
+    refinement starts from their heads.  Every set's first access in a
+    chunk opens an episode, so a write is never lost to an episode a
+    carried state opened in an earlier chunk.  The ``cut`` is remapped
+    into each member's input; the rest of an episode is a distance-1
+    hit in the expanded distances.
+
+    ``states`` carries one ``(tags, reach)`` per member between chunks.
+    Yields, per member in order, ``(dist, dirty_victims, writebacks)``
+    as those two define them, with indices -- the victims' evicting
+    accesses and ``cut`` -- into ``blocks``; a member's outputs are
+    built as the caller takes them, and a caller takes every member.
     """
     heads, head_writes = _run_heads(blocks, is_write)
     head_blocks = blocks[heads]
-    head_dist, start = _stack_pass(
-        head_blocks, sets, width, None if state is None else state[0]
-    )
-    dirty, writebacks = _stack_dirt(
-        head_blocks, head_writes, head_dist, sets, width, state, start,
-        None if cut is None else int(np.searchsorted(heads, cut)), victims,
-    )
-    dist = np.zeros(len(blocks), dtype=np.int8)
-    dist[heads] = head_dist
-    if dirty is not None:
-        dirty = (dirty[0], heads[dirty[1]])
-    return dist, dirty, writebacks
+    head_cut = None if cut is None else int(np.searchsorted(heads, cut))
+    # Per head, 0 for a write and 1 for a read: an episode writes iff
+    # its minimum is 0.
+    reach = (~head_writes).view(np.int8) if head_writes.any() else None
+    episodes = _episodes(head_blocks, reach, set_counts)
+    for member, (sets, (order, _, episode_reach)) in enumerate(
+        zip(set_counts, episodes)
+    ):
+        # The member's input: its episodes' opening heads, in time order.
+        opening = np.zeros(len(heads), dtype=bool)
+        opening[order] = True
+        kept = np.flatnonzero(opening)
+        member_blocks = head_blocks[kept]
+        member_writes = np.zeros(len(heads), dtype=bool)
+        if episode_reach is not None:
+            member_writes[order] = episode_reach == 0
+        member_writes = member_writes[kept]
+        state = None if states is None else states[member]
+        member_dist, start = _stack_pass(
+            member_blocks, sets, width, None if state is None else state[0]
+        )
+        dirty, writebacks = _stack_dirt(
+            member_blocks, member_writes, member_dist, sets, width, state, start,
+            None if head_cut is None else int(np.searchsorted(kept, head_cut)),
+            victims,
+        )
+        at = heads[kept]
+        dist = np.zeros(len(blocks), dtype=np.int8)
+        dist[at] = member_dist
+        if dirty is not None:
+            dirty = (dirty[0], at[dirty[1]])
+        yield dist, dirty, writebacks
 
 
 def _simulate_level(
@@ -668,8 +749,9 @@ def _simulate_level(
     :func:`_simulate_dm_level`.
     """
     if associativity > 1:
-        dist, dirty, _ = _stack_replay(
-            blocks, is_write, sets, associativity, state, victims=True
+        [(dist, dirty, _)] = _stack_replay(
+            blocks, is_write, (sets,), associativity,
+            None if state is None else [state], victims=True,
         )
         assert dirty is not None
         return dist == associativity, dirty[0], order_keys[dirty[1]]
@@ -751,13 +833,15 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
     """
     kinds = trace.kinds
     is_write = kinds == WRITE
-    addresses = trace.addresses.astype(np.int64)
+    # Same bits as ``astype(np.int64)`` without the copy: addresses are
+    # ``uint64``, and :func:`trace_eligible` keeps them below 2**63.
+    addresses = trace.addresses.view(np.int64)
     if not split:
         return [
             (
                 addresses,
                 is_write,
-                np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
+                _buckets(is_write),
                 np.arange(key_offset, key_offset + len(trace), dtype=np.int64),
             )
         ]
@@ -773,15 +857,23 @@ def _cpu_streams(trace: Trace, split: bool, key_offset: int) -> List[Stream]:
             addresses[ifetch],
             np.zeros(len(ifetch), dtype=bool),
             np.full(len(ifetch), _BUCKET_READ, dtype=np.int8),
-            ifetch + key_offset,
+            ifetch + key_offset if key_offset else ifetch,
         ),
         (
             addresses[data],
             data_write,
-            np.where(data_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
-            data + key_offset,
+            _buckets(data_write),
+            data + key_offset if key_offset else data,
         ),
     ]
+
+
+def _buckets(is_write: np.ndarray) -> np.ndarray:
+    """The statistics bucket of each CPU access, built as ``int8``: the
+    bucket codes are a write's flag (:data:`BUCKET_NAMES` puts ``read``
+    at 0 and ``write`` at 1), and a cast costs a hundredth of a
+    ``np.where``."""
+    return is_write.astype(np.int8)
 
 
 def memory_traffic(stats: CacheStats) -> Tuple[int, int]:
@@ -836,17 +928,15 @@ class _Front:
         self.bits = log2_int(config.levels[levels - 1].block_bytes) if levels else 0
         #: Streams yielded per chunk: two only for a split, unreplayed L1.
         self.sides = 2 if levels == 0 and config.levels[0].split else 1
+        # Cold carried level states; a one-chunk replay carries none.
         self._states = [
             [
-                self.new_state(level.geometry().sets, level.associativity)
+                _new_state(level.geometry().sets, level.associativity)
+                if self.chunked else None
                 for _ in range(2 if level.split and index == 0 else 1)
             ]
             for index, level in enumerate(config.levels[:levels])
         ]
-
-    def new_state(self, sets: int, width: int) -> Optional[State]:
-        """A cold carried level state, or ``None`` for a one-chunk replay."""
-        return _new_state(sets, width) if self.chunked else None
 
     def streams(
         self, trail: Optional[List[Tuple]] = None, span: str = "fast.chunk"

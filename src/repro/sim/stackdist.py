@@ -1,10 +1,11 @@
-"""Single-pass simulation of the associativity and set-count axes.
+"""Single-pass simulation of the deepest level's sets x ways plane.
 
 The paper's dense grids (Figures 3-5, Equations 1-3) sweep cache size and
 set size together, and even the vectorised fast path pays one full trace
 replay per grid cell.  Inclusion makes most of that redundant, along
-either of two axes of the deepest level; one pass serves a **group** of
-cells that differ only along one of them.
+both axes of the deepest level: its associativity and its set count.
+One pass serves a **group** of cells that differ only in those two --
+the whole (set count x associativity) plane of one front.
 
 **The ways axis.**  Mattson's inclusion property for LRU: at a fixed
 (set count, block size), the content of an A-way set-associative cache
@@ -41,13 +42,32 @@ its own width; a chunk boundary carries the stack's tags and each
 entry's derived reach.
 
 **The sets axis.**  Set refinement by bit selection (Hill & Smith,
-1989): direct-mapped caches of ``S`` and ``2S`` sets index by the low
-bits of the block number, so each set of the smaller splits into two of
-the larger, and the smaller cache's content is always a subset of the
-larger's.  Sorting the stream stably by the smallest member's set index
-and then partitioning stably on each further index bit gives every
-member its own set order from one pass, and in each an access hits iff
-the previous access in its set order is the same block.  The pass is
+1989): caches of ``S`` and ``2S`` sets index by the low bits of the
+block number, so each set of the smaller splits into two of the larger,
+and at any associativity the smaller LRU cache's content is a subset of
+the larger's.  So the ways axis takes a member list of set counts: one
+width-16 stack per set count, in one pass.  An access whose set's
+previous access was to the same block sits at distance 1 and moves
+nothing, so each member's stack replays only its direct-mapped misses --
+the accesses that open a residency episode, each carrying its episode's
+writes -- and counts the rest as distance-1 hits; the warmup cut is
+remapped into each member's input.  An episode of a larger member is a
+run of a smaller member's, so one stable sort by the smallest member's
+set and one stable partition per further index bit find every member's
+episodes, each member refining only the previous member's (the
+direct-mapped kernel below reads its misses off the same refinement).
+On the F5-1 plane of one front the members' inputs shrink from 18k to
+5.5k of the stream's 28.5k run heads, and ten set counts cost about
+two fifths of ten full passes.  A chunk boundary carries one ``(tags,
+reach)`` per member; every set's first access in a chunk opens an
+episode, so an episode opened in an earlier chunk keeps its writes.
+
+A direct-mapped deepest level left alone on its ways axis has a kernel
+of its own along the sets axis.  Sorting the stream stably by the
+smallest member's set index and then partitioning stably on each
+further index bit gives every member its own set order from one pass,
+and in each an access hits iff the previous access in its set order is
+the same block.  The pass is
 the fast path's direct-mapped kernel
 (:func:`repro.sim.fast._simulate_dm_level`) with one member per
 requested set count -- the one-member call is every direct-mapped level
@@ -57,7 +77,7 @@ carries each member's resident blocks.  It serves the direct-mapped
 cells a sweep leaves alone on the ways axis: the paper's L2 size axis,
 and its solo twin over the CPU stream.
 
-Both passes are fed by the fast path's replay driver
+Every pass is fed by the fast path's replay driver
 (:class:`repro.sim.fast._Front`), whole or chunked.  Consecutive
 accesses to one block are collapsed into the first before either kernel
 runs: the rest are distance-1 hits at every width and set count.  Scope:
@@ -114,9 +134,10 @@ STACK_ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 #: Stack width -- one column per way of the widest derived cache.
 _WIDTH = MAX_FAST_ASSOCIATIVITY
 
-#: The two axes a pass serves: every associativity at one deepest-level
-#: set count (the width-16 stack pass), or every requested set count of
-#: a direct-mapped deepest level (the direct-mapped kernel's members).
+#: The two axes a pass names: every associativity at each of its member
+#: set counts (the width-16 stack pass, a stack per set count), or every
+#: member set count of a direct-mapped deepest level (the direct-mapped
+#: kernel's members).
 WAYS, SETS = "ways", "sets"
 
 
@@ -139,20 +160,27 @@ def stackdist_eligible(config: SystemConfig) -> bool:
     return deepest.replacement == "lru" or deepest.associativity == 1
 
 
-def grid_projection(config: SystemConfig, axis: str = WAYS) -> Tuple:
+def grid_projection(config: SystemConfig, axis: Optional[str] = WAYS) -> Tuple:
     """The identity of a configuration's single-pass group on ``axis``.
 
     Two eligible configurations with equal grid projections differ at
     most in the deepest level's associativity (:data:`WAYS`) or set
     count (:data:`SETS`), and the total size that scales with it, so one
-    pass serves both.
+    pass serves both.  With ``axis`` ``None`` they may differ in both:
+    the sets x ways plane one pass with a stack per set count serves.
     """
     deepest = config.levels[-1]
+    if axis == WAYS:
+        along: Tuple = (deepest.geometry().sets,)
+    elif axis == SETS:
+        along = (deepest.associativity,)
+    else:
+        along = ()
     return (
         config.enforce_inclusion,
         tuple(memo.level_projection(level) for level in config.levels[:-1]),
         (
-            deepest.geometry().sets if axis == WAYS else deepest.associativity,
+            *along,
             deepest.block_bytes,
             deepest.split,
             deepest.write_policy,
@@ -191,9 +219,10 @@ class StackdistGridResult:
 
     ``results`` holds one :class:`~repro.sim.functional.FunctionalResult`
     per member, keyed by its configuration, which differs from the
-    group's only in the deepest level's way count (the ways axis, in
-    :data:`STACK_ASSOCIATIVITIES` order) or set count (the sets axis,
-    ascending), and the size that scales with it.
+    group's only in the deepest level's way and set counts (the ways
+    axis: per member set count, ascending, every associativity in
+    :data:`STACK_ASSOCIATIVITIES` order) or set count alone (the sets
+    axis, ascending), and the size that scales with them.
     """
 
     results: Tuple[FunctionalResult, ...]
@@ -227,11 +256,14 @@ def _deepest_input(
 
 
 def _ways_axis(
-    trace: Trace, front: _Front
+    trace: Trace, front: _Front, set_counts: Tuple[int, ...]
 ) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
     """The width-16 stack pass over the streams ``front`` feeds the
-    deepest level: every :data:`STACK_ASSOCIATIVITIES` member's
-    configuration and deepest-level statistics, and the upstream
+    deepest level, one stack per member set count of ``set_counts``
+    (:func:`repro.sim.fast._stack_replay`, each member replaying only
+    its direct-mapped misses): every
+    :data:`STACK_ASSOCIATIVITIES` member's configuration and
+    deepest-level statistics at each set count, and the upstream
     statistics.
 
     Post-warmup accesses are histogrammed by stack distance per
@@ -240,43 +272,51 @@ def _ways_axis(
     A-way member misses the suffix from ``A`` on, and its writebacks are
     the pass's ``writebacks[A-1]``.
     """
-    deepest = front.config.levels[-1]
-    sets = deepest.geometry().sets
-    shift = log2_int(deepest.block_bytes) - front.bits
+    shift = log2_int(front.config.levels[-1].block_bytes) - front.bits
     warmup_key = trace.warmup * 4**front.levels
     upstream, chunks = _deepest_input(trace, front)
-    # A split first level is two member caches: one stack per side.
-    states = [front.new_state(sets, _WIDTH) for _ in range(front.sides)]
-    read_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    write_hist = np.zeros(_WIDTH + 1, dtype=np.int64)
-    writebacks = np.zeros(_WIDTH, dtype=np.int64)
+    # A split first level is two member caches: one stack per side and
+    # member set count.
+    states = [
+        [_new_state(sets, _WIDTH) for sets in set_counts] if front.chunked else None
+        for _ in range(front.sides)
+    ]
+    read_hist = np.zeros((len(set_counts), _WIDTH + 1), dtype=np.int64)
+    write_hist = np.zeros((len(set_counts), _WIDTH + 1), dtype=np.int64)
+    writebacks = np.zeros((len(set_counts), _WIDTH), dtype=np.int64)
     for sides in chunks:
-        for (blocks, is_write, bucket, keys), state in zip(sides, states):
-            dist, _, part_wb = _stack_replay(
-                blocks >> shift, is_write, sets, _WIDTH, state,
+        for (blocks, is_write, bucket, keys), side_states in zip(sides, states):
+            # Each access's histogram band: counted reads, counted
+            # writes, then the warmup, so one bincount per member fills
+            # both histograms.
+            band = (bucket == _BUCKET_WRITE).view(np.int8) * np.int8(_WIDTH + 1)
+            band[keys < warmup_key] = 2 * (_WIDTH + 1)
+            outcomes = _stack_replay(
+                blocks >> shift, is_write, set_counts, _WIDTH, side_states,
                 cut=int(np.searchsorted(keys, warmup_key)),
             )
-            counted = keys >= warmup_key
-            stores = bucket == _BUCKET_WRITE
-            read_hist += np.bincount(dist[counted & ~stores], minlength=_WIDTH + 1)
-            write_hist += np.bincount(dist[counted & stores], minlength=_WIDTH + 1)
-            writebacks += part_wb
+            for member, (dist, _, part_wb) in enumerate(outcomes):
+                hist = np.bincount(dist + band, minlength=3 * (_WIDTH + 1))
+                read_hist[member] += hist[: _WIDTH + 1]
+                write_hist[member] += hist[_WIDTH + 1 : 2 * (_WIDTH + 1)]
+                writebacks[member] += part_wb
 
-    reads = int(read_hist.sum())
-    writes = int(write_hist.sum())
     members = []
-    for ways in STACK_ASSOCIATIVITIES:
-        read_misses = int(read_hist[ways:].sum())
-        write_misses = int(write_hist[ways:].sum())
-        stats = CacheStats(
-            reads=reads,
-            read_misses=read_misses,
-            writes=writes,
-            write_misses=write_misses,
-            writebacks=int(writebacks[ways - 1]),
-            blocks_fetched=read_misses + write_misses,
-        )
-        members.append((member_config(front.config, ways), stats))
+    for member, sets in enumerate(set_counts):
+        reads = int(read_hist[member].sum())
+        writes = int(write_hist[member].sum())
+        for ways in STACK_ASSOCIATIVITIES:
+            read_misses = int(read_hist[member, ways:].sum())
+            write_misses = int(write_hist[member, ways:].sum())
+            stats = CacheStats(
+                reads=reads,
+                read_misses=read_misses,
+                writes=writes,
+                write_misses=write_misses,
+                writebacks=int(writebacks[member, ways - 1]),
+                blocks_fetched=read_misses + write_misses,
+            )
+            members.append((member_config(front.config, ways, sets), stats))
     return members, upstream
 
 
@@ -314,20 +354,25 @@ def _sets_axis(
 
 
 def run_stackdist_grid(
-    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
+    trace: Trace,
+    config: SystemConfig,
+    set_counts: Sequence[int] = (),
+    axis: Optional[str] = None,
 ) -> StackdistGridResult:
     """Replay ``trace`` once against one of ``config``'s grid groups.
 
-    Without ``set_counts`` the group is ``config``'s associativity axis:
-    every :data:`STACK_ASSOCIATIVITIES` member at its deepest set count,
-    from one width-16 stack pass.  With them it is its set-count axis: a
-    direct-mapped member per set count (ascending powers of two), from
-    one pass of the direct-mapped kernel.  Returns the exact functional
-    result of every member (counts identical to
-    :func:`repro.sim.fast.run_functional` on each member configuration).
-    With ``REPRO_TRACE_CHUNK`` set (and smaller than the trace), the
-    replay streams in chunks through persistent state -- same counts,
-    bounded residency.
+    On the :data:`WAYS` axis the group is every
+    :data:`STACK_ASSOCIATIVITIES` member at each of ``set_counts``
+    (ascending powers of two; by default ``config``'s deepest set count
+    alone), from one width-16 stack pass with a stack per set count.  On
+    the :data:`SETS` axis it is a direct-mapped member per set count,
+    from one pass of the direct-mapped kernel.  ``axis`` defaults to
+    :data:`SETS` with ``set_counts`` and to :data:`WAYS` without.
+    Returns the exact functional result of every member (counts
+    identical to :func:`repro.sim.fast.run_functional` on each member
+    configuration).  With ``REPRO_TRACE_CHUNK`` set (and smaller than
+    the trace), the replay streams in chunks through persistent state --
+    same counts, bounded residency.
     """
     if not stackdist_eligible(config):
         raise ValueError(
@@ -335,29 +380,40 @@ def run_stackdist_grid(
             "level must be fast-eligible LRU); use run_functional"
         )
     set_counts = tuple(set_counts)
+    if axis is None:
+        axis = SETS if set_counts else WAYS
+    if axis not in (WAYS, SETS):
+        raise ValueError(f"unknown grid axis {axis!r}; expected {WAYS!r} or {SETS!r}")
     if set_counts and (
-        config.levels[-1].associativity != 1
-        or list(set_counts) != sorted(set(set_counts))
+        list(set_counts) != sorted(set(set_counts))
         or any(sets < 1 or sets & (sets - 1) for sets in set_counts)
     ):
         raise ValueError(
-            "a set-count group is direct-mapped, with ascending distinct "
-            f"power-of-two set counts; got {set_counts}"
+            "a set-count group's member set counts are ascending distinct "
+            f"powers of two; got {set_counts}"
         )
+    if axis == SETS and (not set_counts or config.levels[-1].associativity != 1):
+        raise ValueError(
+            "a set-count group is direct-mapped, with its member set counts; "
+            f"got {config.levels[-1].associativity} ways and {set_counts}"
+        )
+    if not set_counts:
+        set_counts = (config.levels[-1].geometry().sets,)
     # Chunked accumulation is count-identical to the one-chunk pass
     # (parity tests); REPRO_TRACE_CHUNK tunes residency only.
     front = _Front(trace, config, config.depth - 1, replay_chunk_records())  # repro: noqa RPR008
     with telemetry.span(
         "stackdist.pass",
-        axis=SETS if set_counts else WAYS,
-        sets=set_counts[-1] if set_counts else config.levels[-1].geometry().sets,
+        axis=axis,
+        sets=set_counts[-1],
+        set_counts=list(set_counts),
         records=len(trace),
         chunked=front.chunked,
     ):
-        if set_counts:
+        if axis == SETS:
             members, upstream = _sets_axis(trace, front, set_counts)
         else:
-            members, upstream = _ways_axis(trace, front)
+            members, upstream = _ways_axis(trace, front, set_counts)
 
     results = []
     for member, stats in members:

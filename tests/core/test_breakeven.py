@@ -92,8 +92,8 @@ class TestBreakevenMap:
     ):
         """The warm-up sweep presents both associativities at once, so
         the diagonal pair (32 KB 4-way, 8 KB direct-mapped) shares one
-        stack-distance pass and the per-associativity grids that follow
-        are pure memo hits.
+        stack, the front's set counts share one stack-distance pass, and
+        the per-associativity grids that follow are pure memo hits.
         """
         monkeypatch.setenv("REPRO_STACKDIST", "1")
         memo.clear_memo_cache()
@@ -101,10 +101,10 @@ class TestBreakevenMap:
             breakeven_map(small_traces, base_config, SIZES, CYCLES, set_size=4)
         warm = run.sweeps[0]
         # Four requested cells per trace over three set counts: the
-        # diagonal pair rides one pass, the lone 8 KB 4-way cell rides
-        # its own, and the lone 32 KB direct-mapped cell is simulated
-        # per cell.
-        assert warm.stackdist_groups == 2 * len(small_traces)
+        # diagonal pair and the lone 8 KB 4-way cell ride one sets x ways
+        # pass (a stack per set count), and the lone 32 KB direct-mapped
+        # cell is simulated per cell.
+        assert warm.stackdist_groups == len(small_traces)
         assert warm.cells_derived == 3 * len(small_traces)
         assert warm.simulated == len(small_traces)
         # The per-associativity grids after the warm-up re-simulate

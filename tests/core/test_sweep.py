@@ -563,15 +563,25 @@ class TestStackdistPlanner:
     def test_pool_matches_serial_for_groups(
         self, small_traces, base_config, monkeypatch
     ):
-        # Two set counts x two traces = four groups, enough to engage
-        # the pool for the stackdist batch itself.
-        configs = self.grid_configs(base_config, l2_kb=64) + (
-            self.grid_configs(base_config, l2_kb=32)
-        )
+        from repro.audit import manifest
+
+        # Two fronts x two traces = four groups, each a sets x ways pass
+        # over two set counts: enough to engage the pool for the
+        # stackdist batch itself.
+        configs = [
+            config
+            for front in (base_config, base_config.with_level(0, size_bytes=8 * KB))
+            for l2_kb in (64, 32)
+            for config in self.grid_configs(front, l2_kb=l2_kb)
+        ]
         serial = sweep_functional(small_traces, configs, workers=1)
         memo.clear_memo_cache()
         clear_front_cache()
-        pooled = sweep_functional(small_traces, configs, workers=2)
+        with manifest.recording("planner-pooled") as run:
+            pooled = sweep_functional(small_traces, configs, workers=2)
+        (note,) = run.sweeps
+        assert note.stackdist_groups == 2 * len(small_traces)
+        assert note.pooled
         for row_a, row_b in zip(serial, pooled):
             for a, b in zip(row_a, row_b):
                 assert_counts_equal(a, b)
@@ -713,12 +723,12 @@ class TestSetCountPlanner:
         real = sweep.run_stackdist_grid
         failed_once = set()
 
-        def flaky(trace, config, set_counts=()):
+        def flaky(trace, config, set_counts=(), axis=None):
             # The first attempt at every set-count group fails.
             if set_counts and (trace.name, set_counts) not in failed_once:
                 failed_once.add((trace.name, set_counts))
                 raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts)
+            return real(trace, config, set_counts, axis)
 
         monkeypatch.setattr(sweep, "run_stackdist_grid", flaky)
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
@@ -734,10 +744,199 @@ class TestSetCountPlanner:
 
         # With every attempt failing and no retry left, each group is one
         # failure report, its member cells holes in a partial grid.
-        def broken(trace, config, set_counts=()):
+        def broken(trace, config, set_counts=(), axis=None):
             if set_counts:
                 raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts)
+            return real(trace, config, set_counts, axis)
+
+        memo.clear_memo_cache()
+        monkeypatch.setattr(sweep, "run_stackdist_grid", broken)
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "0")
+        failures = []
+        partial = sweep_functional(
+            small_traces, configs, workers=1, on_failure="partial",
+            failures=failures,
+        )
+        assert len(failures) == len(small_traces)
+        assert all(isinstance(f.exception, InjectedFault) for f in failures)
+        assert all(cell is None for row in partial for cell in row)
+        with pytest.raises(InjectedFault):
+            sweep_functional(small_traces, configs, workers=1)
+
+
+class TestPlanePlanner:
+    """Associativity groups on one front that differ only in deepest set
+    count merge into one sets x ways job: one width-16 pass with a stack
+    per set count.  Anything that changes the front, the deepest block
+    size or a policy keeps them apart."""
+
+    SIZES_KB = (16, 64, 256)
+
+    @staticmethod
+    def plane_configs(base_config, sizes_kb=SIZES_KB, ways=(1, 2)):
+        return [
+            base_config.with_level(1, associativity=a, size_bytes=kb * KB * a)
+            for kb in sizes_kb
+            for a in ways
+        ]
+
+    def test_ways_groups_on_one_front_merge_into_one_job(
+        self, small_traces, base_config
+    ):
+        from repro.audit import manifest
+
+        configs = self.plane_configs(base_config)
+        groups, member_keys, singles, _ = TestSetCountPlanner.plan(
+            small_traces, configs
+        )
+        assert singles == []
+        assert len(groups) == len(small_traces)
+        for group, keys in zip(groups, member_keys):
+            assert group.axis == "ways"
+            assert group.set_counts == (512, 2048, 8192)
+            assert len(keys) == len(configs)
+        clear_front_cache()
+        since = telemetry.mark()
+        with manifest.recording("planner-plane") as run:
+            grid = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.stackdist_groups == len(small_traces)
+        assert note.cells_derived == len(configs) * len(small_traces)
+        assert note.simulated == 0
+        assert telemetry.counter_deltas(since).get("front.misses", 0) == len(
+            small_traces
+        )
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert result.config is config
+                assert_counts_equal(result, run_functional(trace, config))
+
+    def test_single_bucket_stays_a_one_member_call(self, small_traces, base_config):
+        configs = self.plane_configs(base_config, sizes_kb=(64,))
+        groups, _, _, _ = TestSetCountPlanner.plan(small_traces[:1], configs)
+        assert [(g.axis, g.set_counts) for g in groups] == [("ways", ())]
+
+    def test_fronts_block_sizes_and_policies_stay_apart(
+        self, small_traces, base_config
+    ):
+        variants = [
+            base_config,
+            base_config.with_level(0, size_bytes=8 * KB),
+            base_config.with_level(0, write_policy="write-through"),
+            base_config.with_level(1, block_bytes=64),
+        ]
+        configs = [
+            config
+            for variant in variants
+            for config in self.plane_configs(variant, sizes_kb=(32, 128))
+        ]
+        (trace,) = small_traces[:1]
+        groups, member_keys, singles, _ = TestSetCountPlanner.plan([trace], configs)
+        assert singles == []
+        assert len(groups) == len(variants)
+        for index, (group, keys) in enumerate(zip(groups, member_keys)):
+            assert group.axis == "ways"
+            assert len(group.set_counts) == 2
+            assert keys == [
+                memo.memo_key(trace, c) for c in configs[4 * index: 4 * index + 4]
+            ]
+        assert len({g.signature for g in groups}) == len(groups)
+        grid = sweep_functional([trace], configs, workers=1)
+        for config, (result,) in zip(configs, grid):
+            assert_counts_equal(result, run_functional(trace, config))
+
+    def test_lone_direct_mapped_cells_keep_the_set_count_axis(
+        self, small_traces, base_config
+    ):
+        configs = self.plane_configs(base_config, sizes_kb=(64, 256)) + [
+            base_config.with_level(1, size_bytes=kb * KB) for kb in (8, 16)
+        ]
+        groups, member_keys, singles, _ = TestSetCountPlanner.plan(
+            small_traces[:1], configs
+        )
+        assert singles == []
+        assert [(g.axis, g.set_counts) for g in groups] == [
+            ("ways", (2048, 8192)), ("sets", (256, 512)),
+        ]
+        assert [len(keys) for keys in member_keys] == [4, 2]
+        grid = sweep_functional(small_traces, configs, workers=1)
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
+
+    def test_only_requested_members_are_journaled(
+        self, tmp_path, small_traces, base_config
+    ):
+        from repro.resilience.journal import journaling
+
+        # The plane derives five associativities at each of three set
+        # counts per trace; only the six requested cells land.
+        configs = self.plane_configs(base_config)
+        since = telemetry.mark()
+        with journaling(tmp_path / "j.jsonl"):
+            sweep_functional(small_traces, configs, workers=1)
+        moved = telemetry.counter_deltas(since)
+        assert moved.get("journal.records", 0) == len(configs) * len(small_traces)
+        extra = base_config.with_level(1, associativity=16, size_bytes=256 * KB * 16)
+        assert memo.peek(memo.memo_key(small_traces[0], extra)) is not None
+
+    def test_resumed_sweep_restores_identical_grids(
+        self, tmp_path, small_traces, base_config
+    ):
+        from repro.audit import manifest
+        from repro.resilience.chaos import grid_digest
+        from repro.resilience.journal import journaling
+
+        configs = self.plane_configs(base_config)
+        path = tmp_path / "j.jsonl"
+        with journaling(path):
+            first = sweep_functional(small_traces, configs, workers=1)
+        memo.clear_memo_cache()
+        clear_front_cache()
+        with manifest.recording("resume-plane") as run:
+            with journaling(path, resume=True):
+                second = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.resumed == len(configs) * len(small_traces)
+        assert note.simulated == note.stackdist_groups == 0
+        assert grid_digest(second, []) == grid_digest(first, [])
+
+    def test_injected_fault_is_retried_and_reported(
+        self, small_traces, base_config, monkeypatch
+    ):
+        from repro.audit import manifest
+        from repro.resilience.faults import InjectedFault
+
+        configs = self.plane_configs(base_config)
+        real = sweep.run_stackdist_grid
+        failed_once = set()
+
+        def flaky(trace, config, set_counts=(), axis=None):
+            # The first attempt at every sets x ways group fails.
+            if axis == "ways" and len(set_counts) > 1:
+                if (trace.name, set_counts) not in failed_once:
+                    failed_once.add((trace.name, set_counts))
+                    raise InjectedFault(f"injected into {set_counts}")
+            return real(trace, config, set_counts, axis)
+
+        monkeypatch.setattr(sweep, "run_stackdist_grid", flaky)
+        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
+        with manifest.recording("plane-retried") as run:
+            grid = sweep_functional(small_traces, configs, workers=1)
+        note = run.sweeps[0]
+        assert note.retries == len(small_traces)
+        assert note.failed == 0
+        assert note.stackdist_groups == len(small_traces)
+        for config, row in zip(configs, grid):
+            for trace, result in zip(small_traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
+
+        # With every attempt failing and no retry left, each group is one
+        # failure report, its member cells holes in a partial grid.
+        def broken(trace, config, set_counts=(), axis=None):
+            if axis == "ways" and len(set_counts) > 1:
+                raise InjectedFault(f"injected into {set_counts}")
+            return real(trace, config, set_counts, axis)
 
         memo.clear_memo_cache()
         monkeypatch.setattr(sweep, "run_stackdist_grid", broken)

@@ -21,6 +21,7 @@ from repro.sim.fast import (
     _BUCKET_WRITE,
     _CLEAN,
     _accumulate_level,
+    _buckets,
     _new_state,
     _simulate_dm_level,
     _stable_argsort,
@@ -909,8 +910,9 @@ class TestStackKernel:
     @staticmethod
     def replay(blocks, writes, keys, sets, width, warmup_key, state):
         cut = int(np.searchsorted(keys, warmup_key))
-        dist, dirty, writebacks = _stack_replay(
-            blocks, writes, sets, width, state, cut, victims=True
+        [(dist, dirty, writebacks)] = _stack_replay(
+            blocks, writes, (sets,), width, None if state is None else [state],
+            cut, victims=True,
         )
         victims = sorted(zip(keys[dirty[1]].tolist(), dirty[0].tolist()))
         return dist, victims, writebacks
@@ -965,6 +967,145 @@ class TestStackKernel:
         warmup_key = int(keys[-1] * warmup) + 1 if warmup else 0
         cuts = [1_000, 1_001, 3_777]
         self.check((blocks, writes, keys, 16, width, warmup_key, cuts))
+
+
+STACK_SET_AXIS = tuple(1 << bit for bit in range(13))
+
+
+@st.composite
+def stack_plane_cases(draw):
+    """Members drawn from 1-4096 sets, a stack width, and a short stream
+    over a block range narrow enough to fill the small members' stacks
+    and wide enough to leave the large ones sparse: reads, writes and
+    same-block repeats, a warmup key anywhere (before the first access
+    and after the last included) and chunk cuts."""
+    set_counts = sorted(
+        draw(st.sets(st.sampled_from(STACK_SET_AXIS), min_size=1, max_size=6))
+    )
+    width = draw(st.sampled_from((1, 2, 4, 16)))
+    span = draw(st.sampled_from((2, 8, 64, 512, 4096, 1 << 14)))
+    base = draw(st.sampled_from((0, 1 << 40)))
+    drawn = draw(st.lists(st.integers(0, span - 1), max_size=150))
+    repeats = draw(
+        st.lists(st.integers(0, 2), min_size=len(drawn), max_size=len(drawn))
+    )
+    blocks = [base + block for block, extra in zip(drawn, repeats) for _ in range(1 + extra)]
+    mode = draw(st.sampled_from(("mixed", "reads", "writes")))
+    if mode == "mixed":
+        writes = draw(st.lists(st.booleans(), min_size=len(blocks), max_size=len(blocks)))
+    else:
+        writes = [mode == "writes"] * len(blocks)
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(blocks), max_size=len(blocks)))
+    keys = np.cumsum(np.array(gaps, dtype=np.int64))
+    last_key = int(keys[-1]) if len(keys) else 0
+    warmup_key = draw(st.integers(0, last_key + 2))
+    cuts = sorted(draw(st.lists(st.integers(0, len(blocks)), max_size=4)))
+    return (
+        np.array(blocks, dtype=np.int64), np.array(writes, dtype=bool), keys,
+        tuple(set_counts), width, warmup_key, cuts,
+    )
+
+
+class TestStackSetAxis:
+    """One multi-member ``_stack_replay`` call -- each member replaying
+    only its direct-mapped misses, refined from the previous member's --
+    against the one-member call, run once per member, and against the
+    reach-tracking reference kernel: distances, the post-warmup distance
+    histograms per bucket, dirty victims with their evicting keys,
+    writebacks at every associativity, and the carried ``(tags, reach)``
+    per member, whole and chunked at random cuts."""
+
+    @staticmethod
+    def outcomes(blocks, writes, keys, set_counts, width, warmup_key, states):
+        cut = int(np.searchsorted(keys, warmup_key))
+        counted = keys >= warmup_key
+        found = []
+        for dist, dirty, writebacks in _stack_replay(
+            blocks, writes, set_counts, width, states, cut, victims=True
+        ):
+            histograms = [
+                np.bincount(dist[counted & side], minlength=width + 1).tolist()
+                for side in (writes, ~writes)
+            ]
+            victims = sorted(zip(keys[dirty[1]].tolist(), dirty[0].tolist()))
+            found.append((dist, histograms, victims, writebacks))
+        return found
+
+    def check_chunk(self, blocks, writes, keys, set_counts, width, warmup_key,
+                    states, expected_states, reference_states):
+        found = self.outcomes(
+            blocks, writes, keys, set_counts, width, warmup_key, states
+        )
+        assert len(found) == len(set_counts)
+        for member, (sets, got) in enumerate(zip(set_counts, found)):
+            state = None if expected_states is None else [expected_states[member]]
+            [want] = self.outcomes(
+                blocks, writes, keys, (sets,), width, warmup_key, state
+            )
+            np.testing.assert_array_equal(got[0], want[0], f"{sets} sets")
+            assert got[1:3] == want[1:3], f"{sets} sets"
+            np.testing.assert_array_equal(got[3], want[3], f"{sets} sets")
+            # The one-member call shares the episode filter, so each member
+            # also meets the reach-tracking kernel.
+            dist, victims, writebacks = TestStackKernel.reference(
+                blocks, writes, keys, sets, width, warmup_key,
+                None if reference_states is None else reference_states[member],
+            )
+            np.testing.assert_array_equal(got[0], dist, f"{sets} sets")
+            assert got[2] == victims, f"{sets} sets"
+            np.testing.assert_array_equal(got[3], writebacks, f"{sets} sets")
+            if states is not None:
+                for carried in (state[0], reference_states[member]):
+                    np.testing.assert_array_equal(states[member][0], carried[0])
+                    np.testing.assert_array_equal(states[member][1], carried[1])
+
+    def check(self, case):
+        blocks, writes, keys, set_counts, width, warmup_key, cuts = case
+        self.check_chunk(
+            blocks, writes, keys, set_counts, width, warmup_key, None, None, None
+        )
+        states, expected, reference = (
+            [_new_state(sets, width) for sets in set_counts] for _ in range(3)
+        )
+        for lo, hi in zip([0] + cuts, cuts + [len(blocks)]):
+            self.check_chunk(
+                blocks[lo:hi], writes[lo:hi], keys[lo:hi], set_counts, width,
+                warmup_key, states, expected, reference,
+            )
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=stack_plane_cases())
+    @example(case=(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool),
+                   np.empty(0, dtype=np.int64), (1, 4), 16, 0, [0]))
+    @example(case=(np.array([0, 4, 0, 0, 8, 4, 0, 12, 4], dtype=np.int64),
+                   np.array([False, True, False, True, False, False, True, False, True]),
+                   np.arange(1, 10, dtype=np.int64), (1, 2, 4, 16), 2, 4, [3, 6]))
+    # A dropped access before the cut: the cut must be remapped.
+    @example(case=(np.array([2, 7, 7, 2, 5], dtype=np.int64),
+                   np.array([True, True, False, False, True]),
+                   np.arange(1, 6, dtype=np.int64), (2, 4), 2, 5, []))
+    def test_equals_one_member_call_per_member(self, case):
+        self.check(case)
+
+    def test_synthetic_stream(self):
+        """A realistic level-1 miss stream over the Figure 5 set counts."""
+        trace = SyntheticWorkload(seed=43).trace(6_000, warmup=0)
+        blocks = (trace.addresses >> np.uint64(5)).astype(np.int64)
+        writes = trace.kinds == WRITE
+        keys = np.arange(len(blocks), dtype=np.int64) * 4 + 2
+        set_counts = tuple(1 << bit for bit in range(4, 14))
+        self.check((blocks, writes, keys, set_counts, 16, 4_000, [1_000, 1_001, 3_777]))
+
+
+class TestCpuStreams:
+    def test_buckets_are_the_statistics_codes(self):
+        trace = SyntheticWorkload(seed=44).trace(2_000)
+        is_write = trace.kinds == WRITE
+        np.testing.assert_array_equal(
+            _buckets(is_write),
+            np.where(is_write, _BUCKET_WRITE, _BUCKET_READ).astype(np.int8),
+        )
+        assert _buckets(is_write).dtype == np.int8
 
 
 class TestFrontCache:

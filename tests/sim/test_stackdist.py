@@ -22,6 +22,7 @@ from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
     SETS,
     STACK_ASSOCIATIVITIES,
+    WAYS,
     StackdistGridResult,
     grid_projection,
     member_config,
@@ -165,6 +166,89 @@ class TestDifferentialParity:
             assert result.cpu_reads == 0
             assert result.memory_reads == 0
             assert result.memory_writes == 0
+
+
+class TestPlane:
+    """A sets x ways group: one width-16 pass with a stack per member set
+    count, every (set count, associativity) member identical to the
+    one-set-count pass, to the fast path and to the reference, whole and
+    chunked."""
+
+    SOLO = SystemConfig(levels=(LevelConfig(size_bytes=4 * KB, block_bytes=32),))
+
+    def assert_members(self, trace, config, set_counts, reference=(64, 1024)):
+        grid = run_stackdist_grid(trace, config, set_counts, WAYS)
+        assert [
+            (r.config.levels[-1].geometry().sets, r.config.levels[-1].associativity)
+            for r in grid.results
+        ] == [(sets, ways) for sets in set_counts for ways in STACK_ASSOCIATIVITIES]
+        for sets in set_counts:
+            single = run_stackdist_grid(
+                trace, member_config(config, 1, sets), (), WAYS
+            )
+            for ways, alone in zip(STACK_ASSOCIATIVITIES, single.results):
+                member = member_config(config, ways, sets)
+                derived = grid.result_for(member)
+                assert derived.config == member == alone.config
+                assert_member_matches(derived, alone, f"{sets} sets {ways}-way")
+                if ways in (1, 4):
+                    fast = FastFunctionalSimulator(member).run(trace)
+                    assert_member_matches(derived, fast, f"{sets}x{ways} vs fast")
+                if sets in reference and ways in (2, 16):
+                    want = FunctionalSimulator(member).run(trace)
+                    assert_member_matches(derived, want, f"{sets}x{ways} vs reference")
+        return grid
+
+    @pytest.mark.parametrize("split", [True, False])
+    def test_two_level_plane(self, split):
+        trace = SyntheticWorkload(seed=348).trace(10_000, warmup=2_000)
+        self.assert_members(trace, two_level(split=split), (16, 64, 256, 1024, 4096))
+
+    def test_solo_plane_over_the_cpu_streams(self):
+        trace = SyntheticWorkload(seed=349).trace(10_000, warmup=2_000)
+        self.assert_members(trace, self.SOLO, (8, 64, 1024))
+
+    def test_group_config_set_count_is_not_a_member(self):
+        # The config names the group's front and policies; its own set
+        # count need not be among the members.
+        trace = SyntheticWorkload(seed=350).trace(6_000, warmup=1_000)
+        config = two_level(l2_kb=32).with_level(1, associativity=2, size_bytes=64 * KB)
+        grid = self.assert_members(trace, config, (128, 2048), reference=())
+        assert len(grid.results) == 2 * len(STACK_ASSOCIATIVITIES)
+
+    @pytest.mark.parametrize("chunk", (999, 7919))
+    def test_chunked_equals_whole(self, chunk, monkeypatch):
+        trace = SyntheticWorkload(seed=351).trace(20_000, warmup=4_000)
+        for config in (self.SOLO, two_level()):
+            whole = run_stackdist_grid(trace, config, (32, 128, 2048), WAYS)
+            monkeypatch.setenv("REPRO_TRACE_CHUNK", str(chunk))
+            chunked = run_stackdist_grid(trace, config, (32, 128, 2048), WAYS)
+            monkeypatch.delenv("REPRO_TRACE_CHUNK")
+            assert len(chunked.results) == len(whole.results) == 15
+            for a, b in zip(chunked.results, whole.results):
+                assert a.config == b.config
+                assert_member_matches(a, b, f"{a.config.levels[-1].size_bytes} B")
+
+    @pytest.mark.parametrize("set_counts", [(128, 64), (64, 64), (64, 96), (0, 64)])
+    def test_malformed_set_counts_rejected(self, set_counts):
+        trace = SyntheticWorkload(seed=352).trace(1_000)
+        with pytest.raises(ValueError, match="set counts"):
+            run_stackdist_grid(trace, two_level(), set_counts, WAYS)
+
+    def test_unknown_axis_rejected(self):
+        trace = SyntheticWorkload(seed=353).trace(1_000)
+        with pytest.raises(ValueError, match="axis"):
+            run_stackdist_grid(trace, two_level(), (64,), "diagonal")
+
+    def test_plane_projection_ignores_sets_and_ways(self):
+        small = two_level(l2_kb=32)
+        wide = small.with_level(1, associativity=4, size_bytes=1024 * KB)
+        assert grid_projection(small, None) == grid_projection(wide, None)
+        assert grid_projection(small) != grid_projection(wide)
+        assert grid_projection(small, SETS) != grid_projection(wide, SETS)
+        assert grid_projection(small, None) != grid_projection(
+            two_level(l1_kb=8), None
+        )
 
 
 class TestSetAxis:
