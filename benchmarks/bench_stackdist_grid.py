@@ -11,8 +11,7 @@ x 1/2/4/8/16 ways over the standard trace suite) two ways:
   set count ride one stack (Mattson's inclusion property), and the set
   counts of one front share one sets x ways pass with a stack per set
   count; on this grid that collapses 30 simulations per trace into one
-  pass over the ten diagonals, and the direct-mapped 512 KB corner, a
-  lone direct-mapped cell, runs on the fast path.
+  pass over the ten diagonals, headed by a 16-way cell.
 
 Both paths must produce identical counts on every cell (the fast path is
 itself count-identical to the reference ``FunctionalSimulator`` --
@@ -31,8 +30,9 @@ with a 4 KB L1, every L2 size of the sweep at one and two ways -- as one
 width-16 pass per deepest set count against one pass with a stack per
 set count, each replaying only its direct-mapped misses, found for
 every member by one set refinement
-(:func:`repro.sim.stackdist.run_stackdist_grid` on the ways axis with
-the member set counts), with identical counts on every cell.  A ``BENCH`` summary line goes to stdout for CI job
+(:func:`repro.sim.stackdist.run_stackdist_grid` headed by the 16-way
+member, with the member set counts), with identical counts on every
+cell.  A ``BENCH`` summary line goes to stdout for CI job
 summaries, and the headline numbers land in ``results/BENCH.json`` via
 :mod:`benchjson`.
 """
@@ -55,8 +55,8 @@ from repro.trace.record import Trace
 from repro.units import KB
 
 #: The Figure 5 axes: six sizes x five set sizes.  Diagonals of constant
-#: size/ways share a set count, so the planner forms 8 multi-member
-#: groups; the two extreme corners ride solo passes (shared L1 front).
+#: size/ways share a set count, and every cell lies on one plane of one
+#: front, so the planner runs one pass per trace.
 L2_SIZES = [16 * KB, 32 * KB, 64 * KB, 128 * KB, 256 * KB, 512 * KB]
 SET_SIZES = [1, 2, 4, 8, 16]
 
@@ -173,7 +173,7 @@ def _plane_row(traces):
                 member
                 for sets in set_counts
                 for member in stackdist.run_stackdist_grid(
-                    trace, stackdist.member_config(config, 1, sets), (), stackdist.WAYS
+                    trace, stackdist.member_config(config, 16, sets)
                 ).results
             ]
         return watch.elapsed_s()
@@ -183,7 +183,7 @@ def _plane_row(traces):
         watch = clock.Stopwatch()
         for trace in traces:
             grouped[trace.name] = stackdist.run_stackdist_grid(
-                trace, config, set_counts, stackdist.WAYS
+                trace, stackdist.member_config(config, 16), set_counts
             ).results
         return watch.elapsed_s()
 
@@ -211,7 +211,7 @@ def _reference_spot_check(trace):
         name=f"{trace.name}-spot",
         warmup=min(trace.warmup, REFERENCE_RECORDS // 4),
     )
-    config = base_machine(l2_size=32 * KB)
+    config = stackdist.member_config(base_machine(l2_size=32 * KB), 16)
     grid = stackdist.run_stackdist_grid(short, config)
     return all(
         _counts(member) == _counts(FunctionalSimulator(member.config).run(short))

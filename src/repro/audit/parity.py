@@ -15,7 +15,7 @@ first diverging counter, or returns quietly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.audit.invariants import AuditError
 from repro.sim import memo
@@ -115,20 +115,16 @@ def check_fast_vs_reference(trace: Trace, config: SystemConfig) -> None:
 
 
 def check_stackdist_vs_reference(
-    trace: Trace,
-    config: SystemConfig,
-    set_counts: Sequence[int] = (),
-    axis: Optional[str] = None,
+    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
 ) -> None:
-    """Every member of a grid pass -- ``config``'s associativity axis at
-    each of ``set_counts``, or its direct-mapped set-count axis (see
-    :func:`~repro.sim.stackdist.run_stackdist_grid` for ``axis``) --
-    must be count-identical to the reference on its member
-    configuration (no-op when the config is outside the stack-distance
-    path)."""
+    """Every member of the grid pass ``config`` heads at ``set_counts``
+    (every associativity its kernel derives at each, see
+    :func:`~repro.sim.stackdist.run_stackdist_grid`) must be
+    count-identical to the reference on its member configuration (no-op
+    when the config is outside the stack-distance path)."""
     if not stackdist_eligible(config):
         return
-    for derived in run_stackdist_grid(trace, config, set_counts, axis).results:
+    for derived in run_stackdist_grid(trace, config, set_counts).results:
         deepest = derived.config.levels[-1]
         reference = FunctionalSimulator(derived.config).run(trace)
         assert_counts_equal(
@@ -166,6 +162,27 @@ def check_memo_vs_direct(trace: Trace, config: SystemConfig) -> None:
     memoised = memo.run_functional_memo(trace, config)
     direct = run_functional(trace, config)
     assert_counts_equal(memoised, direct, context="memo-vs-direct")
+
+
+def check_sweep_vs_reference(
+    traces: Sequence[Trace], configs: Sequence[SystemConfig]
+) -> None:
+    """Every cell of a functional sweep -- whichever job the planner put
+    it in -- must be count-identical to the reference on its own
+    configuration.  Clears the memoisation cache first so the sweep
+    plans every cell."""
+    from repro.core.sweep import sweep_functional
+
+    memo.clear_memo_cache()
+    grid = sweep_functional(traces, configs, workers=1)
+    for config, row in zip(configs, grid):
+        for trace, result in zip(traces, row):
+            deepest = config.levels[-1]
+            assert_counts_equal(
+                result, FunctionalSimulator(config).run(trace),
+                context=f"sweep-vs-reference[{deepest.geometry().sets} sets, "
+                f"{deepest.associativity}-way]",
+            )
 
 
 def check_serial_vs_parallel(

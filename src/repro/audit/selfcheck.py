@@ -46,6 +46,7 @@ from repro.audit.parity import (
     check_memo_vs_direct,
     check_serial_vs_parallel,
     check_stackdist_vs_reference,
+    check_sweep_vs_reference,
     check_timing_counts_vs_functional,
     check_timing_vs_reference,
 )
@@ -53,7 +54,7 @@ from repro.cache.policy import PrefetchKind, WritePolicy
 from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import run_functional
 from repro.sim.functional import FunctionalSimulator
-from repro.sim.stackdist import WAYS
+from repro.sim.stackdist import member_config
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -126,9 +127,24 @@ def _set_count_groups() -> List[Tuple[SystemConfig, Tuple[int, ...]]]:
 
 def _plane_group() -> Tuple[SystemConfig, Tuple[int, ...]]:
     """A sets x ways group: a base-machine-shaped L2 behind a split L1,
-    every associativity at three set counts from one width-16 pass."""
+    every associativity at three set counts from one width-16 pass (its
+    16-way member heads it)."""
     config, _ = _set_count_groups()[1]
-    return config, (64, 256, 1024)
+    return member_config(config, 16), (64, 256, 1024)
+
+
+def _mixed_plane() -> List[SystemConfig]:
+    """A mixed plane: the base-machine-shaped L2 at 2 ways beside its
+    direct-mapped twin at one set count, and lone direct-mapped cells at
+    two others -- one sweep job per trace, the width-16 pass at every set
+    count."""
+    config, _ = _set_count_groups()[1]
+    return [
+        member_config(config, 2, 256),
+        member_config(config, 1, 256),
+        member_config(config, 1, 64),
+        member_config(config, 1, 1024),
+    ]
 
 
 def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]:
@@ -158,9 +174,11 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
     checks.append(("fast-vs-reference", fast_parity))
 
     def stackdist_parity():
+        # Each configuration's 16-way member heads the width-16 pass
+        # over all of its associativities.
         for _, config in grid:
             for trace in traces:
-                check_stackdist_vs_reference(trace, config)
+                check_stackdist_vs_reference(trace, member_config(config, 16))
     checks.append(("stackdist-vs-reference", stackdist_parity))
 
     def dmgrid_parity():
@@ -172,8 +190,12 @@ def _checks(traces, timing_records: int) -> List[Tuple[str, Callable[[], None]]]
     def plane_parity():
         config, set_counts = _plane_group()
         for trace in traces:
-            check_stackdist_vs_reference(trace, config, set_counts, WAYS)
+            check_stackdist_vs_reference(trace, config, set_counts)
     checks.append(("plane-vs-reference", plane_parity))
+
+    def mixed_plane_parity():
+        check_sweep_vs_reference(traces, _mixed_plane())
+    checks.append(("mixed-plane-vs-reference", mixed_plane_parity))
 
     def timing_parity():
         for _, config in grid:

@@ -325,8 +325,8 @@ STACKDIST = register(
     default=True,
     doc=(
         "Grid-batch eligible functional sweep cells through the "
-        "single-pass stack-distance engine (one trace replay per set "
-        "count); `0` forces one simulation per cell."
+        "single-pass stack-distance engine (one trace replay per "
+        "sets x ways plane); `0` forces one simulation per cell."
     ),
     parse=parse_bool,
     section="sweep",

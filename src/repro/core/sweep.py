@@ -75,8 +75,6 @@ from repro.sim.config import SystemConfig
 from repro.sim.fast import front_projection, run_functional
 from repro.sim.functional import FunctionalResult, functional_result
 from repro.sim.stackdist import (
-    SETS,
-    WAYS,
     StackdistGridResult,
     grid_projection,
     run_stackdist_grid,
@@ -105,7 +103,7 @@ MAX_WORKERS = 64
 #: trace shipping costs more than the simulation it would parallelise.
 MIN_CELLS_FOR_POOL = 4
 
-#: Chunks per worker of a functional or stack-distance sweep: small
+#: Chunks per worker of a functional sweep's jobs: small
 #: enough to amortise dispatch, large enough to balance uneven cell
 #: costs (big caches simulate faster than small ones).  The count sets
 #: the chunk size; :func:`_front_chunks` then cuts chunks at front
@@ -117,20 +115,6 @@ MIN_CELLS_FOR_POOL = 4
 #: single cells by the executor, so chunking never weakens fault
 #: isolation.
 _CHUNKS_PER_WORKER = 4
-
-#: A grid group must cover at least this many outstanding cells, or its
-#: lone member must be set-associative at the deepest level.  The rule
-#: is kernel cost.  A lone A-way cell pays a stack pass at width A anyway
-#: (70-98% of width 16), so it rides the width-16 pass and its four
-#: sibling associativities land in the memo for free.  A direct-mapped
-#: cell is the direct-mapped kernel's, about a fifth of a width-16 pass:
-#: left alone on its associativity axis, it joins the other lone
-#: direct-mapped cells on its set-count axis (same trace, same deepest
-#: level but for its set count), which share one pass of that kernel
-#: and ask it for nothing extra.  A lone cell on both axes runs per cell
-#: on its cached upstream stream (:func:`repro.sim.fast._cached_front`).
-_MIN_GROUP_MEMBERS = 2
-
 
 def stackdist_enabled() -> bool:
     """Whether the grid planner may batch cells through the stack pass."""
@@ -209,7 +193,7 @@ def _plan_group(cell: Cell) -> Tuple:
 
 
 def _front_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
-    """Functional and stack-distance chunks, cut at front boundaries."""
+    """Functional job chunks, cut at front boundaries."""
     return _group_chunks(cells, chunks, _front_group)
 
 
@@ -240,117 +224,71 @@ def _run_timing_cell(traces: Sequence[Trace], cell: Cell) -> TimingResult:
     return TimingSimulator(cell.config).run(traces[cell.trace_index])
 
 
-def _run_stackdist_cell(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
-    """One single-pass grid group: every member associativity at each of
-    its set counts, or every member set count of a direct-mapped level,
-    at once."""
-    return run_stackdist_grid(
-        traces[cell.trace_index], cell.config, cell.set_counts, cell.axis
-    )
+def _run_functional_job(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
+    """One functional job: a grid group's single pass over every member
+    of its plane at its set counts, or a single cell as a one-member
+    result."""
+    if not cell.set_counts:
+        return StackdistGridResult(results=(_run_functional_cell(traces, cell),))
+    return run_stackdist_grid(traces[cell.trace_index], cell.config, cell.set_counts)
 
 
 def _plan_stackdist(
-    pending: List[Cell],
-    pending_keys: List[Tuple],
-    enabled: bool,
-) -> Tuple[List[Cell], List[List[Tuple]], List[Cell], List[Tuple]]:
-    """Partition outstanding cells into grid groups and singles.
+    pending: List[Cell], pending_keys: List[Tuple], enabled: bool
+) -> Tuple[List[Cell], List[List[Tuple]]]:
+    """Partition outstanding cells into the sweep's functional jobs.
 
-    Cells whose configurations are :func:`stackdist_eligible` and share a
-    :func:`grid_projection` on the ways axis (same trace, same
-    deepest-level set count and policies -- they differ only in deepest
-    associativity) are covered by **one** stack pass, unless the group
-    is a lone direct-mapped cell.  Those ways buckets that also agree on
-    everything but the deepest set count (one trace, one front, one
-    deepest block size and policy) merge into one sets x ways group: one
-    width-16 pass with a stack per member set count.  The lone
-    direct-mapped cells bucket by their projection on the sets axis
-    (they differ only in deepest set count), and a bucket of two or more
-    is one pass of the direct-mapped kernel; a lone cell on both axes
-    stays a single (:data:`_MIN_GROUP_MEMBERS`).  Every group's job
-    names its axis and carries its member set counts (none for a single
-    ways bucket, which runs at its own).  Returns ``(groups,
-    group_member_keys, singles, single_keys)``; both cell lists are
-    renumbered from zero because each becomes its own executor batch
-    (failure reports carry batch-local cell ids).  Group order follows
-    the first member's position and singles keep their original relative
-    order, so scheduling stays deterministic.
+    Cells whose configurations are :func:`stackdist_eligible` bucket by
+    trace and :func:`grid_projection` -- one front, one deepest block
+    size and policy, so they differ at most in the deepest level's set
+    and way counts -- and every bucket is **one** grid job, unless it is
+    a lone direct-mapped cell: that is the direct-mapped kernel's own
+    one-member call, which runs per cell on its cached upstream stream
+    (:func:`repro.sim.fast._cached_front`) and asks it for nothing
+    extra.  A job's ``Cell.config`` is its widest member, whose
+    associativity picks the kernel (:func:`run_stackdist_grid`), and
+    its ``set_counts`` are its members' distinct set counts; a job
+    without set counts is a single cell.  A lone A-way cell pays a
+    stack pass at width A on the fast path anyway (70-98% of width 16),
+    so it rides the width-16 pass and its sibling associativities land
+    in the memo for free.
+
+    Returns ``(jobs, job_keys)``, ``job_keys[i]`` the pending keys job
+    ``i`` covers.  Jobs follow their first member's position, so
+    scheduling stays deterministic.
     """
-    if not enabled:
-        return [], [], list(pending), list(pending_keys)
-    by_ways: dict = {}
+    buckets: dict = {}
     for index, cell in enumerate(pending):
-        if stackdist_eligible(cell.config):
-            bucket = (cell.trace_index, grid_projection(cell.config))
-            by_ways.setdefault(bucket, []).append(index)
-    # (members, identity, set counts, axis) per group.
-    planned: List[Tuple[List[int], Tuple, Tuple[int, ...], str]] = []
-    by_plane: dict = {}
-    by_sets: dict = {}
-    for (trace_index, projection), members in by_ways.items():
-        config = pending[members[0]].config
-        if len(members) < _MIN_GROUP_MEMBERS and config.levels[-1].associativity == 1:
-            bucket = (trace_index, grid_projection(config, SETS))
-            by_sets.setdefault(bucket, []).append(members[0])
+        if enabled and stackdist_eligible(cell.config):
+            plane: object = (cell.trace_index, grid_projection(cell.config))
         else:
-            plane = (trace_index, grid_projection(config, None))
-            by_plane.setdefault(plane, []).append(
-                (config.levels[-1].geometry().sets, projection, members)
-            )
-    for (_, plane), buckets in by_plane.items():
-        if len(buckets) == 1:
-            [(_, projection, members)] = buckets
-            planned.append((members, projection, (), WAYS))
-            continue
-        buckets.sort(key=lambda bucket: bucket[0])
-        set_counts = tuple(sets for sets, _, _ in buckets)
-        planned.append((
-            [m for _, _, members in buckets for m in members],
-            (plane, WAYS, set_counts),
-            set_counts,
-            WAYS,
-        ))
-    for (_, projection), members in by_sets.items():
-        if len(members) >= _MIN_GROUP_MEMBERS:
-            by_sets_count = sorted(
-                (pending[m].config.levels[-1].geometry().sets, m) for m in members
-            )
-            set_counts = tuple(sets for sets, _ in by_sets_count)
-            planned.append((
-                [m for _, m in by_sets_count],
-                (projection, set_counts),
-                set_counts,
-                SETS,
-            ))
-    planned.sort(key=lambda group: min(group[0]))
-
-    groups: List[Cell] = []
-    group_member_keys: List[List[Tuple]] = []
-    grouped = set()
-    for members, identity, set_counts, axis in planned:
-        grouped.update(members)
+            plane = index  # its own bucket, keyed by its position
+        buckets.setdefault(plane, []).append(index)
+    jobs: List[Cell] = []
+    job_keys: List[List[Tuple]] = []
+    for plane, members in buckets.items():
         first = pending[members[0]]
-        groups.append(
-            Cell(
-                len(groups),
-                first.trace_index,
-                first.config,
-                cell_signature("stackdist", first.trace_index, identity),
-                set_counts,
-                axis,
+        if isinstance(plane, int) or (
+            len(members) == 1 and first.config.levels[-1].associativity == 1
+        ):
+            jobs.append(first._replace(cell_id=len(jobs)))
+        else:
+            head = max(
+                (pending[m] for m in members),
+                key=lambda cell: cell.config.levels[-1].associativity,
             )
-        )
-        group_member_keys.append([pending_keys[m] for m in members])
-    singles: List[Cell] = []
-    single_keys: List[Tuple] = []
-    for index, cell in enumerate(pending):
-        if index in grouped:
-            continue
-        singles.append(
-            Cell(len(singles), cell.trace_index, cell.config, cell.signature)
-        )
-        single_keys.append(pending_keys[index])
-    return groups, group_member_keys, singles, single_keys
+            set_counts = tuple(sorted(
+                {pending[m].config.levels[-1].geometry().sets for m in members}
+            ))
+            jobs.append(Cell(
+                len(jobs),
+                head.trace_index,
+                head.config,
+                cell_signature("stackdist", head.trace_index, (plane[1], set_counts)),
+                set_counts,
+            ))
+        job_keys.append([pending_keys[m] for m in members])
+    return jobs, job_keys
 
 
 def _make_validate(kind: str, traces: Sequence[Trace], faults) -> Optional[Callable]:
@@ -362,16 +300,15 @@ def _make_validate(kind: str, traces: Sequence[Trace], faults) -> Optional[Calla
     """
     if faults is None or not audit_enabled():
         return None
-    if kind == "stackdist":
+    if kind == "functional":
         def validate(cell: Cell, result) -> None:
             for member in result.results:
                 audit_functional_result(
                     traces[cell.trace_index], member, source="sweep-intake"
                 )
         return validate
-    checker = audit_functional_result if kind == "functional" else audit_timing_result
     def validate(cell: Cell, result) -> None:
-        checker(traces[cell.trace_index], result, source="sweep-intake")
+        audit_timing_result(traces[cell.trace_index], result, source="sweep-intake")
     return validate
 
 
@@ -543,27 +480,26 @@ def _sweep_functional_grid(
                 )
                 pending_keys.append(key)
 
-        # Plan: cells that differ only in deepest-level associativity
-        # and set count share one stack-distance pass, lone direct-mapped
-        # cells that differ only in deepest-level set count one
-        # direct-mapped pass; everything else simulates per cell.
-        groups, group_member_keys, singles, single_keys = _plan_stackdist(
-            pending, pending_keys, stackdist_enabled()
-        )
+        # Plan: cells that differ only in the deepest level's set and
+        # way counts share one grid pass; everything else simulates per
+        # cell.
+        jobs, job_keys = _plan_stackdist(pending, pending_keys, stackdist_enabled())
 
     if journal is not None and served:
         # Already computed, so a machine crash costs only re-derivation:
         # the batch rides the group commit instead of forcing an fsync.
         journal.record_cells("functional", served, sync=False)
 
-    def on_group_result(cell: Cell, result: StackdistGridResult) -> None:
-        # Fan every derived member into the memo cache: the members this
-        # sweep asked for materialise below, and extras turn later
-        # per-cell runs into hits.  Only the *requested* members are
-        # journaled (one fsync per pass) -- persisting the speculative
-        # extras would grow the journal ~5x on direct-mapped sweeps.
+    def on_result(cell: Cell, result: StackdistGridResult) -> None:
+        # Fan every member into the memo cache: the members this sweep
+        # asked for materialise below, and a grid job's extras turn
+        # later per-cell runs into hits.  Only the *requested* members
+        # are journaled -- persisting the speculative extras would grow
+        # the journal ~5x on direct-mapped sweeps.  A grid job's batch
+        # is fsynced at once (one fsync per pass); a single rides the
+        # group commit.
         trace = traces[cell.trace_index]
-        requested = set(group_member_keys[cell.cell_id])
+        requested = set(job_keys[cell.cell_id])
         batch = []
         for member in result.results:
             key = memo.memo_key(trace, member.config)
@@ -571,54 +507,40 @@ def _sweep_functional_grid(
             if key in requested:
                 batch.append((key, member))
         if journal is not None:
-            journal.record_cells("functional", batch)
+            journal.record_cells("functional", batch, sync=bool(cell.set_counts))
 
-    def on_result(cell: Cell, result: FunctionalResult) -> None:
-        key = single_keys[cell.cell_id]
-        memo.store(key, result)
-        if journal is not None:
-            journal.record_cell("functional", key, result)
-
-    group_outcome, outcome = ExecOutcome(), ExecOutcome()
+    outcome = ExecOutcome()
     used_workers, pooled = sweep_workers(workers), False
     # The workers' only global mutation is the process-local memo/front
     # caches and telemetry counters: each spawn worker fills its own
     # copy, and the counters ride back with every result -- sanctioned
     # state.
-    if groups:
-        group_outcome, used_workers, pooled = _run_cells(
-            "stackdist", _run_stackdist_cell, groups, traces, workers,  # repro: noqa RPR009
-            faults, on_group_result,
-        )
-    if singles:
-        outcome, used_workers, singles_pooled = _run_cells(
-            "functional", _run_functional_cell, singles, traces, workers,  # repro: noqa RPR009
+    if jobs:
+        outcome, used_workers, pooled = _run_cells(
+            "functional", _run_functional_job, jobs, traces, workers,  # repro: noqa RPR009
             faults, on_result,
         )
-        pooled = pooled or singles_pooled
     failed_keys = {
-        single_keys[report.cell_id]
+        key
         for report in outcome.failures
         if report.cell_id >= 0
+        for key in job_keys[report.cell_id]
     }
-    for report in group_outcome.failures:
-        if report.cell_id >= 0:
-            failed_keys.update(group_member_keys[report.cell_id])
+    singles = sum(1 for job in jobs if not job.set_counts)
     run_manifest.note_sweep(
         kind="functional",
         configs=len(configs),
         traces=len(traces),
-        simulated=len(singles),
+        simulated=singles,
         workers=used_workers,
         pooled=pooled,
         seconds=watch.elapsed_s(),
         since=since,
         resumed=resumed,
-        failed=len(group_outcome.failures) + len(outcome.failures),
-        stackdist_groups=len(groups),
-        cells_derived=len(pending) - len(singles),
+        failed=len(outcome.failures),
+        stackdist_groups=len(jobs) - singles,
+        cells_derived=len(pending) - singles,
     )
-    _settle_failures(group_outcome, on_failure, failures)
     _settle_failures(outcome, on_failure, failures)
     return [
         [

@@ -69,13 +69,9 @@ class Cell(NamedTuple):
     #: Stable signature (:func:`repro.resilience.faults.cell_signature`)
     #: used for deterministic fault injection.
     signature: str
-    #: A grid group's member set counts, ascending (empty for every
-    #: other cell, and for a ways group at its own set count).
+    #: A grid job's member set counts, ascending (empty for a single
+    #: cell).
     set_counts: Tuple[int, ...] = ()
-    #: A grid group's axis, ``"ways"`` or ``"sets"``
-    #: (:data:`repro.sim.stackdist.WAYS` / ``SETS``); ``None`` for every
-    #: other cell.
-    axis: Optional[str] = None
 
 
 @dataclass

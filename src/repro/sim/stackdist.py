@@ -7,7 +7,7 @@ both axes of the deepest level: its associativity and its set count.
 One pass serves a **group** of cells that differ only in those two --
 the whole (set count x associativity) plane of one front.
 
-**The ways axis.**  Mattson's inclusion property for LRU: at a fixed
+**The associativities.**  Mattson's inclusion property for LRU: at a fixed
 (set count, block size), the content of an A-way set-associative cache
 is exactly the top ``A`` entries of the per-set LRU stack, for *every*
 ``A`` at once.  One replay that records each access's **stack
@@ -41,11 +41,11 @@ the same derivation run every set-associative level of the fast path at
 its own width; a chunk boundary carries the stack's tags and each
 entry's derived reach.
 
-**The sets axis.**  Set refinement by bit selection (Hill & Smith,
+**The set counts.**  Set refinement by bit selection (Hill & Smith,
 1989): caches of ``S`` and ``2S`` sets index by the low bits of the
 block number, so each set of the smaller splits into two of the larger,
 and at any associativity the smaller LRU cache's content is a subset of
-the larger's.  So the ways axis takes a member list of set counts: one
+the larger's.  So a pass takes a member list of set counts: one
 width-16 stack per set count, in one pass.  An access whose set's
 previous access was to the same block sits at distance 1 and moves
 nothing, so each member's stack replays only its direct-mapped misses --
@@ -54,28 +54,28 @@ writes -- and counts the rest as distance-1 hits; the warmup cut is
 remapped into each member's input.  An episode of a larger member is a
 run of a smaller member's, so one stable sort by the smallest member's
 set and one stable partition per further index bit find every member's
-episodes, each member refining only the previous member's (the
-direct-mapped kernel below reads its misses off the same refinement).
+episodes, each member refining only the previous member's.
 On the F5-1 plane of one front the members' inputs shrink from 18k to
 5.5k of the stream's 28.5k run heads, and ten set counts cost about
 two fifths of ten full passes.  A chunk boundary carries one ``(tags,
 reach)`` per member; every set's first access in a chunk opens an
 episode, so an episode opened in an earlier chunk keeps its writes.
 
-A direct-mapped deepest level left alone on its ways axis has a kernel
-of its own along the sets axis.  Sorting the stream stably by the
-smallest member's set index and then partitioning stably on each
-further index bit gives every member its own set order from one pass,
-and in each an access hits iff the previous access in its set order is
-the same block.  The pass is
-the fast path's direct-mapped kernel
-(:func:`repro.sim.fast._simulate_dm_level`) with one member per
-requested set count -- the one-member call is every direct-mapped level
-of the fast path -- and each member is counted by the fast path's own
-rule (:func:`repro.sim.fast._accumulate_level`); a chunk boundary
-carries each member's resident blocks.  It serves the direct-mapped
-cells a sweep leaves alone on the ways axis: the paper's L2 size axis,
-and its solo twin over the CPU stream.
+**The pass follows its widest member.**  A pass whose configuration is
+set-associative at the deepest level is the width-16 stack pass above,
+every :data:`STACK_ASSOCIATIVITIES` member at each set count.  A
+direct-mapped one wants no stack: the same refinement gives every
+member set count its own set order from one pass, and in each an access
+hits iff the previous access in its set order is the same block.  That
+pass is the fast path's direct-mapped kernel
+(:func:`repro.sim.fast._simulate_dm_level`) with one member per set
+count -- the one-member call is every direct-mapped level of the fast
+path -- at about a fifth of a width-16 pass; a chunk boundary carries
+each member's resident blocks.  Its miss mask is the distance (0 a hit,
+1 beyond a one-way stack) and its post-warmup dirty victims are the
+one-way member's writebacks, so both kernels feed one histogram.  It
+serves the paper's direct-mapped L2 size axis, and its solo twin over
+the CPU stream.
 
 Every pass is fed by the fast path's replay driver
 (:class:`repro.sim.fast._Front`), whole or chunked.  Consecutive
@@ -112,13 +112,13 @@ from repro.sim.fast import (
     MAX_FAST_ASSOCIATIVITY,
     _BUCKET_WRITE,
     Stream,
-    _accumulate_level,
     _cached_front,
     _dm_replay,
     _Front,
     _new_state,
     _stack_replay,
     fast_eligible,
+    front_projection,
     memory_traffic,
 )
 from repro.sim.functional import FunctionalResult, functional_result
@@ -131,14 +131,9 @@ from repro.units import log2_int
 #: non-powers-of-two, so this is the whole eligible axis).
 STACK_ASSOCIATIVITIES = (1, 2, 4, 8, 16)
 
-#: Stack width -- one column per way of the widest derived cache.
+#: Stack width of a set-associative pass -- one column per way of the
+#: widest derived cache.  A direct-mapped pass has width 1.
 _WIDTH = MAX_FAST_ASSOCIATIVITY
-
-#: The two axes a pass names: every associativity at each of its member
-#: set counts (the width-16 stack pass, a stack per set count), or every
-#: member set count of a direct-mapped deepest level (the direct-mapped
-#: kernel's members).
-WAYS, SETS = "ways", "sets"
 
 
 def stackdist_eligible(config: SystemConfig) -> bool:
@@ -160,27 +155,19 @@ def stackdist_eligible(config: SystemConfig) -> bool:
     return deepest.replacement == "lru" or deepest.associativity == 1
 
 
-def grid_projection(config: SystemConfig, axis: Optional[str] = WAYS) -> Tuple:
-    """The identity of a configuration's single-pass group on ``axis``.
+def grid_projection(config: SystemConfig) -> Tuple:
+    """The identity of a configuration's sets x ways plane: its front
+    (:func:`repro.sim.fast.front_projection`) and the deepest level's
+    block size and policies.
 
     Two eligible configurations with equal grid projections differ at
-    most in the deepest level's associativity (:data:`WAYS`) or set
-    count (:data:`SETS`), and the total size that scales with it, so one
-    pass serves both.  With ``axis`` ``None`` they may differ in both:
-    the sets x ways plane one pass with a stack per set count serves.
+    most in the deepest level's set and way counts, and the total size
+    that scales with them, so one pass serves both.
     """
     deepest = config.levels[-1]
-    if axis == WAYS:
-        along: Tuple = (deepest.geometry().sets,)
-    elif axis == SETS:
-        along = (deepest.associativity,)
-    else:
-        along = ()
     return (
-        config.enforce_inclusion,
-        tuple(memo.level_projection(level) for level in config.levels[:-1]),
+        *front_projection(config),
         (
-            *along,
             deepest.block_bytes,
             deepest.split,
             deepest.write_policy,
@@ -219,10 +206,10 @@ class StackdistGridResult:
 
     ``results`` holds one :class:`~repro.sim.functional.FunctionalResult`
     per member, keyed by its configuration, which differs from the
-    group's only in the deepest level's way and set counts (the ways
-    axis: per member set count, ascending, every associativity in
-    :data:`STACK_ASSOCIATIVITIES` order) or set count alone (the sets
-    axis, ascending), and the size that scales with them.
+    group's only in the deepest level's way and set counts, and the size
+    that scales with them: per member set count, ascending, every
+    associativity in :data:`STACK_ASSOCIATIVITIES` order up to the
+    pass's width (1 for a direct-mapped pass).
     """
 
     results: Tuple[FunctionalResult, ...]
@@ -255,50 +242,86 @@ def _deepest_input(
     return upstream, [sides]
 
 
-def _ways_axis(
-    trace: Trace, front: _Front, set_counts: Tuple[int, ...]
-) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
-    """The width-16 stack pass over the streams ``front`` feeds the
-    deepest level, one stack per member set count of ``set_counts``
-    (:func:`repro.sim.fast._stack_replay`, each member replaying only
-    its direct-mapped misses): every
-    :data:`STACK_ASSOCIATIVITIES` member's configuration and
-    deepest-level statistics at each set count, and the upstream
-    statistics.
+def _one_way_histogram(
+    miss: np.ndarray,
+    at_top: np.ndarray,
+    counted: Sequence[Tuple[int, np.ndarray]],
+) -> np.ndarray:
+    """A direct-mapped member's distance histogram.  Its miss mask is the
+    distance -- 0 a hit, 1 beyond the one-way stack -- so from
+    ``at_top``, every access at distance 1, each counted band's misses
+    move from the band's first bin to its second: two counts, where a
+    bincount over the whole stream costs several times as much."""
+    hist = at_top.copy()
+    for start, in_band in counted:
+        misses = np.count_nonzero(miss & in_band)
+        hist[start] -= misses
+        hist[start + 1] += misses
+    return hist
 
+
+def _plane_pass(
+    trace: Trace, front: _Front, set_counts: Tuple[int, ...], width: int
+) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
+    """One pass over the streams ``front`` feeds the deepest level, one
+    member per set count of ``set_counts`` and associativity up to
+    ``width``: each member's configuration and deepest-level statistics,
+    and the upstream statistics.
+
+    Width 16 is the stack pass (:func:`repro.sim.fast._stack_replay`,
+    each set count's stack replaying only its direct-mapped misses);
+    width 1 is the direct-mapped kernel
+    (:func:`repro.sim.fast._dm_replay`), whose miss mask is the distance
+    and whose post-warmup dirty victims are the one-way writebacks.
     Post-warmup accesses are histogrammed by stack distance per
-    statistics bucket (``hist[d-1]`` for distance ``d`` in 1..16, index
-    16 beyond the stack, a miss at every member associativity); the
-    A-way member misses the suffix from ``A`` on, and its writebacks are
-    the pass's ``writebacks[A-1]``.
+    statistics bucket (``hist[d-1]`` for distance ``d`` in 1..width,
+    index ``width`` beyond the stack, a miss at every member
+    associativity); the A-way member misses the suffix from ``A`` on,
+    and its writebacks are the pass's ``writebacks[A-1]``.  A chunked
+    pass carries one state per member set count and side (a split first
+    level is two member caches).
     """
     shift = log2_int(front.config.levels[-1].block_bytes) - front.bits
     warmup_key = trace.warmup * 4**front.levels
     upstream, chunks = _deepest_input(trace, front)
-    # A split first level is two member caches: one stack per side and
-    # member set count.
     states = [
-        [_new_state(sets, _WIDTH) for sets in set_counts] if front.chunked else None
+        [_new_state(sets, width) for sets in set_counts] if front.chunked else None
         for _ in range(front.sides)
     ]
-    read_hist = np.zeros((len(set_counts), _WIDTH + 1), dtype=np.int64)
-    write_hist = np.zeros((len(set_counts), _WIDTH + 1), dtype=np.int64)
-    writebacks = np.zeros((len(set_counts), _WIDTH), dtype=np.int64)
+    bins = width + 1
+    read_hist = np.zeros((len(set_counts), bins), dtype=np.int64)
+    write_hist = np.zeros((len(set_counts), bins), dtype=np.int64)
+    writebacks = np.zeros((len(set_counts), width), dtype=np.int64)
     for sides in chunks:
         for (blocks, is_write, bucket, keys), side_states in zip(sides, states):
             # Each access's histogram band: counted reads, counted
-            # writes, then the warmup, so one bincount per member fills
-            # both histograms.
-            band = (bucket == _BUCKET_WRITE).view(np.int8) * np.int8(_WIDTH + 1)
-            band[keys < warmup_key] = 2 * (_WIDTH + 1)
-            outcomes = _stack_replay(
-                blocks >> shift, is_write, set_counts, _WIDTH, side_states,
-                cut=int(np.searchsorted(keys, warmup_key)),
-            )
-            for member, (dist, _, part_wb) in enumerate(outcomes):
-                hist = np.bincount(dist + band, minlength=3 * (_WIDTH + 1))
-                read_hist[member] += hist[: _WIDTH + 1]
-                write_hist[member] += hist[_WIDTH + 1 : 2 * (_WIDTH + 1)]
+            # writes, then the warmup, so one histogram per member fills
+            # both.
+            band = (bucket == _BUCKET_WRITE).view(np.int8) * np.int8(bins)
+            band[keys < warmup_key] = 2 * bins
+            if width == 1:
+                at_top = np.bincount(band, minlength=3 * bins)
+                counted = [(start, band == start) for start in (0, bins)]
+                outcomes = (
+                    (
+                        _one_way_histogram(miss, at_top, counted),
+                        np.count_nonzero(victim_keys >= warmup_key),
+                    )
+                    for miss, _, victim_keys in _dm_replay(
+                        blocks >> shift, is_write, keys, set_counts, side_states
+                    )
+                )
+            else:
+                outcomes = (
+                    (np.bincount(dist + band, minlength=3 * bins), part_wb)
+                    for dist, _, part_wb in _stack_replay(
+                        blocks >> shift, is_write, set_counts, width, side_states,
+                        cut=int(np.searchsorted(keys, warmup_key)),
+                    )
+                )
+            for member, (hist, part_wb) in enumerate(outcomes):
+                read_hist[member] += hist[:bins]
+                write_hist[member] += hist[bins : 2 * bins]
                 writebacks[member] += part_wb
 
     members = []
@@ -306,6 +329,8 @@ def _ways_axis(
         reads = int(read_hist[member].sum())
         writes = int(write_hist[member].sum())
         for ways in STACK_ASSOCIATIVITIES:
+            if ways > width:
+                break
             read_misses = int(read_hist[member, ways:].sum())
             write_misses = int(write_hist[member, ways:].sum())
             stats = CacheStats(
@@ -320,59 +345,23 @@ def _ways_axis(
     return members, upstream
 
 
-def _sets_axis(
-    trace: Trace, front: _Front, set_counts: Tuple[int, ...]
-) -> Tuple[List[Tuple[SystemConfig, CacheStats]], List[CacheStats]]:
-    """One pass of the direct-mapped kernel over the streams ``front``
-    feeds the deepest level, every set count of ``set_counts`` a member:
-    each member's configuration and deepest-level statistics, counted by
-    the fast path's own rule (:func:`repro.sim.fast._accumulate_level`),
-    and the upstream statistics.  A chunked pass carries one width-1
-    state per member and side."""
-    config = front.config
-    shift = log2_int(config.levels[-1].block_bytes) - front.bits
-    warmup_key = trace.warmup * 4**front.levels
-    upstream, chunks = _deepest_input(trace, front)
-    states = [
-        [_new_state(sets, 1) for sets in set_counts] if front.chunked else None
-        for _ in range(front.sides)
-    ]
-    member_stats = [CacheStats() for _ in set_counts]
-    for sides in chunks:
-        for (blocks, is_write, bucket, keys), side_states in zip(sides, states):
-            outcomes = _dm_replay(blocks >> shift, is_write, keys, set_counts, side_states)
-            for stats, (miss, _, victim_keys) in zip(member_stats, outcomes):
-                _accumulate_level(
-                    stats, is_write, bucket, miss, keys, victim_keys, warmup_key,
-                    through=False,
-                )
-    members = [
-        (member_config(config, 1, sets), stats)
-        for sets, stats in zip(set_counts, member_stats)
-    ]
-    return members, upstream
-
-
 def run_stackdist_grid(
-    trace: Trace,
-    config: SystemConfig,
-    set_counts: Sequence[int] = (),
-    axis: Optional[str] = None,
+    trace: Trace, config: SystemConfig, set_counts: Sequence[int] = ()
 ) -> StackdistGridResult:
-    """Replay ``trace`` once against one of ``config``'s grid groups.
+    """Replay ``trace`` once against the grid group ``config`` heads: a
+    member per set count of ``set_counts`` (ascending powers of two; by
+    default ``config``'s deepest set count alone) and per associativity
+    its kernel derives.
 
-    On the :data:`WAYS` axis the group is every
-    :data:`STACK_ASSOCIATIVITIES` member at each of ``set_counts``
-    (ascending powers of two; by default ``config``'s deepest set count
-    alone), from one width-16 stack pass with a stack per set count.  On
-    the :data:`SETS` axis it is a direct-mapped member per set count,
-    from one pass of the direct-mapped kernel.  ``axis`` defaults to
-    :data:`SETS` with ``set_counts`` and to :data:`WAYS` without.
-    Returns the exact functional result of every member (counts
-    identical to :func:`repro.sim.fast.run_functional` on each member
-    configuration).  With ``REPRO_TRACE_CHUNK`` set (and smaller than
-    the trace), the replay streams in chunks through persistent state --
-    same counts, bounded residency.
+    The kernel follows ``config``'s deepest associativity.  A
+    set-associative head gets the width-16 stack pass, every
+    :data:`STACK_ASSOCIATIVITIES` member at each set count; a
+    direct-mapped head gets the direct-mapped kernel, one direct-mapped
+    member per set count.  Returns the exact functional result of every
+    member (counts identical to :func:`repro.sim.fast.run_functional` on
+    each member configuration).  With ``REPRO_TRACE_CHUNK`` set (and
+    smaller than the trace), the replay streams in chunks through
+    persistent state -- same counts, bounded residency.
     """
     if not stackdist_eligible(config):
         raise ValueError(
@@ -380,40 +369,29 @@ def run_stackdist_grid(
             "level must be fast-eligible LRU); use run_functional"
         )
     set_counts = tuple(set_counts)
-    if axis is None:
-        axis = SETS if set_counts else WAYS
-    if axis not in (WAYS, SETS):
-        raise ValueError(f"unknown grid axis {axis!r}; expected {WAYS!r} or {SETS!r}")
     if set_counts and (
         list(set_counts) != sorted(set(set_counts))
         or any(sets < 1 or sets & (sets - 1) for sets in set_counts)
     ):
         raise ValueError(
-            "a set-count group's member set counts are ascending distinct "
+            "a grid group's member set counts are ascending distinct "
             f"powers of two; got {set_counts}"
-        )
-    if axis == SETS and (not set_counts or config.levels[-1].associativity != 1):
-        raise ValueError(
-            "a set-count group is direct-mapped, with its member set counts; "
-            f"got {config.levels[-1].associativity} ways and {set_counts}"
         )
     if not set_counts:
         set_counts = (config.levels[-1].geometry().sets,)
+    width = _WIDTH if config.levels[-1].associativity > 1 else 1
     # Chunked accumulation is count-identical to the one-chunk pass
     # (parity tests); REPRO_TRACE_CHUNK tunes residency only.
     front = _Front(trace, config, config.depth - 1, replay_chunk_records())  # repro: noqa RPR008
     with telemetry.span(
         "stackdist.pass",
-        axis=axis,
+        width=width,
         sets=set_counts[-1],
         set_counts=list(set_counts),
         records=len(trace),
         chunked=front.chunked,
     ):
-        if axis == SETS:
-            members, upstream = _sets_axis(trace, front, set_counts)
-        else:
-            members, upstream = _ways_axis(trace, front, set_counts)
+        members, upstream = _plane_pass(trace, front, set_counts, width)
 
     results = []
     for member, stats in members:

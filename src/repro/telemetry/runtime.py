@@ -451,7 +451,7 @@ def phase_tree(events: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate span events into a nested ``{name: {ns, count, ...}}`` tree.
 
     Spans aggregate by *name path*: every ``stackdist.pass`` under
-    ``sweep.functional/pool.run/worker.stackdist`` lands in one node with
+    ``sweep.functional/pool.run/worker.functional`` lands in one node with
     a summed ``ns`` and a ``count``, which is the shape a per-phase
     percentage table wants.
     """

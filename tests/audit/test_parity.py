@@ -17,6 +17,7 @@ from repro.audit.parity import (
 from repro.sim import memo
 from repro.sim.fast import fast_eligible, front_depth
 from repro.sim.functional import FunctionalSimulator
+from repro.sim.stackdist import member_config
 from repro.sim.timing import TimingSimulator, event_eligible
 
 from tests.audit.conftest import GRID
@@ -63,7 +64,11 @@ class TestChecksPass:
         "name", [n for n, c in GRID if fast_eligible(c) and c.depth > 1]
     )
     def test_stackdist_vs_reference(self, audit_trace, name):
-        check_stackdist_vs_reference(audit_trace[-3_000:], dict(GRID)[name])
+        # The configuration's own kernel, and the width-16 pass its
+        # 16-way member heads.
+        config = dict(GRID)[name]
+        for head in (config, member_config(config, 16)):
+            check_stackdist_vs_reference(audit_trace[-3_000:], head)
 
     def test_timing_vs_reference_is_noop_when_ineligible(self, audit_trace):
         ineligible = next(c for _, c in GRID if not fast_eligible(c))

@@ -100,13 +100,13 @@ class TestBreakevenMap:
         with manifest.recording("breakeven-warm") as run:
             breakeven_map(small_traces, base_config, SIZES, CYCLES, set_size=4)
         warm = run.sweeps[0]
-        # Four requested cells per trace over three set counts: the
-        # diagonal pair and the lone 8 KB 4-way cell ride one sets x ways
-        # pass (a stack per set count), and the lone 32 KB direct-mapped
-        # cell is simulated per cell.
+        # Four requested cells per trace over three set counts, all on
+        # one plane: the diagonal pair, the lone 8 KB 4-way cell and the
+        # lone 32 KB direct-mapped cell ride one sets x ways pass (a
+        # stack per set count).
         assert warm.stackdist_groups == len(small_traces)
-        assert warm.cells_derived == 3 * len(small_traces)
-        assert warm.simulated == len(small_traces)
+        assert warm.cells_derived == 4 * len(small_traces)
+        assert warm.simulated == 0
         # The per-associativity grids after the warm-up re-simulate
         # nothing.
         assert all(note.simulated == 0 for note in run.sweeps[1:])

@@ -7,16 +7,21 @@ or cache state -- while timing-only configuration variations cost one
 functional simulation per trace, not one per cell.
 """
 
+import collections
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.core import sweep
 from repro.core.sweep import sweep_functional, sweep_timing, sweep_workers
 from repro.sim import memo
 from repro.resilience.executor import Cell
+from repro.sim.config import LevelConfig, SystemConfig
 from repro.sim.fast import clear_front_cache, front_projection, run_functional
+from repro.sim.stackdist import grid_projection, stackdist_eligible
 from repro.sim.timing import TimingSimulator
 from repro.trace.workload import SyntheticWorkload
 from repro.units import KB
@@ -482,17 +487,17 @@ class TestStackdistPlanner:
             base_config.with_level(
                 1, associativity=2, size_bytes=128 * KB, replacement="fifo"
             ),
-            # Eligible but alone at its set count, and direct-mapped:
-            # the sort kernel on the cached L1 stream is cheaper than a
-            # stack pass, so it is simulated per cell too.
+            # Eligible, direct-mapped and alone at its set count, but on
+            # the associative cells' plane: the width-16 pass derives it
+            # at a second set count.
             base_config.with_level(1, size_bytes=32 * KB),
         ]
         with manifest.recording("planner-mixed") as run:
             grid = sweep_functional(small_traces, configs, workers=1)
         note = run.sweeps[0]
         assert note.stackdist_groups == len(small_traces)
-        assert note.cells_derived == 4 * len(small_traces)
-        assert note.simulated == 2 * len(small_traces)
+        assert note.cells_derived == 5 * len(small_traces)
+        assert note.simulated == len(small_traces)
         for config, row in zip(configs, grid):
             for trace, result in zip(small_traces, row):
                 assert_counts_equal(result, run_functional(trace, config))
@@ -604,9 +609,9 @@ class TestStackdistPlanner:
 
 
 class TestSetCountPlanner:
-    """Lone direct-mapped cells that differ only in deepest-level set
-    count ride one pass of the direct-mapped kernel; cells with
-    associative siblings keep the width-16 pass."""
+    """Direct-mapped cells that differ only in deepest-level set count
+    ride one pass of the direct-mapped kernel; a lone one stays a
+    single."""
 
     @staticmethod
     def dm_configs(base_config, sizes_kb=(16, 32, 64, 128)):
@@ -627,11 +632,11 @@ class TestSetCountPlanner:
         from repro.audit import manifest
 
         configs = self.dm_configs(base_config)
-        groups, member_keys, singles, _ = self.plan(small_traces, configs)
-        assert singles == []
-        assert len(groups) == len(small_traces)
-        for group, keys in zip(groups, member_keys):
-            assert group.set_counts == tuple(
+        jobs, job_keys = self.plan(small_traces, configs)
+        assert len(jobs) == len(small_traces)
+        for job, keys in zip(jobs, job_keys):
+            assert job.config.levels[-1].associativity == 1
+            assert job.set_counts == tuple(
                 c.levels[-1].geometry().sets for c in configs
             )
             assert len(keys) == len(configs)
@@ -646,35 +651,16 @@ class TestSetCountPlanner:
                 assert result.config is config
                 assert_counts_equal(result, run_functional(trace, config))
 
-    def test_associative_siblings_keep_the_width_pass(
-        self, small_traces, base_config
-    ):
-        # 64 KB direct-mapped has a 2-way sibling at its set count, so
-        # both ride the width-16 pass; the lone 16 and 32 KB cells share
-        # one set-count pass.
-        two_way = base_config.with_level(1, associativity=2, size_bytes=128 * KB)
-        configs = self.dm_configs(base_config, (64, 16)) + [two_way] + (
-            self.dm_configs(base_config, (32,))
-        )
-        groups, member_keys, singles, _ = self.plan(small_traces[:1], configs)
-        assert singles == []
-        assert [g.set_counts for g in groups] == [(), (512, 1024)]
-        (trace,) = small_traces[:1]
-        assert member_keys[0] == [memo.memo_key(trace, c) for c in configs[::2]]
-        grid = sweep_functional(small_traces, configs, workers=1)
-        for config, row in zip(configs, grid):
-            for trace, result in zip(small_traces, row):
-                assert_counts_equal(result, run_functional(trace, config))
-
     def test_single_lone_cell_stays_single(self, small_traces, base_config):
         # One direct-mapped cell per front: nothing to share a pass with.
         configs = [
             self.dm_configs(base_config, (32,))[0],
             self.dm_configs(base_config, (64,))[0].with_level(0, size_bytes=8 * KB),
         ]
-        groups, _, singles, _ = self.plan(small_traces, configs)
-        assert groups == []
-        assert len(singles) == len(configs) * len(small_traces)
+        jobs, _ = self.plan(small_traces, configs)
+        assert [job.set_counts for job in jobs] == [()] * (
+            len(configs) * len(small_traces)
+        )
 
     def test_only_requested_members_are_journaled(
         self, tmp_path, small_traces, base_config
@@ -723,12 +709,12 @@ class TestSetCountPlanner:
         real = sweep.run_stackdist_grid
         failed_once = set()
 
-        def flaky(trace, config, set_counts=(), axis=None):
+        def flaky(trace, config, set_counts=()):
             # The first attempt at every set-count group fails.
             if set_counts and (trace.name, set_counts) not in failed_once:
                 failed_once.add((trace.name, set_counts))
                 raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts, axis)
+            return real(trace, config, set_counts)
 
         monkeypatch.setattr(sweep, "run_stackdist_grid", flaky)
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
@@ -744,10 +730,10 @@ class TestSetCountPlanner:
 
         # With every attempt failing and no retry left, each group is one
         # failure report, its member cells holes in a partial grid.
-        def broken(trace, config, set_counts=(), axis=None):
+        def broken(trace, config, set_counts=()):
             if set_counts:
                 raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts, axis)
+            return real(trace, config, set_counts)
 
         memo.clear_memo_cache()
         monkeypatch.setattr(sweep, "run_stackdist_grid", broken)
@@ -765,10 +751,10 @@ class TestSetCountPlanner:
 
 
 class TestPlanePlanner:
-    """Associativity groups on one front that differ only in deepest set
-    count merge into one sets x ways job: one width-16 pass with a stack
-    per set count.  Anything that changes the front, the deepest block
-    size or a policy keeps them apart."""
+    """Cells on one front that differ only in the deepest level's set and
+    way counts are one sets x ways job, headed by the widest: one
+    width-16 pass with a stack per set count.  Anything that changes the
+    front, the deepest block size or a policy keeps them apart."""
 
     SIZES_KB = (16, 64, 256)
 
@@ -786,14 +772,11 @@ class TestPlanePlanner:
         from repro.audit import manifest
 
         configs = self.plane_configs(base_config)
-        groups, member_keys, singles, _ = TestSetCountPlanner.plan(
-            small_traces, configs
-        )
-        assert singles == []
-        assert len(groups) == len(small_traces)
-        for group, keys in zip(groups, member_keys):
-            assert group.axis == "ways"
-            assert group.set_counts == (512, 2048, 8192)
+        jobs, job_keys = TestSetCountPlanner.plan(small_traces, configs)
+        assert len(jobs) == len(small_traces)
+        for job, keys in zip(jobs, job_keys):
+            assert job.config.levels[-1].associativity == 2
+            assert job.set_counts == (512, 2048, 8192)
             assert len(keys) == len(configs)
         clear_front_cache()
         since = telemetry.mark()
@@ -813,8 +796,8 @@ class TestPlanePlanner:
 
     def test_single_bucket_stays_a_one_member_call(self, small_traces, base_config):
         configs = self.plane_configs(base_config, sizes_kb=(64,))
-        groups, _, _, _ = TestSetCountPlanner.plan(small_traces[:1], configs)
-        assert [(g.axis, g.set_counts) for g in groups] == [("ways", ())]
+        jobs, _ = TestSetCountPlanner.plan(small_traces[:1], configs)
+        assert [(j.config, j.set_counts) for j in jobs] == [(configs[1], (2048,))]
 
     def test_fronts_block_sizes_and_policies_stay_apart(
         self, small_traces, base_config
@@ -831,38 +814,46 @@ class TestPlanePlanner:
             for config in self.plane_configs(variant, sizes_kb=(32, 128))
         ]
         (trace,) = small_traces[:1]
-        groups, member_keys, singles, _ = TestSetCountPlanner.plan([trace], configs)
-        assert singles == []
-        assert len(groups) == len(variants)
-        for index, (group, keys) in enumerate(zip(groups, member_keys)):
-            assert group.axis == "ways"
-            assert len(group.set_counts) == 2
+        jobs, job_keys = TestSetCountPlanner.plan([trace], configs)
+        assert len(jobs) == len(variants)
+        for index, (job, keys) in enumerate(zip(jobs, job_keys)):
+            assert job.config.levels[-1].associativity == 2
+            assert len(job.set_counts) == 2
             assert keys == [
                 memo.memo_key(trace, c) for c in configs[4 * index: 4 * index + 4]
             ]
-        assert len({g.signature for g in groups}) == len(groups)
+        assert len({j.signature for j in jobs}) == len(jobs)
         grid = sweep_functional([trace], configs, workers=1)
         for config, (result,) in zip(configs, grid):
             assert_counts_equal(result, run_functional(trace, config))
 
-    def test_lone_direct_mapped_cells_keep_the_set_count_axis(
-        self, small_traces, base_config
+    @pytest.mark.parametrize("chunk", (None, 7919))
+    def test_mixed_plane_is_one_width_job(
+        self, small_traces, base_config, monkeypatch, chunk
     ):
-        configs = self.plane_configs(base_config, sizes_kb=(64, 256)) + [
-            base_config.with_level(1, size_bytes=kb * KB) for kb in (8, 16)
+        # A 2-way cell beside its direct-mapped twin at one set count,
+        # and lone direct-mapped cells at two others: one plane, so one
+        # job headed by the 2-way cell, the width-16 pass at every set
+        # count.
+        two_way = base_config.with_level(1, associativity=2, size_bytes=128 * KB)
+        configs = [
+            base_config.with_level(1, size_bytes=kb * KB) for kb in (64, 16)
+        ] + [two_way, base_config.with_level(1, size_bytes=8 * KB)]
+        jobs, job_keys = TestSetCountPlanner.plan(small_traces[:1], configs)
+        (trace,) = small_traces[:1]
+        assert [(j.config, j.set_counts) for j in jobs] == [
+            (two_way, (256, 512, 2048))
         ]
-        groups, member_keys, singles, _ = TestSetCountPlanner.plan(
-            small_traces[:1], configs
-        )
-        assert singles == []
-        assert [(g.axis, g.set_counts) for g in groups] == [
-            ("ways", (2048, 8192)), ("sets", (256, 512)),
-        ]
-        assert [len(keys) for keys in member_keys] == [4, 2]
+        assert job_keys == [[memo.memo_key(trace, c) for c in configs]]
+        want = [[run_functional(t, c) for t in small_traces] for c in configs]
+        if chunk is not None:
+            monkeypatch.setenv("REPRO_TRACE_CHUNK", str(chunk))
+        memo.clear_memo_cache()
+        clear_front_cache()
         grid = sweep_functional(small_traces, configs, workers=1)
-        for config, row in zip(configs, grid):
-            for trace, result in zip(small_traces, row):
-                assert_counts_equal(result, run_functional(trace, config))
+        for row, want_row in zip(grid, want):
+            for result, expected in zip(row, want_row):
+                assert_counts_equal(result, expected)
 
     def test_only_requested_members_are_journaled(
         self, tmp_path, small_traces, base_config
@@ -911,13 +902,12 @@ class TestPlanePlanner:
         real = sweep.run_stackdist_grid
         failed_once = set()
 
-        def flaky(trace, config, set_counts=(), axis=None):
+        def flaky(trace, config, set_counts=()):
             # The first attempt at every sets x ways group fails.
-            if axis == "ways" and len(set_counts) > 1:
-                if (trace.name, set_counts) not in failed_once:
-                    failed_once.add((trace.name, set_counts))
-                    raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts, axis)
+            if len(set_counts) > 1 and (trace.name, set_counts) not in failed_once:
+                failed_once.add((trace.name, set_counts))
+                raise InjectedFault(f"injected into {set_counts}")
+            return real(trace, config, set_counts)
 
         monkeypatch.setattr(sweep, "run_stackdist_grid", flaky)
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
@@ -933,10 +923,10 @@ class TestPlanePlanner:
 
         # With every attempt failing and no retry left, each group is one
         # failure report, its member cells holes in a partial grid.
-        def broken(trace, config, set_counts=(), axis=None):
-            if axis == "ways" and len(set_counts) > 1:
+        def broken(trace, config, set_counts=()):
+            if len(set_counts) > 1:
                 raise InjectedFault(f"injected into {set_counts}")
-            return real(trace, config, set_counts, axis)
+            return real(trace, config, set_counts)
 
         memo.clear_memo_cache()
         monkeypatch.setattr(sweep, "run_stackdist_grid", broken)
@@ -951,6 +941,101 @@ class TestPlanePlanner:
         assert all(cell is None for row in partial for cell in row)
         with pytest.raises(InjectedFault):
             sweep_functional(small_traces, configs, workers=1)
+
+
+#: Two short traces the planner property draws from (hypothesis
+#: examples cannot take function-scoped fixtures).
+_PARTITION_TRACES = [
+    SyntheticWorkload(seed=seed).trace(3_000, warmup=500) for seed in (61, 62)
+]
+
+
+@st.composite
+def planner_grids(draw):
+    """A random functional grid: L1 size, L2 8 KB - 1 MB at 1-16 ways,
+    each level's write policy, over one or two traces."""
+    configs = []
+    for _ in range(draw(st.integers(1, 6))):
+        ways = draw(st.sampled_from((1, 2, 4, 8, 16)))
+        configs.append(SystemConfig(levels=(
+            LevelConfig(
+                size_bytes=draw(st.sampled_from((1, 2, 4))) * KB,
+                block_bytes=16,
+                split=True,
+                write_policy=draw(st.sampled_from(("write-back", "write-through"))),
+            ),
+            LevelConfig(
+                size_bytes=draw(st.sampled_from((8, 32, 128, 1024))) * KB,
+                block_bytes=32,
+                associativity=ways,
+                write_policy=draw(st.sampled_from(("write-back", "write-through"))),
+                cycle_cpu_cycles=3,
+            ),
+        )))
+    return _PARTITION_TRACES[: draw(st.integers(1, 2))], configs
+
+
+class TestPlannerPartition:
+    """The planner partitions a sweep's outstanding cells into jobs: one
+    grid job per (trace, plane) headed by its widest member, a single
+    for everything else -- and the sweep's counts never depend on it."""
+
+    @staticmethod
+    def pending(traces, configs):
+        """The sweep's outstanding cells: one per distinct memo key."""
+        cells, keys = [], []
+        for config in configs:
+            for j, trace in enumerate(traces):
+                key = memo.memo_key(trace, config)
+                if key not in keys:
+                    cells.append(Cell(len(cells), j, config, f"cell{len(cells)}"))
+                    keys.append(key)
+        return cells, keys
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=planner_grids())
+    def test_jobs_partition_the_pending_cells(self, grid):
+        traces, configs = grid
+        pending, keys = self.pending(traces, configs)
+        jobs, job_keys = sweep._plan_stackdist(pending, keys, True)
+        assert collections.Counter(k for ks in job_keys for k in ks) == (
+            collections.Counter(keys)
+        )
+        cell_of = dict(zip(keys, pending))
+
+        def plane(cell):
+            return cell.trace_index, grid_projection(cell.config)
+
+        planes = collections.Counter(
+            plane(cell) for cell in pending if stackdist_eligible(cell.config)
+        )
+        for job, members in zip(jobs, job_keys):
+            cells = [cell_of[key] for key in members]
+            if not job.set_counts:
+                (cell,) = cells
+                assert job.config is cell.config
+                assert not stackdist_eligible(cell.config) or (
+                    planes[plane(cell)] == 1
+                    and cell.config.levels[-1].associativity == 1
+                )
+                continue
+            assert all(stackdist_eligible(cell.config) for cell in cells)
+            assert {plane(cell) for cell in cells} == {plane(job)}
+            assert len(cells) == planes[plane(job)]
+            assert job.set_counts == tuple(sorted(
+                {cell.config.levels[-1].geometry().sets for cell in cells}
+            ))
+            widest = max(cell.config.levels[-1].associativity for cell in cells)
+            assert job.config.levels[-1].associativity == widest
+            assert any(job.config is cell.config for cell in cells)
+            assert len(cells) > 1 or widest > 1
+
+        memo.clear_memo_cache()
+        clear_front_cache()
+        swept = sweep_functional(traces, configs, workers=1)
+        for config, row in zip(configs, swept):
+            for trace, result in zip(traces, row):
+                assert_counts_equal(result, run_functional(trace, config))
 
 
 class TestGridDedup:

@@ -131,10 +131,13 @@ class TestFastChunkedParity:
 
 class TestStackdistChunkedParity:
     def grids(self, trace, config, chunk, monkeypatch):
-        whole = run_stackdist_grid(trace, config)
+        """Whole and chunked width-16 passes, ``config``'s 16-way member
+        heading both."""
+        head = member_config(config, 16)
+        whole = run_stackdist_grid(trace, head)
         clear_front_cache()
         monkeypatch.setenv("REPRO_TRACE_CHUNK", str(chunk))
-        chunked = run_stackdist_grid(trace, config)
+        chunked = run_stackdist_grid(trace, head)
         monkeypatch.delenv("REPRO_TRACE_CHUNK")
         return whole, chunked
 
@@ -205,12 +208,13 @@ class TestStoreTraceReplay:
 
     def test_store_trace_grid_matches_heap_trace(self, tmp_path, monkeypatch):
         trace = SyntheticWorkload(seed=52).trace(15_000, warmup=2_000)
-        whole = run_stackdist_grid(trace, two_level())
+        head = member_config(two_level(), 16)
+        whole = run_stackdist_grid(trace, head)
         TraceStore.save(trace, tmp_path / "t.mlt")
         loaded = TraceStore.open(tmp_path / "t.mlt").as_trace()
         clear_front_cache()
         monkeypatch.setenv("REPRO_TRACE_CHUNK", "4096")
-        chunked = run_stackdist_grid(loaded, two_level())
+        chunked = run_stackdist_grid(loaded, head)
         for ways in STACK_ASSOCIATIVITIES:
             member = member_config(two_level(), ways)
             assert_counts_equal(

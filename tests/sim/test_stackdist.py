@@ -1,9 +1,10 @@
 """The single-pass stack-distance engine against both simulators.
 
 The contract: for an eligible configuration, ONE trace replay yields the
-exact counts of every member associativity (1, 2, 4, 8, 16 ways at the
-deepest level, set count held fixed) -- identical to the vectorised fast
-path and to the reference ``FunctionalSimulator``.  These tests are what
+exact counts of every member its kernel derives at each member set count
+(1, 2, 4, 8, 16 ways at the deepest level behind a set-associative head,
+the direct-mapped member behind a direct-mapped one) -- identical to the
+vectorised fast path and to the reference ``FunctionalSimulator``.  These tests are what
 lets the sweep planner (:mod:`repro.core.sweep`) derive grid cells from
 one pass blindly.
 """
@@ -20,9 +21,7 @@ from repro.sim.fast import (
 )
 from repro.sim.functional import FunctionalSimulator
 from repro.sim.stackdist import (
-    SETS,
     STACK_ASSOCIATIVITIES,
-    WAYS,
     StackdistGridResult,
     grid_projection,
     member_config,
@@ -74,9 +73,10 @@ def assert_member_matches(derived, want, context):
 
 
 def assert_grid_parity(trace, config, reference_ways=(1, 4, 16)):
-    """stackdist == fast for every member; == reference on a subset
-    (the reference simulator is orders of magnitude slower)."""
-    grid = run_stackdist_grid(trace, config)
+    """stackdist == fast for every member of the width-16 pass the
+    16-way member heads; == reference on a subset (the reference
+    simulator is orders of magnitude slower)."""
+    grid = run_stackdist_grid(trace, member_config(config, 16))
     for ways in STACK_ASSOCIATIVITIES:
         member = member_config(config, ways)
         derived = grid.result_for(member)
@@ -160,7 +160,7 @@ class TestDifferentialParity:
 
     def test_empty_trace(self):
         empty = Trace(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.uint64))
-        grid = run_stackdist_grid(empty, two_level())
+        grid = run_stackdist_grid(empty, member_config(two_level(), 16))
         for ways in STACK_ASSOCIATIVITIES:
             result = grid.result_for(member_config(two_level(), ways))
             assert result.cpu_reads == 0
@@ -169,23 +169,23 @@ class TestDifferentialParity:
 
 
 class TestPlane:
-    """A sets x ways group: one width-16 pass with a stack per member set
-    count, every (set count, associativity) member identical to the
-    one-set-count pass, to the fast path and to the reference, whole and
-    chunked."""
+    """A sets x ways group behind a set-associative head: one width-16
+    pass with a stack per member set count, every (set count,
+    associativity) member identical to the one-set-count pass, to the
+    fast path and to the reference, whole and chunked."""
 
-    SOLO = SystemConfig(levels=(LevelConfig(size_bytes=4 * KB, block_bytes=32),))
+    SOLO = SystemConfig(
+        levels=(LevelConfig(size_bytes=64 * KB, block_bytes=32, associativity=16),)
+    )
 
     def assert_members(self, trace, config, set_counts, reference=(64, 1024)):
-        grid = run_stackdist_grid(trace, config, set_counts, WAYS)
+        grid = run_stackdist_grid(trace, config, set_counts)
         assert [
             (r.config.levels[-1].geometry().sets, r.config.levels[-1].associativity)
             for r in grid.results
         ] == [(sets, ways) for sets in set_counts for ways in STACK_ASSOCIATIVITIES]
         for sets in set_counts:
-            single = run_stackdist_grid(
-                trace, member_config(config, 1, sets), (), WAYS
-            )
+            single = run_stackdist_grid(trace, member_config(config, 16, sets))
             for ways, alone in zip(STACK_ASSOCIATIVITIES, single.results):
                 member = member_config(config, ways, sets)
                 derived = grid.result_for(member)
@@ -202,15 +202,18 @@ class TestPlane:
     @pytest.mark.parametrize("split", [True, False])
     def test_two_level_plane(self, split):
         trace = SyntheticWorkload(seed=348).trace(10_000, warmup=2_000)
-        self.assert_members(trace, two_level(split=split), (16, 64, 256, 1024, 4096))
+        self.assert_members(
+            trace, member_config(two_level(split=split), 16), (16, 64, 256, 1024, 4096)
+        )
 
     def test_solo_plane_over_the_cpu_streams(self):
         trace = SyntheticWorkload(seed=349).trace(10_000, warmup=2_000)
         self.assert_members(trace, self.SOLO, (8, 64, 1024))
 
     def test_group_config_set_count_is_not_a_member(self):
-        # The config names the group's front and policies; its own set
-        # count need not be among the members.
+        # The config names the group's front and policies, and its
+        # associativity the kernel: a 2-way head gets the width-16 pass.
+        # Its own set count need not be among the members.
         trace = SyntheticWorkload(seed=350).trace(6_000, warmup=1_000)
         config = two_level(l2_kb=32).with_level(1, associativity=2, size_bytes=64 * KB)
         grid = self.assert_members(trace, config, (128, 2048), reference=())
@@ -219,10 +222,10 @@ class TestPlane:
     @pytest.mark.parametrize("chunk", (999, 7919))
     def test_chunked_equals_whole(self, chunk, monkeypatch):
         trace = SyntheticWorkload(seed=351).trace(20_000, warmup=4_000)
-        for config in (self.SOLO, two_level()):
-            whole = run_stackdist_grid(trace, config, (32, 128, 2048), WAYS)
+        for config in (self.SOLO, member_config(two_level(), 16)):
+            whole = run_stackdist_grid(trace, config, (32, 128, 2048))
             monkeypatch.setenv("REPRO_TRACE_CHUNK", str(chunk))
-            chunked = run_stackdist_grid(trace, config, (32, 128, 2048), WAYS)
+            chunked = run_stackdist_grid(trace, config, (32, 128, 2048))
             monkeypatch.delenv("REPRO_TRACE_CHUNK")
             assert len(chunked.results) == len(whole.results) == 15
             for a, b in zip(chunked.results, whole.results):
@@ -233,28 +236,22 @@ class TestPlane:
     def test_malformed_set_counts_rejected(self, set_counts):
         trace = SyntheticWorkload(seed=352).trace(1_000)
         with pytest.raises(ValueError, match="set counts"):
-            run_stackdist_grid(trace, two_level(), set_counts, WAYS)
-
-    def test_unknown_axis_rejected(self):
-        trace = SyntheticWorkload(seed=353).trace(1_000)
-        with pytest.raises(ValueError, match="axis"):
-            run_stackdist_grid(trace, two_level(), (64,), "diagonal")
+            run_stackdist_grid(trace, member_config(two_level(), 16), set_counts)
 
     def test_plane_projection_ignores_sets_and_ways(self):
         small = two_level(l2_kb=32)
         wide = small.with_level(1, associativity=4, size_bytes=1024 * KB)
-        assert grid_projection(small, None) == grid_projection(wide, None)
-        assert grid_projection(small) != grid_projection(wide)
-        assert grid_projection(small, SETS) != grid_projection(wide, SETS)
-        assert grid_projection(small, None) != grid_projection(
-            two_level(l1_kb=8), None
+        assert grid_projection(small) == grid_projection(wide)
+        assert grid_projection(small) != grid_projection(two_level(l1_kb=8))
+        assert grid_projection(small) != grid_projection(
+            small.with_level(1, block_bytes=64)
         )
 
 
 class TestSetAxis:
-    """A set-count group: one direct-mapped pass, one member per set
-    count, each identical to the fast path and the reference, whole and
-    chunked."""
+    """A set-count group behind a direct-mapped head: one direct-mapped
+    pass, one member per set count, each identical to the fast path and
+    the reference, whole and chunked."""
 
     SOLO = SystemConfig(levels=(LevelConfig(size_bytes=4 * KB, block_bytes=32),))
 
@@ -305,22 +302,30 @@ class TestSetAxis:
     )
     def test_malformed_axis_rejected(self, set_counts):
         trace = SyntheticWorkload(seed=346).trace(1_000)
-        with pytest.raises(ValueError, match="set-count group"):
+        with pytest.raises(ValueError, match="set counts"):
             run_stackdist_grid(trace, two_level(), set_counts)
 
-    def test_associative_deepest_rejected(self):
-        trace = SyntheticWorkload(seed=347).trace(1_000)
+    def test_associative_head_takes_the_width_pass(self):
+        # The kernel follows the head: at 2 ways the same set counts
+        # derive every associativity, not one direct-mapped member each.
+        trace = SyntheticWorkload(seed=347).trace(4_000, warmup=500)
         config = two_level().with_level(1, associativity=2, size_bytes=64 * KB)
-        with pytest.raises(ValueError, match="set-count group"):
-            run_stackdist_grid(trace, config, (64, 128))
+        grid = run_stackdist_grid(trace, config, (64, 128))
+        assert [
+            (r.config.levels[-1].geometry().sets, r.config.levels[-1].associativity)
+            for r in grid.results
+        ] == [(sets, ways) for sets in (64, 128) for ways in STACK_ASSOCIATIVITIES]
+        direct = run_stackdist_grid(trace, two_level(), (64, 128))
+        for member in direct.results:
+            assert_member_matches(
+                grid.result_for(member.config), member,
+                f"{member.config.levels[-1].geometry().sets} sets",
+            )
 
     def test_projection_ignores_only_the_set_count(self):
         small, large = two_level(l2_kb=32), two_level(l2_kb=512)
-        assert grid_projection(small, SETS) == grid_projection(large, SETS)
-        assert grid_projection(small) != grid_projection(large)
-        assert grid_projection(small, SETS) != grid_projection(
-            two_level(l1_kb=8), SETS
-        )
+        assert grid_projection(small) == grid_projection(large)
+        assert grid_projection(small) != grid_projection(two_level(l1_kb=8))
 
 
 class TestEligibility:
@@ -378,8 +383,8 @@ class TestGrouping:
         projections = {grid_projection(m) for m in members}
         assert len(projections) == 1
 
-    def test_different_set_counts_split_groups(self):
-        assert grid_projection(two_level(l2_kb=32)) != (
+    def test_different_set_counts_share_a_plane(self):
+        assert grid_projection(two_level(l2_kb=32)) == (
             grid_projection(two_level(l2_kb=64))
         )
 
@@ -413,7 +418,7 @@ class TestGrouping:
 class TestFrontCache:
     def test_cached_front_is_deterministic(self):
         trace = SyntheticWorkload(seed=333).trace(6_000, warmup=1_000)
-        config = two_level()
+        config = member_config(two_level(), 16)
         first = run_stackdist_grid(trace, config)
         # Second grid at a different set count reuses the cached L1
         # replay; counts must be unaffected by the cache.
