@@ -1,6 +1,6 @@
 """BENCH-RESILIENCE: what crash tolerance costs on a real sweep.
 
-Times the same functional sweep (eight L2 sizes over the standard trace
+Times the same functional sweep (eight L1 sizes over the standard trace
 suite, cold memoisation cache each pass) two ways:
 
 * **bare**: the executor as every call site uses it by default -- no
@@ -30,9 +30,16 @@ from repro.resilience.journal import journaling
 from repro.sim import memo
 from repro.units import KB
 
-#: Eight functionally-distinct configurations (L2 size axis).
-L2_SIZES = [16 * KB, 32 * KB, 64 * KB, 128 * KB,
-            256 * KB, 512 * KB, 1024 * KB, 2048 * KB]
+#: Eight functionally-distinct configurations (L1 size axis).  Each
+#: puts the direct-mapped L2 behind its own front, so the sweep planner
+#: runs every cell on its own: one simulation, and one journal record,
+#: per requested cell.
+L1_SIZES = [1 * KB, 2 * KB, 4 * KB, 8 * KB,
+            16 * KB, 32 * KB, 64 * KB, 128 * KB]
+
+#: L2 sizes of the resume test, which share one front: one set-count
+#: pass per trace, journaled as a batch.
+L2_SIZES = [16 * KB, 32 * KB, 64 * KB, 128 * KB]
 
 #: Overhead budget for the fully instrumented pass.
 OVERHEAD_BUDGET = 0.05
@@ -49,16 +56,9 @@ def _counts(result):
 
 
 def test_resilience_overhead(traces, emit, tmp_path, monkeypatch):
-    configs = [base_machine(l2_size=size) for size in L2_SIZES]
+    configs = [base_machine(l1_size=size) for size in L1_SIZES]
     records = sum(len(t) for t in traces)
     cells = len(configs) * len(traces)
-
-    # Pin the per-cell execution path: the 5% budget was defined against
-    # it, and the stack-distance planner would halve the denominator
-    # while the journal writes the same one record per requested cell.
-    # The resume test below keeps the planner on, covering batched
-    # group journaling.
-    monkeypatch.setenv("REPRO_STACKDIST", "0")
 
     def bare_leg():
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -148,7 +148,7 @@ def test_resilience_overhead(traces, emit, tmp_path, monkeypatch):
 def test_resume_is_cheaper_than_recompute(traces, emit, tmp_path, monkeypatch):
     """Resuming a fully journaled sweep must beat re-simulating it."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    configs = [base_machine(l2_size=size) for size in L2_SIZES[:4]]
+    configs = [base_machine(l2_size=size) for size in L2_SIZES]
     path = tmp_path / "resume.journal.jsonl"
 
     memo.clear_memo_cache()

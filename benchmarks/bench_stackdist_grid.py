@@ -6,8 +6,8 @@ x 1/2/4/8/16 ways over the standard trace suite) two ways:
 * **fast path** (the PR-1 engine): one vectorised
   ``FastFunctionalSimulator`` run per grid cell, serially -- what every
   sweep paid before the stack-distance planner.
-* **stackdist path**: :func:`repro.core.sweep.sweep_functional` with the
-  grid planner on and a cold memo cache.  Cells sharing a deepest-level
+* **stackdist path**: :func:`repro.core.sweep.sweep_functional` with a
+  cold memo cache.  Cells sharing a deepest-level
   set count ride one stack (Mattson's inclusion property), and the set
   counts of one front share one sets x ways pass with a stack per set
   count; on this grid that collapses 30 simulations per trace into one
@@ -42,7 +42,7 @@ import sys
 import benchjson
 
 from repro.audit import manifest
-from repro.core import clock, sweep
+from repro.core import clock
 from repro.core.sweep import sweep_functional
 from repro.experiments.base import ExperimentReport
 from repro.experiments.baseline import base_machine, l2_sweep_sizes
@@ -219,8 +219,7 @@ def _reference_spot_check(trace):
     )
 
 
-def test_stackdist_grid_speedup(traces, emit, monkeypatch):
-    monkeypatch.setenv(sweep.STACKDIST_ENV, "1")
+def test_stackdist_grid_speedup(traces, emit):
     grid = _grid_configs()
     records = sum(len(t) for t in traces)
 

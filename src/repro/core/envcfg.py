@@ -319,19 +319,6 @@ SWEEP_TIMEOUT = register(
     section="sweep",
 )
 
-STACKDIST = register(
-    "REPRO_STACKDIST",
-    kind="flag",
-    default=True,
-    doc=(
-        "Grid-batch eligible functional sweep cells through the "
-        "single-pass stack-distance engine (one trace replay per "
-        "sets x ways plane); `0` forces one simulation per cell."
-    ),
-    parse=parse_bool,
-    section="sweep",
-)
-
 TRACE_CHUNK = register(
     "REPRO_TRACE_CHUNK",
     kind="int",

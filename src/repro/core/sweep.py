@@ -7,7 +7,8 @@ configs)`` and return a dense ``results[config][trace]`` grid, and every
 sweep site (``core/design_space.py``, ``core/optimizer.py``,
 ``core/metrics.py``, ``experiments/equations.py``,
 ``experiments/extensions.py``) routes through them instead of rolling its
-own loop.
+own loop.  Both kinds run one pipeline (:func:`_sweep`); a
+:class:`_Kind` holds the few steps in which they differ.
 
 What the executor layers on top of a plain double loop:
 
@@ -20,13 +21,12 @@ What the executor layers on top of a plain double loop:
   event-engine result's counts also seed the functional memo, so a
   functional sweep after a timing sweep of the same cells simulates
   nothing.
-* **Parallelism**: outstanding cells are chunked and fanned out over a
+* **Parallelism**: outstanding jobs are chunked and fanned out over a
   supervised worker pool (:mod:`repro.resilience.executor`).  Chunks keep
-  the cells that share work together: a functional cell's front
-  (:func:`_front_chunks`), a timing cell's L1 event plan
-  (:func:`_plan_chunks`).  Traces ship to each worker once (at spawn),
-  not per cell.  Results come back in deterministic cell order
-  regardless of worker scheduling.
+  the jobs that share work together (:func:`_group_chunks`): a
+  functional job's front, a timing cell's L1 event plan.  Traces ship to
+  each worker once (at spawn), not per cell.  Results come back in
+  deterministic cell order regardless of worker scheduling.
 * **Fault isolation**: a failed, hung or killed worker no longer takes
   the sweep down with it.  Cells are retried with exponential backoff
   (``REPRO_SWEEP_RETRIES``), bounded by per-cell wall-clock timeouts
@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.audit import manifest as run_manifest
@@ -91,10 +91,6 @@ from repro.trace.record import Trace
 #: Environment knob for the pool size (0 or 1 disables the pool).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
-#: Environment knob gating the stack-distance grid planner (on by
-#: default; ``0`` forces one simulation per cell).
-STACKDIST_ENV = "REPRO_STACKDIST"
-
 #: Upper bound on the worker count.  Requests beyond it (a fat-fingered
 #: ``REPRO_SWEEP_WORKERS=10000``) clamp instead of fork-bombing the host.
 MAX_WORKERS = 64
@@ -106,19 +102,14 @@ MIN_CELLS_FOR_POOL = 4
 #: Chunks per worker of a functional sweep's jobs: small
 #: enough to amortise dispatch, large enough to balance uneven cell
 #: costs (big caches simulate faster than small ones).  The count sets
-#: the chunk size; :func:`_front_chunks` then cuts chunks at front
+#: the chunk size; :func:`_group_chunks` then cuts chunks at front
 #: boundaries, so a worker replays each front it is sent once and only a
 #: front larger than a chunk is split, evenly.  A timing sweep sends one
-#: chunk per worker, cut at L1 plan boundaries (:func:`_plan_chunks`):
-#: a plan is about half a cold cell, so splitting a group costs more
-#: than the balance it buys.  A chunk that fails is split back into
-#: single cells by the executor, so chunking never weakens fault
-#: isolation.
+#: chunk per worker, cut at L1 plan boundaries: a plan is about half a
+#: cold cell, so splitting a group costs more than the balance it buys.
+#: A chunk that fails is split back into single cells by the executor,
+#: so chunking never weakens fault isolation.
 _CHUNKS_PER_WORKER = 4
-
-def stackdist_enabled() -> bool:
-    """Whether the grid planner may batch cells through the stack pass."""
-    return bool(envcfg.get(STACKDIST_ENV))
 
 
 def _clamp_workers(value: int, origin: str) -> int:
@@ -192,49 +183,40 @@ def _plan_group(cell: Cell) -> Tuple:
     return cell.trace_index, plan_projection(cell.config)
 
 
-def _front_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
-    """Functional job chunks, cut at front boundaries."""
-    return _group_chunks(cells, chunks, _front_group)
+def _with_config(result, config: SystemConfig):
+    """``result`` carrying the caller's ``config`` (a memoised result
+    carries the configuration of the cell that computed it)."""
+    if result.config is config:
+        return result
+    return dataclasses.replace(result, config=config)
 
 
-def _plan_chunks(cells: List[Cell], chunks: int) -> List[List[Cell]]:
-    """Timing chunks, cut at L1 plan boundaries."""
-    return _group_chunks(cells, chunks, _plan_group)
+def _run_functional_job(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
+    """One functional job: a grid group's single pass over every member
+    of its plane at its set counts, or a single cell, memoised, as a
+    one-member result.
 
-
-def _run_functional_cell(traces: Sequence[Trace], cell: Cell) -> FunctionalResult:
-    """Memoised functional evaluation of one cell.
-
-    Routed through this module's ``run_functional`` (not the memo
+    A single runs through this module's ``run_functional`` (not the memo
     module's) so tests can poison the simulation entry point; the memo
     bookkeeping here is what makes worker-side hit/miss counters real.
     """
     trace = traces[cell.trace_index]
+    if cell.set_counts:
+        return run_stackdist_grid(trace, cell.config, cell.set_counts)
     key = memo.memo_key(trace, cell.config)
     cached = memo.lookup(key)
     if cached is None:
         cached = run_functional(trace, cell.config)
         memo.store(key, cached)
-    if cached.config is not cell.config:
-        cached = dataclasses.replace(cached, config=cell.config)
-    return cached
+    return StackdistGridResult(results=(_with_config(cached, cell.config),))
 
 
 def _run_timing_cell(traces: Sequence[Trace], cell: Cell) -> TimingResult:
     return TimingSimulator(cell.config).run(traces[cell.trace_index])
 
 
-def _run_functional_job(traces: Sequence[Trace], cell: Cell) -> StackdistGridResult:
-    """One functional job: a grid group's single pass over every member
-    of its plane at its set counts, or a single cell as a one-member
-    result."""
-    if not cell.set_counts:
-        return StackdistGridResult(results=(_run_functional_cell(traces, cell),))
-    return run_stackdist_grid(traces[cell.trace_index], cell.config, cell.set_counts)
-
-
 def _plan_stackdist(
-    pending: List[Cell], pending_keys: List[Tuple], enabled: bool
+    pending: List[Cell], pending_keys: List[Tuple]
 ) -> Tuple[List[Cell], List[List[Tuple]]]:
     """Partition outstanding cells into the sweep's functional jobs.
 
@@ -259,7 +241,7 @@ def _plan_stackdist(
     """
     buckets: dict = {}
     for index, cell in enumerate(pending):
-        if enabled and stackdist_eligible(cell.config):
+        if stackdist_eligible(cell.config):
             plane: object = (cell.trace_index, grid_projection(cell.config))
         else:
             plane = index  # its own bucket, keyed by its position
@@ -291,107 +273,144 @@ def _plan_stackdist(
     return jobs, job_keys
 
 
-def _make_validate(kind: str, traces: Sequence[Trace], faults) -> Optional[Callable]:
-    """Re-audit results at sweep intake when fault injection is active.
+def _plan_timing(
+    pending: List[Cell], pending_keys: List[Tuple]
+) -> Tuple[List[Cell], List[List[Tuple]]]:
+    """One job per timing cell, the cells of an L1 event plan adjacent,
+    so the serial path builds each plan once."""
+    ordered = [cell for run in _group_chunks(pending, 1, _plan_group) for cell in run]
+    jobs = [cell._replace(cell_id=index) for index, cell in enumerate(ordered)]
+    return jobs, [[pending_keys[cell.cell_id]] for cell in ordered]
 
-    The simulators audit themselves *inside* each run; an injected
-    ``corrupt_result`` happens after that, so the intake check is what
-    catches it (and turns it into a retry instead of a poisoned grid).
+
+def _grid_members(
+    trace: Trace, cell: Cell, result: StackdistGridResult, keys: List[Tuple]
+) -> List[Tuple[Tuple, FunctionalResult]]:
+    """Every member of a functional job's result: the cells it was asked
+    for and, from a grid pass, its extras."""
+    return [(memo.memo_key(trace, member.config), member) for member in result.results]
+
+
+def _timing_members(
+    trace: Trace, cell: Cell, result: TimingResult, keys: List[Tuple]
+) -> List[Tuple[Tuple, TimingResult]]:
+    """A timing job's one cell.  An event-engine result's counts also
+    seed the functional memo.
+
+    The event engine's counts equal the functional fast path's on every
+    run it takes (``tests/sim/test_timing_events.py`` pins it to the
+    reference, whose counts are the functional simulator's), so a later
+    functional sweep of the same cell is a memo hit.  The counts go
+    through :func:`functional_result`, which audits them.
     """
-    if faults is None or not audit_enabled():
-        return None
-    if kind == "functional":
-        def validate(cell: Cell, result) -> None:
-            for member in result.results:
-                audit_functional_result(
-                    traces[cell.trace_index], member, source="sweep-intake"
-                )
-        return validate
-    def validate(cell: Cell, result) -> None:
-        audit_timing_result(traces[cell.trace_index], result, source="sweep-intake")
-    return validate
+    config = cell.config
+    if event_eligible(config, trace):
+        key = memo.memo_key(trace, config)
+        if memo.peek(key) is None:
+            memo.store(key, functional_result(
+                trace, config, [dataclasses.replace(s) for s in result.level_stats],
+                result.memory_reads, result.memory_writes, source="event-engine",
+            ))
+    return [(keys[0], result)]
 
 
-def _pool_map(
-    kind: str,
-    compute: Callable,
-    cells: List[Cell],
-    traces: List[Trace],
-    workers: int,
-    policy: RetryPolicy,
-    faults,
-    validate,
-    on_result,
-    chunker: Callable[[List[Cell], int], List[List[Cell]]],
-    per_worker: int,
-) -> Optional[ExecOutcome]:
-    """Fan ``cells`` out over the supervised pool; ``None`` if no worker
-    process could be created (the caller falls back to the serial path).
+def _audit_grid(trace: Trace, result: StackdistGridResult) -> None:
+    for member in result.results:
+        audit_functional_result(trace, member, source="sweep-intake")
 
-    Only worker *creation* is allowed to fail softly.  A failure inside
-    a worker -- a simulation error, a hang, a death -- is retried and,
-    if permanent, reported; silently re-running a failing grid serially
-    would mask the error (and could "succeed" with different results).
+
+def _audit_timing(trace: Trace, result: TimingResult) -> None:
+    audit_timing_result(trace, result, source="sweep-intake")
+
+
+def _read_functional(trace: Trace, config: SystemConfig, result) -> FunctionalResult:
+    """A functional grid cell, read back through one counted memo lookup
+    (the run manifest's ``memo.hits``)."""
+    return memo.run_functional_memo(trace, config)
+
+
+def _read_timing(trace: Trace, config: SystemConfig, result) -> TimingResult:
+    return _with_config(result, config)
+
+
+class _Kind(NamedTuple):
+    """The steps in which a functional and a timing sweep differ.
+
+    ``name`` tags the journal, the executor and fault signatures; a
+    cell's key is ``(trace fingerprint, projection(config))``, read from
+    and written to the memo by ``peek``/``store``; ``plan`` turns the
+    pending cells and keys into ``(jobs, job_keys)``; a pool chunk keeps
+    a ``group`` together, ``per_worker`` chunks a worker; ``members``
+    lists the ``(key, result)`` cells a job's result carries; ``audit``
+    re-checks a job's result at intake; ``read`` turns a cell's result
+    into its grid entry.
     """
-    chunks = chunker(cells, workers * per_worker)
-    return resilient_executor.run_pooled(
-        kind, compute, chunks, traces, workers, policy,
-        faults=faults, validate=validate, on_result=on_result,
-    )
+
+    name: str
+    projection: Callable[[SystemConfig], Tuple]
+    peek: Callable[[Tuple], Any]
+    store: Callable[[Tuple, Any], None]
+    plan: Callable[[List[Cell], List[Tuple]], Tuple[List[Cell], List[List[Tuple]]]]
+    group: Callable[[Cell], Tuple]
+    per_worker: int
+    members: Callable[[Trace, Cell, Any, List[Tuple]], List[Tuple[Tuple, Any]]]
+    audit: Callable[[Trace, Any], None]
+    read: Callable[[Trace, SystemConfig, Any], Any]
+
+
+_FUNCTIONAL = _Kind(
+    "functional", memo.functional_projection, memo.peek, memo.store,
+    _plan_stackdist, _front_group, _CHUNKS_PER_WORKER, _grid_members,
+    _audit_grid, _read_functional,
+)
+
+_TIMING = _Kind(
+    "timing", memo.timing_projection, memo.peek_timing, memo.store_timing,
+    _plan_timing, _plan_group, 1, _timing_members, _audit_timing, _read_timing,
+)
 
 
 def _run_cells(
-    kind: str,
+    kind: _Kind,
     compute: Callable,
     cells: List[Cell],
     traces: List[Trace],
     workers: Optional[int],
     faults,
     on_result,
-    chunker: Callable[[List[Cell], int], List[List[Cell]]] = _front_chunks,
-    per_worker: int = _CHUNKS_PER_WORKER,
 ) -> Tuple[ExecOutcome, int, bool]:
-    """Evaluate ``cells`` (deterministic order) in parallel when it pays.
+    """Evaluate ``cells`` (deterministic order) in parallel when it pays;
+    returns ``(outcome, workers_resolved, pooled)``.
 
-    A pool gets ``chunker(cells, workers * per_worker)``; the serial path
-    runs the cells in their given order.  Returns ``(outcome,
-    workers_resolved, pooled)`` so callers can report how the work was
-    actually executed.
+    Only worker *creation* may fail softly (the pool returns ``None``
+    and the serial path runs instead): a failure inside a worker is
+    retried and, if permanent, reported, since re-running a failing grid
+    serially would mask the error.
     """
     policy = RetryPolicy.from_env()
-    validate = _make_validate(kind, traces, faults)
+    validate = None
+    if faults is not None and audit_enabled():
+        # The simulators audit themselves *inside* each run; an injected
+        # ``corrupt_result`` happens after that, so this intake check is
+        # what catches it (and turns it into a retry instead of a
+        # poisoned grid).
+        def validate(cell: Cell, result) -> None:
+            kind.audit(traces[cell.trace_index], result)
     count = sweep_workers(workers)
     if count > 1 and len(cells) >= MIN_CELLS_FOR_POOL:
-        outcome = _pool_map(
-            kind, compute, cells, traces, count, policy, faults, validate,
-            on_result, chunker, per_worker,
+        outcome = resilient_executor.run_pooled(
+            kind.name, compute,
+            _group_chunks(cells, count * kind.per_worker, kind.group),
+            traces, count, policy,
+            faults=faults, validate=validate, on_result=on_result,
         )
         if outcome is not None:
             return outcome, count, True
     outcome = resilient_executor.run_serial(
-        kind, compute, cells, traces, policy,
+        kind.name, compute, cells, traces, policy,
         faults=faults, validate=validate, on_result=on_result,
     )
     return outcome, count, False
-
-
-def _settle_failures(
-    outcome: ExecOutcome,
-    on_failure: str,
-    failures: Optional[List[FailureReport]],
-) -> None:
-    """Surface permanent failures: report them, then raise or degrade."""
-    if failures is not None:
-        failures.extend(outcome.failures)
-    if not outcome.failures:
-        return
-    run_manifest.note_failures(outcome.failures)
-    if on_failure == "partial":
-        return
-    for report in outcome.failures:
-        if report.exception is not None:
-            raise report.exception
-    raise SweepFailure(outcome.failures)
 
 
 def sweep_functional(
@@ -407,7 +426,9 @@ def sweep_functional(
     :class:`~repro.sim.functional.FunctionalResult` of ``configs[i]`` on
     ``traces[j]``.  Cells sharing a memoisation key (timing-only config
     differences, or results already cached by an earlier sweep) are
-    simulated once; the rest are fanned out over the worker pool.
+    simulated once; cells that differ only in the deepest level's set
+    and way counts share one grid pass (:func:`_plan_stackdist`); the
+    rest are fanned out over the worker pool.
 
     ``on_failure`` controls what happens when a cell fails permanently
     (after retries): ``"raise"`` (default) re-raises the first failure's
@@ -416,140 +437,14 @@ def sweep_functional(
     to any active run manifest, and completed cells are already in the
     memo cache and the active checkpoint journal.
     """
-    traces = list(traces)
-    configs = list(configs)
-    if not traces or not configs:
-        raise ValueError("need at least one trace and one configuration")
-    with telemetry.span(
-        "sweep.functional", configs=len(configs), traces=len(traces)
-    ):
-        return _sweep_functional_grid(
-            traces, configs, workers, on_failure, failures
-        )
-
-
-def _sweep_functional_grid(
-    traces: List[Trace],
-    configs: List[SystemConfig],
-    workers: Optional[int],
-    on_failure: str,
-    failures: Optional[List[FailureReport]],
-) -> List[List[Optional[FunctionalResult]]]:
-    watch = clock.Stopwatch()
-    since = telemetry.mark()
-    journal = current_journal()
-    faults = FaultPlan.from_env()
-    with telemetry.span("sweep.plan"):
-        keys = [
-            [memo.memo_key(trace, config) for trace in traces]
-            for config in configs
-        ]
-        # One representative cell per distinct un-cached key, in
-        # first-seen (config-major) order so results are reproducible
-        # cell by cell.  Each distinct key is looked up once, in order:
-        # the memo, then this sweep's journal, then the pending list.  A
-        # memo-served key the journal lacks (typically another sweep's
-        # grid extra) is journaled too, so the journal resumes alone.
-        pending: List[Cell] = []
-        pending_keys: List[Tuple] = []
-        served: List[Tuple[Tuple, FunctionalResult]] = []
-        seen = set()
-        resumed = 0
-        for i, config in enumerate(configs):
-            for j in range(len(traces)):
-                key = keys[i][j]
-                if key in seen:
-                    continue
-                seen.add(key)
-                cached = memo.peek(key)
-                if cached is not None:
-                    if journal is not None and not journal.holds("functional", key):
-                        served.append((key, cached))
-                    continue
-                if journal is not None:
-                    restored = journal.restore("functional", key, config)
-                    if restored is not None:
-                        memo.store(key, restored)
-                        resumed += 1
-                        continue
-                pending.append(
-                    Cell(
-                        len(pending), j, config,
-                        cell_signature("functional", j, key[1]),
-                    )
-                )
-                pending_keys.append(key)
-
-        # Plan: cells that differ only in the deepest level's set and
-        # way counts share one grid pass; everything else simulates per
-        # cell.
-        jobs, job_keys = _plan_stackdist(pending, pending_keys, stackdist_enabled())
-
-    if journal is not None and served:
-        # Already computed, so a machine crash costs only re-derivation:
-        # the batch rides the group commit instead of forcing an fsync.
-        journal.record_cells("functional", served, sync=False)
-
-    def on_result(cell: Cell, result: StackdistGridResult) -> None:
-        # Fan every member into the memo cache: the members this sweep
-        # asked for materialise below, and a grid job's extras turn
-        # later per-cell runs into hits.  Only the *requested* members
-        # are journaled -- persisting the speculative extras would grow
-        # the journal ~5x on direct-mapped sweeps.  A grid job's batch
-        # is fsynced at once (one fsync per pass); a single rides the
-        # group commit.
-        trace = traces[cell.trace_index]
-        requested = set(job_keys[cell.cell_id])
-        batch = []
-        for member in result.results:
-            key = memo.memo_key(trace, member.config)
-            memo.store(key, member)
-            if key in requested:
-                batch.append((key, member))
-        if journal is not None:
-            journal.record_cells("functional", batch, sync=bool(cell.set_counts))
-
-    outcome = ExecOutcome()
-    used_workers, pooled = sweep_workers(workers), False
     # The workers' only global mutation is the process-local memo/front
     # caches and telemetry counters: each spawn worker fills its own
     # copy, and the counters ride back with every result -- sanctioned
     # state.
-    if jobs:
-        outcome, used_workers, pooled = _run_cells(
-            "functional", _run_functional_job, jobs, traces, workers,  # repro: noqa RPR009
-            faults, on_result,
-        )
-    failed_keys = {
-        key
-        for report in outcome.failures
-        if report.cell_id >= 0
-        for key in job_keys[report.cell_id]
-    }
-    singles = sum(1 for job in jobs if not job.set_counts)
-    run_manifest.note_sweep(
-        kind="functional",
-        configs=len(configs),
-        traces=len(traces),
-        simulated=singles,
-        workers=used_workers,
-        pooled=pooled,
-        seconds=watch.elapsed_s(),
-        since=since,
-        resumed=resumed,
-        failed=len(outcome.failures),
-        stackdist_groups=len(jobs) - singles,
-        cells_derived=len(pending) - singles,
+    return _sweep(
+        _FUNCTIONAL, _run_functional_job, traces, configs, workers,  # repro: noqa RPR009
+        on_failure, failures,
     )
-    _settle_failures(outcome, on_failure, failures)
-    return [
-        [
-            None if keys[i][j] in failed_keys
-            else memo.run_functional_memo(traces[j], configs[i])
-            for j in range(len(traces))
-        ]
-        for i in range(len(configs))
-    ]
 
 
 def sweep_timing(
@@ -571,130 +466,137 @@ def sweep_timing(
     functional memo.  ``on_failure`` behaves as in
     :func:`sweep_functional`.
     """
+    return _sweep(
+        _TIMING, _run_timing_cell, traces, configs, workers, on_failure, failures
+    )
+
+
+def _sweep(
+    kind: _Kind,
+    compute: Callable,
+    traces: Sequence[Trace],
+    configs: Sequence[SystemConfig],
+    workers: Optional[int],
+    on_failure: str,
+    failures: Optional[List[FailureReport]],
+) -> List[List[Any]]:
+    """Plan, journal, execute and assemble one grid of ``kind``'s cells;
+    ``compute`` evaluates one job (in a worker, or in process)."""
     traces = list(traces)
     configs = list(configs)
     if not traces or not configs:
         raise ValueError("need at least one trace and one configuration")
     with telemetry.span(
-        "sweep.timing", configs=len(configs), traces=len(traces)
+        f"sweep.{kind.name}", configs=len(configs), traces=len(traces)
     ):
-        return _sweep_timing_grid(traces, configs, workers, on_failure, failures)
-
-
-def _remember_counts(trace: Trace, config: SystemConfig, result: TimingResult) -> None:
-    """Seed the functional memo with an event-engine result's counts.
-
-    The event engine's counts equal the functional fast path's on every
-    run it takes (``tests/sim/test_timing_events.py`` pins it to the
-    reference, whose counts are the functional simulator's), so a later
-    functional sweep of the same cell is a memo hit.  The result goes
-    through :func:`functional_result`, which audits it.
-    """
-    if not event_eligible(config, trace):
-        return
-    key = memo.memo_key(trace, config)
-    if memo.peek(key) is None:
-        memo.store(key, functional_result(
-            trace, config, [dataclasses.replace(s) for s in result.level_stats],
-            result.memory_reads, result.memory_writes, source="event-engine",
-        ))
-
-
-def _sweep_timing_grid(
-    traces: List[Trace],
-    configs: List[SystemConfig],
-    workers: Optional[int],
-    on_failure: str,
-    failures: Optional[List[FailureReport]],
-) -> List[List[Optional[TimingResult]]]:
-    watch = clock.Stopwatch()
-    since = telemetry.mark()
-    journal = current_journal()
-    faults = FaultPlan.from_env()
-    fingerprints = [memo.trace_fingerprint(trace) for trace in traces]
-    keys: List[List[Tuple]] = []
-    found: dict = {}
-    served: List[Tuple[Tuple, TimingResult]] = []
-    plans: dict = {}
-    resumed = 0
-    with telemetry.span("sweep.plan"):
-        # Each distinct key is looked up once, in order: the memo, then
-        # this sweep's journal, then the pending list, grouped by L1
-        # plan so the serial path and every pool chunk build each plan
-        # once.  A memo-served key the journal lacks is journaled too,
-        # so the journal resumes alone.
-        for i, config in enumerate(configs):
-            projection = memo.timing_projection(config)
-            keys.append([(fingerprint, projection) for fingerprint in fingerprints])
-            for j, key in enumerate(keys[i]):
-                if key in found:
-                    continue
-                cached = memo.peek_timing(key)
-                if cached is not None:
-                    found[key] = cached
-                    if journal is not None and not journal.holds("timing", key):
-                        served.append((key, cached))
-                    continue
-                if journal is not None:
-                    restored = journal.restore("timing", key, config)
-                    if restored is not None:
-                        memo.store_timing(key, restored)
-                        found[key] = restored
-                        resumed += 1
-                        continue
-                found[key] = None  # pending: filled by on_result
-                group = (j, plan_projection(config))
-                plans.setdefault(group, []).append((j, config, key))
+        watch = clock.Stopwatch()
+        since = telemetry.mark()
+        journal = current_journal()
+        faults = FaultPlan.from_env()
+        fingerprints = [memo.trace_fingerprint(trace) for trace in traces]
+        keys: List[List[Tuple]] = []
+        # key -> its result; ``None`` while pending, and for good if its
+        # job fails.
+        found: dict = {}
+        served: List[Tuple[Tuple, Any]] = []
         pending: List[Cell] = []
         pending_keys: List[Tuple] = []
-        for members in plans.values():
-            for j, config, key in members:
-                pending.append(
-                    Cell(
+        resumed = 0
+        with telemetry.span("sweep.plan"):
+            # One representative cell per distinct un-cached key, in
+            # first-seen (config-major) order so results are reproducible
+            # cell by cell.  Each distinct key is looked up once, in order:
+            # the memo, then this sweep's journal, then the pending list.
+            # A memo-served key the journal lacks (typically another
+            # sweep's grid extra) is journaled too, so the journal
+            # resumes alone.
+            for config in configs:
+                projection = kind.projection(config)
+                keys.append([(fingerprint, projection) for fingerprint in fingerprints])
+                for j, key in enumerate(keys[-1]):
+                    if key in found:
+                        continue
+                    cached = kind.peek(key)
+                    if cached is not None:
+                        found[key] = cached
+                        if journal is not None and not journal.holds(kind.name, key):
+                            served.append((key, cached))
+                        continue
+                    if journal is not None:
+                        restored = journal.restore(kind.name, key, config)
+                        if restored is not None:
+                            kind.store(key, restored)
+                            found[key] = restored
+                            resumed += 1
+                            continue
+                    found[key] = None
+                    pending.append(Cell(
                         len(pending), j, config,
-                        cell_signature("timing", j, key[1]),
-                    )
-                )
-                pending_keys.append(key)
+                        cell_signature(kind.name, j, projection),
+                    ))
+                    pending_keys.append(key)
+            jobs, job_keys = kind.plan(pending, pending_keys)
 
-    if journal is not None and served:
-        journal.record_cells("timing", served, sync=False)
+        if journal is not None and served:
+            # Already computed, so a machine crash costs only
+            # re-derivation: the batch rides the group commit instead of
+            # forcing an fsync.
+            journal.record_cells(kind.name, served, sync=False)
 
-    def on_result(cell: Cell, result: TimingResult) -> None:
-        key = pending_keys[cell.cell_id]
-        found[key] = result
-        memo.store_timing(key, result)
-        _remember_counts(traces[cell.trace_index], cell.config, result)
-        if journal is not None:
-            journal.record_cell("timing", key, result)
+        def on_result(cell: Cell, result) -> None:
+            # Fan every member into the memo cache: the members this
+            # sweep asked for materialise below, and a grid job's extras
+            # turn later per-cell runs into hits.  Only the *requested*
+            # members are journaled -- persisting the speculative extras
+            # would grow the journal ~5x on direct-mapped sweeps.  A grid
+            # job's batch is fsynced at once (one fsync per pass); a
+            # single rides the group commit.
+            requested = set(job_keys[cell.cell_id])
+            batch = []
+            for key, member in kind.members(
+                traces[cell.trace_index], cell, result, job_keys[cell.cell_id]
+            ):
+                kind.store(key, member)
+                if key in requested:
+                    found[key] = member
+                    batch.append((key, member))
+            if journal is not None:
+                journal.record_cells(kind.name, batch, sync=bool(cell.set_counts))
 
-    outcome = ExecOutcome()
-    used_workers, pooled = sweep_workers(workers), False
-    if pending:
-        outcome, used_workers, pooled = _run_cells(
-            "timing", _run_timing_cell, pending, traces, workers,
-            faults, on_result, _plan_chunks, 1,
+        outcome = ExecOutcome()
+        used_workers, pooled = sweep_workers(workers), False
+        if jobs:
+            outcome, used_workers, pooled = _run_cells(
+                kind, compute, jobs, traces, workers, faults, on_result
+            )
+        singles = sum(1 for job in jobs if not job.set_counts)
+        run_manifest.note_sweep(
+            kind=kind.name,
+            configs=len(configs),
+            traces=len(traces),
+            simulated=singles,
+            workers=used_workers,
+            pooled=pooled,
+            seconds=watch.elapsed_s(),
+            since=since,
+            resumed=resumed,
+            failed=len(outcome.failures),
+            stackdist_groups=len(jobs) - singles,
+            cells_derived=len(pending) - singles,
         )
-    run_manifest.note_sweep(
-        kind="timing",
-        configs=len(configs),
-        traces=len(traces),
-        simulated=len(pending),
-        workers=used_workers,
-        pooled=pooled,
-        seconds=watch.elapsed_s(),
-        since=since,
-        resumed=resumed,
-        failed=len(outcome.failures),
-    )
-    _settle_failures(outcome, on_failure, failures)
-    grid: List[List[Optional[TimingResult]]] = []
-    for config, row in zip(configs, keys):
-        cells = []
-        for key in row:
-            result = found[key]
-            if result is not None and result.config is not config:
-                result = dataclasses.replace(result, config=config)
-            cells.append(result)
-        grid.append(cells)
-    return grid
+        # Surface permanent failures: report them, then raise or degrade.
+        if failures is not None:
+            failures.extend(outcome.failures)
+        run_manifest.note_failures(outcome.failures)
+        if outcome.failures and on_failure != "partial":
+            for report in outcome.failures:
+                if report.exception is not None:
+                    raise report.exception
+            raise SweepFailure(outcome.failures)
+        return [
+            [
+                None if found[key] is None else kind.read(trace, config, found[key])
+                for trace, key in zip(traces, row)
+            ]
+            for config, row in zip(configs, keys)
+        ]

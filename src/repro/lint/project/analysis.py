@@ -19,7 +19,7 @@ three derived analyses the interprocedural rules consume:
   checks writes against).
 * :meth:`ProjectAnalysis.pool_flow_sites` -- every concrete argument
   that flows into a worker-pool callable slot (``run_pooled`` /
-  ``_pool_map`` / ``Process(target=...)``), including flows through
+  ``Process(target=...)``), including flows through
   wrapper functions and parameter positions (RPR009's input).
 
 Direct effect sites are classified once, in the indexer's sink table
@@ -46,7 +46,6 @@ from repro.lint.project.indexer import (
 #: positional index or a keyword name).
 POOL_ENTRY_SLOTS: Dict[str, str] = {
     "run_pooled": "1",
-    "_pool_map": "1",
     "Process": "target",
 }
 

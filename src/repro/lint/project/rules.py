@@ -300,8 +300,8 @@ class ForkSafetyRule(Rule):
     )
     explain = (
         "A parameter-flow fixed point marks every function parameter "
-        "that ends up in a pool callable slot (run_pooled/_pool_map "
-        "slot 1, Process(target=...)); each concrete value observed at "
+        "that ends up in a pool callable slot (run_pooled slot 1, "
+        "Process(target=...)); each concrete value observed at "
         "a flowing slot is then checked: lambdas and nested functions "
         "are not picklable under spawn, callables that mutate module "
         "globals (directly or transitively) diverge between fork and "

@@ -94,6 +94,28 @@ class _Job:
     job_id: int = 0
 
 
+def _failure_report(
+    kind: str,
+    traces: Sequence[Trace],
+    cell: Cell,
+    reason: str,
+    attempts: int,
+    **details: Any,
+) -> FailureReport:
+    """The report of a cell that exhausted its attempts; ``details`` are
+    :meth:`FailureReport.from_exception`'s exception fields."""
+    return FailureReport.from_exception(
+        kind=kind,
+        reason=reason,
+        trace_index=cell.trace_index,
+        trace_name=traces[cell.trace_index].name,
+        config_text=format_config(cell.config).strip(),
+        attempts=attempts,
+        cell_id=cell.cell_id,
+        **details,
+    )
+
+
 def _evaluate_cell(
     compute: Callable[[Sequence[Trace], Cell], Any],
     traces: Sequence[Trace],
@@ -343,18 +365,10 @@ class _Supervisor:
             )
             return
         self.outcome.failures.append(
-            FailureReport.from_exception(
-                kind=self.kind,
-                reason=reason,
-                trace_index=cell.trace_index,
-                trace_name=self.traces[cell.trace_index].name,
-                config_text=format_config(cell.config).strip(),
-                attempts=attempts_made,
-                exc=exc,
-                exception_type=exception_type,
-                message=message,
+            _failure_report(
+                self.kind, self.traces, cell, reason, attempts_made,
+                exc=exc, exception_type=exception_type, message=message,
                 traceback_text=traceback_text,
-                cell_id=cell.cell_id,
             )
         )
 
@@ -550,59 +564,32 @@ def run_serial(
     outcome = ExecOutcome()
     rng = policy.rng()
     with telemetry.span("serial.run", kind=kind, cells=len(cells)):
-        _run_serial_cells(
-            kind, compute, cells, traces, policy, faults, validate,
-            on_result, outcome, rng,
-        )
-    return outcome
-
-
-def _run_serial_cells(
-    kind: str,
-    compute: Callable[[Sequence[Trace], Cell], Any],
-    cells: Sequence[Cell],
-    traces: Sequence[Trace],
-    policy: RetryPolicy,
-    faults: Optional[FaultPlan],
-    validate: Optional[Callable[[Cell, Any], None]],
-    on_result: Optional[Callable[[Cell, Any], None]],
-    outcome: ExecOutcome,
-    rng: Any,
-) -> None:
-    for cell in cells:
-        attempt = 0
-        while True:
-            reason = "exception"
-            try:
-                result = _evaluate_cell(
-                    compute, traces, cell, attempt, faults, in_worker=False
-                )
-                if validate is not None:
-                    reason = "invalid-result"
-                    validate(cell, result)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                attempts_made = attempt + 1
-                if attempts_made < policy.max_attempts:
-                    telemetry.counter_add("pool.retries")
-                    time.sleep(policy.backoff_s(attempts_made, rng))
-                    attempt += 1
-                    continue
-                outcome.failures.append(
-                    FailureReport.from_exception(
-                        kind=kind,
-                        reason=reason,
-                        trace_index=cell.trace_index,
-                        trace_name=traces[cell.trace_index].name,
-                        config_text=format_config(cell.config).strip(),
-                        attempts=attempts_made,
-                        exc=exc,
-                        cell_id=cell.cell_id,
+        for cell in cells:
+            attempt = 0
+            while True:
+                reason = "exception"
+                try:
+                    result = _evaluate_cell(
+                        compute, traces, cell, attempt, faults, in_worker=False
                     )
-                )
+                    if validate is not None:
+                        reason = "invalid-result"
+                        validate(cell, result)
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except Exception as exc:
+                    attempts_made = attempt + 1
+                    if attempts_made < policy.max_attempts:
+                        telemetry.counter_add("pool.retries")
+                        time.sleep(policy.backoff_s(attempts_made, rng))
+                        attempt += 1
+                        continue
+                    outcome.failures.append(_failure_report(
+                        kind, traces, cell, reason, attempts_made, exc=exc
+                    ))
+                    break
+                outcome.results[cell.cell_id] = result
+                if on_result is not None:
+                    on_result(cell, result)
                 break
-            outcome.results[cell.cell_id] = result
-            if on_result is not None:
-                on_result(cell, result)
-            break
+    return outcome

@@ -87,15 +87,12 @@ class TestBreakevenMap:
         with pytest.raises(ValueError):
             breakeven_map(small_traces, base_config, SIZES, CYCLES, set_size=1)
 
-    def test_batched_warm_sweep_shares_stack_passes(
-        self, small_traces, base_config, monkeypatch
-    ):
+    def test_batched_warm_sweep_shares_stack_passes(self, small_traces, base_config):
         """The warm-up sweep presents both associativities at once, so
         the diagonal pair (32 KB 4-way, 8 KB direct-mapped) shares one
         stack, the front's set counts share one stack-distance pass, and
         the per-associativity grids that follow are pure memo hits.
         """
-        monkeypatch.setenv("REPRO_STACKDIST", "1")
         memo.clear_memo_cache()
         with manifest.recording("breakeven-warm") as run:
             breakeven_map(small_traces, base_config, SIZES, CYCLES, set_size=4)

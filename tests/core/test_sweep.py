@@ -198,7 +198,7 @@ class TestParallel:
     def test_pool_replays_each_front_once(self, base_config, monkeypatch):
         """Cells that share a front -- a trace and the upstream levels --
         are dispatched together, so each front is replayed by one worker
-        only, once: as per-cell singles, and as set-count groups."""
+        only, once: as set-count groups, and as per-cell singles."""
         from repro.audit import manifest
 
         monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
@@ -208,23 +208,30 @@ class TestParallel:
             )
             for t in range(3)
         ]
-        # Lone direct-mapped L2 cells: per cell each runs on its cached
-        # front; grouped, each front's cells are one set-count pass.
-        configs = [
+        # Direct-mapped L2 cells sharing a front are one set-count pass
+        # per front; a lone direct-mapped cell on its own front is a
+        # single that runs on its cached front.
+        grouped = [
             base_config.with_level(0, size_bytes=l1_kb * KB).with_level(
                 1, size_bytes=l2_kb * KB
             )
             for l1_kb in (4, 8)
             for l2_kb in (16, 32, 64)
         ]
-        fronts = {
-            (j, front_projection(config))
-            for config in configs
-            for j in range(len(traces))
-        }
-        serial = sweep_functional(traces, configs, workers=1)
-        for grouped in ("0", "1"):
-            monkeypatch.setenv(sweep.STACKDIST_ENV, grouped)
+        singles = [
+            base_config.with_level(0, size_bytes=l1_kb * KB).with_level(
+                1, size_bytes=l2_kb * KB
+            )
+            for l1_kb, l2_kb in ((4, 16), (8, 32), (16, 64))
+        ]
+        for configs in (grouped, singles):
+            fronts = {
+                (j, front_projection(config))
+                for config in configs
+                for j in range(len(traces))
+            }
+            memo.clear_memo_cache()
+            serial = sweep_functional(traces, configs, workers=1)
             memo.clear_memo_cache()
             clear_front_cache()  # forked workers must not inherit fronts
             since = telemetry.mark()
@@ -234,10 +241,11 @@ class TestParallel:
             if not note.pooled:
                 pytest.skip("worker processes cannot be created on this host")
             cells = len(configs) * len(traces)
-            if grouped == "1":
+            if configs is grouped:
                 assert note.stackdist_groups == len(fronts)
                 assert (note.simulated, note.cells_derived) == (0, cells)
             else:
+                assert len(fronts) == cells
                 assert (note.simulated, note.stackdist_groups) == (cells, 0)
             moved = telemetry.counter_deltas(since)
             assert moved.get("front.misses", 0) == len(fronts)
@@ -261,7 +269,9 @@ class TestParallel:
     def test_graceful_fallback_when_pool_unavailable(
         self, small_traces, base_config, monkeypatch
     ):
-        monkeypatch.setattr(sweep, "_pool_map", lambda *a, **k: None)
+        monkeypatch.setattr(
+            sweep.resilient_executor, "run_pooled", lambda *a, **k: None
+        )
         configs = [
             base_config,
             base_config.with_level(1, size_bytes=16 * KB),
@@ -316,29 +326,6 @@ class TestTimingMemo:
             assert a == b and b.config is base_config
         assert second[0] == second[2]
 
-    def test_second_sweeps_journal_resumes_alone(
-        self, tmp_path, small_traces, base_config
-    ):
-        from repro.audit import manifest
-        from repro.resilience.journal import journaling
-
-        configs = timing_variants(base_config)
-        with journaling(tmp_path / "first.jsonl"):
-            sweep_timing(small_traces, configs, workers=1)
-        with journaling(tmp_path / "second.jsonl"):
-            served = sweep_timing(small_traces, configs, workers=1)
-        memo.clear_memo_cache()
-        with manifest.recording("resume") as run:
-            with journaling(tmp_path / "second.jsonl", resume=True):
-                resumed = sweep_timing(small_traces, configs, workers=1)
-        (note,) = run.sweeps
-        assert note.simulated == 0
-        assert note.resumed == len(configs) * len(small_traces)
-        for row_a, row_b in zip(served, resumed):
-            for a, b in zip(row_a, row_b):
-                assert a.total_ns == b.total_ns
-                assert a.write_stall_ns == b.write_stall_ns
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_functional_sweep_after_timing_simulates_nothing(
         self, small_traces, base_config, workers
@@ -358,6 +345,38 @@ class TestTimingMemo:
         for config, row in zip(configs, grid):
             for trace, result in zip(small_traces, row):
                 assert result == run_functional(trace, config)
+
+
+class TestBothKinds:
+    """Behaviour the functional and timing sweeps share through their one
+    pipeline."""
+
+    @pytest.mark.parametrize(
+        "run_sweep", [sweep_functional, sweep_timing], ids=["functional", "timing"]
+    )
+    def test_second_sweeps_journal_resumes_alone(
+        self, tmp_path, small_traces, base_config, run_sweep
+    ):
+        """A sweep served wholly from the memo still journals every cell,
+        so its journal alone resumes the grid."""
+        from repro.audit import manifest
+        from repro.resilience.journal import journaling
+
+        configs = [
+            base_config.with_level(1, size_bytes=kb * KB) for kb in (16, 32, 64)
+        ]
+        with journaling(tmp_path / "first.jsonl"):
+            run_sweep(small_traces, configs, workers=1)
+        with journaling(tmp_path / "second.jsonl"):
+            served = run_sweep(small_traces, configs, workers=1)
+        memo.clear_memo_cache()
+        with manifest.recording("resume") as run:
+            with journaling(tmp_path / "second.jsonl", resume=True):
+                resumed = run_sweep(small_traces, configs, workers=1)
+        (note,) = run.sweeps
+        assert note.simulated == 0
+        assert note.resumed == len(configs) * len(small_traces)
+        assert resumed == served
 
 
 class TestWorkerErrors:
@@ -382,13 +401,12 @@ class TestWorkerErrors:
             return real(trace, config)
 
         monkeypatch.setattr(sweep, "run_functional", poisoned)
-        # Keep the cells on the per-cell functional path: with the grid
-        # planner on they would ride stack passes and never touch the
-        # poisoned run_functional.
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
+        # Lone direct-mapped cells on distinct fronts stay on the
+        # per-cell functional path; cells sharing a front would ride one
+        # grid pass and never touch the poisoned run_functional.
         configs = [
             base_config,
-            base_config.with_level(1, size_bytes=16 * KB),
+            base_config.with_level(0, size_bytes=8 * KB),
         ]
         # 2 traces x 2 functionally distinct configs = 4 pending cells,
         # enough to engage the pool.
@@ -423,7 +441,7 @@ class TestWorkerErrors:
 class TestStackdistPlanner:
     """Grid batching: cells differing only in deepest-level associativity
     ride one stack-distance pass; everything else keeps per-cell
-    semantics (and the knob can force the old behaviour)."""
+    semantics."""
 
     @staticmethod
     def grid_configs(base_config, l2_kb=64, ways=(1, 2, 4, 8)):
@@ -433,17 +451,16 @@ class TestStackdistPlanner:
             for a in ways
         ]
 
-    def test_one_pass_per_group_with_exact_counts(
-        self, small_traces, base_config, monkeypatch
-    ):
+    def test_one_pass_per_group_with_exact_counts(self, small_traces, base_config):
         from repro.audit import manifest
 
         configs = self.grid_configs(base_config)
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
-        baseline = sweep_functional(small_traces, configs, workers=1)
+        baseline = [
+            [run_functional(trace, config) for trace in small_traces]
+            for config in configs
+        ]
         memo.clear_memo_cache()
         clear_front_cache()
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "1")
         with manifest.recording("planner-on") as run:
             derived = sweep_functional(small_traces, configs, workers=1)
         for row_a, row_b in zip(baseline, derived):
@@ -461,21 +478,6 @@ class TestStackdistPlanner:
         for config, row in zip(configs, grid):
             for result in row:
                 assert result.config is config
-
-    def test_env_knob_disables_grouping(
-        self, small_traces, base_config, monkeypatch
-    ):
-        from repro.audit import manifest
-
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
-        assert not sweep.stackdist_enabled()
-        configs = self.grid_configs(base_config)
-        with manifest.recording("planner-off") as run:
-            sweep_functional(small_traces, configs, workers=1)
-        note = run.sweeps[0]
-        assert note.stackdist_groups == 0
-        assert note.cells_derived == 0
-        assert note.simulated == len(configs) * len(small_traces)
 
     def test_mixed_eligibility_falls_back_per_cell(
         self, small_traces, base_config, monkeypatch
@@ -624,7 +626,7 @@ class TestSetCountPlanner:
             for j, trace in enumerate(traces):
                 keys.append(memo.memo_key(trace, config))
                 pending.append(Cell(len(pending), j, config, f"cell{len(pending)}"))
-        return sweep._plan_stackdist(pending, keys, True)
+        return sweep._plan_stackdist(pending, keys)
 
     def test_lone_cells_sharing_a_front_form_one_group(
         self, small_traces, base_config
@@ -997,7 +999,7 @@ class TestPlannerPartition:
     def test_jobs_partition_the_pending_cells(self, grid):
         traces, configs = grid
         pending, keys = self.pending(traces, configs)
-        jobs, job_keys = sweep._plan_stackdist(pending, keys, True)
+        jobs, job_keys = sweep._plan_stackdist(pending, keys)
         assert collections.Counter(k for ks in job_keys for k in ks) == (
             collections.Counter(keys)
         )
@@ -1040,14 +1042,13 @@ class TestPlannerPartition:
 
 class TestGridDedup:
     def test_inert_replacement_policies_share_one_simulation(
-        self, small_traces, base_config, monkeypatch
+        self, small_traces, base_config
     ):
         from repro.audit import manifest
 
         # Direct-mapped levels make the stated replacement policy dead
         # configuration: these two configs are functionally identical
         # and must cost one simulation, returning a shared payload.
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
         lru = base_config
         fifo = base_config.with_level(1, replacement="fifo")
         assert memo.functional_projection(lru) == memo.functional_projection(fifo)
@@ -1061,9 +1062,8 @@ class TestGridDedup:
             assert_counts_equal(grid[0][j], grid[1][j])
 
     def test_dead_prefetch_distance_shares_one_simulation(
-        self, small_traces, base_config, monkeypatch
+        self, small_traces, base_config
     ):
-        monkeypatch.setenv(sweep.STACKDIST_ENV, "0")
         variant = base_config.with_level(1, prefetch_distance=7)
         assert memo.functional_projection(base_config) == (
             memo.functional_projection(variant)

@@ -18,7 +18,7 @@ import pytest
 from repro import telemetry
 from repro.audit import manifest as run_manifest
 from repro.core import sweep
-from repro.core.sweep import sweep_functional
+from repro.core.sweep import sweep_functional, sweep_timing
 from repro.resilience import executor
 from repro.resilience.executor import Cell
 from repro.resilience.faults import _uniform_draw, cell_signature
@@ -161,14 +161,17 @@ class TestRetryThenSucceed:
 
 
 class TestRetryExhaustion:
+    @pytest.mark.parametrize(
+        "run_sweep", [sweep_functional, sweep_timing], ids=["functional", "timing"]
+    )
     def test_partial_grid_with_failure_reports(
-        self, monkeypatch, tiny_traces, config_grid
+        self, monkeypatch, tiny_traces, config_grid, run_sweep
     ):
         monkeypatch.setenv("REPRO_FAULTS", "worker_raise:1.0")
         monkeypatch.setenv("REPRO_SWEEP_RETRIES", "1")
         failures = []
         with run_manifest.recording("exhausted") as recorder:
-            grid = sweep_functional(
+            grid = run_sweep(
                 tiny_traces, config_grid, workers=0,
                 on_failure="partial", failures=failures,
             )
@@ -400,7 +403,9 @@ class TestOneChannel:
         signatures = [cell.signature for cell in cells]
         chunks = [
             [cell.signature for cell in chunk]
-            for chunk in sweep._front_chunks(cells, 2 * sweep._CHUNKS_PER_WORKER)
+            for chunk in sweep._group_chunks(
+                cells, 2 * sweep._CHUNKS_PER_WORKER, sweep._front_group
+            )
         ]
         assert min(len(chunk) for chunk in chunks) >= 2
         seed = find_flaky_seed(signatures, chunks=chunks)
